@@ -47,7 +47,7 @@ class KrausChannel:
         ops = tuple(np.array(op, dtype=complex) for op in self.ops)
         total = sum(dagger(op) @ op for op in ops)
         defect = float(np.max(np.abs(total - ID2)))
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness violated by {defect:.3e} for {self.name}(q={self.q})"
             )
@@ -56,39 +56,24 @@ class KrausChannel:
         object.__setattr__(self, "ops", ops)
 
 
-def _check_q(q: float) -> float:
+def _from_table(name: str, q: float) -> KrausChannel:
     q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise QOutOfRange(f"channel strength q must lie in [0, 1], got {q}")
-    return q
+    return KrausChannel(name, q, tuple(kraus_stack(name, np.array([q]))[0]))
 
 
 def amplitude_damping(q: float) -> KrausChannel:
     """Energy-loss channel: |1> decays to |0> with probability q."""
-    q = _check_q(q)
-    m0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=complex)
-    m1 = np.array([[0.0, np.sqrt(q)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel("amplitude-damping", q, (m0, m1))
+    return _from_table("amplitude-damping", q)
 
 
 def phase_damping(q: float) -> KrausChannel:
     """Pure dephasing: off-diagonal coherence shrinks, populations are fixed."""
-    q = _check_q(q)
-    m0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=complex)
-    m1 = np.array([[0.0, 0.0], [0.0, np.sqrt(q)]], dtype=complex)
-    return KrausChannel("phase-damping", q, (m0, m1))
+    return _from_table("phase-damping", q)
 
 
 def depolarizing(q: float) -> KrausChannel:
     """White noise: rho -> (1-q) rho + q I/2 on the target qubit."""
-    q = _check_q(q)
-    ops = (
-        np.sqrt(1.0 - 0.75 * q) * ID2,
-        np.sqrt(0.25 * q) * PAULI_X,
-        np.sqrt(0.25 * q) * PAULI_Y,
-        np.sqrt(0.25 * q) * PAULI_Z,
-    )
-    return KrausChannel("depolarizing", q, ops)
+    return _from_table("depolarizing", q)
 
 
 #: Canonical channel names as used by the CLI and CSV outputs.
@@ -128,10 +113,15 @@ def apply_channel(
 
 
 def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
-    """Kraus operators of one family over a strength grid, shape (Q, k, 2, 2)."""
+    """Kraus operators of one family over a strength grid, shape (Q, k, 2, 2).
+
+    This is the one table of each family's operators; the scalar constructors
+    read their single row from it.
+    """
     qs = np.asarray(qs, dtype=float)
-    if qs.size and (qs.min() < 0.0 or qs.max() > 1.0):
-        raise QOutOfRange("channel strengths must lie in [0, 1]")
+    inside = (qs >= 0.0) & (qs <= 1.0)
+    if not inside.all():
+        raise QOutOfRange(f"channel strength q must lie in [0, 1], got {qs[~inside][0]}")
     n = qs.shape[0]
     root_q = np.sqrt(qs)
     root_1mq = np.sqrt(1.0 - qs)

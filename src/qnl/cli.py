@@ -3,7 +3,8 @@
 Commands: measures, scan, thresholds, sample-mems, werner-map. States are
 given as text specs: ``bell:singlet``, ``werner:p=0.8``,
 ``mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05`` or ``file:path/to/state.json``.
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or validation error (non-finite numbers
+included), 3 when the computation itself fails (``_Group``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,25 @@ def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload))
 
 
-@click.group()
+def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
+    # Hand-written rather than click.FloatRange, which lets nan through.
+    if not 0.0 < tol <= thresholds.MAX_TOL:
+        raise click.BadParameter(f"must lie in (0, {thresholds.MAX_TOL:g}], got {tol}")
+    return tol
+
+
+class _Group(click.Group):
+    """Command group that turns any QnlError a command lets through into exit 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except QnlError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Nonlocal-correlation toolbox for two-qubit states in noisy channels."""
 
@@ -77,12 +96,7 @@ def main() -> None:
 @click.option("--state", "spec", required=True, help="State spec, e.g. bell:singlet.")
 def cmd_measures(spec: str) -> None:
     """Print concurrence, fidelity, N and Bell parameter of a state as JSON."""
-    rho = parse_state_spec(spec)
-    try:
-        report = classify(rho)
-    except QnlError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    report = classify(parse_state_spec(spec))
     _echo_json(
         {
             "concurrence": _sig12(report.concurrence),
@@ -108,12 +122,7 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
         _fail_usage(f"steps must be >= 2, got {steps}")
     if not (0.0 <= qmin < qmax <= 1.0):
         _fail_usage(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
-    grid = np.linspace(qmin, qmax, steps)
-    try:
-        table = thresholds.scan(rho, channel, grid)
-    except QnlError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
     lines = ["q,concurrence,fidelity,bell"]
     for q, c, f, b in table:
         lines.append(",".join(format(v, ".12g") for v in (q, c, f, b)))
@@ -124,17 +133,10 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
 @click.option("--state", "spec", required=True, help="State spec.")
 @click.option("--channel", default="amplitude-damping", type=_CHANNEL_CHOICE,
               show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=1e-9, show_default=True, callback=_check_tol)
 def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
     """Print the critical strengths q_G, q_B, q_F, q_C of a state as JSON."""
-    rho = parse_state_spec(spec)
-    if not 0.0 < tol <= 1e-3:
-        _fail_usage(f"tol must lie in (0, 1e-3], got {tol}")
-    try:
-        ts = thresholds.threshold_set(rho, channel, tol)
-    except QnlError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    ts = thresholds.threshold_set(parse_state_spec(spec), channel, tol)
     payload = {
         key: (None if value is None else _sig12(value))
         for key, value in ts.as_dict().items()
@@ -148,24 +150,19 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--channel", default="amplitude-damping", type=_CHANNEL_CHOICE,
               show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
+@click.option("--tol", default=1e-6, show_default=True, callback=_check_tol)
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> None:
     """Run the seeded hierarchy experiment and write its CSV."""
     if n < 1:
         _fail_usage(f"--n must be >= 1, got {n}")
-    if not 0.0 < tol <= 1e-3:
-        _fail_usage(f"tol must lie in (0, 1e-3], got {tol}")
     cfg = sampling.SamplerConfig(n_states=n, seed=seed, channel=channel, tol=tol)
+    records = sampling.hierarchy_experiment(cfg)
     try:
-        records = sampling.hierarchy_experiment(cfg)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             sampling.write_records_csv(records, fh)
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
-    except QnlError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
     ok = sum(thresholds.hierarchy_check(rec.thresholds) for rec in records)
     click.echo(f"wrote {len(records)} records to {out}; {ok} satisfy the hierarchy")
 

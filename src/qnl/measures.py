@@ -109,15 +109,29 @@ def correlation_matrix_stack(rhos: np.ndarray) -> np.ndarray:
     return np.real(traces).reshape(-1, 3, 3)
 
 
-def concurrence_terms(rho: DensityMatrix) -> np.ndarray:
-    """The four descending roots l_i entering the concurrence."""
-    return wootters_roots_stack(rho.mat[None])[0]
+def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
+    """Unclamped concurrence l1 - l2 - l3 - l4 from descending roots (..., 4)."""
+    return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+
+
+def correlation_measures(
+    sv: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, F, B) from descending correlation singular values (..., 3)."""
+    n = sv.sum(axis=-1)
+    return n, 0.5 * (1.0 + n / 3.0), 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
+
+
+def _n_f_b(rho: DensityMatrix) -> tuple[float, float, float]:
+    """N, F and B of one state."""
+    return tuple(
+        float(v) for v in correlation_measures(correlation_singvals_stack(rho.mat[None])[0])
+    )
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence, clamped to [0, 1]."""
-    l = concurrence_terms(rho)
-    return max(0.0, float(l[0] - l[1] - l[2] - l[3]))
+    return max(0.0, concurrence_unclamped(rho))
 
 
 def concurrence_unclamped(rho: DensityMatrix) -> float:
@@ -126,8 +140,7 @@ def concurrence_unclamped(rho: DensityMatrix) -> float:
     Negative for separable states; its sign change locates the entanglement
     death point along a noise curve.
     """
-    l = concurrence_terms(rho)
-    return float(l[0] - l[1] - l[2] - l[3])
+    return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -137,18 +150,17 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
 
 def n_value(rho: DensityMatrix) -> float:
     """Sum of singular values of T; lies in [0, 3] for physical states."""
-    return float(correlation_singvals_stack(rho.mat[None])[0].sum())
+    return _n_f_b(rho)[0]
 
 
 def fidelity(rho: DensityMatrix) -> float:
     """Optimal teleportation fidelity (1 + N/3)/2 in [1/2, 1]."""
-    return 0.5 * (1.0 + n_value(rho) / 3.0)
+    return _n_f_b(rho)[1]
 
 
 def bell_parameter(rho: DensityMatrix) -> float:
     """Maximal CHSH expectation 2 sqrt(s1^2 + s2^2) in [0, 2 sqrt 2]."""
-    sv = correlation_singvals_stack(rho.mat[None])[0]
-    return 2.0 * math.sqrt(float(sv[0] ** 2 + sv[1] ** 2))
+    return _n_f_b(rho)[2]
 
 
 def classify(rho: DensityMatrix, eps: float = 1e-9) -> MeasureReport:
@@ -157,12 +169,8 @@ def classify(rho: DensityMatrix, eps: float = 1e-9) -> MeasureReport:
     Boundaries use strict inequalities with slack eps, so a state sitting
     exactly on a threshold falls into the weaker class.
     """
-    roots = wootters_roots_stack(rho.mat[None])[0]
-    conc = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
-    sv = correlation_singvals_stack(rho.mat[None])[0]
-    n = float(sv.sum())
-    fid = 0.5 * (1.0 + n / 3.0)
-    bell = 2.0 * math.sqrt(float(sv[0] ** 2 + sv[1] ** 2))
+    conc = concurrence(rho)
+    n, fid, bell = _n_f_b(rho)
 
     if conc <= eps:
         cls = HierarchyClass.SEPARABLE

@@ -18,7 +18,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import RejectionStall
-from .measures import GISIN_BOUND, correlation_singvals_stack
+from .measures import GISIN_BOUND, correlation_measures, correlation_singvals_stack
 from .states import DensityMatrix, MemsWeights, mems, mems_projectors
 from .thresholds import ThresholdSet, threshold_set
 
@@ -63,12 +63,16 @@ def gaps_of(ts: ThresholdSet) -> tuple[float | None, float | None, float | None]
     return (_gap(ts.q_b, ts.q_g), _gap(ts.q_f, ts.q_b), _gap(ts.q_c, ts.q_f))
 
 
+def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform draws on the descending 3-simplex, rows (n, 4)."""
+    cuts = np.sort(rng.uniform(size=(n, 3)), axis=1)
+    spacings = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    return np.sort(spacings, axis=1)[:, ::-1]
+
+
 def sample_weights(rng: np.random.Generator) -> MemsWeights:
     """One uniform draw on the descending 3-simplex."""
-    cuts = np.sort(rng.uniform(size=3))
-    spacings = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-    p1, p2, p3, p4 = np.sort(spacings)[::-1]
-    return MemsWeights(p1, p2, p3, p4)
+    return MemsWeights(*_draw_weights(rng, 1)[0])
 
 
 def _mems_stack(weights: np.ndarray) -> np.ndarray:
@@ -77,8 +81,7 @@ def _mems_stack(weights: np.ndarray) -> np.ndarray:
 
 
 def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
-    sv = correlation_singvals_stack(_mems_stack(weights))
-    return 0.5 * (1.0 + sv.sum(axis=1) / 3.0)
+    return correlation_measures(correlation_singvals_stack(_mems_stack(weights)))[1]
 
 
 def sample_mems_above_gisin(
@@ -98,14 +101,7 @@ def sample_mems_above_gisin(
             raise RejectionStall(
                 f"exceeded {MAX_DRAWS} draws with only {accepted} acceptances"
             )
-        cuts = np.sort(rng.uniform(size=(block, 3)), axis=1)
-        spacings = np.diff(
-            np.concatenate(
-                [np.zeros((block, 1)), cuts, np.ones((block, 1))], axis=1
-            ),
-            axis=1,
-        )
-        weights = np.sort(spacings, axis=1)[:, ::-1]
+        weights = _draw_weights(rng, block)
         drawn += block
         keep = _fidelity_of_weights(weights) > GISIN_BOUND
         for row in weights[keep]:

@@ -50,8 +50,9 @@ def mems_projectors() -> np.ndarray:
 class DensityMatrix:
     """Validated 4x4 density matrix of two qubits.
 
-    Construction checks Hermiticity, unit trace and positive semidefiniteness
-    and raises NotHermitian / TraceNotOne / NotPSD naming the magnitude of the
+    Construction rejects non-finite entries with ValueError, then checks
+    Hermiticity, unit trace and positive semidefiniteness and raises
+    NotHermitian / TraceNotOne / NotPSD naming the magnitude of the
     violation. The stored array is an immutable copy.
     """
 
@@ -61,6 +62,8 @@ class DensityMatrix:
         mat = np.array(self.mat, dtype=complex)
         if mat.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("state entries must be finite numbers")
         defect = hermiticity_defect(mat)
         if defect > HERMITIAN_TOL:
             raise NotHermitian(f"state deviates from Hermitian by {defect:.3e}")
@@ -109,7 +112,7 @@ class MemsWeights:
         if vals[-1] < 0.0:
             raise ValueError(f"weights must be non-negative, got {vals[-1]:.3e}")
         total = sum(vals)
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise ValueError(f"weights must sum to 1, got {total:.15g}")
         for name, v in zip(("p1", "p2", "p3", "p4"), vals):
             object.__setattr__(self, name, v)

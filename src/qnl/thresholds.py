@@ -27,6 +27,8 @@ from .channels import channel_family, evolve_grid
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
     GISIN_BOUND,
+    concurrence_of_roots,
+    correlation_measures,
     correlation_singvals_stack,
     wootters_roots_stack,
 )
@@ -41,18 +43,12 @@ REGIONS = ("R1", "R2", "R3", "R4", "R5")
 
 
 class Measure(Enum):
+    """The alive conditions, in the row order of ``_margins`` and ``_locate``."""
+
     GISIN = "GISIN"
     BELL = "BELL"
     FIDELITY = "FIDELITY"
     CONCURRENCE = "CONCURRENCE"
-
-
-_MEASURE_ROW = {
-    Measure.GISIN: 0,
-    Measure.BELL: 1,
-    Measure.FIDELITY: 2,
-    Measure.CONCURRENCE: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,8 @@ def _curves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Measure curves over a strength grid: (C clamped, C unclamped, F, B)."""
     evolved = evolve_grid(state_mat, family, qs)
-    roots = wootters_roots_stack(evolved)
-    c_unclamped = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
-    sv = correlation_singvals_stack(evolved)
-    f = 0.5 * (1.0 + sv.sum(axis=1) / 3.0)
-    b = 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2)
+    c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
+    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
     return np.maximum(0.0, c_unclamped), c_unclamped, f, b
 
 
@@ -100,69 +93,40 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _locate_many(
-    state: DensityMatrix, family: str, measures: list[Measure], tol: float
-) -> list[float | None]:
-    """Shared pre-scan plus lockstep bisection for several measures at once."""
+def _locate(state: DensityMatrix, family: str, tol: float) -> list[float | None]:
+    """Critical strengths of all four conditions, in Measure order.
+
+    One pre-scan brackets each condition's first death; a death in the last
+    grid cell, or none on the grid, is bracketed up to 1 - tol and reports
+    None if the condition still holds there. The brackets are then bisected
+    in lockstep, one evaluation per step for all of them.
+    """
     channel_family(family)  # fail early on unknown names
     qs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    grid = _margins(state.mat, family, qs)
-    q_last = 1.0 - tol
-
-    def margins_at(points: np.ndarray) -> np.ndarray:
-        return _margins(state.mat, family, np.asarray(points, dtype=float))
-
-    results: dict[int, float | None] = {}
-    brackets: dict[int, tuple[float, float]] = {}
-    need_tail_check: dict[int, tuple[float, float] | None] = {}
-
-    for idx, measure in enumerate(measures):
-        row = grid[_MEASURE_ROW[measure]]
-        if row[0] <= 0.0:
-            results[idx] = 0.0  # dead at q = 0 by convention
-            continue
-        alive = row > 0.0
-        transitions = np.nonzero(alive[:-1] & ~alive[1:])[0]
-        if transitions.size == 0:
-            # Alive across the grid; None unless it somehow dies by 1 - tol.
-            need_tail_check[idx] = (float(qs[-2]), q_last)
-        else:
-            i = int(transitions[0])
-            lo, hi = float(qs[i]), float(qs[i + 1])
-            if i + 2 == PRESCAN_POINTS:
-                # Death lands in the last grid cell; survives-all-noise if the
-                # condition still holds at 1 - tol.
-                need_tail_check[idx] = (lo, q_last)
+    alive = _margins(state.mat, family, qs) > 0.0
+    at_zero = alive[:, 0]
+    deaths = alive[:, :-1] & ~alive[:, 1:]
+    last = PRESCAN_POINTS - 2
+    cell = np.where(deaths.any(axis=1), deaths.argmax(axis=1), last)
+    lo = qs[cell].tolist()
+    hi = np.where(cell < last, qs[cell + 1], 1.0 - tol).tolist()
+    survives = at_zero & (cell == last)
+    if survives.any():
+        survives &= _margins(state.mat, family, np.array([1.0 - tol]))[:, 0] > 0.0
+    active = np.flatnonzero(at_zero & ~survives).tolist()
+    while active:
+        mids = [0.5 * (lo[row] + hi[row]) for row in active]
+        margins = _margins(state.mat, family, np.array(mids))
+        for k, (row, mid) in enumerate(zip(active, mids)):
+            if margins[row, k] > 0.0:
+                lo[row] = mid
             else:
-                brackets[idx] = (lo, hi)
-
-    if need_tail_check:
-        tail = margins_at(np.array([q_last]))[:, 0]
-        for idx, fallback in need_tail_check.items():
-            row = _MEASURE_ROW[measures[idx]]
-            if tail[row] > 0.0:
-                results[idx] = None
-            else:
-                brackets[idx] = fallback
-
-    while brackets:
-        active = sorted(brackets)
-        mids = np.array([0.5 * (brackets[i][0] + brackets[i][1]) for i in active])
-        mid_margins = margins_at(mids)
-        for pos, idx in enumerate(active):
-            lo, hi = brackets[idx]
-            mid = mids[pos]
-            if mid_margins[_MEASURE_ROW[measures[idx]], pos] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol:
-                results[idx] = 0.5 * (lo + hi)
-                del brackets[idx]
-            else:
-                brackets[idx] = (lo, hi)
-
-    return [results[i] for i in range(len(measures))]
+                hi[row] = mid
+        active = [row for row in active if hi[row] - lo[row] > tol]
+    return [
+        0.0 if not at_zero[row] else None if survives[row] else 0.5 * (lo[row] + hi[row])
+        for row in range(len(Measure))
+    ]
 
 
 def critical_q(
@@ -178,17 +142,15 @@ def critical_q(
     1001-point grid and bisected down to width tol.
     """
     tol = _check_tol(tol)
-    return _locate_many(state, family, [_coerce_measure(measure)], tol)[0]
+    row = list(Measure).index(_coerce_measure(measure))
+    return _locate(state, family, tol)[row]
 
 
 def threshold_set(
     state: DensityMatrix, family: str, tol: float = 1e-9
 ) -> ThresholdSet:
     """All four critical strengths of a state/channel pair, from one pre-scan."""
-    tol = _check_tol(tol)
-    order = [Measure.GISIN, Measure.BELL, Measure.FIDELITY, Measure.CONCURRENCE]
-    q_g, q_b, q_f, q_c = _locate_many(state, family, order, tol)
-    return ThresholdSet(q_g=q_g, q_b=q_b, q_f=q_f, q_c=q_c)
+    return ThresholdSet(*_locate(state, family, _check_tol(tol)))
 
 
 def hierarchy_check(ts: ThresholdSet, slack: float = 1e-6) -> bool:
@@ -223,7 +185,7 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     qs = np.asarray(q_grid, dtype=float)
     if qs.ndim != 1 or qs.size == 0:
         raise BadGrid("grid must be a non-empty 1-d sequence")
-    if qs.min() < 0.0 or qs.max() > 1.0:
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise BadGrid("grid values must lie in [0, 1]")
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")

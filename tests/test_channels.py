@@ -4,6 +4,7 @@ import pytest
 from conftest import ginibre_density_stack
 from qnl.channels import (
     FAMILIES,
+    KrausChannel,
     Side,
     amplitude_damping,
     apply_channel,
@@ -201,3 +202,14 @@ class TestGridKernels:
     def test_kraus_stack_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown channel"):
             kraus_stack("bit-flip", np.array([0.5]))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_nan_strength_rejected(self, family):
+        with pytest.raises(QOutOfRange):
+            kraus_stack(family, np.array([0.5, np.nan]))
+        with pytest.raises(QOutOfRange):
+            FAMILIES[family](float("nan"))
+
+    def test_nan_kraus_operator_rejected(self):
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel("x", 0.1, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))

@@ -159,3 +159,45 @@ class TestWernerMapCommand:
             main, ["werner-map", "--grid", "1", "--out", str(tmp_path / "m.csv")]
         )
         assert result.exit_code == 2
+
+
+class TestFailureExits:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["measures", "thresholds"])
+    def test_non_finite_file_state_exits_2(self, runner, tmp_path, command, bad):
+        doc = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        doc["re"][0][1] = doc["re"][1][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--state", f"file:{path}"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "finite" in result.output
+
+    def test_nan_mems_weight_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["measures", "--state", "mems:p1=nan,p2=0.5,p3=0.3,p4=0.2"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "0.01"])
+    @pytest.mark.parametrize("command", ["thresholds", "sample-mems"])
+    def test_bad_tol_exits_2(self, runner, tmp_path, command, tol):
+        out_path = tmp_path / "records.csv"
+        rest = (["--state", "bell:singlet"] if command == "thresholds"
+                else ["--n", "1", "--out", str(out_path)])
+        result = runner.invoke(main, [command, "--tol", tol, *rest])
+        assert result.exit_code == 2
+        assert not out_path.exists()
+
+    def test_rejection_stall_exits_3_without_csv(self, runner, tmp_path, monkeypatch):
+        import qnl.sampling
+
+        monkeypatch.setattr(qnl.sampling, "MAX_DRAWS", 0)
+        out_path = tmp_path / "records.csv"
+        result = runner.invoke(main, ["sample-mems", "--n", "1", "--out", str(out_path)])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.stderr
+        assert result.stdout == ""
+        assert not out_path.exists()

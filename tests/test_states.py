@@ -94,6 +94,10 @@ class TestMems:
         with pytest.raises(ValueError, match="sum to 1"):
             MemsWeights(0.5, 0.3, 0.1, 0.2)
 
+    def test_weights_reject_nan(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            MemsWeights(float("nan"), 0.5, 0.3, 0.2)
+
     def test_accepts_plain_sequence(self):
         np.testing.assert_allclose(
             mems((0.25, 0.25, 0.25, 0.25)).mat, np.eye(4) / 4, atol=1e-15
@@ -121,6 +125,13 @@ class TestValidate:
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
             validate(np.eye(3) / 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            validate(m)
 
     def test_constructors_pass_validation(self, rng):
         for p in rng.uniform(size=10):

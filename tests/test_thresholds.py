@@ -214,6 +214,11 @@ class TestScan:
         with pytest.raises(BadGrid):
             scan(bell_singlet(), AD, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid(self, bad):
+        with pytest.raises(BadGrid):
+            scan(werner(0.8), AD, np.array([bad]))
+
 
 class TestWernerRegion:
     def test_never_entangled_corner(self):
