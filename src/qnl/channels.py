@@ -10,7 +10,9 @@ and q = 0 is always the identity channel:
                       q is the total error probability.
 
 A channel acts on qubit B (the transmitted one) by default; acting on qubit A
-or on both sides sequentially is supported for completeness.
+or on both sides sequentially is supported for completeness. On X-states
+(non-zero only on the diagonal and the anti-diagonal) each family acts as an
+affine map of six real entries in (q, sqrt(1-q)) (``evolve_x``).
 """
 
 from __future__ import annotations
@@ -112,16 +114,21 @@ def apply_channel(
     return DensityMatrix(out)
 
 
+def _strengths(qs) -> np.ndarray:
+    qs = np.asarray(qs, dtype=float)
+    inside = (qs >= 0.0) & (qs <= 1.0)
+    if not inside.all():
+        raise QOutOfRange(f"channel strength q must lie in [0, 1], got {qs[~inside][0]}")
+    return qs
+
+
 def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
     """Kraus operators of one family over a strength grid, shape (Q, k, 2, 2).
 
     This is the one table of each family's operators; the scalar constructors
     read their single row from it.
     """
-    qs = np.asarray(qs, dtype=float)
-    inside = (qs >= 0.0) & (qs <= 1.0)
-    if not inside.all():
-        raise QOutOfRange(f"channel strength q must lie in [0, 1], got {qs[~inside][0]}")
+    qs = _strengths(qs)
     n = qs.shape[0]
     root_q = np.sqrt(qs)
     root_1mq = np.sqrt(1.0 - qs)
@@ -146,6 +153,62 @@ def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
         channel_family(name)  # raises with the canonical message
         raise AssertionError("unreachable")
     return ops
+
+
+def _x_map(const: dict, lin: dict, root: dict) -> np.ndarray:
+    """Coefficients (3, 6, 6) of the constant, q and sqrt(1-q) terms."""
+    out = np.zeros((3, 6, 6))
+    for k, term in enumerate((const, lin, root)):
+        for (i, j), v in term.items():
+            out[k, i, j] = v
+    out.setflags(write=False)
+    return out
+
+
+_DIAG = {(i, i): 1.0 for i in range(4)}
+_COHERENCES = {(4, 4): 1.0, (5, 5): 1.0}
+
+#: Each family's action on the X entries (rho11, rho22, rho33, rho44, |rho14|,
+#: |rho23|) when it acts on qubit B: the entries at strength q are
+#: (C + q L + sqrt(1-q) R) applied to the entries at q = 0. The single-qubit
+#: actions in the module docstring keep X-states in X form (Yu & Eberly,
+#: QIC 7, 459 (2007)) and scale both coherences by a factor >= 0, so their
+#: moduli suffice.
+_X_MAPS = {
+    # rho11 += q rho22, rho22 *= 1-q (same for 33/44); coherences * sqrt(1-q)
+    "amplitude-damping": _x_map(
+        _DIAG, {(0, 1): 1.0, (1, 1): -1.0, (2, 3): 1.0, (3, 3): -1.0}, _COHERENCES
+    ),
+    # populations fixed; coherences * sqrt(1-q)
+    "phase-damping": _x_map(_DIAG, {}, _COHERENCES),
+    # B's populations relax towards their mean by q/2; coherences * (1-q)
+    "depolarizing": _x_map(
+        {(i, i): 1.0 for i in range(6)},
+        {(0, 0): -0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.5,
+         (2, 2): -0.5, (2, 3): 0.5, (3, 2): 0.5, (3, 3): -0.5,
+         (4, 4): -1.0, (5, 5): -1.0},
+        {},
+    ),
+}
+
+
+def x_entries(mats: np.ndarray) -> np.ndarray:
+    """X entries (6, ...) of X-state matrices (..., 4, 4), one entry per row.
+
+    The rows are rho11, rho22, rho33, rho44, |rho14|, |rho23|; entries off the
+    diagonal and the anti-diagonal are ignored.
+    """
+    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
+    coherences = np.abs(mats[..., [0, 1], [3, 2]])
+    return np.moveaxis(np.concatenate([diag, coherences], axis=-1), -1, 0)
+
+
+def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
+    """X entries (6, M) after the family acts on qubit B, column k at strength qs[k]."""
+    channel_family(name)
+    qs = _strengths(qs)
+    const, lin, root = _X_MAPS[name]
+    return const @ entries + qs * (lin @ entries) + np.sqrt(1.0 - qs) * (root @ entries)
 
 
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:

@@ -109,6 +109,26 @@ def correlation_matrix_stack(rhos: np.ndarray) -> np.ndarray:
     return np.real(traces).reshape(-1, 3, 3)
 
 
+def x_spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending Wootters roots (..., 4) and correlation singular values (..., 3)
+    of X-states in closed form.
+
+    ``entries`` (6, ...) holds rho11, rho22, rho33, rho44, |rho14|, |rho23|.
+    The roots are |sqrt(rho11 rho44) +- |rho14|| and |sqrt(rho22 rho33) +- |rho23||;
+    T is diagonal apart from its xy block, so its singular values are
+    2(|rho14| + |rho23|), 2 ||rho14| - |rho23|| and |rho11 - rho22 - rho33 + rho44|.
+    """
+    d11, d22, d33, d44, a14, a23 = entries
+    r14 = np.sqrt(np.maximum(d11 * d44, 0.0))
+    r23 = np.sqrt(np.maximum(d22 * d33, 0.0))
+    roots = np.abs(np.stack([r14 + a14, r14 - a14, r23 + a23, r23 - a23], axis=-1))
+    sv = np.stack(
+        [2.0 * (a14 + a23), 2.0 * np.abs(a14 - a23), np.abs(d11 - d22 - d33 + d44)],
+        axis=-1,
+    )
+    return np.sort(roots, axis=-1)[..., ::-1], np.sort(sv, axis=-1)[..., ::-1]
+
+
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
     """Unclamped concurrence l1 - l2 - l3 - l4 from descending roots (..., 4)."""
     return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]

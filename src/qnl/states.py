@@ -41,11 +41,6 @@ _MEMS_PROJECTORS = np.stack(
 _MEMS_PROJECTORS.setflags(write=False)
 
 
-def mems_projectors() -> np.ndarray:
-    """The four orthogonal MEMS projectors, stacked (4, 4, 4) in weight order."""
-    return _MEMS_PROJECTORS
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated 4x4 density matrix of two qubits.

@@ -13,17 +13,21 @@ first fails, found by a 1001-point pre-scan that brackets the first sign
 change followed by bisection. Conventions: a condition already dead at q = 0
 reports 0; a condition still alive at q = 1 - tol reports None (it survives
 all noise). The pre-scan makes no monotonicity assumption about the curves.
+
+``threshold_set`` evaluates the curves through the general Kraus pipeline.
+``x_threshold_sets`` runs the same pre-scan and bisection on many X-states at
+once, with closed-form spectra of their evolved X entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channels import channel_family, evolve_grid
+from .channels import channel_family, evolve_grid, evolve_x
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
     GISIN_BOUND,
@@ -31,19 +35,25 @@ from .measures import (
     correlation_measures,
     correlation_singvals_stack,
     wootters_roots_stack,
+    x_spectra,
 )
 from .states import DensityMatrix
 from .werner_analytic import bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 MAX_TOL = 1e-3
+# The locator pre-scans this many states at a time and never asks a margins
+# provider for more than _BLOCK_POINTS points at once, so its memory does not
+# grow with the number of states.
+_BLOCK_STATES = 4
+_BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
 
 #: Region labels of the Werner (p, q) map, weakest correlations first.
 REGIONS = ("R1", "R2", "R3", "R4", "R5")
 
 
 class Measure(Enum):
-    """The alive conditions, in the row order of ``_margins`` and ``_locate``."""
+    """The alive conditions, in the row order of ``_alive_margins`` and ``_locate``."""
 
     GISIN = "GISIN"
     BELL = "BELL"
@@ -66,18 +76,37 @@ class ThresholdSet:
 
 def _curves(
     state_mat: np.ndarray, family: str, qs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measure curves over a strength grid: (C clamped, C unclamped, F, B)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure curves of one state over a strength grid: (C unclamped, F, B)."""
     evolved = evolve_grid(state_mat, family, qs)
     c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
     _, f, b = correlation_measures(correlation_singvals_stack(evolved))
-    return np.maximum(0.0, c_unclamped), c_unclamped, f, b
+    return c_unclamped, f, b
 
 
-def _margins(state_mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
-    """Alive margins, shape (4, Q), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE."""
-    _, c_unclamped, f, b = _curves(state_mat, family, qs)
+def _x_curves(
+    entries: np.ndarray, family: str, qs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The same curves of X-states, X entries (6, M) at strengths qs (M,), in closed form."""
+    roots, sv = x_spectra(evolve_x(entries, family, qs))
+    _, f, b = correlation_measures(sv)
+    return concurrence_of_roots(roots), f, b
+
+
+def _alive_margins(c_unclamped: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Alive margins, shape (4, M), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE."""
     return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, c_unclamped])
+
+
+def _kraus_margins(state_mat: np.ndarray, family: str):
+    """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline."""
+    channel_family(family)  # fail early on unknown names
+    return lambda states, qs: _alive_margins(*_curves(state_mat, family, qs))
+
+
+def _x_margins(entries: np.ndarray, family: str):
+    """Margins provider of X-states, X entries (6, N), through the closed-form X path."""
+    return lambda states, qs: _alive_margins(*_x_curves(entries[:, states], family, qs))
 
 
 def _coerce_measure(measure: Measure | str) -> Measure:
@@ -93,40 +122,68 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _locate(state: DensityMatrix, family: str, tol: float) -> list[float | None]:
-    """Critical strengths of all four conditions, in Measure order.
+def _alive(margins, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``margins(states, qs) > 0``, asked for at most _BLOCK_POINTS points at a time."""
+    if qs.size <= _BLOCK_POINTS:
+        return margins(states, qs) > 0.0
+    return np.concatenate(
+        [margins(states[k:k + _BLOCK_POINTS], qs[k:k + _BLOCK_POINTS]) > 0.0
+         for k in range(0, qs.size, _BLOCK_POINTS)],
+        axis=1,
+    )
 
-    One pre-scan brackets each condition's first death; a death in the last
-    grid cell, or none on the grid, is bracketed up to 1 - tol and reports
-    None if the condition still holds there. The brackets are then bisected
-    in lockstep, one evaluation per step for all of them.
+
+def _locate(margins, n: int, tol: float) -> np.ndarray:
+    """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
+
+    ``margins(states, qs)`` gives the alive margins (4, M) of state
+    ``states[k]`` at strength ``qs[k]``. A pre-scan brackets the first death
+    of every (state, condition) row, one block of states at a time; a death in
+    the last grid cell, or none on the grid, is bracketed up to 1 - tol and
+    reads NaN (survives all noise) if the condition still holds there. All
+    brackets are then bisected in lockstep, one evaluation per step for all
+    of them. A condition already dead at q = 0 reads 0.
     """
-    channel_family(family)  # fail early on unknown names
-    qs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    alive = _margins(state.mat, family, qs) > 0.0
-    at_zero = alive[:, 0]
-    deaths = alive[:, :-1] & ~alive[:, 1:]
+    rows = len(Measure)
+    grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     last = PRESCAN_POINTS - 2
-    cell = np.where(deaths.any(axis=1), deaths.argmax(axis=1), last)
-    lo = qs[cell].tolist()
-    hi = np.where(cell < last, qs[cell + 1], 1.0 - tol).tolist()
+    at_zero = np.empty((n, rows), dtype=bool)
+    cell = np.empty((n, rows), dtype=np.intp)
+    for first in range(0, n, _BLOCK_STATES):
+        block = np.arange(first, min(first + _BLOCK_STATES, n))
+        alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(grid, block.size))
+        alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
+        deaths = alive[..., :-1] & ~alive[..., 1:]
+        at_zero[block] = alive[..., 0]
+        cell[block] = np.where(deaths.any(axis=-1), deaths.argmax(axis=-1), last)
+    lo = grid[cell].ravel()
+    hi = np.where(cell < last, grid[cell + 1], 1.0 - tol).ravel()
     survives = at_zero & (cell == last)
-    if survives.any():
-        survives &= _margins(state.mat, family, np.array([1.0 - tol]))[:, 0] > 0.0
-    active = np.flatnonzero(at_zero & ~survives).tolist()
-    while active:
-        mids = [0.5 * (lo[row] + hi[row]) for row in active]
-        margins = _margins(state.mat, family, np.array(mids))
-        for k, (row, mid) in enumerate(zip(active, mids)):
-            if margins[row, k] > 0.0:
-                lo[row] = mid
-            else:
-                hi[row] = mid
-        active = [row for row in active if hi[row] - lo[row] > tol]
-    return [
-        0.0 if not at_zero[row] else None if survives[row] else 0.5 * (lo[row] + hi[row])
-        for row in range(len(Measure))
-    ]
+    tail = np.flatnonzero(survives.any(axis=1))
+    if tail.size:
+        survives[tail] &= _alive(margins, tail, np.full(tail.size, 1.0 - tol)).T
+    found = 0.5 * (lo + hi)
+    active = np.flatnonzero(at_zero & ~survives)
+    lo, hi = lo[active], hi[active]
+    while active.size:
+        # Bisect until some rows are narrow enough, then drop those rows.
+        states, measures, cols = active // rows, active % rows, np.arange(active.size)
+        done = np.zeros(active.size, dtype=bool)
+        while not done.any():
+            mids = 0.5 * (lo + hi)
+            alive = _alive(margins, states, mids)[measures, cols]
+            lo = np.where(alive, mids, lo)
+            hi = np.where(alive, hi, mids)
+            done = ~(hi - lo > tol)
+        found[active[done]] = 0.5 * (lo[done] + hi[done])
+        active, lo, hi = active[~done], lo[~done], hi[~done]
+    found = found.reshape(n, rows)
+    return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
+
+
+def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:
+    """ThresholdSets of _locate rows, with Python floats and None for NaN."""
+    return [ThresholdSet(*(None if math.isnan(q) else q for q in row.tolist())) for row in found]
 
 
 def critical_q(
@@ -143,14 +200,29 @@ def critical_q(
     """
     tol = _check_tol(tol)
     row = list(Measure).index(_coerce_measure(measure))
-    return _locate(state, family, tol)[row]
+    return astuple(threshold_set(state, family, tol))[row]
 
 
 def threshold_set(
     state: DensityMatrix, family: str, tol: float = 1e-9
 ) -> ThresholdSet:
     """All four critical strengths of a state/channel pair, from one pre-scan."""
-    return ThresholdSet(*_locate(state, family, _check_tol(tol)))
+    tol = _check_tol(tol)
+    return _threshold_sets(_locate(_kraus_margins(state.mat, family), 1, tol))[0]
+
+
+def x_threshold_sets(
+    entries: np.ndarray, family: str, tol: float = 1e-9
+) -> list[ThresholdSet]:
+    """``threshold_set`` of each X-state, given by its X entries (6, N), all at once.
+
+    ``entries`` comes from ``channels.x_entries`` of states whose entries off
+    the diagonal and the anti-diagonal are zero. Their spectra come in closed
+    form (``evolve_x``, ``x_spectra``); the general Kraus pipeline of
+    ``threshold_set`` stays the reference.
+    """
+    tol = _check_tol(tol)
+    return _threshold_sets(_locate(_x_margins(entries, family), entries.shape[1], tol))
 
 
 def hierarchy_check(ts: ThresholdSet, slack: float = 1e-6) -> bool:
@@ -190,5 +262,5 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
     channel_family(family)
-    c, _, f, b = _curves(state.mat, family, qs)
-    return np.column_stack([qs, c, f, b])
+    c_unclamped, f, b = _curves(state.mat, family, qs)
+    return np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])

@@ -187,13 +187,28 @@ class TestGridKernels:
                 direct = apply_channel(rho, FAMILIES[family](q), Side.B)
                 np.testing.assert_allclose(evolved, direct.mat, atol=1e-14)
 
-    def test_kraus_stack_matches_constructors(self):
-        qs = np.array([0.0, 0.25, 0.8])
-        for family in sorted(FAMILIES):
-            stack = kraus_stack(family, qs)
-            for i, q in enumerate(qs):
-                for j, op in enumerate(FAMILIES[family](q).ops):
-                    np.testing.assert_allclose(stack[i, j], op, atol=0)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_kraus_stack_gives_documented_qubit_action(self, family, rng):
+        # The single-qubit maps of the module docstring, which the X-entry
+        # maps of evolve_x encode as well.
+        def documented(rho, q):
+            r = np.sqrt(1.0 - q)
+            if family == "amplitude-damping":
+                return np.array([[rho[0, 0] + q * rho[1, 1], r * rho[0, 1]],
+                                 [r * rho[1, 0], (1.0 - q) * rho[1, 1]]])
+            if family == "phase-damping":
+                return np.array([[rho[0, 0], r * rho[0, 1]], [r * rho[1, 0], rho[1, 1]]])
+            return (1.0 - q) * rho + q * np.trace(rho) * np.eye(2) / 2.0
+
+        qs = np.array([0.0, 0.25, 0.8, 1.0])
+        stack = kraus_stack(family, qs)
+        for _ in range(10):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            for ops, q in zip(stack, qs):
+                got = sum(k @ rho @ k.conj().T for k in ops)
+                np.testing.assert_allclose(got, documented(rho, q), atol=1e-15)
 
     def test_kraus_stack_rejects_bad_q(self):
         with pytest.raises(QOutOfRange):
