@@ -11,8 +11,9 @@ and q = 0 is always the identity channel:
 
 A channel acts on qubit B (the transmitted one) by default; acting on qubit A
 or on both sides sequentially is supported for completeness. On X-states
-(non-zero only on the diagonal and the anti-diagonal) each family acts as an
-affine map of six real entries in (q, sqrt(1-q)) (``evolve_x``).
+(non-zero only on the diagonal and the anti-diagonal) each family moves B's
+populations and scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q
+(``evolve_x``).
 """
 
 from __future__ import annotations
@@ -155,43 +156,6 @@ def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _x_map(const: dict, lin: dict, root: dict) -> np.ndarray:
-    """Coefficients (3, 6, 6) of the constant, q and sqrt(1-q) terms."""
-    out = np.zeros((3, 6, 6))
-    for k, term in enumerate((const, lin, root)):
-        for (i, j), v in term.items():
-            out[k, i, j] = v
-    out.setflags(write=False)
-    return out
-
-
-_DIAG = {(i, i): 1.0 for i in range(4)}
-_COHERENCES = {(4, 4): 1.0, (5, 5): 1.0}
-
-#: Each family's action on the X entries (rho11, rho22, rho33, rho44, |rho14|,
-#: |rho23|) when it acts on qubit B: the entries at strength q are
-#: (C + q L + sqrt(1-q) R) applied to the entries at q = 0. The single-qubit
-#: actions in the module docstring keep X-states in X form (Yu & Eberly,
-#: QIC 7, 459 (2007)) and scale both coherences by a factor >= 0, so their
-#: moduli suffice.
-_X_MAPS = {
-    # rho11 += q rho22, rho22 *= 1-q (same for 33/44); coherences * sqrt(1-q)
-    "amplitude-damping": _x_map(
-        _DIAG, {(0, 1): 1.0, (1, 1): -1.0, (2, 3): 1.0, (3, 3): -1.0}, _COHERENCES
-    ),
-    # populations fixed; coherences * sqrt(1-q)
-    "phase-damping": _x_map(_DIAG, {}, _COHERENCES),
-    # B's populations relax towards their mean by q/2; coherences * (1-q)
-    "depolarizing": _x_map(
-        {(i, i): 1.0 for i in range(6)},
-        {(0, 0): -0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.5,
-         (2, 2): -0.5, (2, 3): 0.5, (3, 2): 0.5, (3, 3): -0.5,
-         (4, 4): -1.0, (5, 5): -1.0},
-        {},
-    ),
-}
-
-
 def x_entries(mats: np.ndarray) -> np.ndarray:
     """X entries (6, ...) of X-state matrices (..., 4, 4), one entry per row.
 
@@ -204,11 +168,26 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
 
 
 def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
-    """X entries (6, M) after the family acts on qubit B, column k at strength qs[k]."""
+    """X entries (6, M) after the family acts on qubit B, column k at strength qs[k].
+
+    Each action keeps X-states in X form (Yu & Eberly, QIC 7, 459 (2007)): it moves
+    population within B's pairs (rho11, rho22), (rho33, rho44) and scales both
+    coherences by one factor >= 0, so their moduli suffice.
+    """
     channel_family(name)
     qs = _strengths(qs)
-    const, lin, root = _X_MAPS[name]
-    return const @ entries + qs * (lin @ entries) + np.sqrt(1.0 - qs) * (root @ entries)
+    d11, d22, d33, d44, a14, a23 = entries
+    if name == "amplitude-damping":  # |1> decays to |0>; coherences * sqrt(1-q)
+        moved_12, moved_34 = qs * d22, qs * d44
+        factor = np.sqrt(1.0 - qs)
+    elif name == "phase-damping":  # populations fixed; coherences * sqrt(1-q)
+        moved_12 = moved_34 = 0.0
+        factor = np.sqrt(1.0 - qs)
+    else:  # depolarizing: populations relax towards their mean; coherences * (1-q)
+        moved_12, moved_34 = 0.5 * qs * (d22 - d11), 0.5 * qs * (d44 - d33)
+        factor = 1.0 - qs
+    return np.stack([d11 + moved_12, d22 - moved_12, d33 + moved_34, d44 - moved_34,
+                     factor * a14, factor * a23])
 
 
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:

@@ -147,7 +147,7 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
 
 @main.command("sample-mems")
 @click.option("--n", default=1000, show_default=True, help="Number of accepted states.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--channel", default="amplitude-damping", type=_CHANNEL_CHOICE,
               show_default=True)
 @click.option("--tol", default=1e-6, show_default=True, callback=_check_tol)

@@ -15,8 +15,10 @@ The eigenvalue problem for the non-Hermitian product rho @ rho_tilde is never
 solved directly: the l_i are obtained as the singular values of
 W = sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), since W W^dagger equals the
 Hermitian similarity sqrt(rho) rho_tilde sqrt(rho), which shares its spectrum
-with rho @ rho_tilde. Working with singular values keeps the square roots of
-near-zero eigenvalues at full double precision.
+with rho @ rho_tilde. On rank-deficient states the l_i are good to about 1e-8
+only: sqrt(rho) clamps an exactly zero eigenvalue computed as ~1e-17, and its
+square root (~3e-9) leaks into W. ``tests/test_x_path.py`` pins this at 1e-7
+against the closed-form X-state roots of ``x_spectra``.
 """
 
 from __future__ import annotations

@@ -13,12 +13,11 @@ configuration always reproduces the same record list bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .channels import x_entries
 from .errors import RejectionStall
 from .measures import GISIN_BOUND, correlation_measures, x_spectra
 from .measures import correlation_singvals_stack  # noqa: F401  (benchmark traces this name here)
@@ -43,6 +42,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -79,30 +80,31 @@ def sample_weights(rng: np.random.Generator) -> MemsWeights:
     return MemsWeights(*_draw_weights(rng, 1)[0])
 
 
-def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
-    """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form.
+def _mems_entries(weights: np.ndarray) -> np.ndarray:
+    """X entries (6, N) of MEMS from weight rows (N, 4), in closed form.
 
     A MEMS is the X-state with rho11 = p2, rho22 = rho33 = (p1 + p3)/2,
-    rho44 = p4, rho14 = 0 and |rho23| = |p1 - p3|/2, so N = 2|p1 - p3| +
-    |p1 + p3 - p2 - p4|.
+    rho44 = p4, rho14 = 0 and |rho23| = |p1 - p3|/2.
     """
     p1, p2, p3, p4 = weights.T
     half = 0.5 * (p1 + p3)
-    entries = np.stack([p2, half, half, p4, np.zeros_like(p1), 0.5 * np.abs(p1 - p3)])
-    return correlation_measures(x_spectra(entries)[1])[1]
+    return np.stack([p2, half, half, p4, np.zeros_like(p1), 0.5 * np.abs(p1 - p3)])
 
 
-def sample_mems_above_gisin(
-    cfg: SamplerConfig,
-) -> Iterator[tuple[DensityMatrix, MemsWeights]]:
-    """Yield exactly cfg.n_states MEMS whose fidelity exceeds the Gisin bound.
+def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
+    """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form."""
+    return correlation_measures(x_spectra(_mems_entries(weights))[1])[1]
+
+
+def _accepted_weights(cfg: SamplerConfig) -> np.ndarray:
+    """Weight rows (cfg.n_states, 4) of the MEMS whose fidelity exceeds the Gisin bound.
 
     Rejection sampling in draw order; raises RejectionStall if the accept
     count would require more than MAX_DRAWS draws.
     """
     rng = np.random.default_rng(cfg.seed)
-    accepted = 0
-    drawn = 0
+    kept = []
+    accepted = drawn = 0
     while accepted < cfg.n_states:
         block = min(_DRAW_BLOCK, MAX_DRAWS - drawn)
         if block <= 0:
@@ -111,28 +113,27 @@ def sample_mems_above_gisin(
             )
         weights = _draw_weights(rng, block)
         drawn += block
-        keep = _fidelity_of_weights(weights) > GISIN_BOUND
-        for row in weights[keep]:
-            w = MemsWeights(*row)
-            yield mems(w), w
-            accepted += 1
-            if accepted == cfg.n_states:
-                return
+        kept.append(weights[_fidelity_of_weights(weights) > GISIN_BOUND])
+        accepted += len(kept[-1])
+    return np.concatenate(kept)[:cfg.n_states]
+
+
+def sample_mems_above_gisin(cfg: SamplerConfig) -> Iterator[tuple[DensityMatrix, MemsWeights]]:
+    """Yield (state, weights) of cfg.n_states MEMS above the Gisin bound, in draw order."""
+    for row in _accepted_weights(cfg):
+        w = MemsWeights(*row)
+        yield mems(w), w
 
 
 def hierarchy_experiment(cfg: SamplerConfig) -> list[HierarchyRecord]:
     """Threshold sets and gaps for cfg.n_states accepted MEMS, in draw order.
 
     Every MEMS is an X-state, so all of them are located at once on the
-    closed-form X path (``x_threshold_sets``).
+    closed-form X path (``x_threshold_sets``), straight from their weights.
     """
-    weights = []
-    entries = np.empty((6, cfg.n_states))
-    for k, (rho, w) in enumerate(sample_mems_above_gisin(cfg)):
-        weights.append(w)
-        entries[:, k] = x_entries(rho.mat)
-    found = x_threshold_sets(entries, cfg.channel, cfg.tol)
-    return [HierarchyRecord(weights=w, thresholds=ts) for w, ts in zip(weights, found)]
+    weights = _accepted_weights(cfg)
+    found = x_threshold_sets(_mems_entries(weights), cfg.channel, cfg.tol)
+    return [HierarchyRecord(MemsWeights(*row), ts) for row, ts in zip(weights, found)]
 
 
 def _cell(value: float | None) -> str:
@@ -143,18 +144,5 @@ def write_records_csv(records: list[HierarchyRecord], fh: TextIO) -> None:
     """Write records as CSV with LF endings; absent values are empty cells."""
     fh.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
-        ts = rec.thresholds
-        cells = [
-            _cell(rec.weights.p1),
-            _cell(rec.weights.p2),
-            _cell(rec.weights.p3),
-            _cell(rec.weights.p4),
-            _cell(ts.q_g),
-            _cell(ts.q_b),
-            _cell(ts.q_f),
-            _cell(ts.q_c),
-            _cell(rec.gaps[0]),
-            _cell(rec.gaps[1]),
-            _cell(rec.gaps[2]),
-        ]
-        fh.write(",".join(cells) + "\n")
+        values = (*rec.weights.as_tuple(), *astuple(rec.thresholds), *rec.gaps)
+        fh.write(",".join(_cell(v) for v in values) + "\n")

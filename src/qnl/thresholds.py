@@ -142,7 +142,7 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     the last grid cell, or none on the grid, is bracketed up to 1 - tol and
     reads NaN (survives all noise) if the condition still holds there. All
     brackets are then bisected in lockstep, one evaluation per step for all
-    of them. A condition already dead at q = 0 reads 0.
+    rows still wider than tol. A condition already dead at q = 0 reads 0.
     """
     rows = len(Measure)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
@@ -166,16 +166,15 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     active = np.flatnonzero(at_zero & ~survives)
     lo, hi = lo[active], hi[active]
     while active.size:
-        # Bisect until some rows are narrow enough, then drop those rows.
-        states, measures, cols = active // rows, active % rows, np.arange(active.size)
-        done = np.zeros(active.size, dtype=bool)
-        while not done.any():
-            mids = 0.5 * (lo + hi)
-            alive = _alive(margins, states, mids)[measures, cols]
-            lo = np.where(alive, mids, lo)
-            hi = np.where(alive, hi, mids)
-            done = ~(hi - lo > tol)
-        found[active[done]] = 0.5 * (lo[done] + hi[done])
+        mids = 0.5 * (lo + hi)
+        alive = _alive(margins, active // rows, mids)[active % rows, np.arange(active.size)]
+        lo = np.where(alive, mids, lo)
+        hi = np.where(alive, hi, mids)
+        mids = 0.5 * (lo + hi)
+        # A row is done once narrow enough, or once its bracket is two
+        # adjacent floats (below any tol of about 1e-15) and cannot shrink.
+        done = ~(hi - lo > tol) | (mids == lo) | (mids == hi)
+        found[active[done]] = mids[done]
         active, lo, hi = active[~done], lo[~done], hi[~done]
     found = found.reshape(n, rows)
     return np.where(at_zero, np.where(survives, np.nan, found), 0.0)

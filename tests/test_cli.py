@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qnl
 from qnl.cli import main
 from qnl.states import save_state, validate, werner
 from qnl.werner_analytic import concurrence_ad, fidelity_ad
@@ -19,6 +25,15 @@ def run_ok(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return result.output
+
+
+def run_cli_process(args, timeout):
+    """Run ``python -m qnl.cli`` in a child process, so that a hang fails the test."""
+    src = str(Path(qnl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "qnl.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 class TestMeasuresCommand:
@@ -110,6 +125,18 @@ class TestThresholdsCommand:
         )
         assert result.exit_code == 2
 
+    def test_tol_below_float_spacing_returns(self, runner):
+        # Brackets narrow to adjacent floats long before 1e-16; the locator
+        # must stop there instead of bisecting the same bracket forever.
+        spec = ["thresholds", "--state", "werner:p=0.9"]
+        result = run_cli_process([*spec, "--tol", "1e-16"], timeout=60)
+        assert result.returncode == 0, result.stderr
+        tiny = json.loads(result.stdout)
+        ref = json.loads(run_ok(runner, [*spec, "--tol", "1e-12"]))
+        for key in ("q_G", "q_B", "q_F"):
+            assert tiny[key] == pytest.approx(ref[key], abs=1e-11)
+        assert tiny["q_C"] is ref["q_C"] is None
+
 
 class TestSampleMemsCommand:
     def test_small_run(self, runner, tmp_path):
@@ -139,6 +166,38 @@ class TestSampleMemsCommand:
             main, ["sample-mems", "--n", "0", "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+    def test_negative_seed_rejected(self, runner, tmp_path):
+        out_path = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["sample-mems", "--n", "2", "--seed", "-1", "--out", str(out_path)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert not out_path.exists()
+
+    def test_tol_below_float_spacing_returns(self, tmp_path):
+        out_path = tmp_path / "x.csv"
+        result = run_cli_process(
+            ["sample-mems", "--n", "5", "--seed", "1", "--tol", "1e-17", "--out", str(out_path)],
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(out_path.read_text().splitlines()) == 6
+
+    # SHA-256 of `sample-mems --n 1000 --seed 7` per channel: the experiment's
+    # output is byte-reproducible, so any refactor must keep these bytes.
+    @pytest.mark.parametrize(
+        "channel, digest",
+        [("amplitude-damping", "e89240114c6f8965fc8a3fdead618dc21fe7a6c194f20ac1468fd1e727a09d35"),
+         ("phase-damping", "0bb74fdf7e0c10abb62e35b1b90e8a7243ed77412c99ad200971fcc6dbabab5d"),
+         ("depolarizing", "38ddd5f0eb50262e0869cb875a5694ca1fae49487d2af78f9a477d45d101c6b3")],
+    )
+    def test_golden_csv(self, runner, tmp_path, channel, digest):
+        out_path = tmp_path / "records.csv"
+        run_ok(runner, ["sample-mems", "--n", "1000", "--seed", "7", "--channel", channel,
+                        "--out", str(out_path)])
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 class TestWernerMapCommand:

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qnl.sampling as sampling
+from qnl.channels import x_entries
 from qnl.errors import RejectionStall
 from qnl.measures import GISIN_BOUND, fidelity
 from qnl.sampling import (
@@ -93,6 +95,33 @@ class TestRejectionSampler:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_states"):
             SamplerConfig(n_states=0, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(n_states=1, seed=-1)
+
+
+class TestMemsEntries:
+    """``_mems_entries`` writes the X entries of a MEMS from its weights alone."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [(1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.5, 0.3, 0.2, 0.0)],
+    )
+    def test_edge_weights(self, w):
+        got = sampling._mems_entries(np.array([w]))[:, 0]
+        np.testing.assert_allclose(got, x_entries(mems(MemsWeights(*w)).mat), rtol=0, atol=1e-15)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(raw=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+           .filter(lambda r: sum(r) >= 0.01))
+    def test_matches_matrix(self, raw):
+        w = MemsWeights(*(np.array(raw) / sum(raw)))
+        got = sampling._mems_entries(np.array([w.as_tuple()]))[:, 0]
+        np.testing.assert_allclose(got, x_entries(mems(w).mat), rtol=0, atol=1e-15)
+
+    def test_generator_and_experiment_accept_the_same_weights(self):
+        cfg = SamplerConfig(n_states=60, seed=17, channel="phase-damping")
+        drawn = [w for _, w in sample_mems_above_gisin(cfg)]
+        assert [rec.weights for rec in hierarchy_experiment(cfg)] == drawn
 
 
 class TestHierarchyExperiment:
