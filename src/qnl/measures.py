@@ -17,8 +17,10 @@ W = sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), since W W^dagger equals the
 Hermitian similarity sqrt(rho) rho_tilde sqrt(rho), which shares its spectrum
 with rho @ rho_tilde. On rank-deficient states the l_i are good to about 1e-8
 only: sqrt(rho) clamps an exactly zero eigenvalue computed as ~1e-17, and its
-square root (~3e-9) leaks into W. ``tests/test_x_path.py`` pins this at 1e-7
-against the closed-form X-state roots of ``x_spectra``.
+square root (~3e-9) leaks into W. That error reaches only the printed
+concurrence (``measures``, ``scan``): the threshold locator reads entanglement
+from det(rho^{T_B}) instead. ``tests/test_x_path.py`` pins it at 1e-7 against
+the exact curve of pure a|00> + b|11> states.
 """
 
 from __future__ import annotations
@@ -111,24 +113,19 @@ def correlation_matrix_stack(rhos: np.ndarray) -> np.ndarray:
     return np.real(traces).reshape(-1, 3, 3)
 
 
-def x_spectra(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending Wootters roots (..., 4) and correlation singular values (..., 3)
-    of X-states in closed form.
+def x_singvals(entries: np.ndarray) -> np.ndarray:
+    """Correlation singular values (..., 3) of X-states in closed form, two largest first.
 
     ``entries`` (6, ...) holds rho11, rho22, rho33, rho44, |rho14|, |rho23|.
-    The roots are |sqrt(rho11 rho44) +- |rho14|| and |sqrt(rho22 rho33) +- |rho23||;
     T is diagonal apart from its xy block, so its singular values are
     2(|rho14| + |rho23|), 2 ||rho14| - |rho23|| and |rho11 - rho22 - rho33 + rho44|.
+    The first is never below the second, so no sort is needed to put the two
+    largest first, which is all ``correlation_measures`` reads.
     """
     d11, d22, d33, d44, a14, a23 = entries
-    r14 = np.sqrt(np.maximum(d11 * d44, 0.0))
-    r23 = np.sqrt(np.maximum(d22 * d33, 0.0))
-    roots = np.abs(np.stack([r14 + a14, r14 - a14, r23 + a23, r23 - a23], axis=-1))
-    sv = np.stack(
-        [2.0 * (a14 + a23), 2.0 * np.abs(a14 - a23), np.abs(d11 - d22 - d33 + d44)],
-        axis=-1,
-    )
-    return np.sort(roots, axis=-1)[..., ::-1], np.sort(sv, axis=-1)[..., ::-1]
+    xy = 2.0 * np.abs(a14 - a23)
+    zz = np.abs(d11 - d22 - d33 + d44)
+    return np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
 
 
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
 def correlation_measures(
     sv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, F, B) from descending correlation singular values (..., 3)."""
+    """(N, F, B) from correlation singular values (..., 3), the two largest first."""
     n = sv.sum(axis=-1)
     return n, 0.5 * (1.0 + n / 3.0), 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
 
@@ -159,8 +156,8 @@ def concurrence(rho: DensityMatrix) -> float:
 def concurrence_unclamped(rho: DensityMatrix) -> float:
     """Signed combination l1 - l2 - l3 - l4 without the clamp at zero.
 
-    Negative for separable states; its sign change locates the entanglement
-    death point along a noise curve.
+    Negative for separable states. It has the sign of -det(rho^{T_B}), which
+    the threshold locator reads instead.
     """
     return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
 

@@ -5,7 +5,7 @@ uniforms) and sorted descending. States whose teleportation fidelity exceeds
 the Gisin bound are kept; each kept state gets a full threshold set and the
 gaps q_B - q_G, q_F - q_B, q_C - q_F. A gap touching an absent threshold is
 itself absent. MEMS are X-states, so the filter and the threshold sets use
-the closed-form X spectra rather than the general Kraus pipeline.
+the closed-form X entries rather than the general Kraus pipeline.
 
 The draw sequence is generated single-threaded from the seed, so a given
 configuration always reproduces the same record list bit for bit.
@@ -19,7 +19,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import RejectionStall
-from .measures import GISIN_BOUND, correlation_measures, x_spectra
+from .measures import GISIN_BOUND, correlation_measures, x_singvals
 from .measures import correlation_singvals_stack  # noqa: F401  (benchmark traces this name here)
 from .states import DensityMatrix, MemsWeights, mems
 from .thresholds import ThresholdSet, x_threshold_sets
@@ -93,7 +93,7 @@ def _mems_entries(weights: np.ndarray) -> np.ndarray:
 
 def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
     """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form."""
-    return correlation_measures(x_spectra(_mems_entries(weights))[1])[1]
+    return correlation_measures(x_singvals(_mems_entries(weights)))[1]
 
 
 def _accepted_weights(cfg: SamplerConfig) -> np.ndarray:

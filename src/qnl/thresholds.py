@@ -3,10 +3,10 @@
 For a state evolving through a channel family at strength q, four "alive"
 conditions are tracked:
 
-  GISIN        F > F_lhv        (no local-hidden-variable description)
-  BELL         B > 2            (CHSH violation)
-  FIDELITY     F > 2/3          (useful teleportation resource)
-  CONCURRENCE  unclamped C > 0  (entanglement)
+  GISIN        F > F_lhv             (no local-hidden-variable description)
+  BELL         B > 2                 (CHSH violation)
+  FIDELITY     F > 2/3               (useful teleportation resource)
+  CONCURRENCE  det(rho^{T_B}) < 0    (entanglement; the sign of unclamped C)
 
 The critical strength of a condition is the smallest q in [0, 1] at which it
 first fails, found by a 1001-point pre-scan that brackets the first sign
@@ -14,9 +14,12 @@ change followed by bisection. Conventions: a condition already dead at q = 0
 reports 0; a condition still alive at q = 1 - tol reports None (it survives
 all noise). The pre-scan makes no monotonicity assumption about the curves.
 
-``threshold_set`` evaluates the curves through the general Kraus pipeline.
-``x_threshold_sets`` runs the same pre-scan and bisection on many X-states at
-once, with closed-form spectra of their evolved X entries.
+The locator reads only the sign of one margin per condition, so its margins
+providers compute margins, not spectra. ``threshold_set`` evolves the state
+once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
+determinant and a 3x3 SVD; ``x_threshold_sets`` does the same for many
+X-states at once from their evolved X entries in closed form. Neither takes
+the Wootters roots: ``scan`` alone does, because it prints C.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .errors import BadGrid, InvalidTolerance
 from .measures import (
     GISIN_BOUND,
     concurrence_of_roots,
+    correlation_matrix_stack,
     correlation_measures,
     correlation_singvals_stack,
     wootters_roots_stack,
-    x_spectra,
+    x_singvals,
 )
 from .states import DensityMatrix
 from .werner_analytic import bell_ad, concurrence_ad, fidelity_ad
@@ -74,39 +78,68 @@ class ThresholdSet:
         return {"q_G": self.q_g, "q_B": self.q_b, "q_F": self.q_f, "q_C": self.q_c}
 
 
-def _curves(
-    state_mat: np.ndarray, family: str, qs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure curves of one state over a strength grid: (C unclamped, F, B)."""
-    evolved = evolve_grid(state_mat, family, qs)
-    c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
-    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
-    return c_unclamped, f, b
+# Every family is affine in (1, q, sqrt(1-q)): its Kraus entries are 1,
+# sqrt(1-q) and sqrt(q) (damping), or sqrt(1-3q/4) and sqrt(q/4)
+# (depolarizing), and a product of two entries of one operator is one of 1, q,
+# sqrt(1-q), 1-q and 1-3q/4. (1, q, sqrt(1-q)) is exactly (1, 0, 1), (1, 3/4,
+# 1/2) and (1, 1, 0) at the strengths below, so the states evolved there give
+# the coefficients of rho(q) = A + q B + sqrt(1-q) C through a fixed 3x3 map.
+_AFFINE_QS = np.array([0.0, 0.75, 1.0])
+_AFFINE_OF_SAMPLES = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
 
 
-def _x_curves(
-    entries: np.ndarray, family: str, qs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The same curves of X-states, X entries (6, M) at strengths qs (M,), in closed form."""
-    roots, sv = x_spectra(evolve_x(entries, family, qs))
-    _, f, b = correlation_measures(sv)
-    return concurrence_of_roots(roots), f, b
+def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
+    """(A, B, C), shape (3, 4, 4), such that evolve_grid at q is A + q B + sqrt(1-q) C."""
+    samples = evolve_grid(state_mat, family, _AFFINE_QS)
+    return np.tensordot(_AFFINE_OF_SAMPLES, samples, axes=1)
 
 
-def _alive_margins(c_unclamped: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Alive margins, shape (4, M), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE."""
-    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, c_unclamped])
+def _alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:
+    """Alive margins, shape (4, M), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE.
+
+    ``entangled`` is -det(rho^{T_B}): a two-qubit state is entangled exactly
+    when its partial transpose has a negative determinant (Augusiak,
+    Demianowicz & Horodecki, PRA 77, 030301 (2008)), so it has the sign of the
+    unclamped concurrence.
+    """
+    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled])
 
 
 def _kraus_margins(state_mat: np.ndarray, family: str):
-    """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline."""
-    channel_family(family)  # fail early on unknown names
-    return lambda states, qs: _alive_margins(*_curves(state_mat, family, qs))
+    """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
+
+    The state is evolved once, at the three strengths of ``_affine_coefficients``;
+    every point then costs one small product each for the partial transpose
+    and the correlation matrix, a 4x4 determinant and a 3x3 SVD.
+    """
+    coef = _affine_coefficients(state_mat, family)
+    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b').
+    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 16)
+    corr = correlation_matrix_stack(coef).reshape(3, 9)
+
+    def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        basis = np.stack([np.ones_like(qs), qs, np.sqrt(1.0 - qs)], axis=-1)
+        sv = np.linalg.svd((basis @ corr).reshape(-1, 3, 3), compute_uv=False)
+        _, f, b = correlation_measures(sv)
+        det = np.linalg.det((basis @ transposed).reshape(-1, 4, 4)).real
+        return _alive_margins(f, b, -det)
+
+    return margins
 
 
 def _x_margins(entries: np.ndarray, family: str):
-    """Margins provider of X-states, X entries (6, N), through the closed-form X path."""
-    return lambda states, qs: _alive_margins(*_x_curves(entries[:, states], family, qs))
+    """Margins provider of X-states, X entries (6, N), through the closed-form X path.
+
+    The partial transpose of an X-state swaps rho14 and rho23, so its
+    determinant is (rho11 rho44 - |rho23|^2)(rho22 rho33 - |rho14|^2).
+    """
+    def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        evolved = evolve_x(entries[:, states], family, qs)
+        d11, d22, d33, d44, a14, a23 = evolved
+        _, f, b = correlation_measures(x_singvals(evolved))
+        return _alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
+
+    return margins
 
 
 def _coerce_measure(measure: Measure | str) -> Measure:
@@ -205,7 +238,12 @@ def critical_q(
 def threshold_set(
     state: DensityMatrix, family: str, tol: float = 1e-9
 ) -> ThresholdSet:
-    """All four critical strengths of a state/channel pair, from one pre-scan."""
+    """All four critical strengths of a state/channel pair, from one pre-scan.
+
+    The pre-scan and the bisection read the alive margins of the Kraus
+    pipeline's affine evolution (``_kraus_margins``): F and B from the
+    correlation matrix, entanglement from -det(rho^{T_B}).
+    """
     tol = _check_tol(tol)
     return _threshold_sets(_locate(_kraus_margins(state.mat, family), 1, tol))[0]
 
@@ -216,9 +254,9 @@ def x_threshold_sets(
     """``threshold_set`` of each X-state, given by its X entries (6, N), all at once.
 
     ``entries`` comes from ``channels.x_entries`` of states whose entries off
-    the diagonal and the anti-diagonal are zero. Their spectra come in closed
-    form (``evolve_x``, ``x_spectra``); the general Kraus pipeline of
-    ``threshold_set`` stays the reference.
+    the diagonal and the anti-diagonal are zero. Their margins come in closed
+    form (``evolve_x``, ``x_singvals`` and the X form of det(rho^{T_B})); the
+    general Kraus pipeline of ``threshold_set`` stays the reference.
     """
     tol = _check_tol(tol)
     return _threshold_sets(_locate(_x_margins(entries, family), entries.shape[1], tol))
@@ -261,5 +299,7 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
     channel_family(family)
-    c_unclamped, f, b = _curves(state.mat, family, qs)
+    evolved = evolve_grid(state.mat, family, qs)
+    c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
+    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
     return np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])

@@ -1,17 +1,17 @@
 """The closed-form X-state path against the general Kraus pipeline.
 
 ``thresholds.x_threshold_sets`` evolves the six X entries (``channels.evolve_x``)
-and reads the spectra in closed form (``measures.x_spectra``). Its margins are
-checked against the Kraus margins on a grid for MEMS, Werner states, the
-singlet, X-states with complex coherences and rank-deficient X-states, under
-every channel; its thresholds against ``threshold_set``.
+and reads the correlation singular values and det(rho^{T_B}) in closed form
+(``measures.x_singvals``, ``thresholds._x_margins``). Its margins are checked
+against the Kraus margins on a grid for MEMS, Werner states, the singlet,
+X-states with complex coherences and rank-deficient X-states, under every
+channel; its thresholds against ``threshold_set``.
 
-The Kraus pipeline takes the Wootters roots from ``psd_sqrt_stack``, which
-turns an exactly zero eigenvalue computed as ~1e-17 into a square root of
-~3e-9. Its concurrence is therefore only good to ~1e-8 on states whose
-|00>/|11> coherence block is singular but not diagonal (pure a|00> + b|11>,
-coherences at their PSD bound); there the X path is checked against the exact
-curve instead.
+Neither provider takes a square root of the state, so all four margin rows
+agree to 1e-12, rank-deficient states included. The printed concurrence of
+``scan`` still comes from the Wootters roots of ``psd_sqrt_stack``, which turns
+an exactly zero eigenvalue computed as ~1e-17 into a square root of ~3e-9; on
+pure a|00> + b|11> states it is pinned to the exact curve at 1e-7.
 """
 
 import math
@@ -22,21 +22,16 @@ from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, evolve_grid, evolve_x, x_entries
 from qnl.errors import QOutOfRange
-from qnl.measures import (
-    concurrence_of_roots,
-    correlation_singvals_stack,
-    wootters_roots_stack,
-    x_spectra,
-)
+from qnl.measures import correlation_measures, correlation_singvals_stack, x_singvals
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
-from qnl.thresholds import _kraus_margins, _x_margins, threshold_set, x_threshold_sets
+from qnl.thresholds import _kraus_margins, _x_margins, scan, threshold_set, x_threshold_sets
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 GRID = np.linspace(0.0, 1.0, 101)
 TOL = 1e-6
-# Concurrence of the Kraus pipeline on a singular, non-diagonal coherence block.
-KRAUS_SINGULAR_C_ATOL = 1e-7
+# Printed (Wootters) concurrence on a singular, non-diagonal coherence block.
+WOOTTERS_SINGULAR_ATOL = 1e-7
 
 unit = st.floats(0.0, 1.0)
 phase = st.floats(0.0, 2.0 * math.pi)
@@ -56,11 +51,10 @@ def both_margins(mat: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
     return x, kraus
 
 
-def check_margins(mat: np.ndarray, c_atol: float = 1e-12) -> None:
+def check_margins(mat: np.ndarray) -> None:
     for family in sorted(FAMILIES):
         x, kraus = both_margins(mat, family)
-        np.testing.assert_allclose(x[:3], kraus[:3], rtol=0, atol=1e-12, err_msg=family)
-        np.testing.assert_allclose(x[3], kraus[3], rtol=0, atol=c_atol, err_msg=family)
+        np.testing.assert_allclose(x, kraus, rtol=0, atol=1e-12, err_msg=family)
 
 
 def weights(raw) -> np.ndarray:
@@ -107,7 +101,7 @@ def test_coherences_at_the_psd_bound(raw, f14, f23):
     d = weights(raw)
     c14 = math.sqrt(d[0] * d[3]) * np.exp(1j * f14)
     c23 = math.sqrt(d[1] * d[2]) * np.exp(1j * f23)
-    check_margins(x_state(d, c14, c23), c_atol=KRAUS_SINGULAR_C_ATOL)
+    check_margins(x_state(d, c14, c23))
 
 
 @PROPERTY
@@ -122,20 +116,26 @@ def test_pure_states_on_01_10(theta, f):
 def test_pure_states_on_00_11(theta, f):
     a, b = math.cos(theta), math.sin(theta) * np.exp(1j * f)
     psi = np.array([a, 0.0, 0.0, b])
-    check_margins(np.outer(psi, psi.conj()), c_atol=KRAUS_SINGULAR_C_ATOL)
-    # The X concurrence is exact here: 2|ab| sqrt(1-q) under either damping
-    # (the 01 population stays 0), 2|ab| max(0, 1 - 3q/2) under depolarizing.
-    ab = abs(a * b)
+    rho = np.outer(psi, psi.conj())
+    check_margins(rho)
+    # -det(rho^{T_B}) in closed form: |ab|^4 (1-q)^2 under amplitude damping,
+    # |ab|^4 (1-q) under phase damping, |ab|^4 (1-q/2)^3 (1-3q/2) under
+    # depolarizing noise.
+    ab4 = abs(a * b) ** 4
     exact = {
-        "amplitude-damping": 2 * ab * np.sqrt(1 - GRID),
-        "phase-damping": 2 * ab * np.sqrt(1 - GRID),
-        "depolarizing": 2 * ab * (1 - 1.5 * GRID),
+        "amplitude-damping": ab4 * (1 - GRID) ** 2,
+        "phase-damping": ab4 * (1 - GRID),
+        "depolarizing": ab4 * (1 - GRID / 2) ** 3 * (1 - 1.5 * GRID),
     }
     for family in sorted(FAMILIES):
-        x, _ = both_margins(np.outer(psi, psi.conj()), family)
-        alive = exact[family] > 0
-        np.testing.assert_allclose(x[3][alive], exact[family][alive], rtol=0, atol=1e-12)
-        assert np.all(x[3][~alive] <= 1e-15)
+        x, _ = both_margins(rho, family)
+        np.testing.assert_allclose(x[3], exact[family], rtol=0, atol=1e-12, err_msg=family)
+    # The printed concurrence is 2|ab| sqrt(1-q) under amplitude damping, up to
+    # the Wootters error on this rank-one coherence block.
+    printed = scan(validate(rho), "amplitude-damping", GRID)[:, 1]
+    np.testing.assert_allclose(
+        printed, 2 * abs(a * b) * np.sqrt(1 - GRID), rtol=0, atol=WOOTTERS_SINGULAR_ATOL
+    )
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -150,17 +150,17 @@ def test_evolve_x_matches_evolve_grid(family, rng):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
-def test_x_spectra_match_the_svds(rng):
+def test_x_singvals_match_the_svds(rng):
     mats = np.stack([
         x_state(d, rng.uniform() * math.sqrt(d[0] * d[3]) * 1j,
                 rng.uniform() * math.sqrt(d[1] * d[2]) * np.exp(1j))
         for d in rng.dirichlet(np.ones(4), size=50)
     ])
-    roots, sv = x_spectra(x_entries(mats))
-    np.testing.assert_allclose(sv, correlation_singvals_stack(mats), rtol=0, atol=1e-14)
+    sv = x_singvals(x_entries(mats))
+    svd = correlation_singvals_stack(mats)
+    np.testing.assert_allclose(np.sort(sv, axis=-1)[:, ::-1], svd, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
-        concurrence_of_roots(roots), concurrence_of_roots(wootters_roots_stack(mats)),
-        rtol=0, atol=1e-12,
+        correlation_measures(sv), correlation_measures(svd), rtol=0, atol=1e-12
     )
 
 
