@@ -17,9 +17,10 @@ W = sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), since W W^dagger equals the
 Hermitian similarity sqrt(rho) rho_tilde sqrt(rho), which shares its spectrum
 with rho @ rho_tilde. On rank-deficient states the l_i are good to about 1e-8
 only: sqrt(rho) clamps an exactly zero eigenvalue computed as ~1e-17, and its
-square root (~3e-9) leaks into W. That error reaches only the printed
-concurrence (``measures``, ``scan``): the threshold locator reads entanglement
-from det(rho^{T_B}) instead. ``tests/test_x_path.py`` pins it at 1e-7 against
+square root (~3e-9) leaks into W. That error reaches the printed concurrence
+(``measures``, ``scan``); the threshold locator reads entanglement from
+det(rho^{T_B}) and falls back to these roots only where the determinant is
+rounding noise itself. ``tests/test_x_path.py`` pins it at 1e-7 against
 the exact curve of pure a|00> + b|11> states.
 """
 

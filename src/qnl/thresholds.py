@@ -18,8 +18,9 @@ The locator reads only the sign of one margin per condition, so its margins
 providers compute margins, not spectra. ``threshold_set`` evolves the state
 once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
 determinant and a 3x3 SVD; ``x_threshold_sets`` does the same for many
-X-states at once from their evolved X entries in closed form. Neither takes
-the Wootters roots: ``scan`` alone does, because it prints C.
+X-states at once from their evolved X entries in closed form. ``scan`` takes
+the Wootters roots because it prints C; ``threshold_set`` takes them only at
+points where the determinant is rounding noise (``_kraus_margins``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ MAX_TOL = 1e-3
 # grow with the number of states.
 _BLOCK_STATES = 4
 _BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
+# A det(rho^{T_B}) of at most this size has no reliable sign. The affine
+# evolution's determinant is off by up to ~4e-17 on Ginibre states of rank 1
+# to 4 under every family, against the determinant in 50-digit arithmetic.
+DET_ROUNDING = 1e-15
 
 #: Region labels of the Werner (p, q) map, weakest correlations first.
 REGIONS = ("R1", "R2", "R3", "R4", "R5")
@@ -94,13 +99,20 @@ def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
     return np.tensordot(_AFFINE_OF_SAMPLES, samples, axes=1)
 
 
+def _curves(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C unclamped, F, B) of evolved states (M, 4, 4), from their spectra."""
+    c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
+    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
+    return c_unclamped, f, b
+
+
 def _alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:
     """Alive margins, shape (4, M), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE.
 
-    ``entangled`` is -det(rho^{T_B}): a two-qubit state is entangled exactly
+    ``entangled`` has the sign of the unclamped concurrence: -det(rho^{T_B})
+    for the margins providers, since a two-qubit state is entangled exactly
     when its partial transpose has a negative determinant (Augusiak,
-    Demianowicz & Horodecki, PRA 77, 030301 (2008)), so it has the sign of the
-    unclamped concurrence.
+    Demianowicz & Horodecki, PRA 77, 030301 (2008)).
     """
     return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled])
 
@@ -111,6 +123,13 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     The state is evolved once, at the three strengths of ``_affine_coefficients``;
     every point then costs one small product each for the partial transpose
     and the correlation matrix, a 4x4 determinant and a 3x3 SVD.
+
+    Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
+    partial transpose with a zero eigenvalue, as for a product state or at
+    q = 1 under amplitude damping). Such points are evolved directly and read
+    from ``_curves`` instead, the concurrence row taking the sign of the
+    Wootters concurrence at size DET_ROUNDING, so rank-deficient states keep
+    the thresholds the spectra gave.
     """
     coef = _affine_coefficients(state_mat, family)
     # rho^{T_B}: swap the B indices of row (a, b) and column (a', b').
@@ -122,7 +141,12 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
         sv = np.linalg.svd((basis @ corr).reshape(-1, 3, 3), compute_uv=False)
         _, f, b = correlation_measures(sv)
         det = np.linalg.det((basis @ transposed).reshape(-1, 4, 4)).real
-        return _alive_margins(f, b, -det)
+        out = _alive_margins(f, b, -det)
+        unresolved = np.flatnonzero(np.abs(det) <= DET_ROUNDING)
+        if unresolved.size:
+            c, f, b = _curves(evolve_grid(state_mat, family, qs[unresolved]))
+            out[:, unresolved] = _alive_margins(f, b, np.sign(c) * DET_ROUNDING)
+        return out
 
     return margins
 
@@ -242,7 +266,8 @@ def threshold_set(
 
     The pre-scan and the bisection read the alive margins of the Kraus
     pipeline's affine evolution (``_kraus_margins``): F and B from the
-    correlation matrix, entanglement from -det(rho^{T_B}).
+    correlation matrix, entanglement from -det(rho^{T_B}), and all four from
+    the spectra where that determinant is rounding noise.
     """
     tol = _check_tol(tol)
     return _threshold_sets(_locate(_kraus_margins(state.mat, family), 1, tol))[0]
@@ -299,7 +324,5 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
     channel_family(family)
-    evolved = evolve_grid(state.mat, family, qs)
-    c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
-    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
+    c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs))
     return np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])

@@ -10,7 +10,8 @@ the same determinant of X-states in closed form. Checked here:
 - -det(rho^{T_B}) has the sign of the unclamped Wootters concurrence wherever
   that is clearly non-zero, on Ginibre states of rank 1 to 4;
 - boundary states, where the determinant is rounding noise (pure product
-  states, q = 1 under amplitude damping), keep their threshold sets;
+  states, q = 1 under amplitude damping), keep the threshold sets the spectra
+  gave: those points are read from ``_curves``;
 - the four alive margins are nested, G => B => F => C, for both providers:
   F > F_lhv gives B > 2, B > 2 gives N > 1, and N > 1 means entangled
   (de Vicente, QIC 7, 624 (2007)).
@@ -27,9 +28,13 @@ from qnl.channels import FAMILIES, evolve_grid, x_entries
 from qnl.measures import concurrence_of_roots, wootters_roots_stack
 from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
 from qnl.thresholds import (
+    DET_ROUNDING,
     ThresholdSet,
     _affine_coefficients,
+    _alive_margins,
+    _curves,
     _kraus_margins,
+    _locate,
     _x_margins,
     threshold_set,
 )
@@ -89,9 +94,11 @@ def test_det_row_has_the_sign_of_the_concurrence(seed, rank, family):
     mat = ginibre(np.random.default_rng(seed), rank)
     evolved = evolve_grid(mat, family, GRID)
     entangled = kraus_margins(mat, family, GRID)[3]
-    np.testing.assert_allclose(
-        entangled, -np.linalg.det(partial_transpose_b(evolved)).real, rtol=0, atol=1e-15
-    )
+    det = np.linalg.det(partial_transpose_b(evolved)).real
+    # Points at rounding level read the Wootters sign times DET_ROUNDING.
+    fallback = np.isin(np.abs(entangled), (0.0, DET_ROUNDING))
+    np.testing.assert_allclose(entangled[~fallback], -det[~fallback], rtol=0, atol=1e-15)
+    assert np.all(np.abs(det[fallback]) <= 2 * DET_ROUNDING)
     c = concurrence_of_roots(wootters_roots_stack(evolved))
     clear = np.abs(c) > 1e-7
     np.testing.assert_array_equal(np.sign(entangled[clear]), np.sign(c[clear]))
@@ -100,11 +107,28 @@ def test_det_row_has_the_sign_of_the_concurrence(seed, rank, family):
 PURE_PRODUCTS = {
     "00": np.kron([1.0, 0.0], [1.0, 0.0]),
     "+1": np.kron([1.0, 1.0], [0.0, 1.0]) / math.sqrt(2.0),
+    "complex": np.kron([0.8, 0.6], [0.6, 0.8j]),
 }
+# On a product without zero entries in the computational basis, B - 2,
+# F - 2/3 and the concurrence are exactly 0 along the path, and their rounding
+# noise (~1e-8 for the Wootters concurrence) reads alive near q = 0.
+SPECTRA_NOISE = pytest.mark.xfail(strict=True, reason="B, F and C are rounding noise")
+
+
+def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> ThresholdSet:
+    """threshold_set read from ``_curves`` at every point: the spectra locator."""
+    def margins(states, qs):
+        c, f, b = _curves(evolve_grid(mat, family, qs))
+        return _alive_margins(f, b, c)
+
+    return ThresholdSet(*(None if math.isnan(q) else q for q in _locate(margins, 1, tol)[0]))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("name", sorted(PURE_PRODUCTS))
+@pytest.mark.parametrize(
+    "name", [pytest.param(k, marks=SPECTRA_NOISE) if k == "complex" else k
+             for k in sorted(PURE_PRODUCTS)]
+)
 def test_pure_product_states(name, family):
     # det(rho^{T_B}) is 0 up to rounding all along the path, and nothing is
     # alive at q = 0.
@@ -112,6 +136,18 @@ def test_pure_product_states(name, family):
     rho = validate(np.outer(psi, psi.conj()))
     assert np.all(np.abs(kraus_margins(rho.mat, family, GRID)[3]) <= DET_SLACK)
     assert threshold_set(rho, family, 1e-9) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
+
+
+@PROPERTY
+@given(seed=seeds, family=families)
+def test_products_keep_the_spectra_thresholds(seed, family):
+    # Every point of a product is at rounding level, so the whole set is read
+    # from the spectra, as before the determinant.
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    psi = np.kron(a, b)
+    rho = validate(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    assert threshold_set(rho, family, 1e-9) == spectra_threshold_set(rho.mat, family, 1e-9)
 
 
 # The threshold sets the Wootters-root margins gave at tol 1e-9.

@@ -130,6 +130,7 @@ def test_pure_states_on_00_11(theta, f):
     for family in sorted(FAMILIES):
         x, _ = both_margins(rho, family)
         np.testing.assert_allclose(x[3], exact[family], rtol=0, atol=1e-12, err_msg=family)
+        assert np.all(x[3][exact[family] <= 0] <= 1e-15)
     # The printed concurrence is 2|ab| sqrt(1-q) under amplitude damping, up to
     # the Wootters error on this rank-one coherence block.
     printed = scan(validate(rho), "amplitude-damping", GRID)[:, 1]
