@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import QOutOfRange
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron2, kron2_stack
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron2
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -193,10 +193,12 @@ def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     """Evolve one raw state through a family on qubit B over a strength grid.
 
-    Returns the stack of evolved matrices, shape (Q, 4, 4). Used by the
-    threshold scanner; outputs are not re-validated per point.
+    Returns the evolved stack (Q, 4, 4), not re-validated. Each M_k acts on B's
+    indices of rho directly: this leaves out only products with exact zeros of
+    I x M_k and sums the rest in the same order, so the result is
+    sum_k (I x M_k) rho (I x M_k)^dagger bit for bit. q is the innermost axis,
+    so the einsum's inner loop runs over contiguous memory.
     """
-    small = kraus_stack(name, qs)
-    ident = np.broadcast_to(ID2, small.shape)
-    full = kron2_stack(ident, small)
-    return np.einsum("qkij,jl,qkml->qim", full, rho_mat, np.conj(full))
+    ops = np.ascontiguousarray(np.moveaxis(kraus_stack(name, qs), 0, -1))
+    out = np.einsum("kxyq,aycz,kwzq->axcwq", ops, rho_mat.reshape(2, 2, 2, 2), np.conj(ops))
+    return out.reshape(4, 4, -1).transpose(2, 0, 1).copy()

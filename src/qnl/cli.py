@@ -65,10 +65,6 @@ def _sig12(x: float) -> float:
     return float(format(x, ".12g"))
 
 
-def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload))
-
-
 def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
     # Hand-written rather than click.FloatRange, which lets nan through.
     if not 0.0 < tol <= thresholds.MAX_TOL:
@@ -97,7 +93,7 @@ def main() -> None:
 def cmd_measures(spec: str) -> None:
     """Print concurrence, fidelity, N and Bell parameter of a state as JSON."""
     report = classify(parse_state_spec(spec))
-    _echo_json(
+    click.echo(json.dumps(
         {
             "concurrence": _sig12(report.concurrence),
             "fidelity": _sig12(report.fidelity),
@@ -105,7 +101,7 @@ def cmd_measures(spec: str) -> None:
             "bell": _sig12(report.bell),
             "class": report.hierarchy_class.value,
         }
-    )
+    ))
 
 
 @main.command("scan")
@@ -123,10 +119,8 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
     if not (0.0 <= qmin < qmax <= 1.0):
         _fail_usage(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
     table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
-    lines = ["q,concurrence,fidelity,bell"]
-    for q, c, f, b in table:
-        lines.append(",".join(format(v, ".12g") for v in (q, c, f, b)))
-    click.echo("\n".join(lines))
+    rows = ["%.12g,%.12g,%.12g,%.12g" % tuple(row) for row in table.tolist()]
+    click.echo("\n".join(["q,concurrence,fidelity,bell", *rows]))
 
 
 @main.command("thresholds")
@@ -142,7 +136,7 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
         for key, value in ts.as_dict().items()
     }
     payload["hierarchy_ok"] = thresholds.hierarchy_check(ts)
-    _echo_json(payload)
+    click.echo(json.dumps(payload))
 
 
 @main.command("sample-mems")
@@ -178,10 +172,10 @@ def cmd_werner_map(grid: int, out: str) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write("p,q,region\n")
-            for p in axis:
-                for q in axis:
-                    region = thresholds.werner_region(p, q)
-                    fh.write(f"{p:.12g},{q:.12g},{region}\n")
+            labels = [f"{v:.12g}" for v in axis]
+            for p, p_label in zip(axis, labels):
+                for q, q_label in zip(axis, labels):
+                    fh.write(f"{p_label},{q_label},{thresholds.werner_region(p, q)}\n")
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
     click.echo(f"wrote {grid * grid} rows to {out}")

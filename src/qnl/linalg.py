@@ -87,9 +87,3 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError(f"kron2 expects 2x2 operands, got {a.shape} and {b.shape}")
     return np.kron(a, b)
-
-
-def kron2_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product broadcast over leading axes: (..., 2, 2) x (..., 2, 2)."""
-    out = np.einsum("...ij,...kl->...ikjl", a, b)
-    return out.reshape(out.shape[:-4] + (4, 4))

@@ -288,7 +288,11 @@ def x_threshold_sets(
 
 
 def hierarchy_check(ts: ThresholdSet, slack: float = 1e-6) -> bool:
-    """True iff q_G <= q_B <= q_F <= q_C up to slack, with None as +infinity."""
+    """True iff q_G <= q_B <= q_F <= q_C up to slack, with None as +infinity.
+
+    At every state G alive => B alive => F alive => C alive (see the README), so the
+    first deaths obey this order on every noise path: False flags a locator error.
+    """
     inf = math.inf
     seq = [inf if v is None else v for v in (ts.q_g, ts.q_b, ts.q_f, ts.q_c)]
     return all(a <= b + slack for a, b in zip(seq, seq[1:]))
@@ -315,7 +319,10 @@ def werner_region(p: float, q: float, eps: float = 1e-9) -> str:
 
 
 def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
-    """Measure table over a strength grid: rows (q, concurrence, fidelity, bell)."""
+    """Measure table over a strength grid: rows (q, concurrence, fidelity, bell).
+
+    Evolved and measured _BLOCK_POINTS points at a time: memory beyond the table is bounded.
+    """
     qs = np.asarray(q_grid, dtype=float)
     if qs.ndim != 1 or qs.size == 0:
         raise BadGrid("grid must be a non-empty 1-d sequence")
@@ -324,5 +331,8 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
     channel_family(family)
-    c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs))
-    return np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])
+    table = np.empty((qs.size, 4))
+    for block in (slice(k, k + _BLOCK_POINTS) for k in range(0, qs.size, _BLOCK_POINTS)):
+        c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs[block]))
+        table[block] = np.column_stack([qs[block], np.maximum(0.0, c_unclamped), f, b])
+    return table

@@ -176,7 +176,27 @@ class TestChannelSweepInvariants:
                 assert np.max(np.abs(twice.mat - merged.mat)) <= 1e-10
 
 
+def kron_kraus_sum(mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
+    """sum_k (I x M_k) rho (I x M_k)^dagger over the grid, from the full 4x4 operators."""
+    full = np.kron(np.eye(2), kraus_stack(family, qs))  # (Q, k, 4, 4): I x M_k per row
+    return np.einsum("qkij,jl,qkml->qim", full, mat, np.conj(full))
+
+
 class TestGridKernels:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_evolve_grid_is_the_kron_sum_bit_for_bit(self, family, rank):
+        rng = np.random.default_rng(rank)
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
+        for size in (1, 2, 3, 1001, 4099):
+            qs = np.linspace(0.0, 1.0, size)
+            got, want = evolve_grid(mat, family, qs), kron_kraus_sum(mat, family, qs)
+            assert got.shape == (size, 4, 4) and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_evolve_grid_matches_apply(self, family, rng):
         qs = np.array([0.0, 0.123, 0.5, 0.987, 1.0])

@@ -93,6 +93,24 @@ class TestScanCommand:
             assert c == pytest.approx(concurrence_ad(0.8, q), abs=1e-10)
             assert f == pytest.approx(fidelity_ad(0.8, q), abs=1e-10)
 
+    # SHA-256 of the scan stdout: printed curves are byte-reproducible, so a
+    # faster evolution or formatting must keep these bytes.
+    def test_golden_stdout_werner(self, runner):
+        out = run_ok(runner, ["scan", "--state", "werner:p=0.9", "--channel", "depolarizing",
+                              "--steps", "10007"])
+        digest = "489108ca48c026c754af3c6d5cb147a25cc7aeacd220e023e09a8863c5153eed"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_golden_stdout_non_x_file_state(self, runner, tmp_path):
+        # 0.8 |psi><psi| + 0.05 I, entangled and not an X-state.
+        psi = np.array([0.64, 0.48j, 0.36, 0.48])
+        path = tmp_path / "state.json"
+        save_state(validate(0.8 * np.outer(psi, psi.conj()) + 0.05 * np.eye(4)), str(path))
+        out = run_ok(runner, ["scan", "--state", f"file:{path}", "--channel",
+                              "amplitude-damping", "--steps", "4005"])
+        digest = "01528d534d7fd8c1eaca43bb74c44309f94ccf1b9557582eed96873ae3ff4be4"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_steps_one_rejected(self, runner):
         result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", "1"])
         assert result.exit_code == 2

@@ -9,7 +9,6 @@ from qnl.linalg import (
     dagger,
     hermitian_eig,
     kron2,
-    kron2_stack,
     psd_sqrt,
     psd_sqrt_stack,
 )
@@ -114,10 +113,3 @@ class TestKron2:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
             kron2(np.eye(3), np.eye(2))
-
-    def test_stack_matches_numpy_kron(self, rng):
-        a = rng.standard_normal((7, 2, 2)) + 1j * rng.standard_normal((7, 2, 2))
-        b = rng.standard_normal((7, 2, 2)) + 1j * rng.standard_normal((7, 2, 2))
-        out = kron2_stack(a, b)
-        for i in range(7):
-            np.testing.assert_allclose(out[i], np.kron(a[i], b[i]), atol=0)

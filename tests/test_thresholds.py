@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnl.channels import FAMILIES, Side, apply_channel
+from qnl.channels import FAMILIES, Side, apply_channel, evolve_grid
 from qnl.errors import BadGrid, InvalidTolerance
 from qnl.measures import (
     GISIN_BOUND,
@@ -15,8 +15,10 @@ from qnl.measures import (
 )
 from qnl.states import bell_singlet, validate, werner
 from qnl.thresholds import (
+    _BLOCK_POINTS,
     Measure,
     ThresholdSet,
+    _curves,
     critical_q,
     hierarchy_check,
     scan,
@@ -204,6 +206,17 @@ class TestScan:
                 assert c == pytest.approx(report.concurrence, abs=1e-12)
                 assert f == pytest.approx(report.fidelity, abs=1e-12)
                 assert b == pytest.approx(report.bell, abs=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_blocks_equal_one_whole_grid_evaluation(self, family, rng):
+        # Two full blocks and a last block of one row.
+        from conftest import ginibre_density_stack
+
+        state = validate(ginibre_density_stack(1, rng)[0])
+        qs = np.linspace(0.0, 1.0, 2 * _BLOCK_POINTS + 1)
+        c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs))
+        whole = np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])
+        assert np.array_equal(scan(state, family, qs), whole)
 
     @pytest.mark.parametrize(
         "grid",
