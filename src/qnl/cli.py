@@ -21,6 +21,8 @@ from .measures import classify
 from .channels import FAMILIES
 
 EXIT_NUMERICAL = 3
+# Most points per grid axis (scan rows, map axis), checked before allocating.
+MAX_GRID = 10**6
 
 _CHANNEL_CHOICE = click.Choice(sorted(FAMILIES))
 
@@ -114,8 +116,8 @@ def cmd_measures(spec: str) -> None:
 def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> None:
     """Print a q,concurrence,fidelity,bell CSV over an equally spaced grid."""
     rho = parse_state_spec(spec)
-    if steps < 2:
-        _fail_usage(f"steps must be >= 2, got {steps}")
+    if not 2 <= steps <= MAX_GRID:
+        _fail_usage(f"steps must lie in [2, {MAX_GRID}], got {steps}")
     if not (0.0 <= qmin < qmax <= 1.0):
         _fail_usage(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
     table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
@@ -166,8 +168,8 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_werner_map(grid: int, out: str) -> None:
     """Write the p,q,region CSV of the Werner amplitude-damping phase map."""
-    if grid < 2:
-        _fail_usage(f"--grid must be >= 2, got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        _fail_usage(f"--grid must lie in [2, {MAX_GRID}], got {grid}")
     axis = np.linspace(0.0, 1.0, grid)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -129,6 +129,50 @@ def x_singvals(entries: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
 
 
+# Flat indices into T of the products of each cofactor, by cyclic indices:
+# C_ij = t[i+1, j+1] t[i+2, j+2] - t[i+1, j+2] t[i+2, j+1].
+_CYCLES = np.array([[1, 2, 0], [2, 0, 1], [1, 2, 0], [2, 0, 1]])
+_COFACTOR_TERMS = (3 * _CYCLES[:, :, None] + _CYCLES[[0, 1, 1, 0], None, :]).reshape(4, 9)
+# Entries (i, j) of T^T T, diagonal first, and the cuts c of N > c for F > F_lhv and F > 2/3.
+_GRAM_I, _GRAM_J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_N_CUTS = np.array([3.0 * (2.0 * GISIN_BOUND - 1.0), 1.0])[:, None]
+_N_CUTS_SQ, _N_CUTS_2 = _N_CUTS * _N_CUTS, 2.0 * _N_CUTS
+
+
+def correlation_sign_margins(t: np.ndarray) -> np.ndarray:
+    """Rows (3, ...) with the signs of F - F_lhv, B - 2 and F - 2/3 of T, entries first (3, 3, ...).
+
+    From a = ||T||_F^2, b = ||adj T||_F^2 and d = |det T|, not the singular
+    values s1 >= s2 >= s3: N is the largest root of g(x) = ((x^2 - a)/2)^2 - b - 2dx,
+    whose other roots are at most s1 <= sqrt(a), so N > c iff a > c^2 or g(c) < 0.
+    B > 2 iff s1^2 + s2^2 > 1 iff T^T T - (a - 1) I is not positive definite:
+    its first pivot (LDL^T) that is not positive is negative, a backward stable
+    test (an exactly zero pivot reads B = 2). Each point is computed elementwise
+    in a fixed order, so its row does not depend on the other points.
+    """
+    terms = t.reshape(9, -1).take(_COFACTOR_TERMS, axis=0)
+    cof = terms[0] * terms[1] - terms[2] * terms[3]
+    # Python's sum adds the rows of its argument in order.
+    d = np.abs(sum(t[0] * cof[:3]))
+    b = sum(sum((cof * cof).reshape(3, 3, -1)))
+    gram = sum(t.take(_GRAM_I, axis=1) * t.take(_GRAM_J, axis=1))
+    a = sum(gram[:3])
+    out = np.empty((3,) + a.shape)
+    # Signs of N - c: positive iff a > c^2 or g(c) < 0.
+    out[0], out[2] = np.maximum(a - _N_CUTS_SQ, b + _N_CUTS_2 * d - (0.5 * (_N_CUTS_SQ - a)) ** 2)
+    # T^T T - (a - 1) I, its diagonal written without a, and its LDL^T pivots.
+    m11, m22, m33 = 1.0 - gram[[1, 0, 0]] - gram[[2, 2, 1]]
+    m12, m13, m23 = gram[3:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l12, l13 = gram[3:5] / m11
+        p2 = m22 - l12 * m12
+        e23 = m23 - l13 * m12
+        p3 = m33 - l13 * m13 - e23 * e23 / p2
+    # Minus the first pivot that is not positive, or minus the last pivot.
+    out[1] = -np.where(m11 > 0.0, np.where(p2 > 0.0, p3, p2), m11)
+    return out
+
+
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
     """Unclamped concurrence l1 - l2 - l3 - l4 from descending roots (..., 4)."""
     return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]

@@ -15,12 +15,13 @@ reports 0; a condition still alive at q = 1 - tol reports None (it survives
 all noise). The pre-scan makes no monotonicity assumption about the curves.
 
 The locator reads only the sign of one margin per condition, so its margins
-providers compute margins, not spectra. ``threshold_set`` evolves the state
+providers compute signs, not spectra. ``threshold_set`` evolves the state
 once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
-determinant and a 3x3 SVD; ``x_threshold_sets`` does the same for many
-X-states at once from their evolved X entries in closed form. ``scan`` takes
-the Wootters roots because it prints C; ``threshold_set`` takes them only at
-points where the determinant is rounding noise (``_kraus_margins``).
+determinant and ``correlation_sign_margins`` (no SVD); ``x_threshold_sets``
+reads many X-states at once from their evolved X entries in closed form.
+``scan`` takes the Wootters roots because it prints C; ``threshold_set`` takes
+them only where the determinant is rounding noise (``_kraus_margins``).
+Bisection takes three levels per margins call (``_locate``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .measures import (
     concurrence_of_roots,
     correlation_matrix_stack,
     correlation_measures,
+    correlation_sign_margins,
     correlation_singvals_stack,
     wootters_roots_stack,
     x_singvals,
@@ -52,6 +54,11 @@ MAX_TOL = 1e-3
 # grow with the number of states.
 _BLOCK_STATES = 4
 _BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
+# Bisection levels per margins call. Their midpoints cut a bracket into
+# _EDGES steps, and it is _STEPS[l + 1] steps wide after level l.
+_LEVELS = 3
+_STEPS = 2 ** np.arange(_LEVELS, -1, -1)
+_EDGES = _STEPS[0]
 # A det(rho^{T_B}) of at most this size has no reliable sign. The affine
 # evolution's determinant is off by up to ~4e-17 on Ginibre states of rank 1
 # to 4 under every family, against the determinant in 50-digit arithmetic.
@@ -120,9 +127,10 @@ def _alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.nd
 def _kraus_margins(state_mat: np.ndarray, family: str):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
-    The state is evolved once, at the three strengths of ``_affine_coefficients``;
-    every point then costs one small product each for the partial transpose
-    and the correlation matrix, a 4x4 determinant and a 3x3 SVD.
+    The state is evolved once, at the three strengths of ``_affine_coefficients``.
+    Every point then costs rho^{T_B} and T, each A + q B + sqrt(1-q) C taken
+    elementwise so that no step mixes points, a 4x4 determinant for the
+    concurrence row and ``correlation_sign_margins`` (no SVD) for the rest.
 
     Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
     partial transpose with a zero eigenvalue, as for a product state or at
@@ -132,16 +140,18 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     the thresholds the spectra gave.
     """
     coef = _affine_coefficients(state_mat, family)
-    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b').
-    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 16)
-    corr = correlation_matrix_stack(coef).reshape(3, 9)
+    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b'); taken
+    # as 32 floats (real, imaginary) per point.
+    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 1, 16)
+    transposed = transposed.view(np.float64)
+    corr = correlation_matrix_stack(coef).reshape(3, 9, 1)
 
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        basis = np.stack([np.ones_like(qs), qs, np.sqrt(1.0 - qs)], axis=-1)
-        sv = np.linalg.svd((basis @ corr).reshape(-1, 3, 3), compute_uv=False)
-        _, f, b = correlation_measures(sv)
-        det = np.linalg.det((basis @ transposed).reshape(-1, 4, 4)).real
-        out = _alive_margins(f, b, -det)
+        root = np.sqrt(1.0 - qs)
+        t = corr[0] + qs * corr[1] + root * corr[2]
+        pt = transposed[0] + qs[:, None] * transposed[1] + root[:, None] * transposed[2]
+        det = np.linalg.det(pt.view(np.complex128).reshape(-1, 4, 4)).real
+        out = np.concatenate([correlation_sign_margins(t.reshape(3, 3, -1)), -det[None]])
         unresolved = np.flatnonzero(np.abs(det) <= DET_ROUNDING)
         if unresolved.size:
             c, f, b = _curves(evolve_grid(state_mat, family, qs[unresolved]))
@@ -198,8 +208,11 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     of every (state, condition) row, one block of states at a time; a death in
     the last grid cell, or none on the grid, is bracketed up to 1 - tol and
     reads NaN (survives all noise) if the condition still holds there. All
-    brackets are then bisected in lockstep, one evaluation per step for all
-    rows still wider than tol. A condition already dead at q = 0 reads 0.
+    brackets are then bisected in lockstep, _LEVELS levels per margins call
+    at the midpoints one level per call would compute, a row stopping at the
+    first level where it is done. A provider gives each point's margins
+    independently of the call, so the floats are those of one level per call.
+    A condition already dead at q = 0 reads 0.
     """
     rows = len(Measure)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
@@ -223,16 +236,27 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     active = np.flatnonzero(at_zero & ~survives)
     lo, hi = lo[active], hi[active]
     while active.size:
-        mids = 0.5 * (lo + hi)
-        alive = _alive(margins, active // rows, mids)[active % rows, np.arange(active.size)]
-        lo = np.where(alive, mids, lo)
-        hi = np.where(alive, hi, mids)
+        # lo, the next _LEVELS levels' midpoints as one level per call computes them, hi.
+        edges = np.empty((_EDGES + 1, active.size))
+        edges[0], edges[_EDGES] = lo, hi
+        for step in _STEPS[:-1]:
+            edges[step // 2::step] = 0.5 * (edges[:-1:step] + edges[step::step])
+        alive = _alive(margins, np.repeat(active[None] // rows, _EDGES - 1, axis=0).ravel(),
+                       edges[1:-1].ravel())
+        col = np.arange(active.size)
+        alive = alive.reshape(rows, _EDGES - 1, active.size)[active % rows, :, col]
+        # After level l a bracket is edges[k[l + 1]] to edges[k[l + 1] + _STEPS[l + 1]].
+        k = np.zeros((_LEVELS + 1, active.size), dtype=np.intp)
+        for level, half in enumerate(_STEPS[1:]):
+            k[level + 1] = k[level] + half * alive[col, k[level] + half - 1]
+        lo, hi = edges[k[1:], col], edges[k[1:] + _STEPS[1:, None], col]
         mids = 0.5 * (lo + hi)
         # A row is done once narrow enough, or once its bracket is two
         # adjacent floats (below any tol of about 1e-15) and cannot shrink.
         done = ~(hi - lo > tol) | (mids == lo) | (mids == hi)
-        found[active[done]] = mids[done]
-        active, lo, hi = active[~done], lo[~done], hi[~done]
+        ended = done.any(axis=0)
+        found[active[ended]] = mids[done.argmax(axis=0), col][ended]
+        active, lo, hi = active[~ended], lo[-1, ~ended], hi[-1, ~ended]
     found = found.reshape(n, rows)
     return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
 
@@ -265,7 +289,7 @@ def threshold_set(
     """All four critical strengths of a state/channel pair, from one pre-scan.
 
     The pre-scan and the bisection read the alive margins of the Kraus
-    pipeline's affine evolution (``_kraus_margins``): F and B from the
+    pipeline's affine evolution (``_kraus_margins``): F and B signs from the
     correlation matrix, entanglement from -det(rho^{T_B}), and all four from
     the spectra where that determinant is rounding noise.
     """

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qnl
-from qnl.cli import main
+from qnl.cli import MAX_GRID, main
 from qnl.states import save_state, validate, werner
 from qnl.werner_analytic import concurrence_ad, fidelity_ad
 
@@ -25,6 +25,10 @@ def run_ok(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return result.output
+
+
+def fail_allocation(*args, **kwargs):
+    raise AssertionError("a grid was allocated")
 
 
 def run_cli_process(args, timeout):
@@ -114,6 +118,13 @@ class TestScanCommand:
     def test_steps_one_rejected(self, runner):
         result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("steps", ["10000000000000", "99999999999999999999999"])
+    def test_absurd_steps_rejected_before_allocating(self, runner, monkeypatch, steps):
+        monkeypatch.setattr(np, "linspace", fail_allocation)
+        result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", steps])
+        assert result.exit_code == 2
+        assert f"[2, {MAX_GRID}]" in result.output
 
     def test_bad_range_rejected(self, runner):
         result = runner.invoke(
@@ -230,6 +241,16 @@ class TestWernerMapCommand:
         table = {(r[0], r[1]): r[2] for r in rows}
         assert table[("0.2", "0.5")] == "R1"
         assert table[("1", "0.5")] == "R3"
+
+    @pytest.mark.parametrize("grid", ["10000000000000", "99999999999999999999999"])
+    def test_absurd_grid_rejected_before_allocating(self, runner, monkeypatch, tmp_path, grid):
+        monkeypatch.setattr(np, "linspace", fail_allocation)
+        result = runner.invoke(
+            main, ["werner-map", "--grid", grid, "--out", str(tmp_path / "m.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"[2, {MAX_GRID}]" in result.output
+        assert not (tmp_path / "m.csv").exists()
 
     def test_grid_one_rejected(self, runner, tmp_path):
         result = runner.invoke(

@@ -14,7 +14,14 @@ the same determinant of X-states in closed form. Checked here:
   gave: those points are read from ``_curves``;
 - the four alive margins are nested, G => B => F => C, for both providers:
   F > F_lhv gives B > 2, B > 2 gives N > 1, and N > 1 means entangled
-  (de Vicente, QIC 7, 624 (2007)).
+  (de Vicente, QIC 7, 624 (2007));
+- ``correlation_sign_margins``, which gives the Kraus F, B and G rows from
+  invariants of T without an SVD, has the signs of the SVD margins wherever
+  those are clear of rounding: on Ginibre, X, product (rank-one T) and
+  rotated Werner and MEMS states, on a triple-degenerate T, on any matrix,
+  and at N = 1 exactly;
+- a point's margins depend only on (state, q), not on the other points of
+  the call, for both providers, which multi-level bisection relies on.
 """
 
 import math
@@ -25,10 +32,18 @@ from conftest import partial_transpose_b
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, evolve_grid, x_entries
-from qnl.measures import concurrence_of_roots, wootters_roots_stack
+from qnl.measures import (
+    GISIN_BOUND,
+    concurrence_of_roots,
+    correlation_matrix_stack,
+    correlation_sign_margins,
+    correlation_measures,
+    wootters_roots_stack,
+)
 from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
 from qnl.thresholds import (
     DET_ROUNDING,
+    PRESCAN_POINTS,
     ThresholdSet,
     _affine_coefficients,
     _alive_margins,
@@ -185,3 +200,112 @@ def test_margins_are_nested(seed, kind, family, qs):
     if kind != "ginibre":
         states = np.zeros(qs.size, dtype=np.intp)
         check_nested(_x_margins(x_entries(mat[None]), family)(states, qs))
+
+
+def local_unitary(rng: np.random.Generator) -> np.ndarray:
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return np.kron(unitary(), unitary())
+
+
+def rotated(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    u = local_unitary(rng)
+    return u @ mat @ u.conj().T
+
+
+def mixed_product(rng: np.random.Generator) -> np.ndarray:
+    # rho_A x rho_B: T = r s^T has rank one, and keeps it under every channel on B.
+    qubits = []
+    for _ in range(2):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        qubits.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    return np.kron(*qubits)
+
+
+SIGN_STATES = {
+    **STATES,
+    "werner rotated": lambda rng: rotated(werner(rng.uniform()).mat, rng),
+    "mems rotated": lambda rng: rotated(mems(MemsWeights(*rng.dirichlet(np.ones(4)))).mat, rng),
+    "product": mixed_product,
+}
+
+
+def check_signs(t: np.ndarray) -> None:
+    """correlation_sign_margins of T (M, 3, 3) against the margins of its SVD."""
+    _, f, b = correlation_measures(np.linalg.svd(t, compute_uv=False))
+    spectra = np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0])
+    signs = correlation_sign_margins(t.transpose(1, 2, 0))
+    clear = np.abs(spectra) > 1e-12
+    np.testing.assert_array_equal(signs[clear] > 0, spectra[clear] > 0)
+
+
+@PROPERTY
+@given(seed=seeds, kind=st.sampled_from(sorted(SIGN_STATES)), family=families, qs=strengths)
+def test_sign_kernel_reads_the_svd_signs(seed, kind, family, qs):
+    mat = SIGN_STATES[kind](np.random.default_rng(seed))
+    check_signs(correlation_matrix_stack(evolve_grid(mat, family, np.concatenate([qs, GRID]))))
+
+
+@PROPERTY
+@given(p=st.floats(0.0, 1.0), qs=strengths)
+def test_sign_kernel_on_a_triple_degenerate_spectrum(p, qs):
+    # Depolarizing noise keeps the Werner T a multiple of the identity.
+    t = correlation_matrix_stack(evolve_grid(werner(p).mat, "depolarizing",
+                                             np.concatenate([qs, GRID])))
+    np.testing.assert_allclose(t, t[:, :1, :1] * np.eye(3), rtol=0, atol=1e-15)
+    check_signs(t)
+
+
+@PROPERTY
+@given(seed=seeds, scale=st.floats(0.1, 3.0))
+def test_sign_kernel_on_any_matrix(seed, scale):
+    # Beyond states, s1 may exceed the cut c: then g(c) can be positive while
+    # N > c, and a > c^2 decides.
+    check_signs(scale * np.random.default_rng(seed).standard_normal((200, 3, 3)))
+
+
+def test_sign_kernel_at_n_equal_one():
+    # Werner p = 1/3 has T = -I/3: N = 1 exactly, so F = 2/3 is dead, not alive.
+    t = correlation_matrix_stack(werner(1.0 / 3.0).mat[None])
+    gisin, bell, fidelity = correlation_sign_margins(t.transpose(1, 2, 0))[:, 0]
+    assert gisin < 0.0 and bell < 0.0
+    assert -1e-15 <= fidelity <= 0.0
+    for family in sorted(FAMILIES):
+        assert threshold_set(werner(1.0 / 3.0), family) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
+
+
+SUBSET_SIZES = (1, 2, 3, 4, 7, 28)
+# Points per subset size, in calls of that size.
+SUBSET_POINTS = 168
+
+
+def check_call_independence(margins, n_states: int, rng: np.random.Generator) -> None:
+    """margins(states, qs) over the grid and random strengths, against subset calls."""
+    qs = np.concatenate([np.linspace(0.0, 1.0, PRESCAN_POINTS), rng.uniform(size=37)])
+    states = rng.integers(0, n_states, size=qs.size)
+    whole = margins(states, qs)
+    for size in SUBSET_SIZES:
+        order = rng.choice(qs.size, size=SUBSET_POINTS, replace=False)
+        for k in range(0, order.size, size):
+            pick = order[k:k + size]
+            np.testing.assert_array_equal(margins(states[pick], qs[pick]), whole[:, pick],
+                                          err_msg=f"subset size {size}")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kraus_margins_do_not_depend_on_the_call(family):
+    # A point's margins are a function of (state, q) alone, which is what
+    # lets the locator evaluate several bisection levels in one call.
+    rng = np.random.default_rng(8)
+    mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4)] + [werner(0.9).mat, mixed_product(rng)]
+    for mat in mats:
+        check_call_independence(_kraus_margins(mat, family), 1, rng)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_x_margins_do_not_depend_on_the_call(family):
+    rng = np.random.default_rng(9)
+    mats = np.stack([x_state(rng) for _ in range(4)] + [werner(0.9).mat, bell_singlet().mat])
+    check_call_independence(_x_margins(x_entries(mats), family), len(mats), rng)

@@ -5,9 +5,12 @@ and reads the correlation singular values and det(rho^{T_B}) in closed form
 (``measures.x_singvals``, ``thresholds._x_margins``). Its margins are checked
 against the Kraus margins on a grid for MEMS, Werner states, the singlet,
 X-states with complex coherences and rank-deficient X-states, under every
-channel; its thresholds against ``threshold_set``.
+channel; its thresholds against ``threshold_set``. The X G, B and F rows are
+checked against the spectra (``_curves``) at 1e-12, and the Kraus rows, which
+carry only the signs of those margins (``correlation_sign_margins``), must
+read the same alive bits wherever the X margin is clear of rounding.
 
-Neither provider takes a square root of the state, so all four margin rows
+Neither provider takes a square root of the state, so the concurrence rows
 agree to 1e-12, rank-deficient states included. The printed concurrence of
 ``scan`` still comes from the Wootters roots of ``psd_sqrt_stack``, which turns
 an exactly zero eigenvalue computed as ~1e-17 into a square root of ~3e-9; on
@@ -25,7 +28,15 @@ from qnl.errors import QOutOfRange
 from qnl.measures import correlation_measures, correlation_singvals_stack, x_singvals
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
-from qnl.thresholds import _kraus_margins, _x_margins, scan, threshold_set, x_threshold_sets
+from qnl.thresholds import (
+    _alive_margins,
+    _curves,
+    _kraus_margins,
+    _x_margins,
+    scan,
+    threshold_set,
+    x_threshold_sets,
+)
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 GRID = np.linspace(0.0, 1.0, 101)
@@ -54,7 +65,13 @@ def both_margins(mat: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
 def check_margins(mat: np.ndarray) -> None:
     for family in sorted(FAMILIES):
         x, kraus = both_margins(mat, family)
-        np.testing.assert_allclose(x, kraus, rtol=0, atol=1e-12, err_msg=family)
+        _, f, b = _curves(evolve_grid(mat, family, GRID))
+        spectra = _alive_margins(f, b, x[3])
+        np.testing.assert_allclose(x[:3], spectra[:3], rtol=0, atol=1e-12, err_msg=family)
+        np.testing.assert_allclose(x[3], kraus[3], rtol=0, atol=1e-12, err_msg=family)
+        # The Kraus G, B and F rows carry signs only.
+        clear = np.abs(x) > 1e-12
+        np.testing.assert_array_equal(x[clear] > 0, kraus[clear] > 0, err_msg=family)
 
 
 def weights(raw) -> np.ndarray:
