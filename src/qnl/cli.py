@@ -10,6 +10,7 @@ included), 3 when the computation itself fails (``_Group``).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -21,8 +22,9 @@ from .measures import classify
 from .channels import FAMILIES
 
 EXIT_NUMERICAL = 3
-# Most points per grid axis (scan rows, map axis), checked before allocating.
+# Most rows of a scan or a werner-map (grid^2), checked before allocating.
 MAX_GRID = 10**6
+MAX_MAP_AXIS = math.isqrt(MAX_GRID)
 
 _CHANNEL_CHOICE = click.Choice(sorted(FAMILIES))
 
@@ -168,8 +170,8 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_werner_map(grid: int, out: str) -> None:
     """Write the p,q,region CSV of the Werner amplitude-damping phase map."""
-    if not 2 <= grid <= MAX_GRID:
-        _fail_usage(f"--grid must lie in [2, {MAX_GRID}], got {grid}")
+    if not 2 <= grid <= MAX_MAP_AXIS:
+        _fail_usage(f"--grid must lie in [2, {MAX_MAP_AXIS}] (at most {MAX_GRID} rows), got {grid}")
     axis = np.linspace(0.0, 1.0, grid)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:

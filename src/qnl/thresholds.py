@@ -17,11 +17,13 @@ all noise). The pre-scan makes no monotonicity assumption about the curves.
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
 once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
-determinant and ``correlation_sign_margins`` (no SVD); ``x_threshold_sets``
-reads many X-states at once from their evolved X entries in closed form.
-``scan`` takes the Wootters roots because it prints C; ``threshold_set`` takes
-them only where the determinant is rounding noise (``_kraus_margins``).
-Bisection takes three levels per margins call (``_locate``).
+per-state interpolant of det(rho^{T_B}) in sqrt(1-q) and from
+``correlation_sign_margins`` (no SVD); ``x_threshold_sets`` reads many
+X-states at once from their evolved X entries in closed form. ``scan`` takes
+the Wootters roots because it prints C; ``threshold_set`` takes them only
+where the determinant is rounding noise (``_kraus_margins``). Bisection takes
+as many levels per margins call as about one pre-scan of points allows, and
+at least three (``_locate``).
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ MAX_TOL = 1e-3
 # grow with the number of states.
 _BLOCK_STATES = 4
 _BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
-# Bisection levels per margins call. Their midpoints cut a bracket into
-# _EDGES steps, and it is _STEPS[l + 1] steps wide after level l.
-_LEVELS = 3
-_STEPS = 2 ** np.arange(_LEVELS, -1, -1)
-_EDGES = _STEPS[0]
-# A det(rho^{T_B}) of at most this size has no reliable sign. The affine
-# evolution's determinant is off by up to ~4e-17 on Ginibre states of rank 1
-# to 4 under every family, against the determinant in 50-digit arithmetic.
+# Fewest bisection levels per margins call; _locate takes more while few
+# brackets are open.
+_MIN_LEVELS = 3
+# A det(rho^{T_B}) of at most this size has no reliable sign. The interpolant
+# of _kraus_margins is off by up to ~4e-17 on Ginibre states of rank 1 to 4
+# under every family, against the exact determinant of the same floats, and
+# LAPACK's LU determinant by about as much.
 DET_ROUNDING = 1e-15
 
 #: Region labels of the Werner (p, q) map, weakest correlations first.
@@ -98,6 +99,15 @@ class ThresholdSet:
 # the coefficients of rho(q) = A + q B + sqrt(1-q) C through a fixed 3x3 map.
 _AFFINE_QS = np.array([0.0, 0.75, 1.0])
 _AFFINE_OF_SAMPLES = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
+# Each entry of rho^{T_B} is then a quadratic in s = sqrt(1-q), and its
+# determinant a polynomial of degree 8 in s, sampled at the Chebyshev points
+# x_j = cos(j pi / 8) of x = 2s - 1 (q = 0 and q = 1 among them). This matrix
+# maps the samples f_j to the coefficients c_k = sum_j f_j T_k(x_j) / 4 of
+# T_k(x), with the terms j = 0, 8 and the coefficients k = 0, 8 halved.
+_DET_NODES = 0.5 + 0.5 * np.cos(np.pi * np.arange(9) / 8)
+_DET_CHEB = np.cos(np.pi * (np.outer(np.arange(9), np.arange(9)) % 16) / 8) / 4
+_DET_CHEB[[0, -1]] /= 2
+_DET_CHEB[:, [0, -1]] /= 2
 
 
 def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
@@ -128,9 +138,11 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
     The state is evolved once, at the three strengths of ``_affine_coefficients``.
-    Every point then costs rho^{T_B} and T, each A + q B + sqrt(1-q) C taken
-    elementwise so that no step mixes points, a 4x4 determinant for the
-    concurrence row and ``correlation_sign_margins`` (no SVD) for the rest.
+    det(rho^{T_B}) is a polynomial of degree 8 in s = sqrt(1-q): LAPACK
+    computes it at the 9 points ``_DET_NODES``, once per state, and every
+    point reads its concurrence row from that interpolant by Clenshaw's
+    recurrence. T is A + q B + sqrt(1-q) C taken elementwise, and the other
+    rows come from ``correlation_sign_margins`` (no SVD). No step mixes points.
 
     Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
     partial transpose with a zero eigenvalue, as for a product state or at
@@ -140,17 +152,23 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     the thresholds the spectra gave.
     """
     coef = _affine_coefficients(state_mat, family)
-    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b'); taken
-    # as 32 floats (real, imaginary) per point.
-    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 1, 16)
-    transposed = transposed.view(np.float64)
+    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b').
+    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 4, 4)
+    s = _DET_NODES[:, None, None]
+    det_cheb = _DET_CHEB @ np.linalg.det(
+        transposed[0] + (1.0 - s * s) * transposed[1] + s * transposed[2]).real
     corr = correlation_matrix_stack(coef).reshape(3, 9, 1)
 
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
         root = np.sqrt(1.0 - qs)
         t = corr[0] + qs * corr[1] + root * corr[2]
-        pt = transposed[0] + qs[:, None] * transposed[1] + root[:, None] * transposed[2]
-        det = np.linalg.det(pt.view(np.complex128).reshape(-1, 4, 4)).real
+        # Clenshaw's recurrence for the sum of det_cheb[k] T_k(x), x = 2 root - 1.
+        x = 2.0 * root - 1.0
+        x2 = 2.0 * x
+        c0, c1 = det_cheb[-2], det_cheb[-1]
+        for c in det_cheb[-3::-1]:
+            c0, c1 = c - c1, c0 + c1 * x2
+        det = c0 + c1 * x
         out = np.concatenate([correlation_sign_margins(t.reshape(3, 3, -1)), -det[None]])
         unresolved = np.flatnonzero(np.abs(det) <= DET_ROUNDING)
         if unresolved.size:
@@ -208,11 +226,14 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     of every (state, condition) row, one block of states at a time; a death in
     the last grid cell, or none on the grid, is bracketed up to 1 - tol and
     reads NaN (survives all noise) if the condition still holds there. All
-    brackets are then bisected in lockstep, _LEVELS levels per margins call
-    at the midpoints one level per call would compute, a row stopping at the
-    first level where it is done. A provider gives each point's margins
-    independently of the call, so the floats are those of one level per call.
-    A condition already dead at q = 0 reads 0.
+    brackets are then bisected in lockstep at the midpoints one level per call
+    would compute, a row stopping at the first level where it is done. A call
+    takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
+    of the open brackets, (2^L - 1) midpoints each, so it holds at most about
+    one pre-scan of points unless L is the minimum: one state's four rows take
+    seven levels a call, 30 states' 120 rows three. A provider gives each
+    point's margins independently of the call, so the floats are those of one
+    level per call. A condition already dead at q = 0 reads 0.
     """
     rows = len(Measure)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
@@ -236,20 +257,22 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     active = np.flatnonzero(at_zero & ~survives)
     lo, hi = lo[active], hi[active]
     while active.size:
-        # lo, the next _LEVELS levels' midpoints as one level per call computes them, hi.
-        edges = np.empty((_EDGES + 1, active.size))
-        edges[0], edges[_EDGES] = lo, hi
-        for step in _STEPS[:-1]:
+        levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
+        # The midpoints cut a bracket into steps[0] steps; it is steps[l + 1] wide after level l.
+        steps = 2 ** np.arange(levels, -1, -1)
+        edges = np.empty((steps[0] + 1, active.size))
+        edges[0], edges[-1] = lo, hi
+        for step in steps[:-1]:
             edges[step // 2::step] = 0.5 * (edges[:-1:step] + edges[step::step])
-        alive = _alive(margins, np.repeat(active[None] // rows, _EDGES - 1, axis=0).ravel(),
+        alive = _alive(margins, np.repeat(active[None] // rows, steps[0] - 1, axis=0).ravel(),
                        edges[1:-1].ravel())
         col = np.arange(active.size)
-        alive = alive.reshape(rows, _EDGES - 1, active.size)[active % rows, :, col]
-        # After level l a bracket is edges[k[l + 1]] to edges[k[l + 1] + _STEPS[l + 1]].
-        k = np.zeros((_LEVELS + 1, active.size), dtype=np.intp)
-        for level, half in enumerate(_STEPS[1:]):
+        alive = alive.reshape(rows, steps[0] - 1, active.size)[active % rows, :, col]
+        # After level l a bracket is edges[k[l + 1]] to edges[k[l + 1] + steps[l + 1]].
+        k = np.zeros((levels + 1, active.size), dtype=np.intp)
+        for level, half in enumerate(steps[1:]):
             k[level + 1] = k[level] + half * alive[col, k[level] + half - 1]
-        lo, hi = edges[k[1:], col], edges[k[1:] + _STEPS[1:, None], col]
+        lo, hi = edges[k[1:], col], edges[k[1:] + steps[1:, None], col]
         mids = 0.5 * (lo + hi)
         # A row is done once narrow enough, or once its bracket is two
         # adjacent floats (below any tol of about 1e-15) and cannot shrink.

@@ -1,23 +1,30 @@
 """The locator's bisection, several levels per margins call, against one level per call.
 
 ``thresholds._locate`` asks its margins provider for the midpoints of the next
-three bisection levels of every open bracket at once, then walks them level by
-level. ``one_level_locate`` below is the loop it replaces, one level per call,
-kept as the reference: both must give the same floats bit for bit, for both
-providers, at every tolerance, including rows that stop on adjacent floats
-(tol 1e-17) and rows that finish at different levels of one call.
+L bisection levels of every open bracket at once, then walks them level by
+level. L depends on how many brackets are open (``levels_per_call``), from
+three for hundreds of brackets to nine for one. ``one_level_locate`` below is
+the loop it replaces, one level per call, kept as the reference: both must give
+the same floats bit for bit, for both providers, at every tolerance and for
+every L, including rows that stop on adjacent floats (tol 1e-17) and rows that
+finish at different levels of one call. The number of provider calls is
+pinned as well.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from qnl.channels import FAMILIES, x_entries
 from qnl.sampling import SamplerConfig, _accepted_weights, _mems_entries
-from qnl.states import werner
+from qnl.states import DensityMatrix, werner
+from qnl import thresholds
 from qnl.thresholds import (
     PRESCAN_POINTS,
     Measure,
     _alive,
+    _BLOCK_POINTS,
     _BLOCK_STATES,
     _kraus_margins,
     _locate,
@@ -25,6 +32,29 @@ from qnl.thresholds import (
 )
 
 TOLS = (1e-3, 1e-6, 1e-9, 1e-15)
+# States per x_threshold_sets call: between them, every level count from 3 to 9.
+STATE_COUNTS = (1, 2, 5, 30, 300)
+
+
+def levels_per_call(open_rows: int) -> int:
+    """Bisection levels of a call with this many open brackets: about one pre-scan of points."""
+    return max(3, int(math.log2(PRESCAN_POINTS // open_rows + 1)))
+
+
+def calls_of(steps: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """(open brackets, levels, levels at which rows end) of each bisection call of _locate.
+
+    ``steps`` counts the levels of each row in ``one_level_locate``; rows with
+    none were never bisected.
+    """
+    steps = steps[steps > 0]
+    done, calls = 0, []
+    while np.any(steps > done):
+        open_rows = steps > done
+        levels = levels_per_call(int(open_rows.sum()))
+        calls.append((int(open_rows.sum()), levels, steps[open_rows & (steps <= done + levels)]))
+        done += levels
+    return calls
 
 
 def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = None) -> np.ndarray:
@@ -65,9 +95,32 @@ def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = Non
     return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
 
 
-def check_same(margins, n: int, tol: float) -> None:
-    want = one_level_locate(margins, n, tol)
-    np.testing.assert_array_equal(_locate(margins, n, tol).view(np.int64), want.view(np.int64))
+def recording(margins, sizes: list):
+    def wrapped(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        sizes.append(qs.size)
+        return margins(states, qs)
+
+    return wrapped
+
+
+def check_same(margins, n: int, tol: float) -> np.ndarray:
+    """_locate against one_level_locate bit for bit; returns each row's levels.
+
+    Each bisection call of _locate must ask for (2^L - 1) midpoints of each
+    open bracket, L = levels_per_call(open brackets), in calls of at most
+    _BLOCK_POINTS points.
+    """
+    steps = np.zeros(n * len(Measure), dtype=np.intp)
+    want = one_level_locate(margins, n, tol, steps)
+    sizes = []
+    got = _locate(recording(margins, sizes), n, tol)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    bisection = []
+    for open_rows, levels, _ in calls_of(steps):
+        points = open_rows * (2**levels - 1)
+        bisection += [min(_BLOCK_POINTS, points - k) for k in range(0, points, _BLOCK_POINTS)]
+    assert sizes[len(sizes) - len(bisection):] == bisection
+    return steps
 
 
 def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
@@ -85,34 +138,65 @@ def test_kraus_provider(family, tol):
         check_same(_kraus_margins(mat, family), 1, tol)
 
 
+def mems_entries(n: int, family: str) -> np.ndarray:
+    """X entries of the first n of the 300 MEMS above the Gisin bound of one sample-mems run."""
+    weights = _accepted_weights(SamplerConfig(n_states=300, seed=6, channel=family))
+    return _mems_entries(weights)[:, :n]
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_x_provider_on_mems(family, tol):
-    # The 300 MEMS above the Gisin bound of one sample-mems run.
-    entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=300, seed=6, channel=family)))
-    check_same(_x_margins(entries, family), entries.shape[1], tol)
+    check_same(_x_margins(mems_entries(300, family), family), 300, tol)
 
 
-def linear_margins(roots: np.ndarray):
-    """Margins root - q in all four rows of state k: the first death is at roots[k]."""
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", STATE_COUNTS[:-1])
+def test_x_provider_on_fewer_mems(n, family, tol):
+    check_same(_x_margins(mems_entries(n, family), family), n, tol)
+
+
+def row_margins(roots: np.ndarray):
+    """Margins roots[k, r] - q in row r of state k: each row dies at its own root."""
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(roots[states] - qs, (len(Measure), qs.size))
+        return roots[states].T - qs
 
     return margins
+
+
+def random_roots(n: int) -> np.ndarray:
+    # About half the rows are dead at q = 0 and a tenth survive all noise, so
+    # the open brackets of n states number about 2n.
+    return np.random.default_rng(n).uniform(-1.0, 1.2, (n, len(Measure)))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("n", STATE_COUNTS)
+def test_rows_with_their_own_roots(n, tol):
+    check_same(row_margins(random_roots(n)), n, tol)
+
+
+def test_every_level_count_is_exercised():
+    providers = [(row_margins(random_roots(n)), n) for n in STATE_COUNTS]
+    providers += [(_x_margins(mems_entries(n, family), family), n)
+                  for n in STATE_COUNTS for family in sorted(FAMILIES)]
+    levels = set()
+    for margins, n in providers:
+        levels.update(call[1] for call in calls_of(check_same(margins, n, 1e-9)))
+    assert levels == set(range(3, 10))
 
 
 def test_rows_finish_at_different_levels_of_one_call():
     # Roots in ordinary cells, in the last cell (bracketed up to 1 - tol) and
     # near 0 and 1, where adjacent floats stop rows at different depths.
     roots = np.array([1e-4, 0.0123456, 0.3, 0.5004, 0.77777, 0.9994, 0.99951, 0.999999999])
-    margins = linear_margins(roots)
+    margins = row_margins(np.repeat(roots[:, None], len(Measure), axis=1))
     for tol in TOLS + (1e-3 / 2**10, 1e-17):
         check_same(margins, roots.size, tol)
-    steps = np.zeros(roots.size * len(Measure), dtype=np.intp)
-    one_level_locate(margins, roots.size, 1e-3 / 2**10, steps)
-    steps = steps[steps > 0]
-    # Rows ending within the same call of three levels, after different levels.
-    assert any(len(set(steps[(steps - 1) // 3 == k] % 3)) > 1 for k in set((steps - 1) // 3))
+    steps = check_same(margins, roots.size, 1e-3 / 2**12)
+    # Rows ending within the same call, after different levels.
+    assert any(len(set(ends.tolist())) > 1 for _, _, ends in calls_of(steps))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -121,9 +205,47 @@ def test_rows_stopping_on_adjacent_floats(family):
     # stops once it is two adjacent floats, after a number of levels that
     # depends on where the root lies.
     entries = x_entries(np.stack([werner(p).mat for p in (0.4, 0.6, 0.8, 0.95, 1.0)]))
-    steps = np.zeros(entries.shape[1] * len(Measure), dtype=np.intp)
-    margins = _x_margins(entries, family)
-    want = one_level_locate(margins, entries.shape[1], 1e-17, steps)
-    got = _locate(margins, entries.shape[1], 1e-17)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    assert len(set(steps[steps > 0] % 3)) > 1
+    steps = check_same(_x_margins(entries, family), entries.shape[1], 1e-17)
+    assert any(len(set(ends.tolist())) > 1 for _, _, ends in calls_of(steps))
+
+
+def counted_calls(monkeypatch, provider: str) -> list:
+    """Sizes of the margins calls made through thresholds.<provider> from now on."""
+    sizes = []
+    make = getattr(thresholds, provider)
+    monkeypatch.setattr(thresholds, provider, lambda *args: recording(make(*args), sizes))
+    return sizes
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_threshold_set_calls(monkeypatch, family):
+    # One pre-scan, at most one tail check at 1 - tol, and at most three
+    # bisection calls: 20 levels narrow a pre-scan cell to 1e-9, and one
+    # state's four rows take at least seven levels a call.
+    rng = np.random.default_rng(12)
+    mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]
+    sizes = counted_calls(monkeypatch, "_kraus_margins")
+    for mat in mats:
+        sizes.clear()
+        thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
+        assert sizes[0] == PRESCAN_POINTS
+        bisection = [size for size in sizes[1:] if size >= 7]
+        assert len(sizes) - 1 - len(bisection) <= 1  # the tail check, 1 point
+        assert len(bisection) <= 3
+
+
+# Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
+# tol 1e-6 with three bisection levels per call (8 of them are the pre-scan).
+MEMS_CALLS = {
+    ("amplitude-damping", 0): 13, ("amplitude-damping", 7): 13,
+    ("depolarizing", 0): 12, ("depolarizing", 7): 12,
+    ("phase-damping", 0): 13, ("phase-damping", 7): 12,
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(MEMS_CALLS))
+def test_x_threshold_sets_calls(monkeypatch, family, seed):
+    entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
+    sizes = counted_calls(monkeypatch, "_x_margins")
+    thresholds.x_threshold_sets(entries, family, 1e-6)
+    assert len(sizes) <= MEMS_CALLS[family, seed]

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qnl
-from qnl.cli import MAX_GRID, main
+from qnl.cli import MAX_GRID, MAX_MAP_AXIS, main
 from qnl.states import save_state, validate, werner
 from qnl.werner_analytic import concurrence_ad, fidelity_ad
 
@@ -249,7 +249,16 @@ class TestWernerMapCommand:
             main, ["werner-map", "--grid", grid, "--out", str(tmp_path / "m.csv")]
         )
         assert result.exit_code == 2
-        assert f"[2, {MAX_GRID}]" in result.output
+        assert f"[2, {MAX_MAP_AXIS}]" in result.output
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_grid_above_the_row_bound_rejected(self, runner, tmp_path):
+        # 1001^2 rows exceed MAX_GRID; the largest map has 1000^2.
+        result = runner.invoke(
+            main, ["werner-map", "--grid", str(MAX_MAP_AXIS + 1), "--out", str(tmp_path / "m.csv")]
+        )
+        assert MAX_MAP_AXIS == 1000
+        assert result.exit_code == 2
         assert not (tmp_path / "m.csv").exists()
 
     def test_grid_one_rejected(self, runner, tmp_path):

@@ -9,6 +9,8 @@ the same determinant of X-states in closed form. Checked here:
   family, so a family that is not affine in (1, q, sqrt(1-q)) fails;
 - -det(rho^{T_B}) has the sign of the unclamped Wootters concurrence wherever
   that is clearly non-zero, on Ginibre states of rank 1 to 4;
+- the Chebyshev interpolant the Kraus provider reads det(rho^{T_B}) from is
+  within 5e-17 of the exact determinant of the same floats (``fractions``);
 - boundary states, where the determinant is rounding noise (pure product
   states, q = 1 under amplitude damping), keep the threshold sets the spectra
   gave: those points are read from ``_curves``;
@@ -24,7 +26,9 @@ the same determinant of X-states in closed form. Checked here:
   the call, for both providers, which multi-level bisection relies on.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +121,55 @@ def test_det_row_has_the_sign_of_the_concurrence(seed, rank, family):
     c = concurrence_of_roots(wootters_roots_stack(evolved))
     clear = np.abs(c) > 1e-7
     np.testing.assert_array_equal(np.sign(entangled[clear]), np.sign(c[clear]))
+
+
+# Permutations of four indices with their signs, for the Leibniz expansion.
+LEIBNIZ = [(p, (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)))
+           for p in itertools.permutations(range(4))]
+# Largest distance of the interpolated determinant from the exact one. Over
+# 16,000 points of Ginibre states of rank 1 to 4 the largest seen was 4.2e-17,
+# and LAPACK's LU determinant of the same matrices reached 3.3e-17.
+EXACT_DET_BOUND = 5e-17
+
+
+def exact_det(parts: np.ndarray, q: float) -> Fraction:
+    """det(A + q B + sqrt(1-q) C) of complex parts (3, 4, 4) in exact arithmetic.
+
+    The weights are the floats the margins provider evaluates at, taken exactly.
+    """
+    weights = [Fraction(1), Fraction(q), Fraction(float(np.sqrt(1.0 - q)))]
+
+    def entry(i, j):
+        return (sum(w * Fraction(float(p[i, j].real)) for w, p in zip(weights, parts)),
+                sum(w * Fraction(float(p[i, j].imag)) for w, p in zip(weights, parts)))
+
+    mat = [[entry(i, j) for j in range(4)] for i in range(4)]
+    total = Fraction(0)
+    for perm, sign in LEIBNIZ:
+        re, im = Fraction(1), Fraction(0)
+        for i, j in enumerate(perm):
+            a, b = mat[i][j]
+            re, im = re * a - im * b, re * b + im * a
+        total += sign * re
+    return total
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_det_row_against_the_exact_determinant(family):
+    # The Hermitian partial transpose has a real determinant; its imaginary
+    # part is dropped, as the provider drops it.
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
+    for rank in (1, 1, 2, 2, 3, 3, 4, 4):
+        mat = ginibre(rng, rank)
+        parts = partial_transpose_b(_affine_coefficients(mat, family))
+        qs = np.concatenate([[0.0, 0.75, 1.0], grid[::125], rng.uniform(size=8)])
+        for q, entangled in zip(qs.tolist(), kraus_margins(mat, family, qs)[3].tolist()):
+            exact = exact_det(parts, q)
+            if abs(entangled) in (0.0, DET_ROUNDING):
+                assert abs(exact) <= DET_ROUNDING + EXACT_DET_BOUND
+            else:
+                assert abs(Fraction(-entangled) - exact) <= EXACT_DET_BOUND, (rank, q)
 
 
 PURE_PRODUCTS = {
