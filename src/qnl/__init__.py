@@ -31,6 +31,7 @@ from .errors import (
 from .measures import (
     GISIN_BOUND,
     HierarchyClass,
+    Measure,
     MeasureReport,
     bell_parameter,
     classify,
@@ -62,7 +63,6 @@ from .states import (
     werner,
 )
 from .thresholds import (
-    Measure,
     ThresholdSet,
     critical_q,
     hierarchy_check,

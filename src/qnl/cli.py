@@ -22,7 +22,7 @@ from .measures import classify
 from .channels import FAMILIES
 
 EXIT_NUMERICAL = 3
-# Most rows of a scan or a werner-map (grid^2), checked before allocating.
+# Most rows of a scan, a werner-map (grid^2) or a sample-mems run, checked before allocating.
 MAX_GRID = 10**6
 MAX_MAP_AXIS = math.isqrt(MAX_GRID)
 
@@ -152,8 +152,8 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False, writable=True))
 def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> None:
     """Run the seeded hierarchy experiment and write its CSV."""
-    if n < 1:
-        _fail_usage(f"--n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GRID:
+        _fail_usage(f"--n must lie in [1, {MAX_GRID}], got {n}")
     cfg = sampling.SamplerConfig(n_states=n, seed=seed, channel=channel, tol=tol)
     records = sampling.hierarchy_experiment(cfg)
     try:
@@ -162,7 +162,8 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
     ok = sum(thresholds.hierarchy_check(rec.thresholds) for rec in records)
-    click.echo(f"wrote {len(records)} records to {out}; {ok} satisfy the hierarchy")
+    click.echo(f"wrote {len(records)} records to {out}; "
+               f"locator self-check: {ok} of {len(records)} ordered q_G <= q_B <= q_F <= q_C")
 
 
 @main.command("werner-map")

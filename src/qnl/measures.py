@@ -22,6 +22,9 @@ square root (~3e-9) leaks into W. That error reaches the printed concurrence
 det(rho^{T_B}) and falls back to these roots only where the determinant is
 rounding noise itself. ``tests/test_x_path.py`` pins it at 1e-7 against
 the exact curve of pure a|00> + b|11> states.
+
+``classify`` ranks a state by its first failing condition, in C, F, B, G
+order, over ``alive_margins``, the margins the threshold locator reads.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ _PAULI_KRON.setflags(write=False)
 #: Fidelity bound below which a local-hidden-variable description exists.
 GISIN_BOUND = 0.5 + math.sqrt(1.5) * math.atan(math.sqrt(2.0)) / math.pi
 
+#: Slack of every class boundary: a margin at most this size reads as failed.
+CLASS_SLACK = 1e-9
+
+#: Region labels of the Werner (p, q) map, in ``HierarchyClass`` order.
+REGIONS = ("R1", "R2", "R3", "R4", "R5")
+
 
 class HierarchyClass(Enum):
     """Strength class of a state's nonlocal correlations, weakest first."""
@@ -58,16 +67,16 @@ class HierarchyClass(Enum):
     @property
     def region(self) -> str:
         """Region label R1..R5 of the (p, q) phase map, same ordering."""
-        return _REGION_OF_CLASS[self]
+        return REGIONS[list(HierarchyClass).index(self)]
 
 
-_REGION_OF_CLASS = {
-    HierarchyClass.SEPARABLE: "R1",
-    HierarchyClass.ENTANGLED_ONLY: "R2",
-    HierarchyClass.TELEPORT_NOT_BELL: "R3",
-    HierarchyClass.BELL_NOT_GISIN: "R4",
-    HierarchyClass.BEYOND_GISIN: "R5",
-}
+class Measure(Enum):
+    """The alive conditions, in the row order of ``alive_margins``."""
+
+    GISIN = "GISIN"
+    BELL = "BELL"
+    FIDELITY = "FIDELITY"
+    CONCURRENCE = "CONCURRENCE"
 
 
 @dataclass(frozen=True)
@@ -227,25 +236,32 @@ def bell_parameter(rho: DensityMatrix) -> float:
     return _n_f_b(rho)[2]
 
 
-def classify(rho: DensityMatrix, eps: float = 1e-9) -> MeasureReport:
-    """Evaluate all measures once and assign the hierarchy class.
+def alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:
+    """Alive margins, shape (4, ...), rows in ``Measure`` order: F - F_lhv, B - 2, F - 2/3, C.
 
-    Boundaries use strict inequalities with slack eps, so a state sitting
-    exactly on a threshold falls into the weaker class.
+    ``entangled`` has the sign of the unclamped concurrence: -det(rho^{T_B})
+    for the threshold locator's margins providers, since a two-qubit state is
+    entangled exactly when its partial transpose has a negative determinant
+    (Augusiak, Demianowicz & Horodecki, PRA 77, 030301 (2008)).
     """
+    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled])
+
+
+def hierarchy_rank(margins: np.ndarray) -> np.ndarray:
+    """Position in ``HierarchyClass`` of margins (4, ...) from ``alive_margins``.
+
+    The number of conditions that hold, taken in C, F, B, G order, before the
+    first one whose margin is at most CLASS_SLACK: a state sitting exactly on
+    a threshold falls into the weaker class.
+    """
+    return np.logical_and.accumulate(margins[::-1] > CLASS_SLACK, axis=0).sum(axis=0)
+
+
+def classify(rho: DensityMatrix) -> MeasureReport:
+    """Evaluate all measures once and assign the hierarchy class (``hierarchy_rank``)."""
     conc = concurrence(rho)
     n, fid, bell = _n_f_b(rho)
-
-    if conc <= eps:
-        cls = HierarchyClass.SEPARABLE
-    elif fid <= 2.0 / 3.0 + eps:
-        cls = HierarchyClass.ENTANGLED_ONLY
-    elif bell <= 2.0 + eps:
-        cls = HierarchyClass.TELEPORT_NOT_BELL
-    elif fid <= GISIN_BOUND + eps:
-        cls = HierarchyClass.BELL_NOT_GISIN
-    else:
-        cls = HierarchyClass.BEYOND_GISIN
+    cls = list(HierarchyClass)[hierarchy_rank(alive_margins(fid, bell, conc))]
     return MeasureReport(
         concurrence=conc, n_value=n, fidelity=fid, bell=bell, hierarchy_class=cls
     )

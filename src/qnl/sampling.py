@@ -50,11 +50,10 @@ class SamplerConfig:
 class HierarchyRecord:
     weights: MemsWeights
     thresholds: ThresholdSet
-    gaps: tuple[float | None, float | None, float | None] | None = None
 
-    def __post_init__(self) -> None:
-        if self.gaps is None:
-            object.__setattr__(self, "gaps", gaps_of(self.thresholds))
+    @property
+    def gaps(self) -> tuple[float | None, float | None, float | None]:
+        return gaps_of(self.thresholds)
 
 
 def _gap(later: float | None, earlier: float | None) -> float | None:

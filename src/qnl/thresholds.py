@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from enum import Enum
 
 import numpy as np
 
 from .channels import channel_family, evolve_grid, evolve_x
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
+    CLASS_SLACK,
     GISIN_BOUND,
+    Measure,
+    alive_margins,
     concurrence_of_roots,
     correlation_matrix_stack,
     correlation_measures,
@@ -64,18 +66,8 @@ _MIN_LEVELS = 3
 # under every family, against the exact determinant of the same floats, and
 # LAPACK's LU determinant by about as much.
 DET_ROUNDING = 1e-15
-
-#: Region labels of the Werner (p, q) map, weakest correlations first.
-REGIONS = ("R1", "R2", "R3", "R4", "R5")
-
-
-class Measure(Enum):
-    """The alive conditions, in the row order of ``_alive_margins`` and ``_locate``."""
-
-    GISIN = "GISIN"
-    BELL = "BELL"
-    FIDELITY = "FIDELITY"
-    CONCURRENCE = "CONCURRENCE"
+# Slack of hierarchy_check's order q_G <= q_B <= q_F <= q_C.
+HIERARCHY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,17 +115,6 @@ def _curves(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c_unclamped, f, b
 
 
-def _alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:
-    """Alive margins, shape (4, M), rows ordered GISIN, BELL, FIDELITY, CONCURRENCE.
-
-    ``entangled`` has the sign of the unclamped concurrence: -det(rho^{T_B})
-    for the margins providers, since a two-qubit state is entangled exactly
-    when its partial transpose has a negative determinant (Augusiak,
-    Demianowicz & Horodecki, PRA 77, 030301 (2008)).
-    """
-    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled])
-
-
 def _kraus_margins(state_mat: np.ndarray, family: str):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
@@ -173,7 +154,7 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
         unresolved = np.flatnonzero(np.abs(det) <= DET_ROUNDING)
         if unresolved.size:
             c, f, b = _curves(evolve_grid(state_mat, family, qs[unresolved]))
-            out[:, unresolved] = _alive_margins(f, b, np.sign(c) * DET_ROUNDING)
+            out[:, unresolved] = alive_margins(f, b, np.sign(c) * DET_ROUNDING)
         return out
 
     return margins
@@ -189,7 +170,7 @@ def _x_margins(entries: np.ndarray, family: str):
         evolved = evolve_x(entries[:, states], family, qs)
         d11, d22, d33, d44, a14, a23 = evolved
         _, f, b = correlation_measures(x_singvals(evolved))
-        return _alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
+        return alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
 
     return margins
 
@@ -334,33 +315,34 @@ def x_threshold_sets(
     return _threshold_sets(_locate(_x_margins(entries, family), entries.shape[1], tol))
 
 
-def hierarchy_check(ts: ThresholdSet, slack: float = 1e-6) -> bool:
-    """True iff q_G <= q_B <= q_F <= q_C up to slack, with None as +infinity.
+def hierarchy_check(ts: ThresholdSet) -> bool:
+    """True iff q_G <= q_B <= q_F <= q_C up to HIERARCHY_SLACK, with None as +infinity.
 
     At every state G alive => B alive => F alive => C alive (see the README), so the
     first deaths obey this order on every noise path: False flags a locator error.
     """
     inf = math.inf
     seq = [inf if v is None else v for v in (ts.q_g, ts.q_b, ts.q_f, ts.q_c)]
-    return all(a <= b + slack for a, b in zip(seq, seq[1:]))
+    return all(a <= b + HIERARCHY_SLACK for a, b in zip(seq, seq[1:]))
 
 
-def werner_region(p: float, q: float, eps: float = 1e-9) -> str:
+def werner_region(p: float, q: float) -> str:
     """Region label R1..R5 of the Werner (p, q) plane from the closed forms.
 
     R1 separable, R2 entangled only, R3 teleportation-useful without CHSH
     violation, R4 CHSH-violating below the Gisin bound, R5 beyond it.
-    Evaluated from the analytic amplitude-damping curves.
+    Evaluated lazily from the analytic amplitude-damping curves, with the
+    boundaries of ``classify`` (CLASS_SLACK).
     """
     c = concurrence_ad(p, q)
-    if c <= eps:
+    if c <= CLASS_SLACK:
         return "R1"
     f = fidelity_ad(p, q)
-    if f <= 2.0 / 3.0 + eps:
+    if f <= 2.0 / 3.0 + CLASS_SLACK:
         return "R2"
-    if bell_ad(p, q) <= 2.0 + eps:
+    if bell_ad(p, q) <= 2.0 + CLASS_SLACK:
         return "R3"
-    if f <= GISIN_BOUND + eps:
+    if f <= GISIN_BOUND + CLASS_SLACK:
         return "R4"
     return "R5"
 

@@ -196,6 +196,22 @@ class TestSampleMemsCommand:
         )
         assert result.exit_code == 2
 
+    def test_n_above_the_row_bound_rejected_before_drawing(self, runner, monkeypatch, tmp_path):
+        monkeypatch.setattr(qnl.sampling, "_accepted_weights", fail_allocation)
+        out_path = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["sample-mems", "--n", str(MAX_GRID + 1), "--out", str(out_path)]
+        )
+        assert result.exit_code == 2
+        assert f"[1, {MAX_GRID}]" in result.output
+        assert not out_path.exists()
+
+    def test_reports_the_locator_self_check(self, runner, tmp_path):
+        out_path = tmp_path / "x.csv"
+        output = run_ok(runner, ["sample-mems", "--n", "4", "--seed", "1", "--out", str(out_path)])
+        assert output == (f"wrote 4 records to {out_path}; "
+                          "locator self-check: 4 of 4 ordered q_G <= q_B <= q_F <= q_C\n")
+
     def test_negative_seed_rejected(self, runner, tmp_path):
         out_path = tmp_path / "x.csv"
         result = runner.invoke(

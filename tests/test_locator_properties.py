@@ -4,7 +4,8 @@ For every channel family, each critical strength reported by
 ``threshold_set`` is checked with the margins of the measure table ``scan``
 returns: a condition is alive just below its q_X and dead just above it, a
 q_X of 0 means dead at q = 0, and None means still alive at q = 1 - tol.
-``critical_q`` must report the same value as the matching field.
+``critical_q`` must report the same value as the matching field. ``classify``
+must rank a state by the conditions the locator finds alive at q = 0.
 """
 
 import numpy as np
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES
-from qnl.measures import GISIN_BOUND
+from qnl.measures import (
+    GISIN_BOUND,
+    HierarchyClass,
+    alive_margins,
+    classify,
+    concurrence_unclamped,
+)
 from qnl.states import MemsWeights, mems, validate, werner
 from qnl.thresholds import Measure, critical_q, scan, threshold_set
 from qnl.werner_analytic import boundary_q_c
@@ -83,3 +90,25 @@ def test_death_in_last_grid_cell():
         exact, abs=1e-8
     )
     assert threshold_set(werner(p), "amplitude-damping", 1e-3).q_c is None
+
+
+def test_classify_counts_the_conditions_alive_at_q0():
+    # Ginibre states of rank 1 to 4 whose q = 0 margins are clear of every cut.
+    rng = np.random.default_rng(11)
+    ranks = set()
+    for k in range(60):
+        rank = 1 + k % 4
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        mat = g @ g.conj().T
+        rho = validate(mat / np.trace(mat).real)
+        report = classify(rho)
+        at_zero = alive_margins(report.fidelity, report.bell, concurrence_unclamped(rho))
+        if np.any(np.abs(at_zero) <= 1e-6):
+            continue
+        position = list(HierarchyClass).index(report.hierarchy_class)
+        ranks.add(position)
+        for family in sorted(FAMILIES):
+            ts = threshold_set(rho, family, TOL)
+            alive = sum(q != 0.0 for q in (ts.q_g, ts.q_b, ts.q_f, ts.q_c))
+            assert alive == position, (k, family, ts)
+    assert ranks == set(range(len(HierarchyClass)))

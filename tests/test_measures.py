@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ginibre_density_stack, partial_transpose_b
 from qnl.measures import (
+    CLASS_SLACK,
     GISIN_BOUND,
     HierarchyClass,
     bell_parameter,
@@ -14,6 +15,7 @@ from qnl.measures import (
     correlation_matrix,
     fidelity,
     gisin_bound,
+    hierarchy_rank,
     n_value,
     spin_flip,
     wootters_roots_stack,
@@ -170,6 +172,18 @@ class TestClassify:
         for mat in ginibre_density_stack(20, rng):
             report = classify(validate(mat))
             assert report.fidelity == (1 + report.n_value / 3) / 2
+
+    def test_hierarchy_rank_stops_at_the_first_failing_condition(self):
+        above = np.nextafter(CLASS_SLACK, 1.0)
+        # Columns are states, rows G, B, F, C margins.
+        margins = np.array([
+            [1.0, 1.0, 1.0, 1.0, CLASS_SLACK, above, -1.0, 1.0],
+            [1.0, 1.0, 1.0, CLASS_SLACK, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, CLASS_SLACK, 1.0, 1.0, 1.0, 1.0, -1.0],
+            [1.0, CLASS_SLACK, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0],
+        ])
+        assert hierarchy_rank(margins).tolist() == [4, 0, 1, 2, 3, 4, 0, 1]
+        assert hierarchy_rank(margins[:, 4]) == 3
 
     def test_region_labels(self):
         assert HierarchyClass.SEPARABLE.region == "R1"

@@ -38,6 +38,7 @@ from hypothesis import given, settings, strategies as st
 from qnl.channels import FAMILIES, evolve_grid, x_entries
 from qnl.measures import (
     GISIN_BOUND,
+    alive_margins,
     concurrence_of_roots,
     correlation_matrix_stack,
     correlation_sign_margins,
@@ -50,7 +51,6 @@ from qnl.thresholds import (
     PRESCAN_POINTS,
     ThresholdSet,
     _affine_coefficients,
-    _alive_margins,
     _curves,
     _kraus_margins,
     _locate,
@@ -187,7 +187,7 @@ def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> Threshold
     """threshold_set read from ``_curves`` at every point: the spectra locator."""
     def margins(states, qs):
         c, f, b = _curves(evolve_grid(mat, family, qs))
-        return _alive_margins(f, b, c)
+        return alive_margins(f, b, c)
 
     return ThresholdSet(*(None if math.isnan(q) else q for q in _locate(margins, 1, tol)[0]))
 

@@ -160,8 +160,8 @@ class TestHierarchyCheck:
         assert not hierarchy_check(ThresholdSet(None, 0.5, 0.9, None))
 
     def test_slack_tolerates_solver_noise(self):
-        assert hierarchy_check(ThresholdSet(0.5, 0.5 - 1e-7, 0.9, None), slack=1e-6)
-        assert not hierarchy_check(ThresholdSet(0.5, 0.5 - 1e-5, 0.9, None), slack=1e-6)
+        assert hierarchy_check(ThresholdSet(0.5, 0.5 - 1e-7, 0.9, None))
+        assert not hierarchy_check(ThresholdSet(0.5, 0.5 - 1e-5, 0.9, None))
 
     def test_as_dict_keys(self):
         d = ThresholdSet(0.1, 0.2, 0.3, None).as_dict()
@@ -268,9 +268,9 @@ class TestRegionMapAgainstPipeline:
         mismatches = 0
         for p in np.linspace(0.0, 1.0, 25):
             for q in np.linspace(0.0, 1.0, 25):
-                analytic = werner_region(p, q, eps)
+                analytic = werner_region(p, q)
                 evolved = apply_channel(werner(p), FAMILIES[AD](q), Side.B)
-                report = classify(evolved, eps)
+                report = classify(evolved)
                 numeric = report.hierarchy_class.region
                 if analytic == numeric:
                     continue

@@ -25,11 +25,15 @@ from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, evolve_grid, evolve_x, x_entries
 from qnl.errors import QOutOfRange
-from qnl.measures import correlation_measures, correlation_singvals_stack, x_singvals
+from qnl.measures import (
+    alive_margins,
+    correlation_measures,
+    correlation_singvals_stack,
+    x_singvals,
+)
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
 from qnl.thresholds import (
-    _alive_margins,
     _curves,
     _kraus_margins,
     _x_margins,
@@ -66,7 +70,7 @@ def check_margins(mat: np.ndarray) -> None:
     for family in sorted(FAMILIES):
         x, kraus = both_margins(mat, family)
         _, f, b = _curves(evolve_grid(mat, family, GRID))
-        spectra = _alive_margins(f, b, x[3])
+        spectra = alive_margins(f, b, x[3])
         np.testing.assert_allclose(x[:3], spectra[:3], rtol=0, atol=1e-12, err_msg=family)
         np.testing.assert_allclose(x[3], kraus[3], rtol=0, atol=1e-12, err_msg=family)
         # The Kraus G, B and F rows carry signs only.
