@@ -18,11 +18,12 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
+from .channels import channel_family
 from .errors import RejectionStall
 from .measures import GISIN_BOUND, correlation_measures, x_singvals
 from .measures import correlation_singvals_stack  # noqa: F401  (benchmark traces this name here)
 from .states import DensityMatrix, MemsWeights, mems
-from .thresholds import ThresholdSet, x_threshold_sets
+from .thresholds import ThresholdSet, _check_tol, x_threshold_sets
 from .thresholds import threshold_set  # noqa: F401  (benchmark traces this name here)
 
 MAX_DRAWS = 10**9
@@ -44,6 +45,9 @@ class SamplerConfig:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Checked here, not after the draws of the experiment.
+        channel_family(self.channel)
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from qnl.thresholds import (
     PRESCAN_POINTS,
     Measure,
     _alive,
+    _BELOW_ONE,
     _BLOCK_POINTS,
     _BLOCK_STATES,
     _kraus_margins,
@@ -71,12 +72,14 @@ def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = Non
         deaths = alive[..., :-1] & ~alive[..., 1:]
         at_zero[block] = alive[..., 0]
         cell[block] = np.where(deaths.any(axis=-1), deaths.argmax(axis=-1), last)
+    # The last point never reaches 1, also where 1 - tol rounds to it.
+    tail_q = min(1.0 - tol, _BELOW_ONE)
     lo = grid[cell].ravel()
-    hi = np.where(cell < last, grid[cell + 1], 1.0 - tol).ravel()
+    hi = np.where(cell < last, grid[cell + 1], tail_q).ravel()
     survives = at_zero & (cell == last)
     tail = np.flatnonzero(survives.any(axis=1))
     if tail.size:
-        survives[tail] &= _alive(margins, tail, np.full(tail.size, 1.0 - tol)).T
+        survives[tail] &= _alive(margins, tail, np.full(tail.size, tail_q)).T
     found = 0.5 * (lo + hi)
     active = np.flatnonzero(at_zero & ~survives)
     lo, hi = lo[active], hi[active]
@@ -95,9 +98,10 @@ def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = Non
     return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
 
 
-def recording(margins, sizes: list):
+def recording(margins, sizes: list, of=np.size):
+    """``margins`` that logs ``of(qs)`` of each call to ``sizes``."""
     def wrapped(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        sizes.append(qs.size)
+        sizes.append(of(qs))
         return margins(states, qs)
 
     return wrapped
@@ -209,19 +213,19 @@ def test_rows_stopping_on_adjacent_floats(family):
     assert any(len(set(ends.tolist())) > 1 for _, _, ends in calls_of(steps))
 
 
-def counted_calls(monkeypatch, provider: str) -> list:
-    """Sizes of the margins calls made through thresholds.<provider> from now on."""
+def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
+    """``of(qs)`` (the size) of the margins calls made through thresholds.<provider> from now on."""
     sizes = []
     make = getattr(thresholds, provider)
-    monkeypatch.setattr(thresholds, provider, lambda *args: recording(make(*args), sizes))
+    monkeypatch.setattr(thresholds, provider, lambda *args: recording(make(*args), sizes, of))
     return sizes
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_threshold_set_calls(monkeypatch, family):
-    # One pre-scan, at most one tail check at 1 - tol, and at most three
-    # bisection calls: 20 levels narrow a pre-scan cell to 1e-9, and one
-    # state's four rows take at least seven levels a call.
+    # One pre-scan, then at most three bisection calls and nothing else: 20
+    # levels narrow a pre-scan cell to 1e-9, and one state's four rows take
+    # at least seven levels, 2^7 - 1 midpoints each, a call.
     rng = np.random.default_rng(12)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]
     sizes = counted_calls(monkeypatch, "_kraus_margins")
@@ -229,23 +233,34 @@ def test_threshold_set_calls(monkeypatch, family):
         sizes.clear()
         thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
         assert sizes[0] == PRESCAN_POINTS
-        bisection = [size for size in sizes[1:] if size >= 7]
-        assert len(sizes) - 1 - len(bisection) <= 1  # the tail check, 1 point
-        assert len(bisection) <= 3
+        assert all(size >= 2**7 - 1 for size in sizes[1:])
+        assert len(sizes) <= 4
 
 
 # Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
-# tol 1e-6 with three bisection levels per call (8 of them are the pre-scan).
-MEMS_CALLS = {
-    ("amplitude-damping", 0): 13, ("amplitude-damping", 7): 13,
-    ("depolarizing", 0): 12, ("depolarizing", 7): 12,
-    ("phase-damping", 0): 13, ("phase-damping", 7): 12,
-}
+# tol 1e-6 with three bisection levels per call: 8 pre-scan calls of
+# _BLOCK_POINTS points and 4 bisection calls.
+MEMS_CALLS = 12
 
 
-@pytest.mark.parametrize("family, seed", sorted(MEMS_CALLS))
+@pytest.mark.parametrize("family, seed", [(family, seed) for family in sorted(FAMILIES)
+                                          for seed in (0, 7)])
 def test_x_threshold_sets_calls(monkeypatch, family, seed):
     entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
     sizes = counted_calls(monkeypatch, "_x_margins")
     thresholds.x_threshold_sets(entries, family, 1e-6)
-    assert len(sizes) <= MEMS_CALLS[family, seed]
+    assert len(sizes) <= MEMS_CALLS
+
+
+@pytest.mark.parametrize("tol", TOLS + (1e-17,))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_no_margins_call_beyond_one_minus_tol(monkeypatch, family, tol):
+    # The pre-scan ends at 1 - tol, or at the float below 1 where 1 - tol
+    # rounds to 1, and bisection stays inside the pre-scan's cells.
+    kraus = counted_calls(monkeypatch, "_kraus_margins", np.max)
+    x = counted_calls(monkeypatch, "_x_margins", np.max)
+    for p in (0.4, 0.9, 1.0):
+        thresholds.threshold_set(werner(p), family, tol)
+    thresholds.x_threshold_sets(mems_entries(30, family), family, tol)
+    assert kraus and x
+    assert max(kraus + x) <= min(1.0 - tol, _BELOW_ONE)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import qnl.sampling as sampling
 from qnl.channels import x_entries
-from qnl.errors import RejectionStall
+from qnl.errors import InvalidTolerance, RejectionStall
 from qnl.measures import GISIN_BOUND, fidelity
 from qnl.sampling import (
     CSV_COLUMNS,
@@ -97,6 +97,19 @@ class TestRejectionSampler:
             SamplerConfig(n_states=0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(n_states=1, seed=-1)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"channel": "bogus"}, ValueError),
+        ({"tol": 0.5}, InvalidTolerance),
+        ({"tol": math.nan}, InvalidTolerance),
+    ])
+    def test_bad_channel_or_tol_fails_before_any_draw(self, monkeypatch, kwargs, error):
+        def no_draws(rng, n):
+            raise AssertionError("drew weights before the config was checked")
+
+        monkeypatch.setattr(sampling, "_draw_weights", no_draws)
+        with pytest.raises(error):
+            hierarchy_experiment(SamplerConfig(n_states=10**5, seed=0, **kwargs))
 
 
 class TestMemsEntries:

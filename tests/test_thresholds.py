@@ -113,6 +113,11 @@ class TestThresholdSet:
             else:
                 assert got == pytest.approx(want, abs=1e-12)
 
+    def test_survivor_below_float_spacing_at_one(self):
+        # 1 - 1e-17 rounds to 1, where amplitude damping leaves a product
+        # state; the last point checked is the float below 1 instead.
+        assert threshold_set(werner(0.9), AD, 1e-17).q_c is None
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 2e-3, 1.0])
     def test_invalid_tolerance(self, tol):
         with pytest.raises(InvalidTolerance):
