@@ -9,11 +9,10 @@ conditions are tracked:
   CONCURRENCE  det(rho^{T_B}) < 0    (entanglement; the sign of unclamped C)
 
 The critical strength of a condition is the smallest q in [0, 1] at which it
-first fails, found by a 1001-point pre-scan from q = 0 to q = 1 - tol that
-brackets the first sign change, followed by bisection. Conventions: a
-condition already dead at q = 0 reports 0; a condition still alive at the
-pre-scan's last point, 1 - tol, reports None (it survives all noise). The
-pre-scan makes no monotonicity assumption about the curves.
+first fails, found by a 1001-point pre-scan that brackets the first sign
+change followed by bisection. Conventions: a condition already dead at q = 0
+reports 0; a condition still alive at q = 1 - tol reports None (it survives
+all noise). The pre-scan makes no monotonicity assumption about the curves.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
@@ -54,8 +53,7 @@ from .werner_analytic import bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 MAX_TOL = 1e-3
-# The pre-scan's last point is 1 - tol, but never 1: there amplitude damping
-# leaves a product state, which is dead whatever the state was.
+# The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 # The locator pre-scans this many states at a time and never asks a margins
 # provider for more than _BLOCK_POINTS points at once, so its memory does not
@@ -130,7 +128,7 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     rows come from ``correlation_sign_margins`` (no SVD). No step mixes points.
 
     Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
-    partial transpose with a zero eigenvalue, as for a product state or near
+    partial transpose with a zero eigenvalue, as for a product state or at
     q = 1 under amplitude damping). Such points are evolved directly and read
     from ``_curves`` instead, the concurrence row taking the sign of the
     Wootters concurrence at size DET_ROUNDING, so rank-deficient states keep
@@ -205,12 +203,11 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
-    ``states[k]`` at strength ``qs[k]``. A pre-scan on a 1001-point grid from
-    0 to 1 - tol (the float below 1 if tol is finer than the float spacing
-    there) finds the first grid point at which each (state, condition) row is
-    dead, one block of states at a time. A row dead at q = 0 reads 0, a row
-    alive at every grid point reads NaN (survives all noise), and any other
-    row's death is bracketed by that point and the one before it. All
+    ``states[k]`` at strength ``qs[k]``. A pre-scan brackets the first death
+    of every (state, condition) row, one block of states at a time; a death in
+    the last grid cell, or none on the grid, is bracketed up to the tail point
+    1 - tol (the float below 1 if tol is finer than the float spacing there)
+    and reads NaN (survives all noise) if the condition still holds there. All
     brackets are then bisected in lockstep at the midpoints one level per call
     would compute, a row stopping at the first level where it is done. A call
     takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
@@ -218,21 +215,30 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     one pre-scan of points unless L is the minimum: one state's four rows take
     seven levels a call, 30 states' 120 rows three. A provider gives each
     point's margins independently of the call, so the floats are those of one
-    level per call.
+    level per call. A condition already dead at q = 0 reads 0.
     """
     rows = len(Measure)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    grid[-1] = min(1.0 - tol, _BELOW_ONE)
-    dead_at = np.empty((n, rows), dtype=np.intp)
+    last = PRESCAN_POINTS - 2
+    tail_q = min(1.0 - tol, _BELOW_ONE)
+    at_zero = np.empty((n, rows), dtype=bool)
+    cell = np.empty((n, rows), dtype=np.intp)
     for first in range(0, n, _BLOCK_STATES):
         block = np.arange(first, min(first + _BLOCK_STATES, n))
         alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(grid, block.size))
         alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
-        dead_at[block] = np.where(alive.all(axis=-1), PRESCAN_POINTS, alive.argmin(axis=-1))
-    dead_at = dead_at.ravel()
-    found = np.where(dead_at == 0, 0.0, np.nan)
-    active = np.flatnonzero((dead_at > 0) & (dead_at < PRESCAN_POINTS))
-    lo, hi = grid[dead_at[active] - 1], grid[dead_at[active]]
+        deaths = alive[..., :-1] & ~alive[..., 1:]
+        at_zero[block] = alive[..., 0]
+        cell[block] = np.where(deaths.any(axis=-1), deaths.argmax(axis=-1), last)
+    lo = grid[cell].ravel()
+    hi = np.where(cell < last, grid[cell + 1], tail_q).ravel()
+    survives = at_zero & (cell == last)
+    tail = np.flatnonzero(survives.any(axis=1))
+    if tail.size:
+        survives[tail] &= _alive(margins, tail, np.full(tail.size, tail_q)).T
+    found = 0.5 * (lo + hi)
+    active = np.flatnonzero(at_zero & ~survives)
+    lo, hi = lo[active], hi[active]
     while active.size:
         levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
         # The midpoints cut a bracket into steps[0] steps; it is steps[l + 1] wide after level l.
@@ -257,7 +263,8 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
         ended = done.any(axis=0)
         found[active[ended]] = mids[done.argmax(axis=0), col][ended]
         active, lo, hi = active[~ended], lo[-1, ~ended], hi[-1, ~ended]
-    return found.reshape(n, rows)
+    found = found.reshape(n, rows)
+    return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
 
 
 def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:

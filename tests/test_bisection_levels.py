@@ -223,9 +223,9 @@ def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_threshold_set_calls(monkeypatch, family):
-    # One pre-scan, then at most three bisection calls and nothing else: 20
-    # levels narrow a pre-scan cell to 1e-9, and one state's four rows take
-    # at least seven levels, 2^7 - 1 midpoints each, a call.
+    # One pre-scan, at most one tail check at 1 - tol, and at most three
+    # bisection calls: 20 levels narrow a pre-scan cell to 1e-9, and one
+    # state's four rows take at least seven levels a call.
     rng = np.random.default_rng(12)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]
     sizes = counted_calls(monkeypatch, "_kraus_margins")
@@ -233,34 +233,42 @@ def test_threshold_set_calls(monkeypatch, family):
         sizes.clear()
         thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
         assert sizes[0] == PRESCAN_POINTS
-        assert all(size >= 2**7 - 1 for size in sizes[1:])
-        assert len(sizes) <= 4
+        bisection = [size for size in sizes[1:] if size >= 7]
+        assert len(sizes) - 1 - len(bisection) <= 1  # the tail check, 1 point
+        assert len(bisection) <= 3
 
 
 # Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
-# tol 1e-6 with three bisection levels per call: 8 pre-scan calls of
-# _BLOCK_POINTS points and 4 bisection calls.
-MEMS_CALLS = 12
+# tol 1e-6 with three bisection levels per call (8 of them are the pre-scan).
+MEMS_CALLS = {
+    ("amplitude-damping", 0): 13, ("amplitude-damping", 7): 13,
+    ("depolarizing", 0): 12, ("depolarizing", 7): 12,
+    ("phase-damping", 0): 13, ("phase-damping", 7): 12,
+}
 
 
-@pytest.mark.parametrize("family, seed", [(family, seed) for family in sorted(FAMILIES)
-                                          for seed in (0, 7)])
+@pytest.mark.parametrize("family, seed", sorted(MEMS_CALLS))
 def test_x_threshold_sets_calls(monkeypatch, family, seed):
     entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
     sizes = counted_calls(monkeypatch, "_x_margins")
     thresholds.x_threshold_sets(entries, family, 1e-6)
-    assert len(sizes) <= MEMS_CALLS
+    assert len(sizes) <= MEMS_CALLS[family, seed]
 
 
 @pytest.mark.parametrize("tol", TOLS + (1e-17,))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_no_margins_call_beyond_one_minus_tol(monkeypatch, family, tol):
-    # The pre-scan ends at 1 - tol, or at the float below 1 where 1 - tol
-    # rounds to 1, and bisection stays inside the pre-scan's cells.
+def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
+    # The tail check and every bisection bracket end at 1 - tol, or at the
+    # float below 1 where 1 - tol rounds to 1; only the pre-scan reads q = 1.
+    tail_q = min(1.0 - tol, _BELOW_ONE)
     kraus = counted_calls(monkeypatch, "_kraus_margins", np.max)
-    x = counted_calls(monkeypatch, "_x_margins", np.max)
     for p in (0.4, 0.9, 1.0):
+        kraus.clear()
         thresholds.threshold_set(werner(p), family, tol)
+        assert kraus[0] == 1.0
+        assert max(kraus[1:], default=0.0) <= tail_q
+    x = counted_calls(monkeypatch, "_x_margins", np.max)
     thresholds.x_threshold_sets(mems_entries(30, family), family, tol)
-    assert kraus and x
-    assert max(kraus + x) <= min(1.0 - tol, _BELOW_ONE)
+    prescan = -(-30 // _BLOCK_STATES)
+    assert x[:prescan] == [1.0] * prescan
+    assert max(x[prescan:]) <= tail_q
