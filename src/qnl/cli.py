@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import sampling, states, thresholds
-from .errors import QnlError
+from .errors import BadGrid, InvalidTolerance, QnlError
 from .measures import classify
 from .channels import FAMILIES
 
@@ -70,10 +70,11 @@ def _sig12(x: float) -> float:
 
 
 def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
-    # Hand-written rather than click.FloatRange, which lets nan through.
-    if not 0.0 < tol <= thresholds.MAX_TOL:
-        raise click.BadParameter(f"must lie in (0, {thresholds.MAX_TOL:g}], got {tol}")
-    return tol
+    # The library's check rather than click.FloatRange, which lets nan through.
+    try:
+        return thresholds._check_tol(tol)
+    except InvalidTolerance as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 class _Group(click.Group):
@@ -122,7 +123,10 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
         _fail_usage(f"steps must lie in [2, {MAX_GRID}], got {steps}")
     if not (0.0 <= qmin < qmax <= 1.0):
         _fail_usage(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
-    table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
+    try:  # qmin < qmax can still give equal floats, as when qmax is the float after qmin
+        table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
+    except BadGrid as exc:
+        _fail_usage(str(exc))
     rows = ["%.12g,%.12g,%.12g,%.12g" % tuple(row) for row in table.tolist()]
     click.echo("\n".join(["q,concurrence,fidelity,bell", *rows]))
 
@@ -178,9 +182,10 @@ def cmd_werner_map(grid: int, out: str) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write("p,q,region\n")
             labels = [f"{v:.12g}" for v in axis]
-            for p, p_label in zip(axis, labels):
-                for q, q_label in zip(axis, labels):
-                    fh.write(f"{p_label},{q_label},{thresholds.werner_region(p, q)}\n")
+            for p, p_label in zip(axis, labels):  # a row at a time, never the whole lattice
+                regions = thresholds.werner_region(p, axis).tolist()
+                fh.write("".join(f"{p_label},{q_label},{region}\n"
+                                 for q_label, region in zip(labels, regions)))
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
     click.echo(f"wrote {grid * grid} rows to {out}")

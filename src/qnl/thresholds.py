@@ -36,8 +36,7 @@ import numpy as np
 from .channels import channel_family, evolve_grid, evolve_x
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
-    CLASS_SLACK,
-    GISIN_BOUND,
+    REGIONS,
     Measure,
     alive_margins,
     concurrence_of_roots,
@@ -45,11 +44,12 @@ from .measures import (
     correlation_measures,
     correlation_sign_margins,
     correlation_singvals_stack,
+    hierarchy_rank,
     wootters_roots_stack,
     x_singvals,
 )
 from .states import DensityMatrix
-from .werner_analytic import bell_ad, concurrence_ad, fidelity_ad
+from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 MAX_TOL = 1e-3
@@ -328,25 +328,17 @@ def hierarchy_check(ts: ThresholdSet) -> bool:
     return all(a <= b + HIERARCHY_SLACK for a, b in zip(seq, seq[1:]))
 
 
-def werner_region(p: float, q: float) -> str:
+def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
     """Region label R1..R5 of the Werner (p, q) plane from the closed forms.
 
     R1 separable, R2 entangled only, R3 teleportation-useful without CHSH
-    violation, R4 CHSH-violating below the Gisin bound, R5 beyond it.
-    Evaluated lazily from the analytic amplitude-damping curves, with the
-    boundaries of ``classify`` (CLASS_SLACK).
+    violation, R4 CHSH-violating below the Gisin bound, R5 beyond it. The
+    analytic amplitude-damping curves are ranked by ``hierarchy_rank``, the
+    ladder of ``classify``. Takes floats (one label, an ``np.str_``) or arrays
+    that broadcast together (an array of labels).
     """
-    c = concurrence_ad(p, q)
-    if c <= CLASS_SLACK:
-        return "R1"
-    f = fidelity_ad(p, q)
-    if f <= 2.0 / 3.0 + CLASS_SLACK:
-        return "R2"
-    if bell_ad(p, q) <= 2.0 + CLASS_SLACK:
-        return "R3"
-    if f <= GISIN_BOUND + CLASS_SLACK:
-        return "R4"
-    return "R5"
+    margins = alive_margins(fidelity_ad(p, q), bell_ad(p, q), concurrence_ad(p, q))
+    return np.asarray(REGIONS)[hierarchy_rank(margins)]
 
 
 def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:

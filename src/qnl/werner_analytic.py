@@ -19,51 +19,55 @@ the defective form stays inspectable next to the measured truth.
 
 from __future__ import annotations
 
-import math
+import numpy as np
+
+# A float gives a float, arrays that broadcast together an array.
+ArrayOrFloat = float | np.ndarray
 
 
-def _check_point(p: float, q: float) -> tuple[float, float]:
-    p, q = float(p), float(q)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"state parameter p must lie in [0, 1], got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"channel parameter q must lie in [0, 1], got {q}")
+def _check_point(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[np.ndarray, np.ndarray]:
+    """Floats or broadcastable arrays as float arrays; ValueError names the first bad entry."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    for name, value in (("state parameter p", p), ("channel parameter q", q)):
+        inside = (value >= 0.0) & (value <= 1.0)
+        if not inside.all():
+            raise ValueError(f"{name} must lie in [0, 1], got {value[~inside][0]}")
     return p, q
 
 
-def concurrence_ad_unclamped(p: float, q: float) -> float:
+def concurrence_ad_unclamped(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Signed concurrence expression; its zero crossing locates q_C."""
     p, q = _check_point(p, q)
     inner = (1.0 - p) * (1.0 - q) * (1.0 - p + q + p * q)
-    return p * math.sqrt(1.0 - q) - 0.5 * math.sqrt(max(inner, 0.0))
+    return p * np.sqrt(1.0 - q) - 0.5 * np.sqrt(np.maximum(inner, 0.0))
 
 
-def concurrence_ad(p: float, q: float) -> float:
+def concurrence_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Concurrence of the damped Werner state, clamped at zero."""
-    return max(0.0, concurrence_ad_unclamped(p, q))
+    return np.maximum(0.0, concurrence_ad_unclamped(p, q))
 
 
-def fidelity_ad(p: float, q: float) -> float:
+def fidelity_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Optimal teleportation fidelity of the damped Werner state."""
     p, q = _check_point(p, q)
-    return (3.0 + (1.0 + 2.0 * math.sqrt(1.0 - q) - q) * p) / 6.0
+    return (3.0 + (1.0 + 2.0 * np.sqrt(1.0 - q) - q) * p) / 6.0
 
 
-def bell_ad_branches(p: float, q: float) -> tuple[float, float]:
+def bell_ad_branches(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[ArrayOrFloat, ArrayOrFloat]:
     """The two branches (B1, B2) of the closed-form Bell expression."""
     p, q = _check_point(p, q)
-    b1 = 2.0 * math.sqrt(p) * math.sqrt(1.0 - q)
-    b2 = 2.0 * p * math.sqrt(2.0 - 3.0 * q + q * q)
+    b1 = 2.0 * np.sqrt(p) * np.sqrt(1.0 - q)
+    b2 = 2.0 * p * np.sqrt(2.0 - 3.0 * q + q * q)
     return b1, b2
 
 
-def bell_ad(p: float, q: float) -> float:
+def bell_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Two-branch closed-form Bell parameter max(B1, B2).
 
     See the module docstring: this expression is defective and disagrees
     with the Kraus pipeline away from q = 0.
     """
-    return max(bell_ad_branches(p, q))
+    return np.maximum(*bell_ad_branches(p, q))
 
 
 def boundary_q_c(p: float) -> float | None:
@@ -73,9 +77,7 @@ def boundary_q_c(p: float) -> float | None:
     (3p - 1)/(1 - p) for p in (1/3, 1/2] (reaching exactly 1 at p = 1/2),
     and None for p > 1/2, where entanglement survives every q < 1.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"state parameter p must lie in [0, 1], got {p}")
+    p = float(_check_point(p, 0.0)[0])
     if p <= 1.0 / 3.0:
         return 0.0
     if p > 0.5:

@@ -132,6 +132,14 @@ class TestScanCommand:
         )
         assert result.exit_code == 2
 
+    def test_collapsed_grid_is_a_usage_error(self, runner):
+        # qmax is the float after qmin: qmin < qmax, but five steps repeat floats.
+        result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--qmin", "0.5",
+                                      "--qmax", "0.5000000000000001", "--steps", "5"])
+        assert result.exit_code == 2
+        assert "strictly increasing" in result.output
+        assert "numerical failure" not in result.output
+
 
 class TestThresholdsCommand:
     def test_bell_singlet(self, runner):
@@ -246,6 +254,18 @@ class TestSampleMemsCommand:
 
 
 class TestWernerMapCommand:
+    # SHA-256 of the map CSV: the labels and their formatting are
+    # byte-reproducible, so a faster evaluation must keep these bytes.
+    @pytest.mark.parametrize(
+        "grid, digest",
+        [("101", "42dff4108e358c381b5050a897fd7b05f29908274c9b9e8af60eb868add2e5d1"),
+         ("201", "1fda0eb5ff37d195941c0dcaca9c2da35c3e62e4a9ec4c689c9effc863145d1f")],
+    )
+    def test_golden_csv(self, runner, tmp_path, grid, digest):
+        out_path = tmp_path / "map.csv"
+        run_ok(runner, ["werner-map", "--grid", grid, "--out", str(out_path)])
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     def test_lattice(self, runner, tmp_path):
         out_path = tmp_path / "map.csv"
         run_ok(runner, ["werner-map", "--grid", "11", "--out", str(out_path)])

@@ -257,8 +257,11 @@ class TestWernerRegion:
 
     def test_label_monotone_in_q(self):
         order = {"R1": 0, "R2": 1, "R3": 2, "R4": 3, "R5": 4}
-        for p in np.linspace(0.0, 1.0, 25):
-            labels = [order[werner_region(p, q)] for q in np.linspace(0.0, 1.0, 25)]
+        axis = np.linspace(0.0, 1.0, 25)
+        for p in axis:
+            cells = [werner_region(p, q) for q in axis]
+            assert werner_region(p, axis).tolist() == cells
+            labels = [order[label] for label in cells]
             assert np.all(np.diff(labels) <= 0)
 
 

@@ -119,9 +119,12 @@ class TestClosedFormExamples:
     @pytest.mark.parametrize(
         "func", [concurrence_ad, fidelity_ad, bell_ad, concurrence_ad_unclamped]
     )
-    @pytest.mark.parametrize("point", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
+    @pytest.mark.parametrize("point", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1),
+                                       (np.array([0.2, 1.5, 2.0]), 0.5),
+                                       (0.5, np.array([0.1, np.nan, 0.3]))])
     def test_range_validation(self, func, point):
-        with pytest.raises(ValueError, match="must lie"):
+        # An array names its first bad entry, not the whole array.
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got (-0\.1|1\.1|1\.5|nan)$"):
             func(*point)
 
 
