@@ -13,7 +13,7 @@ configuration always reproduces the same record list bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -27,7 +27,12 @@ from .thresholds import ThresholdSet, _check_tol, x_threshold_sets
 from .thresholds import threshold_set  # noqa: F401  (benchmark traces this name here)
 
 MAX_DRAWS = 10**9
-_DRAW_BLOCK = 4096
+# Weights are drawn in blocks that double from _DRAW_BLOCK to _MAX_DRAW_BLOCK:
+# about 3% of draws are accepted, so a few dozen states take one or two small
+# blocks and many states take large ones. Any block schedule consumes the one
+# uniform stream in the same order, so the accepted weights do not depend on it.
+_DRAW_BLOCK = 1024
+_MAX_DRAW_BLOCK = 4096
 
 CSV_COLUMNS = ("p1", "p2", "p3", "p4", "q_G", "q_B", "q_F", "q_C",
                "gap_GB", "gap_BF", "gap_FC")
@@ -108,8 +113,9 @@ def _accepted_weights(cfg: SamplerConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     kept = []
     accepted = drawn = 0
+    size = _DRAW_BLOCK
     while accepted < cfg.n_states:
-        block = min(_DRAW_BLOCK, MAX_DRAWS - drawn)
+        block = min(size, MAX_DRAWS - drawn)
         if block <= 0:
             raise RejectionStall(
                 f"exceeded {MAX_DRAWS} draws with only {accepted} acceptances"
@@ -118,6 +124,7 @@ def _accepted_weights(cfg: SamplerConfig) -> np.ndarray:
         drawn += block
         kept.append(weights[_fidelity_of_weights(weights) > GISIN_BOUND])
         accepted += len(kept[-1])
+        size = min(2 * size, _MAX_DRAW_BLOCK)
     return np.concatenate(kept)[:cfg.n_states]
 
 
@@ -147,5 +154,6 @@ def write_records_csv(records: list[HierarchyRecord], fh: TextIO) -> None:
     """Write records as CSV with LF endings; absent values are empty cells."""
     fh.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
-        values = (*rec.weights.as_tuple(), *astuple(rec.thresholds), *rec.gaps)
+        ts = rec.thresholds
+        values = (*rec.weights.as_tuple(), ts.q_g, ts.q_b, ts.q_f, ts.q_c, *rec.gaps)
         fh.write(",".join(_cell(v) for v in values) + "\n")

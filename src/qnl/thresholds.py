@@ -9,10 +9,13 @@ conditions are tracked:
   CONCURRENCE  det(rho^{T_B}) < 0    (entanglement; the sign of unclamped C)
 
 The critical strength of a condition is the smallest q in [0, 1] at which it
-first fails, found by a 1001-point pre-scan that brackets the first sign
-change followed by bisection. Conventions: a condition already dead at q = 0
-reports 0; a condition still alive at q = 1 - tol reports None (it survives
-all noise). The pre-scan makes no monotonicity assumption about the curves.
+first fails: the first sign change is bracketed in a cell of a 1001-point
+grid and then bisected. ``threshold_set`` brackets by a pre-scan of every grid
+point. ``x_threshold_sets`` reads only the grid points around the closed-form
+roots of its margins, which give the pre-scan's cells, and pre-scans the
+states whose roots cannot be certified. Conventions: a condition already dead
+at q = 0 reports 0; a condition still alive at q = 1 - tol reports None (it
+survives all noise). Neither bracket assumes that the curves are monotone.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
@@ -36,6 +39,7 @@ import numpy as np
 from .channels import channel_family, evolve_grid, evolve_x
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
+    _N_CUTS,
     REGIONS,
     Measure,
     alive_margins,
@@ -52,6 +56,11 @@ from .states import DensityMatrix
 from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
+_GRID = np.linspace(0.0, 1.0, PRESCAN_POINTS)
+_LAST_CELL = PRESCAN_POINTS - 2
+# _x_brackets reads the grid points from one cell below to one cell above the
+# cell of each candidate strength, so a candidate a cell off still brackets.
+_AROUND = np.arange(-1, 3)
 MAX_TOL = 1e-3
 # The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -199,15 +208,134 @@ def _alive(margins, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
     )
 
 
-def _locate(margins, n: int, tol: float) -> np.ndarray:
+def _prescan(margins, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at_zero, cell), each (len(states), 4), of the given states from the grid pre-scan.
+
+    ``at_zero`` tells which conditions hold at q = 0, and ``cell`` is the
+    first grid cell in which a condition goes from alive to dead, or the last
+    cell if there is none (a death at q = 1 reads the same). States are read
+    _BLOCK_STATES at a time.
+    """
+    rows = len(Measure)
+    at_zero = np.empty((states.size, rows), dtype=bool)
+    cell = np.empty((states.size, rows), dtype=np.intp)
+    for first in range(0, states.size, _BLOCK_STATES):
+        block = states[first:first + _BLOCK_STATES]
+        alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(_GRID, block.size))
+        alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
+        deaths = alive[..., :-1] & ~alive[..., 1:]
+        at_zero[first:first + block.size] = alive[..., 0]
+        cell[first:first + block.size] = np.where(
+            deaths.any(axis=-1), deaths.argmax(axis=-1), _LAST_CELL)
+    return at_zero, cell
+
+
+def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots and vertex in [0, 1] of quadratics c0 + c1 t + c2 t^2, ``coef`` (3, ...).
+
+    Returns (t, certain): t (3, ...) holds two roots and the vertex, NaN where
+    there is none in [0, 1]; ``certain`` is False where the coefficients are
+    all zero or not finite. Each quadratic is scaled by its largest
+    coefficient, its roots are h / c2 and c0 / h with
+    h = -(c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) / 2, and a quotient is taken
+    only where it lies in [-1, 1], so nothing overflows or divides by zero.
+    """
+    scale = np.abs(coef).max(axis=0)
+    certain = np.isfinite(scale) & (scale > 0.0)
+    c0, c1, c2 = np.divide(coef, scale, out=np.zeros_like(coef), where=certain)
+    disc = c1 * c1 - 4.0 * c0 * c2
+    h = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+    num, den = np.stack([h, c0, -0.5 * c1]), np.stack([c2, h, c2])
+    inside = (np.abs(num) <= np.abs(den)) & (den != 0.0)
+    inside[:2] &= disc >= 0.0
+    t = np.divide(num, den, out=np.full(num.shape, np.nan), where=inside)
+    return np.where(t >= 0.0, t, np.nan), certain
+
+
+def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of 1, u, u^2 (u = s^2) of the product of x and y, each in 1, s, s^2.
+
+    The odd powers of s are dropped: on X-states they are zero, as each
+    coherence is one multiple of s or of s^2, and the populations are affine
+    in q (their s coefficients are rounding noise).
+    """
+    return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
+
+
+def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, ...]:
+    """(at_zero, cell, uncertain) of X-states, X entries (6, N), as ``_prescan`` gives them.
+
+    Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in
+    s = sqrt(1-q), with its coefficients taken from ``evolve_x`` at
+    _AFFINE_QS. A condition can change sign only where one of these
+    quadratics does (max(x, y) > 0 changes sign only where x or y does):
+    N - c as 4 max(|rho14|, |rho23|) +- z - c in s, with
+    z = rho11 - rho22 - rho33 + rho44 (F and G); s1^2 + s2^2 - 1 as
+    8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
+    (B); and the two factors of det(rho^{T_B}) in u (C). Their real roots and
+    vertices in [0, 1] are the candidate strengths. ``_x_margins`` is read at
+    q = 0, at the last grid point and at the grid points from one cell below
+    to one cell above each candidate's cell; between two of those points the
+    sign is taken as constant. A state is uncertain if its coefficients are
+    degenerate or not finite, or if two points that bound an unread run of
+    grid points disagree, and its brackets come from ``_prescan`` instead.
+    """
+    n = entries.shape[1]
+    margins = _x_margins(entries, family)
+    samples = evolve_x(np.repeat(entries, _AFFINE_QS.size, axis=1), family,
+                       np.tile(_AFFINE_QS, n)).reshape(6, n, _AFFINE_QS.size)
+    a, b, c = np.moveaxis(samples @ _AFFINE_OF_SAMPLES.T, -1, 0)
+    d11, d22, d33, d44, a14, a23 = np.stack([a + b, c, -b], axis=1)
+    z = d11 - d22 - d33 + d44
+    coh = np.maximum(a14, a23)
+    one = np.array([1.0, 0.0, 0.0])[:, None]
+    in_s = np.stack([4.0 * coh + sign * z - cut * one
+                     for cut in _N_CUTS.ravel() for sign in (1.0, -1.0)], axis=1)
+    in_u = np.stack([
+        8.0 * (_even_product(a14, a14) + _even_product(a23, a23)) - one,
+        4.0 * _even_product(a14 + a23, a14 + a23) + _even_product(z, z) - one,
+        _even_product(a23, a23) - _even_product(d11, d44),
+        _even_product(d22, d33) - _even_product(a14, a14),
+    ], axis=1)
+    t_s, certain_s = _unit_candidates(in_s)
+    t_u, certain_u = _unit_candidates(in_u)
+    uncertain = ~(certain_s.all(axis=0) & certain_u.all(axis=0))
+    qs = np.concatenate([1.0 - t_s * t_s, 1.0 - t_u]).reshape(-1, n)
+    found = ~np.isnan(qs) & ~uncertain
+    cells = (qs[found] * (PRESCAN_POINTS - 1)).astype(np.intp)
+    read = np.zeros((n, PRESCAN_POINTS - 1), dtype=bool)
+    read[~uncertain, 0] = read[~uncertain, -1] = True
+    read[np.nonzero(found)[1][:, None], np.clip(cells[:, None] + _AROUND, 0, _LAST_CELL)] = True
+    states, points = np.nonzero(read)
+    rows = len(Measure)
+    at_zero = np.zeros((n, rows), dtype=bool)
+    cell = np.full((n, rows), _LAST_CELL)
+    if states.size:
+        alive = _alive(margins, states, _GRID[points])
+        same = states[1:] == states[:-1]
+        changes = (alive[:, 1:] != alive[:, :-1]) & same
+        unread = np.diff(points) > 1
+        uncertain[states[1:][unread & changes.any(axis=0)]] = True
+        starts = np.flatnonzero(points == 0)
+        at_zero[states[starts]] = alive[:, starts].T
+        row, pair = np.nonzero(changes & alive[:, :-1])
+        np.minimum.at(cell, (states[pair], row), points[pair])
+    redo = np.flatnonzero(uncertain)
+    if redo.size:
+        at_zero[redo], cell[redo] = _prescan(margins, redo)
+    return at_zero, cell, uncertain
+
+
+def _locate(margins, n: int, tol: float, brackets=None) -> np.ndarray:
     """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
-    ``states[k]`` at strength ``qs[k]``. A pre-scan brackets the first death
-    of every (state, condition) row, one block of states at a time; a death in
-    the last grid cell, or none on the grid, is bracketed up to the tail point
-    1 - tol (the float below 1 if tol is finer than the float spacing there)
-    and reads NaN (survives all noise) if the condition still holds there. All
+    ``states[k]`` at strength ``qs[k]``. ``brackets`` is (at_zero, cell) as
+    ``_prescan`` gives it, which is run if it is None: the first death of
+    every (state, condition) row lies in its grid cell. A death in the last
+    grid cell, or none on the grid, is bracketed up to the tail point 1 - tol
+    (the float below 1 if tol is finer than the float spacing there) and
+    reads NaN (survives all noise) if the condition still holds there. All
     brackets are then bisected in lockstep at the midpoints one level per call
     would compute, a row stopping at the first level where it is done. A call
     takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
@@ -218,21 +346,11 @@ def _locate(margins, n: int, tol: float) -> np.ndarray:
     level per call. A condition already dead at q = 0 reads 0.
     """
     rows = len(Measure)
-    grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    last = PRESCAN_POINTS - 2
+    at_zero, cell = _prescan(margins, np.arange(n)) if brackets is None else brackets
     tail_q = min(1.0 - tol, _BELOW_ONE)
-    at_zero = np.empty((n, rows), dtype=bool)
-    cell = np.empty((n, rows), dtype=np.intp)
-    for first in range(0, n, _BLOCK_STATES):
-        block = np.arange(first, min(first + _BLOCK_STATES, n))
-        alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(grid, block.size))
-        alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
-        deaths = alive[..., :-1] & ~alive[..., 1:]
-        at_zero[block] = alive[..., 0]
-        cell[block] = np.where(deaths.any(axis=-1), deaths.argmax(axis=-1), last)
-    lo = grid[cell].ravel()
-    hi = np.where(cell < last, grid[cell + 1], tail_q).ravel()
-    survives = at_zero & (cell == last)
+    lo = _GRID[cell].ravel()
+    hi = np.where(cell < _LAST_CELL, _GRID[cell + 1], tail_q).ravel()
+    survives = at_zero & (cell == _LAST_CELL)
     tail = np.flatnonzero(survives.any(axis=1))
     if tail.size:
         survives[tail] &= _alive(margins, tail, np.full(tail.size, tail_q)).T
@@ -310,11 +428,21 @@ def x_threshold_sets(
 
     ``entries`` comes from ``channels.x_entries`` of states whose entries off
     the diagonal and the anti-diagonal are zero. Their margins come in closed
-    form (``evolve_x``, ``x_singvals`` and the X form of det(rho^{T_B})); the
-    general Kraus pipeline of ``threshold_set`` stays the reference.
+    form (``evolve_x``, ``x_singvals`` and the X form of det(rho^{T_B})), and
+    their brackets from the roots of those margins (``_x_brackets``), with no
+    pre-scan unless a state's roots cannot be certified; the floats are those
+    of ``_locate`` with the pre-scan. The general Kraus pipeline of
+    ``threshold_set`` stays the reference.
     """
     tol = _check_tol(tol)
-    return _threshold_sets(_locate(_x_margins(entries, family), entries.shape[1], tol))
+    n = entries.shape[1]
+    # Bracketed _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
+    at_zero = np.empty((n, len(Measure)), dtype=bool)
+    cell = np.empty((n, len(Measure)), dtype=np.intp)
+    for k in range(0, n, _BLOCK_POINTS):
+        at_zero[k:k + _BLOCK_POINTS], cell[k:k + _BLOCK_POINTS], _ = _x_brackets(
+            entries[:, k:k + _BLOCK_POINTS], family)
+    return _threshold_sets(_locate(_x_margins(entries, family), n, tol, (at_zero, cell)))
 
 
 def hierarchy_check(ts: ThresholdSet) -> bool:

@@ -239,11 +239,12 @@ def test_threshold_set_calls(monkeypatch, family):
 
 
 # Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
-# tol 1e-6 with three bisection levels per call (8 of them are the pre-scan).
+# tol 1e-6 with three bisection levels per call: one call reads the points
+# around the roots, at most one is the tail check and the rest bisect.
 MEMS_CALLS = {
-    ("amplitude-damping", 0): 13, ("amplitude-damping", 7): 13,
-    ("depolarizing", 0): 12, ("depolarizing", 7): 12,
-    ("phase-damping", 0): 13, ("phase-damping", 7): 12,
+    ("amplitude-damping", 0): 6, ("amplitude-damping", 7): 6,
+    ("depolarizing", 0): 5, ("depolarizing", 7): 5,
+    ("phase-damping", 0): 6, ("phase-damping", 7): 5,
 }
 
 
@@ -259,7 +260,8 @@ def test_x_threshold_sets_calls(monkeypatch, family, seed):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
     # The tail check and every bisection bracket end at 1 - tol, or at the
-    # float below 1 where 1 - tol rounds to 1; only the pre-scan reads q = 1.
+    # float below 1 where 1 - tol rounds to 1; only the Kraus pre-scan reads
+    # q = 1. The X path brackets from roots and reads no point above the tail.
     tail_q = min(1.0 - tol, _BELOW_ONE)
     kraus = counted_calls(monkeypatch, "_kraus_margins", np.max)
     for p in (0.4, 0.9, 1.0):
@@ -269,6 +271,4 @@ def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
         assert max(kraus[1:], default=0.0) <= tail_q
     x = counted_calls(monkeypatch, "_x_margins", np.max)
     thresholds.x_threshold_sets(mems_entries(30, family), family, tol)
-    prescan = -(-30 // _BLOCK_STATES)
-    assert x[:prescan] == [1.0] * prescan
-    assert max(x[prescan:]) <= tail_q
+    assert max(x) <= tail_q
