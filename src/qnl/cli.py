@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -158,6 +159,10 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
     """Run the seeded hierarchy experiment and write its CSV."""
     if not 1 <= n <= MAX_GRID:
         _fail_usage(f"--n must lie in [1, {MAX_GRID}], got {n}")
+    # Checked before the experiment runs; the CSV is created only once it has records.
+    directory = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        _fail_usage(f"cannot write {out!r}: its directory is missing or not writable")
     cfg = sampling.SamplerConfig(n_states=n, seed=seed, channel=channel, tol=tol)
     records = sampling.hierarchy_experiment(cfg)
     try:

@@ -9,13 +9,13 @@ conditions are tracked:
   CONCURRENCE  det(rho^{T_B}) < 0    (entanglement; the sign of unclamped C)
 
 The critical strength of a condition is the smallest q in [0, 1] at which it
-first fails: the first sign change is bracketed in a cell of a 1001-point
-grid and then bisected. ``threshold_set`` brackets by a pre-scan of every grid
-point. ``x_threshold_sets`` reads only the grid points around the closed-form
-roots of its margins, which give the pre-scan's cells, and pre-scans the
-states whose roots cannot be certified. Conventions: a condition already dead
-at q = 0 reports 0; a condition still alive at q = 1 - tol reports None (it
-survives all noise). Neither bracket assumes that the curves are monotone.
+first fails: it is bisected between the first dead point of a 1001-point grid
+below q = 1 and the point before it. ``threshold_set`` finds that point by a
+pre-scan of the grid. ``x_threshold_sets`` reads only the grid points around
+the closed-form roots of its margins, and pre-scans the states whose roots
+cannot be certified. Conventions: a condition already dead at q = 0 reports
+0; a condition still alive at q = 1 - tol reports None (it survives all
+noise). Neither bracket assumes that the curves are monotone.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
@@ -57,16 +57,16 @@ from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 _GRID = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-_LAST_CELL = PRESCAN_POINTS - 2
+_NONE_DEAD = PRESCAN_POINTS - 1  # dead_at of a row alive at every grid point below q = 1
 # _x_brackets reads the grid points from one cell below to one cell above the
 # cell of each candidate strength, so a candidate a cell off still brackets.
 _AROUND = np.arange(-1, 3)
 MAX_TOL = 1e-3
 # The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-# The locator pre-scans this many states at a time and never asks a margins
-# provider for more than _BLOCK_POINTS points at once, so its memory does not
-# grow with the number of states.
+# The locator pre-scans this many states at a time, locates X-states _BLOCK_POINTS
+# at a time and never asks a margins provider for more than _BLOCK_POINTS points
+# at once, so its memory does not grow with the number of states.
 _BLOCK_STATES = 4
 _BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
 # Fewest bisection levels per margins call; _locate takes more while few
@@ -208,26 +208,22 @@ def _alive(margins, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
     )
 
 
-def _prescan(margins, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(at_zero, cell), each (len(states), 4), of the given states from the grid pre-scan.
+def _prescan(margins, states: np.ndarray) -> np.ndarray:
+    """dead_at (len(states), 4) of the given states from the grid pre-scan.
 
-    ``at_zero`` tells which conditions hold at q = 0, and ``cell`` is the
-    first grid cell in which a condition goes from alive to dead, or the last
-    cell if there is none (a death at q = 1 reads the same). States are read
+    ``dead_at`` is the first grid point below q = 1 at which a condition is
+    dead: 0 if it is dead at q = 0, _NONE_DEAD if it is alive at every grid
+    point below 1 (the reading at q = 1 changes no index). States are read
     _BLOCK_STATES at a time.
     """
-    rows = len(Measure)
-    at_zero = np.empty((states.size, rows), dtype=bool)
-    cell = np.empty((states.size, rows), dtype=np.intp)
+    dead_at = np.empty((states.size, len(Measure)), dtype=np.intp)
     for first in range(0, states.size, _BLOCK_STATES):
         block = states[first:first + _BLOCK_STATES]
-        alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(_GRID, block.size))
-        alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
-        deaths = alive[..., :-1] & ~alive[..., 1:]
-        at_zero[first:first + block.size] = alive[..., 0]
-        cell[first:first + block.size] = np.where(
-            deaths.any(axis=-1), deaths.argmax(axis=-1), _LAST_CELL)
-    return at_zero, cell
+        dead = ~_alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(_GRID, block.size))
+        dead = dead.reshape(-1, block.size, PRESCAN_POINTS).swapaxes(0, 1)
+        dead[..., -1] = True
+        dead_at[first:first + block.size] = dead.argmax(axis=-1)
+    return dead_at
 
 
 def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +258,8 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
 
 
-def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, ...]:
-    """(at_zero, cell, uncertain) of X-states, X entries (6, N), as ``_prescan`` gives them.
+def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """(dead_at, uncertain) of X-states, X entries (6, N), dead_at as ``_prescan`` gives it.
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in
     s = sqrt(1-q), with its coefficients taken from ``evolve_x`` at
@@ -274,11 +270,12 @@ def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, ...]:
     8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
     (B); and the two factors of det(rho^{T_B}) in u (C). Their real roots and
     vertices in [0, 1] are the candidate strengths. ``_x_margins`` is read at
-    q = 0, at the last grid point and at the grid points from one cell below
-    to one cell above each candidate's cell; between two of those points the
-    sign is taken as constant. A state is uncertain if its coefficients are
-    degenerate or not finite, or if two points that bound an unread run of
-    grid points disagree, and its brackets come from ``_prescan`` instead.
+    q = 0, at the last grid point below 1 and at the grid points from one cell
+    below to one cell above each candidate's cell; between two of those points
+    the sign is taken as constant, so a row's first dead point is the dead end
+    of its first alive-to-dead pair of read points. A state is uncertain if
+    its coefficients are degenerate or not finite, or if two points that bound
+    an unread run of grid points disagree, and is pre-scanned instead.
     """
     n = entries.shape[1]
     margins = _x_margins(entries, family)
@@ -303,39 +300,37 @@ def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, ...]:
     qs = np.concatenate([1.0 - t_s * t_s, 1.0 - t_u]).reshape(-1, n)
     found = ~np.isnan(qs) & ~uncertain
     cells = (qs[found] * (PRESCAN_POINTS - 1)).astype(np.intp)
-    read = np.zeros((n, PRESCAN_POINTS - 1), dtype=bool)
+    read = np.zeros((n, _NONE_DEAD), dtype=bool)
     read[~uncertain, 0] = read[~uncertain, -1] = True
-    read[np.nonzero(found)[1][:, None], np.clip(cells[:, None] + _AROUND, 0, _LAST_CELL)] = True
+    read[np.nonzero(found)[1][:, None], np.clip(cells[:, None] + _AROUND, 0, _NONE_DEAD - 1)] = True
     states, points = np.nonzero(read)
-    rows = len(Measure)
-    at_zero = np.zeros((n, rows), dtype=bool)
-    cell = np.full((n, rows), _LAST_CELL)
+    dead_at = np.full((n, len(Measure)), _NONE_DEAD)
     if states.size:
         alive = _alive(margins, states, _GRID[points])
         same = states[1:] == states[:-1]
         changes = (alive[:, 1:] != alive[:, :-1]) & same
         unread = np.diff(points) > 1
         uncertain[states[1:][unread & changes.any(axis=0)]] = True
-        starts = np.flatnonzero(points == 0)
-        at_zero[states[starts]] = alive[:, starts].T
         row, pair = np.nonzero(changes & alive[:, :-1])
-        np.minimum.at(cell, (states[pair], row), points[pair])
+        np.minimum.at(dead_at, (states[pair + 1], row), points[pair + 1])
+        starts = np.flatnonzero(points == 0)
+        dead_at[states[starts]] *= alive[:, starts].T
     redo = np.flatnonzero(uncertain)
     if redo.size:
-        at_zero[redo], cell[redo] = _prescan(margins, redo)
-    return at_zero, cell, uncertain
+        dead_at[redo] = _prescan(margins, redo)
+    return dead_at, uncertain
 
 
-def _locate(margins, n: int, tol: float, brackets=None) -> np.ndarray:
+def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
     """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
-    ``states[k]`` at strength ``qs[k]``. ``brackets`` is (at_zero, cell) as
-    ``_prescan`` gives it, which is run if it is None: the first death of
-    every (state, condition) row lies in its grid cell. A death in the last
-    grid cell, or none on the grid, is bracketed up to the tail point 1 - tol
-    (the float below 1 if tol is finer than the float spacing there) and
-    reads NaN (survives all noise) if the condition still holds there. All
+    ``states[k]`` at strength ``qs[k]``. ``dead_at`` (n, 4) is each (state,
+    condition) row's first dead grid point below q = 1, as ``_prescan`` gives
+    it: a row dead at q = 0 reads 0, and any other is bracketed by that point
+    and the one before it, the point _NONE_DEAD standing for the tail point
+    1 - tol (the float below 1 if tol is finer than the float spacing there).
+    A row still alive at the tail point reads NaN (survives all noise). All
     brackets are then bisected in lockstep at the midpoints one level per call
     would compute, a row stopping at the first level where it is done. A call
     takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
@@ -343,19 +338,18 @@ def _locate(margins, n: int, tol: float, brackets=None) -> np.ndarray:
     one pre-scan of points unless L is the minimum: one state's four rows take
     seven levels a call, 30 states' 120 rows three. A provider gives each
     point's margins independently of the call, so the floats are those of one
-    level per call. A condition already dead at q = 0 reads 0.
+    level per call.
     """
     rows = len(Measure)
-    at_zero, cell = _prescan(margins, np.arange(n)) if brackets is None else brackets
     tail_q = min(1.0 - tol, _BELOW_ONE)
-    lo = _GRID[cell].ravel()
-    hi = np.where(cell < _LAST_CELL, _GRID[cell + 1], tail_q).ravel()
-    survives = at_zero & (cell == _LAST_CELL)
+    ends = np.append(_GRID[:-1], tail_q)
+    lo, hi = ends[dead_at - 1].ravel(), ends[dead_at].ravel()
+    survives = dead_at == _NONE_DEAD
     tail = np.flatnonzero(survives.any(axis=1))
     if tail.size:
         survives[tail] &= _alive(margins, tail, np.full(tail.size, tail_q)).T
     found = 0.5 * (lo + hi)
-    active = np.flatnonzero(at_zero & ~survives)
+    active = np.flatnonzero((dead_at > 0) & ~survives)
     lo, hi = lo[active], hi[active]
     while active.size:
         levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
@@ -381,8 +375,8 @@ def _locate(margins, n: int, tol: float, brackets=None) -> np.ndarray:
         ended = done.any(axis=0)
         found[active[ended]] = mids[done.argmax(axis=0), col][ended]
         active, lo, hi = active[~ended], lo[-1, ~ended], hi[-1, ~ended]
-    found = found.reshape(n, rows)
-    return np.where(at_zero, np.where(survives, np.nan, found), 0.0)
+    found = found.reshape(dead_at.shape)
+    return np.where(dead_at > 0, np.where(survives, np.nan, found), 0.0)
 
 
 def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:
@@ -418,7 +412,8 @@ def threshold_set(
     the spectra where that determinant is rounding noise.
     """
     tol = _check_tol(tol)
-    return _threshold_sets(_locate(_kraus_margins(state.mat, family), 1, tol))[0]
+    margins = _kraus_margins(state.mat, family)
+    return _threshold_sets(_locate(margins, _prescan(margins, np.arange(1)), tol))[0]
 
 
 def x_threshold_sets(
@@ -435,14 +430,13 @@ def x_threshold_sets(
     ``threshold_set`` stays the reference.
     """
     tol = _check_tol(tol)
-    n = entries.shape[1]
-    # Bracketed _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
-    at_zero = np.empty((n, len(Measure)), dtype=bool)
-    cell = np.empty((n, len(Measure)), dtype=np.intp)
-    for k in range(0, n, _BLOCK_POINTS):
-        at_zero[k:k + _BLOCK_POINTS], cell[k:k + _BLOCK_POINTS], _ = _x_brackets(
-            entries[:, k:k + _BLOCK_POINTS], family)
-    return _threshold_sets(_locate(_x_margins(entries, family), n, tol, (at_zero, cell)))
+    found = np.empty((entries.shape[1], len(Measure)))
+    # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
+    for k in range(0, entries.shape[1], _BLOCK_POINTS):
+        block = entries[:, k:k + _BLOCK_POINTS]
+        dead_at, _ = _x_brackets(block, family)
+        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol)
+    return _threshold_sets(found)
 
 
 def hierarchy_check(ts: ThresholdSet) -> bool:

@@ -29,6 +29,7 @@ from qnl.thresholds import (
     _BLOCK_STATES,
     _kraus_margins,
     _locate,
+    _prescan,
     _x_margins,
 )
 
@@ -117,7 +118,8 @@ def check_same(margins, n: int, tol: float) -> np.ndarray:
     steps = np.zeros(n * len(Measure), dtype=np.intp)
     want = one_level_locate(margins, n, tol, steps)
     sizes = []
-    got = _locate(recording(margins, sizes), n, tol)
+    recorded = recording(margins, sizes)
+    got = _locate(recorded, _prescan(recorded, np.arange(n)), tol)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     bisection = []
     for open_rows, levels, _ in calls_of(steps):

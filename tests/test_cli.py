@@ -229,6 +229,17 @@ class TestSampleMemsCommand:
         assert isinstance(result.exception, SystemExit)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_unwritable_out_exits_2_before_the_experiment(self, runner, monkeypatch, tmp_path,
+                                                          parent):
+        monkeypatch.setattr(qnl.sampling, "hierarchy_experiment", fail_allocation)
+        (tmp_path / "a-file").write_text("")
+        out_path = tmp_path / parent / "x.csv"
+        result = runner.invoke(main, ["sample-mems", "--n", "100000", "--out", str(out_path)])
+        assert result.exit_code == 2
+        assert "cannot write" in result.output
+        assert not out_path.exists()
+
     def test_tol_below_float_spacing_returns(self, tmp_path):
         out_path = tmp_path / "x.csv"
         result = run_cli_process(
@@ -249,6 +260,19 @@ class TestSampleMemsCommand:
     def test_golden_csv(self, runner, tmp_path, channel, digest):
         out_path = tmp_path / "records.csv"
         run_ok(runner, ["sample-mems", "--n", "1000", "--seed", "7", "--channel", channel,
+                        "--out", str(out_path)])
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    # The same at --n 10000, which x_threshold_sets locates in three blocks of states.
+    @pytest.mark.parametrize(
+        "channel, digest",
+        [("amplitude-damping", "857e68ced5de550aff3daff049d62dd3cba4b4c70528d8f8dacd069febcd3d33"),
+         ("phase-damping", "e2b7d7ad46a76e225b13865afad415cf6c2ab8a2ebd4906db8d4abce8b8227f4"),
+         ("depolarizing", "568c8c3f04ea90a539a120c32e44a0211655b4af2e893c7e5d4eadb09efa0838")],
+    )
+    def test_golden_csv_of_three_blocks(self, runner, tmp_path, channel, digest):
+        out_path = tmp_path / "records.csv"
+        run_ok(runner, ["sample-mems", "--n", "10000", "--seed", "7", "--channel", channel,
                         "--out", str(out_path)])
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 

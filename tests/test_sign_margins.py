@@ -54,6 +54,7 @@ from qnl.thresholds import (
     _curves,
     _kraus_margins,
     _locate,
+    _prescan,
     _x_margins,
     threshold_set,
 )
@@ -189,7 +190,8 @@ def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> Threshold
         c, f, b = _curves(evolve_grid(mat, family, qs))
         return alive_margins(f, b, c)
 
-    return ThresholdSet(*(None if math.isnan(q) else q for q in _locate(margins, 1, tol)[0]))
+    found = _locate(margins, _prescan(margins, np.arange(1)), tol)[0]
+    return ThresholdSet(*(None if math.isnan(q) else q for q in found))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -1,7 +1,7 @@
 """Root brackets of the X path against the grid pre-scan.
 
-``thresholds._x_brackets`` gives each X-state's (at_zero, cell), the pre-scan
-cell of every condition's first death, from the closed-form roots of its
+``thresholds._x_brackets`` gives each X-state's dead_at, the first dead grid
+point of every condition below q = 1, from the closed-form roots of its
 margins: it reads the real margins only at q = 0, at the last grid point and
 around each candidate strength. On every row it must give what the 1001-point
 pre-scan ``_prescan`` gives, on MEMS (seeded, rank three, p1 = p3), the
@@ -24,6 +24,7 @@ from qnl.measures import GISIN_BOUND
 from qnl.sampling import SamplerConfig, _accepted_weights, _mems_entries
 from qnl.states import bell_singlet, validate, werner
 from qnl.thresholds import (
+    _BLOCK_POINTS,
     _locate,
     _prescan,
     _threshold_sets,
@@ -40,10 +41,9 @@ phase = st.floats(0.0, 2.0 * math.pi)
 
 def check(entries: np.ndarray, family: str) -> np.ndarray:
     """_x_brackets against _prescan on every row; returns which states were uncertain."""
-    at_zero, cell, uncertain = _x_brackets(entries, family)
-    want_zero, want_cell = _prescan(_x_margins(entries, family), np.arange(entries.shape[1]))
-    np.testing.assert_array_equal(at_zero, want_zero, err_msg=family)
-    np.testing.assert_array_equal(cell, want_cell, err_msg=family)
+    dead_at, uncertain = _x_brackets(entries, family)
+    want = _prescan(_x_margins(entries, family), np.arange(entries.shape[1]))
+    np.testing.assert_array_equal(dead_at, want, err_msg=family)
     return uncertain
 
 
@@ -139,7 +139,8 @@ def mixed_entries(family: str) -> np.ndarray:
 
 
 def prescan_sets(entries: np.ndarray, family: str, tol: float):
-    return _threshold_sets(_locate(_x_margins(entries, family), entries.shape[1], tol))
+    margins = _x_margins(entries, family)
+    return _threshold_sets(_locate(margins, _prescan(margins, np.arange(entries.shape[1])), tol))
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -147,6 +148,26 @@ def prescan_sets(entries: np.ndarray, family: str, tol: float):
 def test_floats_are_the_prescans(family, tol):
     entries = mixed_entries(family)
     assert x_threshold_sets(entries, family, tol) == prescan_sets(entries, family, tol)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_located_block_by_block(monkeypatch, family):
+    # _BLOCK_POINTS + 30 MEMS: no margins provider covers more than _BLOCK_POINTS
+    # states, and the floats are those of the same states located one block at a time.
+    cfg = SamplerConfig(n_states=_BLOCK_POINTS + 30, seed=4, channel=family)
+    entries = _mems_entries(_accepted_weights(cfg))
+    want = [ts for k in range(0, entries.shape[1], _BLOCK_POINTS)
+            for ts in x_threshold_sets(entries[:, k:k + _BLOCK_POINTS], family, 1e-9)]
+    covered = []
+    make = thresholds._x_margins
+
+    def recording(entries: np.ndarray, family: str):
+        covered.append(entries.shape[1])
+        return make(entries, family)
+
+    monkeypatch.setattr(thresholds, "_x_margins", recording)
+    assert x_threshold_sets(entries, family, 1e-9) == want
+    assert covered and max(covered) <= _BLOCK_POINTS
 
 
 def no_candidates(certain: bool):
@@ -164,11 +185,11 @@ def test_forced_fallback(monkeypatch, family, tol):
     want = prescan_sets(entries, family, tol)
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
-    assert _x_brackets(entries, family)[2].all()
+    assert _x_brackets(entries, family)[1].all()
     assert x_threshold_sets(entries, family, tol) == want
     # No candidates: a state is uncertain where q = 0 and the last grid point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
-    uncertain = _x_brackets(entries, family)[2]
+    uncertain = _x_brackets(entries, family)[1]
     assert 0 < uncertain.sum() < uncertain.size
     assert x_threshold_sets(entries, family, tol) == want
