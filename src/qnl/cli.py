@@ -50,7 +50,13 @@ def parse_state_spec(text: str) -> states.DensityMatrix:
                 _fail_usage("werner spec must look like 'werner:p=0.8'")
             return states.werner(float(value))
         if kind == "mems":
-            parts = dict(item.split("=", 1) for item in rest.split(","))
+            parts = {}
+            for key, sep, value in (item.partition("=") for item in rest.split(",")):
+                if not sep:
+                    _fail_usage(f"mems spec item {key!r} is not 'key=value'")
+                if key in parts:
+                    _fail_usage(f"mems spec names {key!r} twice")
+                parts[key] = value
             if sorted(parts) != ["p1", "p2", "p3", "p4"]:
                 _fail_usage("mems spec must name p1..p4, e.g. 'mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05'")
             w = states.MemsWeights(*(float(parts[k]) for k in ("p1", "p2", "p3", "p4")))

@@ -9,13 +9,14 @@ conditions are tracked:
   CONCURRENCE  det(rho^{T_B}) < 0    (entanglement; the sign of unclamped C)
 
 The critical strength of a condition is the smallest q in [0, 1] at which it
-first fails: it is bisected between the first dead point of a 1001-point grid
-below q = 1 and the point before it. ``threshold_set`` finds that point by a
-pre-scan of the grid. ``x_threshold_sets`` reads only the grid points around
-the closed-form roots of its margins, and pre-scans the states whose roots
-cannot be certified. Conventions: a condition already dead at q = 0 reports
-0; a condition still alive at q = 1 - tol reports None (it survives all
-noise). Neither bracket assumes that the curves are monotone.
+first fails: it is bisected between its first dead bracket point and the point
+before it. The bracket points (``_ends``) are the 1001-point grid below q = 1
+and the tail point 1 - tol. ``threshold_set`` finds the first dead one by a
+pre-scan of them all. ``x_threshold_sets`` reads only q = 0, the tail point and
+the grid points around the closed-form roots of its margins, and pre-scans the
+states whose roots cannot be certified. Conventions: a condition already dead
+at q = 0 reports 0; a condition still alive at the tail point reports None (it
+survives all noise). Neither bracket assumes that the curves are monotone.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
@@ -57,18 +58,17 @@ from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 _GRID = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-_NONE_DEAD = PRESCAN_POINTS - 1  # dead_at of a row alive at every grid point below q = 1
+_SURVIVES = PRESCAN_POINTS  # dead_at of a row alive at every bracket point
 # _x_brackets reads the grid points from one cell below to one cell above the
 # cell of each candidate strength, so a candidate a cell off still brackets.
 _AROUND = np.arange(-1, 3)
 MAX_TOL = 1e-3
 # The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-# The locator pre-scans this many states at a time, locates X-states _BLOCK_POINTS
-# at a time and never asks a margins provider for more than _BLOCK_POINTS points
-# at once, so its memory does not grow with the number of states.
-_BLOCK_STATES = 4
-_BLOCK_POINTS = _BLOCK_STATES * PRESCAN_POINTS
+# The locator locates X-states _BLOCK_POINTS at a time and never asks a margins
+# provider for more than _BLOCK_POINTS points at once, so its memory does not
+# grow with the number of states.
+_BLOCK_POINTS = 4 * PRESCAN_POINTS
 # Fewest bisection levels per margins call; _locate takes more while few
 # brackets are open.
 _MIN_LEVELS = 3
@@ -208,22 +208,23 @@ def _alive(margins, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
     )
 
 
-def _prescan(margins, states: np.ndarray) -> np.ndarray:
-    """dead_at (len(states), 4) of the given states from the grid pre-scan.
+def _ends(tol: float) -> np.ndarray:
+    """The PRESCAN_POINTS bracket points: the grid below q = 1, then the tail point."""
+    return np.append(_GRID[:-1], min(1.0 - tol, _BELOW_ONE))
 
-    ``dead_at`` is the first grid point below q = 1 at which a condition is
-    dead: 0 if it is dead at q = 0, _NONE_DEAD if it is alive at every grid
-    point below 1 (the reading at q = 1 changes no index). States are read
-    _BLOCK_STATES at a time.
+
+def _prescan(margins, state: int, tol: float) -> np.ndarray:
+    """dead_at (4,) of one state, from one margins call at every bracket point.
+
+    ``dead_at`` indexes ``_ends(tol)``: the first bracket point at which a
+    condition is dead, 0 if at q = 0, _SURVIVES if at none. The call reads
+    q = 1 last, which changes no index (the benchmark's span self-test reaches
+    the spectra fallback there).
     """
-    dead_at = np.empty((states.size, len(Measure)), dtype=np.intp)
-    for first in range(0, states.size, _BLOCK_STATES):
-        block = states[first:first + _BLOCK_STATES]
-        dead = ~_alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(_GRID, block.size))
-        dead = dead.reshape(-1, block.size, PRESCAN_POINTS).swapaxes(0, 1)
-        dead[..., -1] = True
-        dead_at[first:first + block.size] = dead.argmax(axis=-1)
-    return dead_at
+    qs = np.append(_ends(tol), 1.0)
+    dead = ~(margins(np.full(qs.size, state), qs) > 0.0)
+    dead[:, -1] = True
+    return dead.argmax(axis=1)
 
 
 def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +259,7 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
 
 
-def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(dead_at, uncertain) of X-states, X entries (6, N), dead_at as ``_prescan`` gives it.
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in
@@ -270,12 +271,12 @@ def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarra
     8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
     (B); and the two factors of det(rho^{T_B}) in u (C). Their real roots and
     vertices in [0, 1] are the candidate strengths. ``_x_margins`` is read at
-    q = 0, at the last grid point below 1 and at the grid points from one cell
-    below to one cell above each candidate's cell; between two of those points
-    the sign is taken as constant, so a row's first dead point is the dead end
-    of its first alive-to-dead pair of read points. A state is uncertain if
-    its coefficients are degenerate or not finite, or if two points that bound
-    an unread run of grid points disagree, and is pre-scanned instead.
+    the bracket points q = 0, the tail point and those from one cell below to
+    one cell above each candidate's cell; between two of those points the
+    sign is taken as constant, so a row's first dead point is the dead end of
+    its first alive-to-dead pair of read points. A state is uncertain if its
+    coefficients are degenerate or not finite, or if two points that bound an
+    unread run of bracket points disagree, and is pre-scanned instead.
     """
     n = entries.shape[1]
     margins = _x_margins(entries, family)
@@ -300,13 +301,14 @@ def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarra
     qs = np.concatenate([1.0 - t_s * t_s, 1.0 - t_u]).reshape(-1, n)
     found = ~np.isnan(qs) & ~uncertain
     cells = (qs[found] * (PRESCAN_POINTS - 1)).astype(np.intp)
-    read = np.zeros((n, _NONE_DEAD), dtype=bool)
+    read = np.zeros((n, PRESCAN_POINTS), dtype=bool)
     read[~uncertain, 0] = read[~uncertain, -1] = True
-    read[np.nonzero(found)[1][:, None], np.clip(cells[:, None] + _AROUND, 0, _NONE_DEAD - 1)] = True
+    read[np.nonzero(found)[1][:, None],
+         np.clip(cells[:, None] + _AROUND, 0, PRESCAN_POINTS - 1)] = True
     states, points = np.nonzero(read)
-    dead_at = np.full((n, len(Measure)), _NONE_DEAD)
+    dead_at = np.full((n, len(Measure)), _SURVIVES)
     if states.size:
-        alive = _alive(margins, states, _GRID[points])
+        alive = _alive(margins, states, _ends(tol)[points])
         same = states[1:] == states[:-1]
         changes = (alive[:, 1:] != alive[:, :-1]) & same
         unread = np.diff(points) > 1
@@ -315,9 +317,8 @@ def _x_brackets(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarra
         np.minimum.at(dead_at, (states[pair + 1], row), points[pair + 1])
         starts = np.flatnonzero(points == 0)
         dead_at[states[starts]] *= alive[:, starts].T
-    redo = np.flatnonzero(uncertain)
-    if redo.size:
-        dead_at[redo] = _prescan(margins, redo)
+    for state in np.flatnonzero(uncertain):
+        dead_at[state] = _prescan(margins, state, tol)
     return dead_at, uncertain
 
 
@@ -326,12 +327,11 @@ def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
     ``states[k]`` at strength ``qs[k]``. ``dead_at`` (n, 4) is each (state,
-    condition) row's first dead grid point below q = 1, as ``_prescan`` gives
-    it: a row dead at q = 0 reads 0, and any other is bracketed by that point
-    and the one before it, the point _NONE_DEAD standing for the tail point
-    1 - tol (the float below 1 if tol is finer than the float spacing there).
-    A row still alive at the tail point reads NaN (survives all noise). All
-    brackets are then bisected in lockstep at the midpoints one level per call
+    condition) row's first dead bracket point, as ``_prescan`` gives it: a row
+    dead at q = 0 reads 0, a row alive at every bracket point (_SURVIVES)
+    reads NaN (survives all noise), and any other is bracketed by its point of
+    ``_ends(tol)`` and the one before it. Only bracket midpoints are read:
+    all brackets are bisected in lockstep at the midpoints one level per call
     would compute, a row stopping at the first level where it is done. A call
     takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
     of the open brackets, (2^L - 1) midpoints each, so it holds at most about
@@ -341,16 +341,10 @@ def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
     level per call.
     """
     rows = len(Measure)
-    tail_q = min(1.0 - tol, _BELOW_ONE)
-    ends = np.append(_GRID[:-1], tail_q)
-    lo, hi = ends[dead_at - 1].ravel(), ends[dead_at].ravel()
-    survives = dead_at == _NONE_DEAD
-    tail = np.flatnonzero(survives.any(axis=1))
-    if tail.size:
-        survives[tail] &= _alive(margins, tail, np.full(tail.size, tail_q)).T
-    found = 0.5 * (lo + hi)
-    active = np.flatnonzero((dead_at > 0) & ~survives)
-    lo, hi = lo[active], hi[active]
+    ends = _ends(tol)
+    found = np.where(dead_at > 0, np.nan, 0.0).ravel()
+    active = np.flatnonzero((dead_at > 0) & (dead_at < _SURVIVES))
+    lo, hi = ends[dead_at.ravel()[active] - 1], ends[dead_at.ravel()[active]]
     while active.size:
         levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
         # The midpoints cut a bracket into steps[0] steps; it is steps[l + 1] wide after level l.
@@ -375,8 +369,7 @@ def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
         ended = done.any(axis=0)
         found[active[ended]] = mids[done.argmax(axis=0), col][ended]
         active, lo, hi = active[~ended], lo[-1, ~ended], hi[-1, ~ended]
-    found = found.reshape(dead_at.shape)
-    return np.where(dead_at > 0, np.where(survives, np.nan, found), 0.0)
+    return found.reshape(dead_at.shape)
 
 
 def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:
@@ -413,7 +406,7 @@ def threshold_set(
     """
     tol = _check_tol(tol)
     margins = _kraus_margins(state.mat, family)
-    return _threshold_sets(_locate(margins, _prescan(margins, np.arange(1)), tol))[0]
+    return _threshold_sets(_locate(margins, _prescan(margins, 0, tol)[None], tol))[0]
 
 
 def x_threshold_sets(
@@ -434,7 +427,7 @@ def x_threshold_sets(
     # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
     for k in range(0, entries.shape[1], _BLOCK_POINTS):
         block = entries[:, k:k + _BLOCK_POINTS]
-        dead_at, _ = _x_brackets(block, family)
+        dead_at, _ = _x_brackets(block, family, tol)
         found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol)
     return _threshold_sets(found)
 

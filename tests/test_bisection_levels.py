@@ -26,7 +26,7 @@ from qnl.thresholds import (
     _alive,
     _BELOW_ONE,
     _BLOCK_POINTS,
-    _BLOCK_STATES,
+    _SURVIVES,
     _kraus_margins,
     _locate,
     _prescan,
@@ -66,8 +66,8 @@ def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = Non
     last = PRESCAN_POINTS - 2
     at_zero = np.empty((n, rows), dtype=bool)
     cell = np.empty((n, rows), dtype=np.intp)
-    for first in range(0, n, _BLOCK_STATES):
-        block = np.arange(first, min(first + _BLOCK_STATES, n))
+    for first in range(0, n, 4):
+        block = np.arange(first, min(first + 4, n))
         alive = _alive(margins, np.repeat(block, PRESCAN_POINTS), np.tile(grid, block.size))
         alive = alive.reshape(rows, block.size, PRESCAN_POINTS).swapaxes(0, 1)
         deaths = alive[..., :-1] & ~alive[..., 1:]
@@ -119,7 +119,8 @@ def check_same(margins, n: int, tol: float) -> np.ndarray:
     want = one_level_locate(margins, n, tol, steps)
     sizes = []
     recorded = recording(margins, sizes)
-    got = _locate(recorded, _prescan(recorded, np.arange(n)), tol)
+    dead_at = np.stack([_prescan(recorded, state, tol) for state in range(n)])
+    got = _locate(recorded, dead_at, tol)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     bisection = []
     for open_rows, levels, _ in calls_of(steps):
@@ -225,45 +226,63 @@ def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_threshold_set_calls(monkeypatch, family):
-    # One pre-scan, at most one tail check at 1 - tol, and at most three
+    # One pre-scan of every bracket point and q = 1, then at most three
     # bisection calls: 20 levels narrow a pre-scan cell to 1e-9, and one
-    # state's four rows take at least seven levels a call.
+    # state's four rows take at least seven levels a call. No 1-point call.
     rng = np.random.default_rng(12)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]
-    sizes = counted_calls(monkeypatch, "_kraus_margins")
+    calls = counted_calls(monkeypatch, "_kraus_margins", np.copy)
     for mat in mats:
-        sizes.clear()
+        calls.clear()
         thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
-        assert sizes[0] == PRESCAN_POINTS
-        bisection = [size for size in sizes[1:] if size >= 7]
-        assert len(sizes) - 1 - len(bisection) <= 1  # the tail check, 1 point
-        assert len(bisection) <= 3
+        assert calls[0].size == PRESCAN_POINTS + 1
+        assert calls[0][-2:].tolist() == [min(1.0 - 1e-9, _BELOW_ONE), 1.0]
+        assert all(qs.size >= 7 for qs in calls[1:])
+        assert len(calls) - 1 <= 3
 
 
 # Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
 # tol 1e-6 with three bisection levels per call: one call reads the points
-# around the roots, at most one is the tail check and the rest bisect.
-MEMS_CALLS = {
-    ("amplitude-damping", 0): 6, ("amplitude-damping", 7): 6,
-    ("depolarizing", 0): 5, ("depolarizing", 7): 5,
-    ("phase-damping", 0): 6, ("phase-damping", 7): 5,
-}
+# around the roots and the rest bisect.
+MEMS_CALLS = 5
 
 
-@pytest.mark.parametrize("family, seed", sorted(MEMS_CALLS))
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_x_threshold_sets_calls(monkeypatch, family, seed):
     entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
     sizes = counted_calls(monkeypatch, "_x_margins")
     thresholds.x_threshold_sets(entries, family, 1e-6)
-    assert len(sizes) <= MEMS_CALLS[family, seed]
+    assert len(sizes) <= MEMS_CALLS
+
+
+@pytest.mark.parametrize("tol", TOLS[1:] + (1e-17,))
+def test_locate_bisects_only(tol):
+    # Rows dead at q = 0 or alive at every bracket point take no margins call;
+    # a row dead first at the tail point is bisected strictly inside
+    # (0.999, tail point). At tol 1e-3 the tail point is 0.999 itself.
+    tail_q = min(1.0 - tol, _BELOW_ONE)
+    calls = []
+
+    def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        calls.append(qs.copy())
+        return np.broadcast_to(0.9995 - qs, (len(Measure), qs.size))
+
+    ends = np.array([[0, _SURVIVES, _SURVIVES, 0], [_SURVIVES, 0, 0, _SURVIVES]])
+    got = _locate(margins, ends, tol)
+    np.testing.assert_array_equal(got, [[0.0, np.nan, np.nan, 0.0], [np.nan, 0.0, 0.0, np.nan]])
+    assert calls == []
+    found = _locate(margins, np.full((1, len(Measure)), PRESCAN_POINTS - 1), tol)
+    assert calls and all(((qs > 0.999) & (qs < tail_q)).all() for qs in calls)
+    np.testing.assert_allclose(found, 0.9995, atol=tol)
 
 
 @pytest.mark.parametrize("tol", TOLS + (1e-17,))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
-    # The tail check and every bisection bracket end at 1 - tol, or at the
-    # float below 1 where 1 - tol rounds to 1; only the Kraus pre-scan reads
-    # q = 1. The X path brackets from roots and reads no point above the tail.
+    # Every bracket ends at the tail point 1 - tol, or at the float below 1
+    # where 1 - tol rounds to 1; only the Kraus pre-scan reads q = 1, after
+    # the tail point. The X path reads no point above the tail point.
     tail_q = min(1.0 - tol, _BELOW_ONE)
     kraus = counted_calls(monkeypatch, "_kraus_margins", np.max)
     for p in (0.4, 0.9, 1.0):

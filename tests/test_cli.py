@@ -74,6 +74,17 @@ class TestMeasuresCommand:
         result = runner.invoke(main, ["measures", "--state", spec])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("mems:p1=0.9,p1=0.6,p2=0.2,p3=0.15,p4=0.05", "mems spec names 'p1' twice"),
+         ("mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05,", "mems spec item '' is not 'key=value'"),
+         ("mems:p1=0.6,p2,p3=0.15,p4=0.05", "mems spec item 'p2' is not 'key=value'")],
+    )
+    def test_malformed_mems_items_exit_2(self, runner, spec, message):
+        result = runner.invoke(main, ["measures", "--state", spec])
+        assert result.exit_code == 2
+        assert message in result.output
+
 
 class TestScanCommand:
     def test_header_and_first_row(self, runner):

@@ -190,7 +190,7 @@ def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> Threshold
         c, f, b = _curves(evolve_grid(mat, family, qs))
         return alive_margins(f, b, c)
 
-    found = _locate(margins, _prescan(margins, np.arange(1)), tol)[0]
+    found = _locate(margins, _prescan(margins, 0, tol)[None], tol)[0]
     return ThresholdSet(*(None if math.isnan(q) else q for q in found))
 
 

@@ -1,10 +1,10 @@
 """Root brackets of the X path against the grid pre-scan.
 
-``thresholds._x_brackets`` gives each X-state's dead_at, the first dead grid
-point of every condition below q = 1, from the closed-form roots of its
-margins: it reads the real margins only at q = 0, at the last grid point and
-around each candidate strength. On every row it must give what the 1001-point
-pre-scan ``_prescan`` gives, on MEMS (seeded, rank three, p1 = p3), the
+``thresholds._x_brackets`` gives each X-state's dead_at, the first dead
+bracket point of every condition (the grid below q = 1, then the tail point
+1 - tol), from the closed-form roots of its margins: it reads the real margins
+only at q = 0, at the tail point and around each candidate strength. On every
+row it must give what the pre-scan of every bracket point ``_prescan`` gives, on MEMS (seeded, rank three, p1 = p3), the
 singlet, Werner states on and off their thresholds and X-states with complex
 coherences, including coefficients that underflow. A state whose candidates
 cannot be certified is read from the pre-scan instead; ``x_threshold_sets``
@@ -39,11 +39,16 @@ TOLS = (1e-3, 1e-6, 1e-9, 1e-17)
 phase = st.floats(0.0, 2.0 * math.pi)
 
 
-def check(entries: np.ndarray, family: str) -> np.ndarray:
+def prescan(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
+    """dead_at of every state from the pre-scan."""
+    margins = _x_margins(entries, family)
+    return np.stack([_prescan(margins, state, tol) for state in range(entries.shape[1])])
+
+
+def check(entries: np.ndarray, family: str, tol: float = 1e-9) -> np.ndarray:
     """_x_brackets against _prescan on every row; returns which states were uncertain."""
-    dead_at, uncertain = _x_brackets(entries, family)
-    want = _prescan(_x_margins(entries, family), np.arange(entries.shape[1]))
-    np.testing.assert_array_equal(dead_at, want, err_msg=family)
+    dead_at, uncertain = _x_brackets(entries, family, tol)
+    np.testing.assert_array_equal(dead_at, prescan(entries, family, tol), err_msg=family)
     return uncertain
 
 
@@ -107,7 +112,8 @@ def test_singlet_and_werner(family):
     ps = [1.0 / 3.0, 1.0 / math.sqrt(2.0), 2.0 * GISIN_BOUND - 1.0, 1.0, 0.0]
     entries = np.concatenate([x_entries(bell_singlet().mat[None]),
                               werner_entries(ps + list(np.linspace(0.0, 1.0, 201)))], axis=1)
-    assert not check(entries, family).any()
+    for tol in TOLS:
+        assert not check(entries, family, tol).any()
 
 
 def x_state(raw, r14, r23, f14, f23) -> np.ndarray:
@@ -139,8 +145,7 @@ def mixed_entries(family: str) -> np.ndarray:
 
 
 def prescan_sets(entries: np.ndarray, family: str, tol: float):
-    margins = _x_margins(entries, family)
-    return _threshold_sets(_locate(margins, _prescan(margins, np.arange(entries.shape[1])), tol))
+    return _threshold_sets(_locate(_x_margins(entries, family), prescan(entries, family, tol), tol))
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -185,11 +190,11 @@ def test_forced_fallback(monkeypatch, family, tol):
     want = prescan_sets(entries, family, tol)
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
-    assert _x_brackets(entries, family)[1].all()
+    assert _x_brackets(entries, family, tol)[1].all()
     assert x_threshold_sets(entries, family, tol) == want
-    # No candidates: a state is uncertain where q = 0 and the last grid point
+    # No candidates: a state is uncertain where q = 0 and the tail point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
-    uncertain = _x_brackets(entries, family)[1]
+    uncertain = _x_brackets(entries, family, tol)[1]
     assert 0 < uncertain.sum() < uncertain.size
     assert x_threshold_sets(entries, family, tol) == want
