@@ -18,6 +18,16 @@ states whose roots cannot be certified. Conventions: a condition already dead
 at q = 0 reports 0; a condition still alive at the tail point reports None (it
 survives all noise). Neither bracket assumes that the curves are monotone.
 
+Bisection guesses, verifies and resumes (``_locate``). Each bracket comes with
+a guess of where its row changes sign: from a cubic through the pre-scan's
+margins around it (``_cubic_root``), or from the closed-form roots on the X
+path. Every row's bisection is walked toward its guess, and all predicted
+midpoints of all rows are read in one margins call. A row whose readings all
+match is located; a row whose first mismatch is at level l resumes from its
+bracket after level l, which is exact, with the lockstep bisection. Every
+point read is one the one-level bisection could read, so the guess decides
+only how many points are read, never the floats.
+
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
 once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
@@ -25,9 +35,7 @@ per-state interpolant of det(rho^{T_B}) in sqrt(1-q) and from
 ``correlation_sign_margins`` (no SVD); ``x_threshold_sets`` reads many
 X-states at once from their evolved X entries in closed form. ``scan`` takes
 the Wootters roots because it prints C; ``threshold_set`` takes them only
-where the determinant is rounding noise (``_kraus_margins``). Bisection takes
-as many levels per margins call as about one pre-scan of points allows, and
-at least three (``_locate``).
+where the determinant is rounding noise (``_kraus_margins``).
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ _GRID = np.linspace(0.0, 1.0, PRESCAN_POINTS)
 _SURVIVES = PRESCAN_POINTS  # dead_at of a row alive at every bracket point
 # _x_brackets reads the grid points from one cell below to one cell above the
 # cell of each candidate strength, so a candidate a cell off still brackets.
-_AROUND = np.arange(-1, 3)
+_AROUND = np.arange(-1, 3, dtype=np.int16)
+_UNREAD = np.iinfo(np.int16).max
 MAX_TOL = 1e-3
 # The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -69,6 +78,19 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # provider for more than _BLOCK_POINTS points at once, so its memory does not
 # grow with the number of states.
 _BLOCK_POINTS = 4 * PRESCAN_POINTS
+# Rows up to which _walk loops in Python, below where the two cost the same
+# (about 30 rows on a 2-core x86-64 VM: a row's 21 levels take about 5 us in
+# Python, one level of numpy calls about 7 us).
+_LOOP_ROWS = 16
+# Most levels of one guessed walk (_replay): tol 1e-17 takes 48 from a grid
+# cell; rows still open after it go on in lockstep.
+_MAX_WALK = 64
+# _cubic_root's two sets of nodes, offsets from dead_at (node, set, row): the
+# bracket and a point on either side, and the four points up to its alive end.
+_CUBIC_NODES = np.array([[-1, -1], [0, -2], [1, -3], [-2, -4]])[..., None]
+_NEWTON_STEPS = 2
+# Cubic roots that differ by more than this mean a margin that jumps (_cubic_root).
+_JUMP = 1e-6
 # Fewest bisection levels per margins call; _locate takes more while few
 # brackets are open.
 _MIN_LEVELS = 3
@@ -213,18 +235,54 @@ def _ends(tol: float) -> np.ndarray:
     return np.append(_GRID[:-1], min(1.0 - tol, _BELOW_ONE))
 
 
-def _prescan(margins, state: int, tol: float) -> np.ndarray:
-    """dead_at (4,) of one state, from one margins call at every bracket point.
+def _prescan(margins, state: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dead_at, guess), each (4,), of one state from one margins call at every bracket point.
 
     ``dead_at`` indexes ``_ends(tol)``: the first bracket point at which a
     condition is dead, 0 if at q = 0, _SURVIVES if at none. The call reads
     q = 1 last, which changes no index (the benchmark's span self-test reaches
-    the spectra fallback there).
+    the spectra fallback there). ``guess`` is each row's predicted sign change
+    in its bracket, for ``_locate`` (``_cubic_root``).
     """
     qs = np.append(_ends(tol), 1.0)
-    dead = ~(margins(np.full(qs.size, state), qs) > 0.0)
+    values = margins(np.full(qs.size, state), qs)
+    dead = ~(values > 0.0)
     dead[:, -1] = True
-    return dead.argmax(axis=1)
+    dead_at = dead.argmax(axis=1)
+    return dead_at, _cubic_root(qs, values, dead_at)
+
+
+def _cubic_root(qs: np.ndarray, values: np.ndarray, dead_at: np.ndarray) -> np.ndarray:
+    """Sign change (4,) of each row of ``values`` (4, qs.size) in its bracket, a guess.
+
+    Two cubics in s = sqrt(1-q) through a row's values at four points of
+    ``qs``, each in Newton's divided-difference form, and _NEWTON_STEPS
+    Newton steps from the secant point of its first two nodes: one through
+    the bracket qs[dead_at - 1] to qs[dead_at] and a point on either side (q =
+    1 for the first cell), and one through the four points up to the bracket's
+    alive end. The first is the more accurate where the margin is smooth. A
+    margin may jump where it dies, as B's does when the pivot that crosses
+    zero is not the last one, but it reaches zero from the alive side: where
+    the two roots differ by more than _JUMP, the second is taken. Any float
+    comes out, NaN and inf included, where the margins are not smooth or the
+    row has no bracket.
+    """
+    at = (dead_at + _CUBIC_NODES) % qs.size
+    nodes = np.sqrt(1.0 - qs[at])
+    coef = values[np.arange(values.shape[0]), at]
+    with np.errstate(all="ignore"):
+        for k in range(1, 4):
+            coef[k:] = (coef[k:] - coef[k - 1:-1]) / (nodes[k:] - nodes[:-k])
+        root = nodes[0] - coef[0] / coef[1]
+        for _ in range(_NEWTON_STEPS):
+            d = root - nodes
+            p = coef[3] * d[2] + coef[2]
+            dp = coef[3] * d[1] + p
+            p = p * d[1] + coef[1]
+            dp = dp * d[0] + p
+            root = root - (p * d[0] + coef[0]) / dp
+        q = 1.0 - root * root
+        return np.where(np.abs(q[0] - q[1]) <= _JUMP, q[0], q[1])
 
 
 def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,27 +317,22 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
 
 
-def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dead_at, uncertain) of X-states, X entries (6, N), dead_at as ``_prescan`` gives it.
+def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, uncertain) of X-states, X entries (6, N): candidate strengths (2, 3, 4, N).
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in
     s = sqrt(1-q), with its coefficients taken from ``evolve_x`` at
     _AFFINE_QS. A condition can change sign only where one of these
     quadratics does (max(x, y) > 0 changes sign only where x or y does):
     N - c as 4 max(|rho14|, |rho23|) +- z - c in s, with
-    z = rho11 - rho22 - rho33 + rho44 (F and G); s1^2 + s2^2 - 1 as
+    z = rho11 - rho22 - rho33 + rho44 (G, then F); s1^2 + s2^2 - 1 as
     8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
-    (B); and the two factors of det(rho^{T_B}) in u (C). Their real roots and
-    vertices in [0, 1] are the candidate strengths. ``_x_margins`` is read at
-    the bracket points q = 0, the tail point and those from one cell below to
-    one cell above each candidate's cell; between two of those points the
-    sign is taken as constant, so a row's first dead point is the dead end of
-    its first alive-to-dead pair of read points. A state is uncertain if its
-    coefficients are degenerate or not finite, or if two points that bound an
-    unread run of bracket points disagree, and is pre-scanned instead.
+    (B); and the two factors of det(rho^{T_B}) in u (C). ``qs[kind, k, j]``
+    is the strength of root k (k = 2: the vertex) of quadratic j in s
+    (kind 0) or in u (kind 1), NaN where it is not real or not in [0, 1]. A
+    state is uncertain if its coefficients are degenerate or not finite.
     """
     n = entries.shape[1]
-    margins = _x_margins(entries, family)
     samples = evolve_x(np.repeat(entries, _AFFINE_QS.size, axis=1), family,
                        np.tile(_AFFINE_QS, n)).reshape(6, n, _AFFINE_QS.size)
     a, b, c = np.moveaxis(samples @ _AFFINE_OF_SAMPLES.T, -1, 0)
@@ -298,17 +351,51 @@ def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarra
     t_s, certain_s = _unit_candidates(in_s)
     t_u, certain_u = _unit_candidates(in_u)
     uncertain = ~(certain_s.all(axis=0) & certain_u.all(axis=0))
-    qs = np.concatenate([1.0 - t_s * t_s, 1.0 - t_u]).reshape(-1, n)
-    found = ~np.isnan(qs) & ~uncertain
-    cells = (qs[found] * (PRESCAN_POINTS - 1)).astype(np.intp)
-    read = np.zeros((n, PRESCAN_POINTS), dtype=bool)
-    read[~uncertain, 0] = read[~uncertain, -1] = True
-    read[np.nonzero(found)[1][:, None],
-         np.clip(cells[:, None] + _AROUND, 0, PRESCAN_POINTS - 1)] = True
-    states, points = np.nonzero(read)
+    return np.stack([1.0 - t_s * t_s, 1.0 - t_u]), uncertain
+
+
+def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(states, points) that ``_x_brackets`` reads, state by state, points in order.
+
+    The bracket points of a certain state are q = 0, the tail point and those
+    from one cell below to one cell above each candidate's cell. Each state's
+    points are one row of int16, sorted along it, with _UNREAD for none.
+    """
+    n = uncertain.size
+    found = ~np.isnan(qs.reshape(-1, n)) & ~uncertain
+    reads = np.full((n, 2 + _AROUND.size * found.shape[0]), _UNREAD, dtype=np.int16)
+    reads[~uncertain, :2] = 0, PRESCAN_POINTS - 1
+    cells = np.where(found, qs.reshape(-1, n) * (PRESCAN_POINTS - 1), 0.0).astype(np.int16)
+    reads[:, 2:] = np.where(found.T[..., None],
+                            np.clip(cells.T[..., None] + _AROUND, 0, PRESCAN_POINTS - 1),
+                            _UNREAD).reshape(n, -1)
+    reads.sort(axis=1)
+    first = reads != _UNREAD
+    first[:, 1:] &= reads[:, 1:] != reads[:, :-1]
+    return np.nonzero(first)[0], reads[first]
+
+
+def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, ...]:
+    """(dead_at, guess, uncertain) of X-states, X entries (6, N), as ``_prescan`` gives them.
+
+    ``_x_margins`` is read at the points of ``_read_points`` around the
+    candidate strengths of ``_x_candidates``; between two of those points the
+    sign is taken as constant, so a row's first dead point is the dead end of
+    its first alive-to-dead pair of read points. Each condition's guess is a
+    real root in its bracket of its own two quadratics, vertices left out: G,
+    B and F, alive while either quadratic is positive, take the largest, C,
+    whose product changes sign at either root, the smallest; +-inf if none.
+    A state is uncertain if ``_x_candidates`` says so, or if two points that
+    bound an unread run of bracket points disagree, and is pre-scanned instead.
+    """
+    n = entries.shape[1]
+    margins = _x_margins(entries, family)
+    qs, uncertain = _x_candidates(entries, family)
+    states, points = _read_points(qs, uncertain)
+    ends = _ends(tol)
     dead_at = np.full((n, len(Measure)), _SURVIVES)
     if states.size:
-        alive = _alive(margins, states, _ends(tol)[points])
+        alive = _alive(margins, states, ends[points])
         same = states[1:] == states[:-1]
         changes = (alive[:, 1:] != alive[:, :-1]) & same
         unread = np.diff(points) > 1
@@ -317,12 +404,101 @@ def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarra
         np.minimum.at(dead_at, (states[pair + 1], row), points[pair + 1])
         starts = np.flatnonzero(points == 0)
         dead_at[states[starts]] *= alive[:, starts].T
+    # Roots (condition, state, 4) in Measure order: G and F in s, B and C in u.
+    roots = qs[:, :2].reshape(2, 2, 2, 2, n).transpose(2, 0, 4, 1, 3).reshape(4, n, 4)
+    lo = ends[np.clip(dead_at - 1, 0, PRESCAN_POINTS - 1)].T[..., None]
+    hi = ends[np.minimum(dead_at, PRESCAN_POINTS - 1)].T[..., None]
+    inside = (roots >= lo) & (roots <= hi)
+    guess = np.concatenate([np.where(inside[:3], roots[:3], -np.inf).max(axis=-1),
+                            np.where(inside[3:], roots[3:], np.inf).min(axis=-1)]).T
     for state in np.flatnonzero(uncertain):
-        dead_at[state] = _prescan(margins, state, tol)
-    return dead_at, uncertain
+        dead_at[state], guess[state] = _prescan(margins, state, tol)
+    return dead_at, guess, uncertain
 
 
-def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
+def _done(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(done, midpoint) of bisection brackets lo to hi.
+
+    A bracket is done once narrow enough, or once it is two adjacent floats
+    (below any tol of about 1e-15) and cannot shrink.
+    """
+    mids = 0.5 * (lo + hi)
+    return ~(hi - lo > tol) | (mids == lo) | (mids == hi), mids
+
+
+def _walk(lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, levels: int) -> np.ndarray:
+    """Brackets (2, levels + 1, m) of each bisection of lo to hi toward its guess.
+
+    A midpoint below the guess is taken as alive. Up to _LOOP_ROWS rows are
+    walked one at a time in Python floats, the same IEEE doubles, which costs
+    less than the numpy calls of a level; more rows, a level at a time.
+    """
+    if lo.size <= _LOOP_ROWS:
+        paths = []
+        for a, b, g in zip(lo.tolist(), hi.tolist(), guess.tolist()):
+            path = [(a, b)]
+            for _ in range(levels):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if mid < g else (a, mid)
+                path.append((a, b))
+            paths.append(path)
+        return np.array(paths).T
+    path = np.empty((2, levels + 1, lo.size))
+    path[:, 0] = lo, hi
+    for level in range(levels):
+        mid = 0.5 * (path[0, level] + path[1, level])
+        up = mid < guess
+        path[0, level + 1] = np.where(up, mid, path[0, level])
+        path[1, level + 1] = np.where(up, path[1, level], mid)
+    return path
+
+
+def _replay(margins, found, active, lo, hi, guess, tol: float):
+    """Locate the rows of ``_locate`` whose guess holds; the rows left open, as (active, lo, hi).
+
+    A row whose guess lies in its bracket walks its bisection toward it (alive
+    below the guess), for the levels the widest bracket needs at tol plus one
+    for rounding, with the floats and done test of the lockstep loop. One
+    ``_alive`` call reads every row's path up to its done level. A row whose
+    bits all match is located. A row whose first mismatch is at level l takes
+    its bracket after level l with the observed bit: located if that bracket
+    is done, left open if not, as are matched rows the walk left open and
+    rows with no guess in their bracket (NaN, inf or outside).
+    """
+    walk = (guess >= lo) & (guess <= hi)
+    if not walk.any():
+        return active, lo, hi
+    rows, guess = active[walk], guess[walk]
+    width = max(float((hi - lo)[walk].max()), tol)
+    levels = min(_MAX_WALK, math.ceil(math.log2(width) - math.log2(tol)) + 1)
+    path_lo, path_hi = _walk(lo[walk], hi[walk], guess, levels)
+    done, mids = _done(path_lo, path_hi, tol)
+    # A row reads the midpoints of the levels before its first done bracket,
+    # at least one, and all ``levels`` if none is done.
+    done[0], done[-1] = False, True
+    reads = done.argmax(axis=0)
+    # Read row by row: the transposed views list each row's levels in turn.
+    read = (np.arange(levels)[:, None] < reads).T
+    predicted = mids[:-1] < guess
+    bits = predicted.copy()
+    alive = _alive(margins, np.repeat(rows // len(Measure), reads), mids[:-1].T[read])
+    bits.T[read] = alive[np.repeat(rows % len(Measure), reads), np.arange(alive.shape[1])]
+    wrong = bits != predicted
+    missed = wrong.any(axis=0)
+    # Each row's bracket after its last matching level, or after its first
+    # mismatch with the observed bit applied.
+    col = np.arange(rows.size)
+    at = np.where(missed, wrong.argmax(axis=0), reads)
+    observed, mid = bits[np.minimum(at, levels - 1), col], mids[at, col]
+    lo_at = np.where(missed & observed, mid, path_lo[at, col])
+    hi_at = np.where(missed & ~observed, mid, path_hi[at, col])
+    done, mid = _done(lo_at, hi_at, tol)
+    found[rows[done]] = mid[done]
+    return (np.concatenate([active[~walk], rows[~done]]),
+            np.concatenate([lo[~walk], lo_at[~done]]), np.concatenate([hi[~walk], hi_at[~done]]))
+
+
+def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray | None = None) -> np.ndarray:
     """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
@@ -330,21 +506,29 @@ def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
     condition) row's first dead bracket point, as ``_prescan`` gives it: a row
     dead at q = 0 reads 0, a row alive at every bracket point (_SURVIVES)
     reads NaN (survives all noise), and any other is bracketed by its point of
-    ``_ends(tol)`` and the one before it. Only bracket midpoints are read:
-    all brackets are bisected in lockstep at the midpoints one level per call
-    would compute, a row stopping at the first level where it is done. A call
-    takes L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels
-    of the open brackets, (2^L - 1) midpoints each, so it holds at most about
-    one pre-scan of points unless L is the minimum: one state's four rows take
-    seven levels a call, 30 states' 120 rows three. A provider gives each
-    point's margins independently of the call, so the floats are those of one
-    level per call.
+    ``_ends(tol)`` and the one before it. Only bracket midpoints are read.
+
+    Guess, verify, resume: ``guess`` (n, 4), if given, predicts where each
+    row changes sign. ``_replay`` walks each row's bisection toward its guess,
+    verifies every predicted midpoint in one margins call and locates the rows
+    whose guess holds. A row with a mismatch resumes from its exact bracket
+    after it, with the rows that have no guess in their bracket: they are
+    bisected in lockstep at the midpoints one level per call would compute, a
+    row stopping at the first level where it is done. A call takes
+    L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels of
+    the open brackets, (2^L - 1) midpoints each, so it holds at most about one
+    pre-scan of points unless L is the minimum: one row takes nine levels a
+    call, 120 rows three. A provider gives each point's margins independently
+    of the call, so the floats are those of one level per call, whatever the
+    guess.
     """
     rows = len(Measure)
     ends = _ends(tol)
     found = np.where(dead_at > 0, np.nan, 0.0).ravel()
     active = np.flatnonzero((dead_at > 0) & (dead_at < _SURVIVES))
     lo, hi = ends[dead_at.ravel()[active] - 1], ends[dead_at.ravel()[active]]
+    if guess is not None:
+        active, lo, hi = _replay(margins, found, active, lo, hi, guess.ravel()[active], tol)
     while active.size:
         levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
         # The midpoints cut a bracket into steps[0] steps; it is steps[l + 1] wide after level l.
@@ -362,10 +546,7 @@ def _locate(margins, dead_at: np.ndarray, tol: float) -> np.ndarray:
         for level, half in enumerate(steps[1:]):
             k[level + 1] = k[level] + half * alive[col, k[level] + half - 1]
         lo, hi = edges[k[1:], col], edges[k[1:] + steps[1:, None], col]
-        mids = 0.5 * (lo + hi)
-        # A row is done once narrow enough, or once its bracket is two
-        # adjacent floats (below any tol of about 1e-15) and cannot shrink.
-        done = ~(hi - lo > tol) | (mids == lo) | (mids == hi)
+        done, mids = _done(lo, hi, tol)
         ended = done.any(axis=0)
         found[active[ended]] = mids[done.argmax(axis=0), col][ended]
         active, lo, hi = active[~ended], lo[-1, ~ended], hi[-1, ~ended]
@@ -406,7 +587,8 @@ def threshold_set(
     """
     tol = _check_tol(tol)
     margins = _kraus_margins(state.mat, family)
-    return _threshold_sets(_locate(margins, _prescan(margins, 0, tol)[None], tol))[0]
+    dead_at, guess = _prescan(margins, 0, tol)
+    return _threshold_sets(_locate(margins, dead_at[None], tol, guess[None]))[0]
 
 
 def x_threshold_sets(
@@ -427,8 +609,8 @@ def x_threshold_sets(
     # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
     for k in range(0, entries.shape[1], _BLOCK_POINTS):
         block = entries[:, k:k + _BLOCK_POINTS]
-        dead_at, _ = _x_brackets(block, family, tol)
-        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol)
+        dead_at, guess, _ = _x_brackets(block, family, tol)
+        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol, guess)
     return _threshold_sets(found)
 
 

@@ -1,20 +1,27 @@
-"""The locator's bisection, several levels per margins call, against one level per call.
+"""The locator's bisection, guess and verify then several levels per call, against one level per call.
 
-``thresholds._locate`` asks its margins provider for the midpoints of the next
-L bisection levels of every open bracket at once, then walks them level by
-level. L depends on how many brackets are open (``levels_per_call``), from
-three for hundreds of brackets to nine for one. ``one_level_locate`` below is
-the loop it replaces, one level per call, kept as the reference: both must give
-the same floats bit for bit, for both providers, at every tolerance and for
-every L, including rows that stop on adjacent floats (tol 1e-17) and rows that
-finish at different levels of one call. The number of provider calls is
-pinned as well.
+``thresholds._locate`` first walks each row's bisection toward its guess and
+reads every predicted midpoint of every row in one margins call (``_replay``);
+a row whose first observed bit differs from its prediction resumes from its
+exact bracket. The open rows are then bisected in lockstep: each call asks for
+the midpoints of the next L levels of every open bracket at once, then walks
+them level by level. L depends on how many brackets are open
+(``levels_per_call``), from three for hundreds of brackets to nine for one.
+``one_level_locate`` below is the loop both replace, one level per call, kept
+as the reference: they must give the same floats bit for bit, for both
+providers, at every tolerance, for every L and for any guess (NaN, inf, the
+bracket ends, points inside and outside it, the root and its neighbours),
+including rows that stop on adjacent floats (tol 1e-17) and rows that finish
+at different levels of one call. The points of every margins call are pinned
+as well: the verify call reads each guessed row's predicted path up to its
+done level, and the lockstep calls only the rows that resumed or had no guess.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, x_entries
 from qnl.sampling import SamplerConfig, _accepted_weights, _mems_entries
@@ -27,13 +34,18 @@ from qnl.thresholds import (
     _BELOW_ONE,
     _BLOCK_POINTS,
     _SURVIVES,
+    _ends,
     _kraus_margins,
     _locate,
     _prescan,
+    _threshold_sets,
+    _x_brackets,
     _x_margins,
+    x_threshold_sets,
 )
 
 TOLS = (1e-3, 1e-6, 1e-9, 1e-15)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # States per x_threshold_sets call: between them, every level count from 3 to 9.
 STATE_COUNTS = (1, 2, 5, 30, 300)
 
@@ -59,8 +71,13 @@ def calls_of(steps: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return calls
 
 
-def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = None) -> np.ndarray:
-    """``_locate`` with one bisection level per margins call; ``steps`` counts each row's levels."""
+def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = None,
+                     bits: list | None = None) -> np.ndarray:
+    """``_locate`` with one bisection level per margins call.
+
+    ``steps`` counts each row's levels, and ``bits[row]`` lists the alive bit
+    each level read.
+    """
     rows = len(Measure)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     last = PRESCAN_POINTS - 2
@@ -89,6 +106,9 @@ def one_level_locate(margins, n: int, tol: float, steps: np.ndarray | None = Non
             steps[active] += 1
         mids = 0.5 * (lo + hi)
         alive = _alive(margins, active // rows, mids)[active % rows, np.arange(active.size)]
+        if bits is not None:
+            for row, bit in zip(active.tolist(), alive.tolist()):
+                bits[row].append(bit)
         lo = np.where(alive, mids, lo)
         hi = np.where(alive, hi, mids)
         mids = 0.5 * (lo + hi)
@@ -108,22 +128,68 @@ def recording(margins, sizes: list, of=np.size):
     return wrapped
 
 
-def check_same(margins, n: int, tol: float) -> np.ndarray:
-    """_locate against one_level_locate bit for bit; returns each row's levels.
+def walk_levels(widths: np.ndarray, tol: float) -> int:
+    """Levels of ``_replay``'s walk: what the widest bracket needs at tol, plus one, at most 64."""
+    return min(64, math.ceil(math.log2(max(widths.max(), tol)) - math.log2(tol)) + 1)
 
-    Each bisection call of _locate must ask for (2^L - 1) midpoints of each
-    open bracket, L = levels_per_call(open brackets), in calls of at most
-    _BLOCK_POINTS points.
+
+def predicted_bits(lo: float, hi: float, guess: float, tol: float, levels: int) -> list:
+    """Alive bits of one bisection toward ``guess``: alive below it, up to the done level."""
+    bits = []
+    while len(bits) < levels:
+        mid = 0.5 * (lo + hi)
+        bits.append(mid < guess)
+        lo, hi = (mid, hi) if bits[-1] else (lo, mid)
+        mid = 0.5 * (lo + hi)
+        if not hi - lo > tol or mid in (lo, hi):
+            break
+    return bits
+
+
+def guessed_sizes(dead_at: np.ndarray, guess: np.ndarray | None, tol: float,
+                  steps: np.ndarray, bits: list) -> tuple[list, np.ndarray]:
+    """(verify call sizes, lockstep levels of each row) of ``_locate`` with ``guess``.
+
+    A row whose guess lies in its bracket reads its predicted path; it then
+    needs the levels of ``one_level_locate`` that follow its first mismatch,
+    or its whole path if it matched, and a row without a guess all of them.
+    """
+    if guess is None:
+        return [], steps
+    ends = _ends(tol)
+    rows = np.flatnonzero((dead_at.ravel() > 0) & (dead_at.ravel() < _SURVIVES))
+    lo, hi = ends[dead_at.ravel()[rows] - 1], ends[dead_at.ravel()[rows]]
+    guessed = (guess.ravel()[rows] >= lo) & (guess.ravel()[rows] <= hi)
+    if not guessed.any():
+        return [], steps
+    levels = walk_levels((hi - lo)[guessed], tol)
+    left, points = steps.copy(), 0
+    for row, a, b in zip(rows[guessed].tolist(), lo[guessed].tolist(), hi[guessed].tolist()):
+        path = predicted_bits(a, b, float(guess.ravel()[row]), tol, levels)
+        points += len(path)
+        matched = [p == o for p, o in zip(path, bits[row])]
+        left[row] -= len(path) if all(matched) else matched.index(False) + 1
+    return [min(_BLOCK_POINTS, points - k) for k in range(0, points, _BLOCK_POINTS)], left
+
+
+def check_same(margins, n: int, tol: float, guess: np.ndarray | None = None) -> np.ndarray:
+    """_locate, given ``guess`` (n, 4), against one_level_locate bit for bit; returns each row's levels.
+
+    After the pre-scan, _locate must make the verify call of ``guessed_sizes``
+    if any row has a guess in its bracket, and then lockstep calls that ask
+    for (2^L - 1) midpoints of each open bracket, L = levels_per_call(open
+    brackets), in calls of at most _BLOCK_POINTS points.
     """
     steps = np.zeros(n * len(Measure), dtype=np.intp)
-    want = one_level_locate(margins, n, tol, steps)
+    bits = [[] for _ in steps]
+    want = one_level_locate(margins, n, tol, steps, bits)
     sizes = []
     recorded = recording(margins, sizes)
-    dead_at = np.stack([_prescan(recorded, state, tol) for state in range(n)])
-    got = _locate(recorded, dead_at, tol)
+    dead_at = np.stack([_prescan(recorded, state, tol)[0] for state in range(n)])
+    got = _locate(recorded, dead_at, tol, guess)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    bisection = []
-    for open_rows, levels, _ in calls_of(steps):
+    bisection, left = guessed_sizes(dead_at, guess, tol, steps, bits)
+    for open_rows, levels, _ in calls_of(left):
         points = open_rows * (2**levels - 1)
         bisection += [min(_BLOCK_POINTS, points - k) for k in range(0, points, _BLOCK_POINTS)]
     assert sizes[len(sizes) - len(bisection):] == bisection
@@ -139,10 +205,13 @@ def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_kraus_provider(family, tol):
+    # With no guesses, and with the pre-scan's own (threshold_set's).
     rng = np.random.default_rng(5)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4)] + [werner(0.9).mat, werner(1.0).mat]
     for mat in mats:
-        check_same(_kraus_margins(mat, family), 1, tol)
+        margins = _kraus_margins(mat, family)
+        check_same(margins, 1, tol)
+        check_same(margins, 1, tol, _prescan(margins, 0, tol)[1][None])
 
 
 def mems_entries(n: int, family: str) -> np.ndarray:
@@ -151,17 +220,24 @@ def mems_entries(n: int, family: str) -> np.ndarray:
     return _mems_entries(weights)[:, :n]
 
 
+def check_x(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
+    """check_same of the X provider with the guesses of ``_x_brackets``, then with none."""
+    margins = _x_margins(entries, family)
+    check_same(margins, entries.shape[1], tol, _x_brackets(entries, family, tol)[1])
+    return check_same(margins, entries.shape[1], tol)
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_x_provider_on_mems(family, tol):
-    check_same(_x_margins(mems_entries(300, family), family), 300, tol)
+    check_x(mems_entries(300, family), family, tol)
 
 
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("n", STATE_COUNTS[:-1])
 def test_x_provider_on_fewer_mems(n, family, tol):
-    check_same(_x_margins(mems_entries(n, family), family), n, tol)
+    check_x(mems_entries(n, family), family, tol)
 
 
 def row_margins(roots: np.ndarray):
@@ -181,7 +257,28 @@ def random_roots(n: int) -> np.ndarray:
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("n", STATE_COUNTS)
 def test_rows_with_their_own_roots(n, tol):
-    check_same(row_margins(random_roots(n)), n, tol)
+    # With no guesses, and with the roots as guesses.
+    roots = random_roots(n)
+    check_same(row_margins(roots), n, tol)
+    check_same(row_margins(roots), n, tol, roots)
+
+
+@pytest.mark.parametrize("tol", TOLS[1:] + (1e-17,))
+def test_resumed_rows(tol):
+    # Guesses at the bracket's low end predict every midpoint dead, so each
+    # row resumes at its first alive midpoint; guesses a quarter of a cell
+    # off resume a few levels in. The lockstep loop takes them from there
+    # (at tol 1e-3 a row is done after its one level).
+    roots = random_roots(30)
+    margins = row_margins(roots)
+    dead_at = np.stack([_prescan(margins, state, tol)[0] for state in range(30)])
+    ends = _ends(tol)
+    low = ends[np.clip(dead_at - 1, 0, PRESCAN_POINTS - 1)]
+    for guess in (low, roots + 2.5e-4, roots - 2.5e-4):
+        check_same(margins, 30, tol, guess)
+        sizes = []
+        _locate(recording(margins, sizes), dead_at, tol, guess)
+        assert len(sizes) > 1
 
 
 def test_every_level_count_is_exercised():
@@ -201,6 +298,7 @@ def test_rows_finish_at_different_levels_of_one_call():
     margins = row_margins(np.repeat(roots[:, None], len(Measure), axis=1))
     for tol in TOLS + (1e-3 / 2**10, 1e-17):
         check_same(margins, roots.size, tol)
+        check_same(margins, roots.size, tol, np.repeat(roots[:, None], len(Measure), axis=1))
     steps = check_same(margins, roots.size, 1e-3 / 2**12)
     # Rows ending within the same call, after different levels.
     assert any(len(set(ends.tolist())) > 1 for _, _, ends in calls_of(steps))
@@ -212,8 +310,63 @@ def test_rows_stopping_on_adjacent_floats(family):
     # stops once it is two adjacent floats, after a number of levels that
     # depends on where the root lies.
     entries = x_entries(np.stack([werner(p).mat for p in (0.4, 0.6, 0.8, 0.95, 1.0)]))
-    steps = check_same(_x_margins(entries, family), entries.shape[1], 1e-17)
+    steps = check_x(entries, family, 1e-17)
     assert any(len(set(ends.tolist())) > 1 for _, _, ends in calls_of(steps))
+
+
+GUESSES = ("nan", "inf", "-inf", "lo", "hi", "inside", "outside", "root", "above root",
+           "below root")
+
+
+def adversarial_guess(kinds: list, fractions: list, dead_at: np.ndarray, found: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """A guess (n, 4) of one kind of GUESSES per row, ``found`` the located roots.
+
+    "inside" and "outside" lie a fraction of the bracket above its low end and
+    below it; "above root" and "below root" are one ulp from the root. A row
+    with no bracket takes (0, 1) as its bracket and 0.5 as its root.
+    """
+    ends = _ends(tol)
+    bracketed = (dead_at > 0) & (dead_at < _SURVIVES)
+    lo = np.where(bracketed, ends[np.clip(dead_at - 1, 0, PRESCAN_POINTS - 1)], 0.0).ravel()
+    hi = np.where(bracketed, ends[np.minimum(dead_at, PRESCAN_POINTS - 1)], 1.0).ravel()
+    root = np.where(bracketed, found, 0.5).ravel()
+    width = hi - lo
+    table = {
+        "nan": np.full(lo.size, np.nan), "inf": np.full(lo.size, np.inf),
+        "-inf": np.full(lo.size, -np.inf), "lo": lo, "hi": hi,
+        "inside": lo + np.array(fractions) * width, "outside": lo - (np.array(fractions) + 1e-9) * width,
+        "root": root, "above root": np.nextafter(root, np.inf),
+        "below root": np.nextafter(root, -np.inf),
+    }
+    return np.array([table[kind][row] for row, kind in enumerate(kinds)]).reshape(dead_at.shape)
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**16), family=st.sampled_from(sorted(FAMILIES)),
+       tol=st.sampled_from(TOLS[:3] + (1e-12, 1e-15, 1e-17)), fallback=st.booleans())
+def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
+    # One Ginibre state on the Kraus provider and five MEMS on the X provider,
+    # each row with a guess of any kind: the floats and the calls are those
+    # check_same expects. With ``fallback``, every X state is pre-scanned by
+    # x_threshold_sets, whose guesses then come from _cubic_root.
+    rng = np.random.default_rng(seed)
+    entries = mems_entries(5 + seed % 295, family)[:, -5:]
+    cases = [(_kraus_margins(ginibre(rng, 1 + seed % 4), family), 1),
+             (_x_margins(entries, family), entries.shape[1])]
+    for margins, n in cases:
+        want = one_level_locate(margins, n, tol)
+        dead_at = np.stack([_prescan(margins, state, tol)[0] for state in range(n)])
+        rows = n * len(Measure)
+        kinds = data.draw(st.lists(st.sampled_from(GUESSES), min_size=rows, max_size=rows))
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows))
+        check_same(margins, n, tol, adversarial_guess(kinds, fractions, dead_at, want, tol))
+    with pytest.MonkeyPatch.context() as patch:
+        if fallback:
+            patch.setattr(thresholds, "_unit_candidates", lambda coef: (
+                np.full(coef.shape, np.nan), np.zeros(coef.shape[1:], dtype=bool)))
+            assert _x_brackets(entries, family, tol)[2].all()
+        assert x_threshold_sets(entries, family, tol) == _threshold_sets(want)
 
 
 def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
@@ -224,27 +377,39 @@ def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
     return sizes
 
 
+# Sizes of the margins calls of threshold_set after its pre-scan, at tol 1e-9,
+# on the seven states of test_threshold_set_calls. The verify call reads 20
+# levels of each open row (a grid cell of 1e-3 narrowed to 1e-9); a row whose
+# guess fails resumes alone in lockstep, nine levels (511 points) a call. The
+# rank-one state (the first) has a B row that resumes under depolarizing and
+# phase damping: its margin bends at the root on both sides.
+SET_CALLS = {
+    "amplitude-damping": [[60], [], [20], [20], [], [40], [60]],
+    "depolarizing": [[80, 511, 511], [20], [40], [40], [], [40], [80]],
+    "phase-damping": [[60, 511, 511], [20], [40], [40], [], [40], [80]],
+}
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_threshold_set_calls(monkeypatch, family):
-    # One pre-scan of every bracket point and q = 1, then at most three
-    # bisection calls: 20 levels narrow a pre-scan cell to 1e-9, and one
-    # state's four rows take at least seven levels a call. No 1-point call.
+    # One pre-scan of every bracket point and q = 1, then the calls of SET_CALLS.
     rng = np.random.default_rng(12)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]
     calls = counted_calls(monkeypatch, "_kraus_margins", np.copy)
+    sizes = []
     for mat in mats:
         calls.clear()
         thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
         assert calls[0].size == PRESCAN_POINTS + 1
         assert calls[0][-2:].tolist() == [min(1.0 - 1e-9, _BELOW_ONE), 1.0]
-        assert all(qs.size >= 7 for qs in calls[1:])
-        assert len(calls) - 1 <= 3
+        sizes.append([qs.size for qs in calls[1:]])
+    assert sizes == SET_CALLS[family]
 
 
 # Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
-# tol 1e-6 with three bisection levels per call: one call reads the points
-# around the roots and the rest bisect.
-MEMS_CALLS = 5
+# tol 1e-6: one call reads the points around the roots, and one verifies every
+# row's predicted path; no row resumes.
+MEMS_CALLS = 2
 
 
 @pytest.mark.parametrize("seed", (0, 7))
@@ -253,7 +418,7 @@ def test_x_threshold_sets_calls(monkeypatch, family, seed):
     entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
     sizes = counted_calls(monkeypatch, "_x_margins")
     thresholds.x_threshold_sets(entries, family, 1e-6)
-    assert len(sizes) <= MEMS_CALLS
+    assert len(sizes) == MEMS_CALLS
 
 
 @pytest.mark.parametrize("tol", TOLS[1:] + (1e-17,))

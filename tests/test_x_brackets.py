@@ -42,12 +42,12 @@ phase = st.floats(0.0, 2.0 * math.pi)
 def prescan(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """dead_at of every state from the pre-scan."""
     margins = _x_margins(entries, family)
-    return np.stack([_prescan(margins, state, tol) for state in range(entries.shape[1])])
+    return np.stack([_prescan(margins, state, tol)[0] for state in range(entries.shape[1])])
 
 
 def check(entries: np.ndarray, family: str, tol: float = 1e-9) -> np.ndarray:
     """_x_brackets against _prescan on every row; returns which states were uncertain."""
-    dead_at, uncertain = _x_brackets(entries, family, tol)
+    dead_at, _, uncertain = _x_brackets(entries, family, tol)
     np.testing.assert_array_equal(dead_at, prescan(entries, family, tol), err_msg=family)
     return uncertain
 
@@ -190,11 +190,11 @@ def test_forced_fallback(monkeypatch, family, tol):
     want = prescan_sets(entries, family, tol)
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
-    assert _x_brackets(entries, family, tol)[1].all()
+    assert _x_brackets(entries, family, tol)[2].all()
     assert x_threshold_sets(entries, family, tol) == want
     # No candidates: a state is uncertain where q = 0 and the tail point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
-    uncertain = _x_brackets(entries, family, tol)[1]
+    uncertain = _x_brackets(entries, family, tol)[2]
     assert 0 < uncertain.sum() < uncertain.size
     assert x_threshold_sets(entries, family, tol) == want
