@@ -78,10 +78,6 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # provider for more than _BLOCK_POINTS points at once, so its memory does not
 # grow with the number of states.
 _BLOCK_POINTS = 4 * PRESCAN_POINTS
-# Rows up to which _walk loops in Python, below where the two cost the same
-# (about 30 rows on a 2-core x86-64 VM: a row's 21 levels take about 5 us in
-# Python, one level of numpy calls about 7 us).
-_LOOP_ROWS = 16
 # Most levels of one guessed walk (_replay): tol 1e-17 takes 48 from a grid
 # cell; rows still open after it go on in lockstep.
 _MAX_WALK = 64
@@ -429,20 +425,8 @@ def _done(lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 def _walk(lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, levels: int) -> np.ndarray:
     """Brackets (2, levels + 1, m) of each bisection of lo to hi toward its guess.
 
-    A midpoint below the guess is taken as alive. Up to _LOOP_ROWS rows are
-    walked one at a time in Python floats, the same IEEE doubles, which costs
-    less than the numpy calls of a level; more rows, a level at a time.
+    A midpoint below the guess is taken as alive.
     """
-    if lo.size <= _LOOP_ROWS:
-        paths = []
-        for a, b, g in zip(lo.tolist(), hi.tolist(), guess.tolist()):
-            path = [(a, b)]
-            for _ in range(levels):
-                mid = 0.5 * (a + b)
-                a, b = (mid, b) if mid < g else (a, mid)
-                path.append((a, b))
-            paths.append(path)
-        return np.array(paths).T
     path = np.empty((2, levels + 1, lo.size))
     path[:, 0] = lo, hi
     for level in range(levels):
@@ -498,7 +482,7 @@ def _replay(margins, found, active, lo, hi, guess, tol: float):
             np.concatenate([lo[~walk], lo_at[~done]]), np.concatenate([hi[~walk], hi_at[~done]]))
 
 
-def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray | None = None) -> np.ndarray:
+def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray) -> np.ndarray:
     """Critical strengths (n, 4) of all four conditions of n states, in Measure order.
 
     ``margins(states, qs)`` gives the alive margins (4, M) of state
@@ -508,11 +492,12 @@ def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray | None =
     reads NaN (survives all noise), and any other is bracketed by its point of
     ``_ends(tol)`` and the one before it. Only bracket midpoints are read.
 
-    Guess, verify, resume: ``guess`` (n, 4), if given, predicts where each
-    row changes sign. ``_replay`` walks each row's bisection toward its guess,
-    verifies every predicted midpoint in one margins call and locates the rows
-    whose guess holds. A row with a mismatch resumes from its exact bracket
-    after it, with the rows that have no guess in their bracket: they are
+    Guess, verify, resume: ``guess`` (n, 4) predicts where each row changes
+    sign, NaN where nothing is predicted. ``_replay`` walks each row's
+    bisection toward its guess, verifies every predicted midpoint in one
+    margins call and locates the rows whose guess holds. A row with a
+    mismatch resumes from its exact bracket after it, with the rows that have
+    no guess in their bracket (NaN, inf or outside): they are
     bisected in lockstep at the midpoints one level per call would compute, a
     row stopping at the first level where it is done. A call takes
     L = max(_MIN_LEVELS, floor(log2(PRESCAN_POINTS // open + 1))) levels of
@@ -527,8 +512,7 @@ def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray | None =
     found = np.where(dead_at > 0, np.nan, 0.0).ravel()
     active = np.flatnonzero((dead_at > 0) & (dead_at < _SURVIVES))
     lo, hi = ends[dead_at.ravel()[active] - 1], ends[dead_at.ravel()[active]]
-    if guess is not None:
-        active, lo, hi = _replay(margins, found, active, lo, hi, guess.ravel()[active], tol)
+    active, lo, hi = _replay(margins, found, active, lo, hi, guess.ravel()[active], tol)
     while active.size:
         levels = max(_MIN_LEVELS, (PRESCAN_POINTS // active.size + 1).bit_length() - 1)
         # The midpoints cut a bracket into steps[0] steps; it is steps[l + 1] wide after level l.

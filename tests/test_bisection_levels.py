@@ -146,7 +146,7 @@ def predicted_bits(lo: float, hi: float, guess: float, tol: float, levels: int) 
     return bits
 
 
-def guessed_sizes(dead_at: np.ndarray, guess: np.ndarray | None, tol: float,
+def guessed_sizes(dead_at: np.ndarray, guess: np.ndarray, tol: float,
                   steps: np.ndarray, bits: list) -> tuple[list, np.ndarray]:
     """(verify call sizes, lockstep levels of each row) of ``_locate`` with ``guess``.
 
@@ -154,8 +154,6 @@ def guessed_sizes(dead_at: np.ndarray, guess: np.ndarray | None, tol: float,
     needs the levels of ``one_level_locate`` that follow its first mismatch,
     or its whole path if it matched, and a row without a guess all of them.
     """
-    if guess is None:
-        return [], steps
     ends = _ends(tol)
     rows = np.flatnonzero((dead_at.ravel() > 0) & (dead_at.ravel() < _SURVIVES))
     lo, hi = ends[dead_at.ravel()[rows] - 1], ends[dead_at.ravel()[rows]]
@@ -172,8 +170,13 @@ def guessed_sizes(dead_at: np.ndarray, guess: np.ndarray | None, tol: float,
     return [min(_BLOCK_POINTS, points - k) for k in range(0, points, _BLOCK_POINTS)], left
 
 
+def no_guess(n: int) -> np.ndarray:
+    """A guess (n, 4) that predicts no row: the lockstep bisection alone."""
+    return np.full((n, len(Measure)), np.nan)
+
+
 def check_same(margins, n: int, tol: float, guess: np.ndarray | None = None) -> np.ndarray:
-    """_locate, given ``guess`` (n, 4), against one_level_locate bit for bit; returns each row's levels.
+    """_locate, given ``guess`` (n, 4) or none, against one_level_locate bit for bit; returns each row's levels.
 
     After the pre-scan, _locate must make the verify call of ``guessed_sizes``
     if any row has a guess in its bracket, and then lockstep calls that ask
@@ -186,6 +189,7 @@ def check_same(margins, n: int, tol: float, guess: np.ndarray | None = None) -> 
     sizes = []
     recorded = recording(margins, sizes)
     dead_at = np.stack([_prescan(recorded, state, tol)[0] for state in range(n)])
+    guess = no_guess(n) if guess is None else guess
     got = _locate(recorded, dead_at, tol, guess)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     bisection, left = guessed_sizes(dead_at, guess, tol, steps, bits)
@@ -434,10 +438,10 @@ def test_locate_bisects_only(tol):
         return np.broadcast_to(0.9995 - qs, (len(Measure), qs.size))
 
     ends = np.array([[0, _SURVIVES, _SURVIVES, 0], [_SURVIVES, 0, 0, _SURVIVES]])
-    got = _locate(margins, ends, tol)
+    got = _locate(margins, ends, tol, no_guess(2))
     np.testing.assert_array_equal(got, [[0.0, np.nan, np.nan, 0.0], [np.nan, 0.0, 0.0, np.nan]])
     assert calls == []
-    found = _locate(margins, np.full((1, len(Measure)), PRESCAN_POINTS - 1), tol)
+    found = _locate(margins, np.full((1, len(Measure)), PRESCAN_POINTS - 1), tol, no_guess(1))
     assert calls and all(((qs > 0.999) & (qs < tail_q)).all() for qs in calls)
     np.testing.assert_allclose(found, 0.9995, atol=tol)
 

@@ -49,6 +49,7 @@ from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
 from qnl.thresholds import (
     DET_ROUNDING,
     PRESCAN_POINTS,
+    Measure,
     ThresholdSet,
     _affine_coefficients,
     _curves,
@@ -190,7 +191,8 @@ def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> Threshold
         c, f, b = _curves(evolve_grid(mat, family, qs))
         return alive_margins(f, b, c)
 
-    found = _locate(margins, _prescan(margins, 0, tol)[0][None], tol)[0]
+    found = _locate(margins, _prescan(margins, 0, tol)[0][None], tol,
+                    np.full((1, len(Measure)), np.nan))[0]
     return ThresholdSet(*(None if math.isnan(q) else q for q in found))
 
 

@@ -145,7 +145,9 @@ def mixed_entries(family: str) -> np.ndarray:
 
 
 def prescan_sets(entries: np.ndarray, family: str, tol: float):
-    return _threshold_sets(_locate(_x_margins(entries, family), prescan(entries, family, tol), tol))
+    dead_at = prescan(entries, family, tol)
+    guess = np.full(dead_at.shape, np.nan)
+    return _threshold_sets(_locate(_x_margins(entries, family), dead_at, tol, guess))
 
 
 @pytest.mark.parametrize("tol", TOLS)
