@@ -11,7 +11,6 @@ of it on the command line.
 from .channels import (
     FAMILIES,
     KrausChannel,
-    Side,
     amplitude_damping,
     apply_channel,
     channel_family,
@@ -37,9 +36,7 @@ from .measures import (
     classify,
     concurrence,
     concurrence_unclamped,
-    correlation_matrix,
     fidelity,
-    gisin_bound,
     n_value,
     spin_flip,
 )
@@ -49,7 +46,6 @@ from .sampling import (
     gaps_of,
     hierarchy_experiment,
     sample_mems_above_gisin,
-    sample_weights,
     write_records_csv,
 )
 from .states import (
@@ -64,7 +60,6 @@ from .states import (
 )
 from .thresholds import (
     ThresholdSet,
-    critical_q,
     hierarchy_check,
     scan,
     threshold_set,

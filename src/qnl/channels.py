@@ -9,17 +9,14 @@ and q = 0 is always the identity channel:
                       single-qubit action is rho -> (1-q) rho + q I/2, i.e.
                       q is the total error probability.
 
-A channel acts on qubit B (the transmitted one) by default; acting on qubit A
-or on both sides sequentially is supported for completeness. On X-states
-(non-zero only on the diagonal and the anti-diagonal) each family moves B's
-populations and scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q
-(``evolve_x``).
+A channel acts on qubit B, the transmitted one. On X-states (non-zero only on
+the diagonal and the anti-diagonal) each family moves B's populations and
+scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q (``evolve_x``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,14 +25,6 @@ from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron2
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
-
-
-class Side(Enum):
-    """Which qubit the channel acts on."""
-
-    A = "A"
-    B = "B"
-    BOTH = "BOTH"
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +85,15 @@ def channel_family(name: str):
         raise ValueError(f"unknown channel family {name!r}; known: {known}")
 
 
-def apply_channel(
-    rho: DensityMatrix, ch: KrausChannel, side: Side = Side.B
-) -> DensityMatrix:
-    """Evolve a state through the channel on the chosen side.
+def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
+    """Evolve a state through the channel on qubit B.
 
-    Side B applies sum_i (I x M_i) rho (I x M_i)^dagger, side A the mirrored
-    sum, and BOTH applies the channel to A then to B (the two sums commute, so
-    the order is immaterial). The output is validated; a completeness-breaking
-    channel surfaces as a state validation error.
+    Applies sum_i (I x M_i) rho (I x M_i)^dagger. The output is validated; a
+    completeness-breaking channel surfaces as a state validation error.
     """
-    if side is Side.BOTH:
-        return apply_channel(apply_channel(rho, ch, Side.A), ch, Side.B)
     out = np.zeros((4, 4), dtype=complex)
     for m in ch.ops:
-        k = kron2(ID2, m) if side is Side.B else kron2(m, ID2)
+        k = kron2(ID2, m)
         out += k @ rho.mat @ dagger(k)
     return DensityMatrix(out)
 

@@ -20,6 +20,8 @@ ID2 = np.eye(2, dtype=complex)
 # Eigenvalues of a PSD matrix more negative than this are treated as a real
 # violation rather than rounding noise.
 PSD_CLAMP_TOL = 1e-10
+# hermitian_eig rejects a matrix whose max|h - h^dagger| exceeds this.
+_HERMITIAN_TOL = 1e-10
 
 for _m in (PAULI_X, PAULI_Y, PAULI_Z, ID2):
     _m.setflags(write=False)
@@ -35,22 +37,19 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - dagger(h))))
 
 
-def hermitian_eig(
-    h: np.ndarray, require_hermitian_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (values, vectors) with h = vectors @ diag(values) @ vectors^dagger
     and the k-th column of ``vectors`` the eigenvector of ``values[k]``.
 
-    Raises NotHermitian if ``max|h - h^dagger|`` exceeds the tolerance.
+    Raises NotHermitian if ``max|h - h^dagger|`` exceeds _HERMITIAN_TOL.
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
-    if defect > require_hermitian_tol:
+    if defect > _HERMITIAN_TOL:
         raise NotHermitian(
-            f"matrix deviates from Hermitian by {defect:.3e} "
-            f"(tolerance {require_hermitian_tol:.3e})"
+            f"matrix deviates from Hermitian by {defect:.3e} (tolerance {_HERMITIAN_TOL:.3e})"
         )
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()

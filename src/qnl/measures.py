@@ -90,11 +90,6 @@ class MeasureReport:
     hierarchy_class: HierarchyClass
 
 
-def gisin_bound() -> float:
-    """Fidelity threshold 1/2 + sqrt(3/2) arctan(sqrt 2)/pi, about 0.8724."""
-    return GISIN_BOUND
-
-
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
     return _SIGMA_YY @ np.conj(rho.mat) @ _SIGMA_YY
@@ -214,11 +209,6 @@ def concurrence_unclamped(rho: DensityMatrix) -> float:
     the threshold locator reads instead.
     """
     return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
-
-
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """The 3x3 real correlation matrix T with t_ij = Tr(rho sigma_i x sigma_j)."""
-    return correlation_matrix_stack(rho.mat[None])[0]
 
 
 def n_value(rho: DensityMatrix) -> float:

@@ -83,11 +83,6 @@ def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sort(spacings, axis=1)[:, ::-1]
 
 
-def sample_weights(rng: np.random.Generator) -> MemsWeights:
-    """One uniform draw on the descending 3-simplex."""
-    return MemsWeights(*_draw_weights(rng, 1)[0])
-
-
 def _mems_entries(weights: np.ndarray) -> np.ndarray:
     """X entries (6, N) of MEMS from weight rows (N, 4), in closed form.
 

@@ -41,7 +41,7 @@ where the determinant is rounding noise (``_kraus_margins``).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,12 +202,6 @@ def _x_margins(entries: np.ndarray, family: str):
         return alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
 
     return margins
-
-
-def _coerce_measure(measure: Measure | str) -> Measure:
-    if isinstance(measure, Measure):
-        return measure
-    return Measure(str(measure).upper())
 
 
 def _check_tol(tol: float) -> float:
@@ -540,23 +534,6 @@ def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray) -> np.n
 def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:
     """ThresholdSets of _locate rows, with Python floats and None for NaN."""
     return [ThresholdSet(*(None if math.isnan(q) else q for q in row.tolist())) for row in found]
-
-
-def critical_q(
-    state: DensityMatrix,
-    family: str,
-    measure: Measure | str,
-    tol: float = 1e-9,
-) -> float | None:
-    """Smallest channel strength at which one alive condition first fails.
-
-    Returns 0.0 if the condition is already dead at q = 0 and None if it still
-    holds at q = 1 - tol. Otherwise the failure point is bracketed on a
-    1001-point grid and bisected down to width tol.
-    """
-    tol = _check_tol(tol)
-    row = list(Measure).index(_coerce_measure(measure))
-    return astuple(threshold_set(state, family, tol))[row]
 
 
 def threshold_set(

@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import ginibre_density_stack, partial_transpose_b
-from qnl.channels import FAMILIES, Side, apply_channel, evolve_grid
+from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.cli import main as cli_main
 from qnl.measures import (
     GISIN_BOUND,
@@ -26,7 +26,6 @@ from qnl.measures import (
     concurrence,
     concurrence_unclamped,
     fidelity,
-    gisin_bound,
     wootters_roots_stack,
     correlation_singvals_stack,
 )
@@ -93,13 +92,13 @@ def test_criterion_2_werner_noiseless_thresholds():
         "entanglement": bisect_increasing(lambda p: concurrence_unclamped(werner(p))),
         "teleportation": bisect_increasing(lambda p: fidelity(werner(p)) - 2 / 3),
         "bell": bisect_increasing(lambda p: bell_parameter(werner(p)) - 2),
-        "gisin": bisect_increasing(lambda p: fidelity(werner(p)) - gisin_bound()),
+        "gisin": bisect_increasing(lambda p: fidelity(werner(p)) - GISIN_BOUND),
     }
     targets = {
         "entanglement": 1 / 3,
         "teleportation": 1 / 3,
         "bell": 1 / math.sqrt(2),
-        "gisin": 2 * gisin_bound() - 1,
+        "gisin": 2 * GISIN_BOUND - 1,
     }
     worst = max(abs(roots[k] - targets[k]) for k in roots)
     elapsed = time.perf_counter() - start
@@ -150,7 +149,7 @@ def test_criterion_4_bell_state_threshold_set():
     # 2 sqrt(2) sqrt(1-q) = 2 at p = 1 gives q_B = 1/2 exactly.
     target_b = bisect_decreasing(lambda q: bell_exact(1.0, q), 2.0)
     target_f = 2 * math.sqrt(2) - 2
-    target_g = bisect_decreasing(lambda q: fidelity_ad(1.0, q), gisin_bound())
+    target_g = bisect_decreasing(lambda q: fidelity_ad(1.0, q), GISIN_BOUND)
 
     ok_b = abs(ts.q_b - target_b) <= 1e-6
     ok_f = abs(ts.q_f - target_f) <= 1e-6
@@ -233,7 +232,7 @@ def test_criterion_7_physics_invariant_suite():
     worst_id = 0.0
     for family in sorted(FAMILIES):
         for mat in sweep_states[:20]:
-            out = apply_channel(validate(mat), FAMILIES[family](0.0), Side.B)
+            out = apply_channel(validate(mat), FAMILIES[family](0.0))
             worst_id = max(worst_id, float(np.max(np.abs(out.mat - mat))))
     assert worst_id <= 1e-14
 
@@ -241,10 +240,8 @@ def test_criterion_7_physics_invariant_suite():
     for mat in sweep_states[:20]:
         rho = validate(mat)
         for q1, q2 in ((0.15, 0.3), (0.6, 0.6), (0.95, 0.1)):
-            twice = apply_channel(
-                apply_channel(rho, FAMILIES[AD](q1), Side.B), FAMILIES[AD](q2), Side.B
-            )
-            merged = apply_channel(rho, FAMILIES[AD](1 - (1 - q1) * (1 - q2)), Side.B)
+            twice = apply_channel(apply_channel(rho, FAMILIES[AD](q1)), FAMILIES[AD](q2))
+            merged = apply_channel(rho, FAMILIES[AD](1 - (1 - q1) * (1 - q2)))
             worst_comp = max(worst_comp, float(np.max(np.abs(twice.mat - merged.mat))))
     assert worst_comp <= 1e-10
 

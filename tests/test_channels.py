@@ -5,7 +5,6 @@ from conftest import ginibre_density_stack
 from qnl.channels import (
     FAMILIES,
     KrausChannel,
-    Side,
     amplitude_damping,
     apply_channel,
     channel_family,
@@ -83,15 +82,14 @@ class TestConstructors:
 
 class TestApply:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("side", list(Side))
-    def test_q0_is_identity(self, family, side, rng):
+    def test_q0_is_identity(self, family, rng):
         ch = FAMILIES[family](0.0)
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(validate(mat), ch, side)
+            out = apply_channel(validate(mat), ch)
             assert np.max(np.abs(out.mat - mat)) <= 1e-14
 
     def test_full_damping_of_singlet(self):
-        out = apply_channel(bell_singlet(), amplitude_damping(1.0), Side.B)
+        out = apply_channel(bell_singlet(), amplitude_damping(1.0))
         expected = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         np.testing.assert_allclose(out.mat, expected, atol=1e-15)
         assert concurrence(out) == 0.0
@@ -99,54 +97,46 @@ class TestApply:
     def test_damped_werner_matches_closed_form(self):
         for p in (0.2, 0.4, 0.8):
             for q in (0.1, 0.5, 0.9):
-                out = apply_channel(werner(p), amplitude_damping(q), Side.B)
+                out = apply_channel(werner(p), amplitude_damping(q))
                 assert concurrence(out) == pytest.approx(concurrence_ad(p, q), abs=1e-12)
 
     def test_full_dephasing_kills_coherence(self):
-        out = apply_channel(plus_on_b(), phase_damping(1.0), Side.B)
+        out = apply_channel(plus_on_b(), phase_damping(1.0))
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_dephasing_fixes_diagonal_states(self, rng):
         diag = validate(np.diag(rng.dirichlet(np.ones(4))))
         for q in (0.2, 0.7, 1.0):
-            out = apply_channel(diag, phase_damping(q), Side.B)
+            out = apply_channel(diag, phase_damping(q))
             np.testing.assert_allclose(out.mat, diag.mat, atol=1e-15)
 
     def test_full_depolarizing_mixes_target(self):
-        out = apply_channel(plus_on_b(), depolarizing(1.0), Side.B)
+        out = apply_channel(plus_on_b(), depolarizing(1.0))
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_depolarizing_two_qubit_form(self, rng):
         # One-sided white noise: rho -> (1-q) rho + q (Tr_B rho) x I/2.
         q = 0.44
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(validate(mat), depolarizing(q), Side.B)
+            out = apply_channel(validate(mat), depolarizing(q))
             marginal_a = partial_trace_b(mat)
             expected = (1 - q) * mat + q * np.kron(marginal_a, np.eye(2) / 2)
             np.testing.assert_allclose(out.mat, expected, atol=1e-13)
 
-    def test_side_a_mirrors_side_b_on_singlet(self):
-        # The singlet is swap-symmetric, so one-sided noise on either qubit
-        # produces swap-mirrored states with identical spectra.
-        ch = amplitude_damping(0.3)
-        out_a = apply_channel(bell_singlet(), ch, Side.A)
-        out_b = apply_channel(bell_singlet(), ch, Side.B)
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        np.testing.assert_allclose(out_a.mat, swap @ out_b.mat @ swap, atol=1e-14)
-
-    def test_both_sides_equals_sequential_and_commutes(self, rng):
-        ch = amplitude_damping(0.27)
-        for mat in ginibre_density_stack(5, rng):
-            rho = validate(mat)
-            joint = apply_channel(rho, ch, Side.BOTH)
-            ab = apply_channel(apply_channel(rho, ch, Side.A), ch, Side.B)
-            ba = apply_channel(apply_channel(rho, ch, Side.B), ch, Side.A)
-            np.testing.assert_allclose(joint.mat, ab.mat, atol=1e-14)
-            np.testing.assert_allclose(joint.mat, ba.mat, atol=1e-14)
-
     def test_output_is_validated_state(self):
-        out = apply_channel(werner(0.8), depolarizing(0.5), Side.BOTH)
+        out = apply_channel(werner(0.8), depolarizing(0.5))
         assert isinstance(out, DensityMatrix)
+
+    def test_acts_on_b_and_takes_no_side(self):
+        # A third argument once chose the qubit, and any value but B or BOTH
+        # acted on A: "B" itself gave diag(0.4, 0.6, 0, 0) here.
+        rho = validate(np.diag([0.1, 0.2, 0.3, 0.4]))
+        ch = amplitude_damping(1.0)
+        np.testing.assert_allclose(apply_channel(rho, ch).mat, np.diag([0.3, 0, 0.7, 0]), atol=0)
+        with pytest.raises(TypeError):
+            apply_channel(rho, ch, "B")
+        with pytest.raises(TypeError):
+            apply_channel(rho, ch, side="B")
 
 
 class TestChannelSweepInvariants:
@@ -166,13 +156,9 @@ class TestChannelSweepInvariants:
             rho = validate(mat)
             for q1, q2 in ((0.1, 0.3), (0.5, 0.5), (0.9, 0.2)):
                 twice = apply_channel(
-                    apply_channel(rho, amplitude_damping(q1), Side.B),
-                    amplitude_damping(q2),
-                    Side.B,
+                    apply_channel(rho, amplitude_damping(q1)), amplitude_damping(q2)
                 )
-                merged = apply_channel(
-                    rho, amplitude_damping(1 - (1 - q1) * (1 - q2)), Side.B
-                )
+                merged = apply_channel(rho, amplitude_damping(1 - (1 - q1) * (1 - q2)))
                 assert np.max(np.abs(twice.mat - merged.mat)) <= 1e-10
 
 
@@ -204,7 +190,7 @@ class TestGridKernels:
             rho = validate(mat)
             grid = evolve_grid(mat, family, qs)
             for q, evolved in zip(qs, grid):
-                direct = apply_channel(rho, FAMILIES[family](q), Side.B)
+                direct = apply_channel(rho, FAMILIES[family](q))
                 np.testing.assert_allclose(evolved, direct.mat, atol=1e-14)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -12,9 +12,8 @@ from qnl.measures import (
     classify,
     concurrence,
     concurrence_unclamped,
-    correlation_matrix,
+    correlation_matrix_stack,
     fidelity,
-    gisin_bound,
     hierarchy_rank,
     n_value,
     spin_flip,
@@ -81,21 +80,21 @@ class TestConcurrence:
 
 class TestCorrelationMatrix:
     def test_maximally_mixed_is_zero(self):
-        np.testing.assert_allclose(correlation_matrix(validate(MAX_MIXED)), 0, atol=1e-15)
+        t = correlation_matrix_stack(validate(MAX_MIXED).mat[None])[0]
+        np.testing.assert_allclose(t, 0, atol=1e-15)
 
     def test_singlet(self):
-        np.testing.assert_allclose(
-            correlation_matrix(bell_singlet()), -np.eye(3), atol=1e-12
-        )
+        t = correlation_matrix_stack(bell_singlet().mat[None])[0]
+        np.testing.assert_allclose(t, -np.eye(3), atol=1e-12)
 
     def test_product_state_zz_only(self):
-        t = correlation_matrix(validate(ket_projector(0)))
+        t = correlation_matrix_stack(validate(ket_projector(0)).mat[None])[0]
         expected = np.diag([0.0, 0.0, 1.0])
         np.testing.assert_allclose(t, expected, atol=1e-15)
 
     def test_entries_bounded(self, rng):
         for mat in ginibre_density_stack(200, rng):
-            t = correlation_matrix(validate(mat))
+            t = correlation_matrix_stack(validate(mat).mat[None])[0]
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
 
     def test_traces_essentially_real(self, rng):
@@ -137,14 +136,14 @@ class TestScalarMeasures:
 
 class TestGisinBound:
     def test_two_decimal_value(self):
-        assert round(gisin_bound(), 2) == 0.87
+        assert round(GISIN_BOUND, 2) == 0.87
 
     def test_tight_bracket(self):
-        assert 0.872 < gisin_bound() < 0.873
+        assert 0.872 < GISIN_BOUND < 0.873
 
     def test_werner_gisin_parameter(self):
         # The Werner state crosses the bound at p = 2 F_lhv - 1, about 0.745.
-        assert abs(2 * gisin_bound() - 1 - 0.745) < 5e-4
+        assert abs(2 * GISIN_BOUND - 1 - 0.745) < 5e-4
 
 
 class TestClassify:
@@ -210,7 +209,7 @@ class TestClassify:
             HierarchyClass.BEYOND_GISIN,
         ]
         step = grid[1] - grid[0]
-        expected = [1 / 3, 1 / math.sqrt(2), 2 * gisin_bound() - 1]
+        expected = [1 / 3, 1 / math.sqrt(2), 2 * GISIN_BOUND - 1]
         for found, target in zip(changes, expected):
             assert abs(found - target) <= step + 1e-12
 

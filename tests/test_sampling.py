@@ -15,8 +15,8 @@ from qnl.sampling import (
     SamplerConfig,
     gaps_of,
     hierarchy_experiment,
+    _draw_weights,
     sample_mems_above_gisin,
-    sample_weights,
     write_records_csv,
 )
 from qnl.states import MemsWeights, bell_singlet, mems
@@ -25,26 +25,22 @@ from qnl.thresholds import ThresholdSet, threshold_set
 
 class TestSampleWeights:
     def test_descending_simplex(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            w = sample_weights(rng).as_tuple()
-            assert w[0] >= w[1] >= w[2] >= w[3] >= 0.0
-            assert sum(w) == pytest.approx(1.0, abs=1e-12)
+        w = _draw_weights(np.random.default_rng(7), 1000)
+        assert np.all(w[:, :-1] >= w[:, 1:]) and np.all(w[:, -1] >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_sequence(self):
         rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-        seq1 = [sample_weights(rng1).as_tuple() for _ in range(10)]
-        seq2 = [sample_weights(rng2).as_tuple() for _ in range(10)]
-        assert seq1 == seq2
+        seq1 = [_draw_weights(rng1, 1) for _ in range(10)]
+        seq2 = [_draw_weights(rng2, 1) for _ in range(10)]
+        assert np.array_equal(seq1, seq2)
+        # One block of ten reads the same stream as ten draws of one.
+        assert np.array_equal(np.concatenate(seq1), _draw_weights(np.random.default_rng(42), 10))
 
     def test_mean_of_largest_weight(self):
         # Order statistics of uniform spacings: E[p1] = (1 + 1/2 + 1/3 + 1/4)/4.
-        rng = np.random.default_rng(99)
-        total = 0.0
-        n = 100_000
-        for _ in range(n):
-            total += sample_weights(rng).p1
-        assert total / n == pytest.approx(25.0 / 48.0, abs=0.01)
+        p1 = _draw_weights(np.random.default_rng(99), 100_000)[:, 0]
+        assert p1.mean() == pytest.approx(25.0 / 48.0, abs=0.01)
 
 
 class TestRejectionSampler:
@@ -64,7 +60,7 @@ class TestRejectionSampler:
         rng = np.random.default_rng(31)
         expected = []
         while len(expected) < 12:
-            w = sample_weights(rng)
+            w = MemsWeights(*_draw_weights(rng, 1)[0])
             if fidelity(mems(w)) > GISIN_BOUND:
                 expected.append(w.as_tuple())
         np.testing.assert_allclose(got, expected, atol=0)
@@ -82,7 +78,7 @@ class TestRejectionSampler:
         rng = np.random.default_rng(11)
         draws = 20_000
         hits = sum(
-            fidelity(mems(sample_weights(rng))) > GISIN_BOUND for _ in range(draws)
+            fidelity(mems(MemsWeights(*row))) > GISIN_BOUND for row in _draw_weights(rng, draws)
         )
         assert hits / draws > 1e-6
         assert 0.005 < hits / draws < 0.2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnl.errors import NotHermitian, NotPSD, TraceNotOne
-from qnl.measures import concurrence, correlation_matrix
+from qnl.measures import concurrence, correlation_matrix_stack
 from qnl.states import (
     DensityMatrix,
     MemsWeights,
@@ -34,7 +34,7 @@ class TestBellSinglet:
         assert concurrence(bell_singlet()) == pytest.approx(1.0, abs=1e-12)
 
     def test_correlation_matrix_is_minus_identity(self):
-        t = correlation_matrix(bell_singlet())
+        t = correlation_matrix_stack(bell_singlet().mat[None])[0]
         np.testing.assert_allclose(t, -np.eye(3), atol=1e-12)
 
 

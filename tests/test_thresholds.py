@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnl.channels import FAMILIES, Side, apply_channel, evolve_grid
+from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.errors import BadGrid, InvalidTolerance
 from qnl.measures import (
     GISIN_BOUND,
@@ -11,15 +11,12 @@ from qnl.measures import (
     classify,
     concurrence_unclamped,
     fidelity,
-    gisin_bound,
 )
 from qnl.states import bell_singlet, validate, werner
 from qnl.thresholds import (
     _BLOCK_POINTS,
-    Measure,
     ThresholdSet,
     _curves,
-    critical_q,
     hierarchy_check,
     scan,
     threshold_set,
@@ -43,35 +40,33 @@ def bisect_analytic(func, target, lo=0.0, hi=1.0, tol=1e-12):
 
 class TestCriticalQBellState:
     def test_fidelity_threshold(self):
-        q = critical_q(bell_singlet(), AD, Measure.FIDELITY)
+        q = threshold_set(bell_singlet(), AD).q_f
         assert q == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-6)
 
     def test_gisin_threshold_matches_analytic_root(self):
-        q = critical_q(bell_singlet(), AD, Measure.GISIN)
-        root = bisect_analytic(lambda x: fidelity_ad(1.0, x), gisin_bound())
+        q = threshold_set(bell_singlet(), AD).q_g
+        root = bisect_analytic(lambda x: fidelity_ad(1.0, x), GISIN_BOUND)
         assert q == pytest.approx(root, abs=1e-4)
 
     def test_concurrence_survives_all_noise(self):
-        assert critical_q(bell_singlet(), AD, Measure.CONCURRENCE) is None
+        assert threshold_set(bell_singlet(), AD).q_c is None
 
     def test_bell_threshold_is_one_half(self):
         # The pipeline Bell curve is 2 sqrt(2) sqrt(1-q), which crosses 2 at
         # q = 1/2 exactly; cross-checked against a fine direct scan below.
-        q = critical_q(bell_singlet(), AD, Measure.BELL)
+        q = threshold_set(bell_singlet(), AD).q_b
         assert q == pytest.approx(0.5, abs=1e-6)
         probe = np.linspace(0.49, 0.51, 2001)
         table = scan(bell_singlet(), AD, probe)
         first_dead = probe[np.argmax(table[:, 3] <= 2.0)]
         assert q == pytest.approx(first_dead, abs=1e-4)
 
-    def test_measure_accepts_strings(self):
-        assert critical_q(bell_singlet(), AD, "bell") == pytest.approx(0.5, abs=1e-6)
-
 
 class TestThresholdSet:
     def test_bell_state_bundle(self):
         ts = threshold_set(bell_singlet(), AD)
-        assert ts.q_g == pytest.approx(critical_q(bell_singlet(), AD, Measure.GISIN), abs=1e-9)
+        root = bisect_analytic(lambda x: fidelity_ad(1.0, x), GISIN_BOUND)
+        assert ts.q_g == pytest.approx(root, abs=1e-9)
         assert ts.q_b == pytest.approx(0.5, abs=1e-6)
         assert ts.q_f == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-6)
         assert ts.q_c is None
@@ -92,7 +87,7 @@ class TestThresholdSet:
 
     def test_werner_qc_matches_closed_boundary(self):
         # Entanglement death of werner(0.4) at q = 1/3 from the closed form.
-        q = critical_q(werner(0.4), AD, Measure.CONCURRENCE)
+        q = threshold_set(werner(0.4), AD).q_c
         assert q == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -100,18 +95,6 @@ class TestThresholdSet:
     def test_hierarchy_across_channels(self, family, p):
         ts = threshold_set(werner(p), family, tol=1e-6)
         assert hierarchy_check(ts)
-
-    def test_bundle_equals_individual_calls(self):
-        ts = threshold_set(werner(0.9), AD, tol=1e-8)
-        singles = [
-            critical_q(werner(0.9), AD, m, tol=1e-8)
-            for m in (Measure.GISIN, Measure.BELL, Measure.FIDELITY, Measure.CONCURRENCE)
-        ]
-        for got, want in zip((ts.q_g, ts.q_b, ts.q_f, ts.q_c), singles):
-            if want is None:
-                assert got is None
-            else:
-                assert got == pytest.approx(want, abs=1e-12)
 
     def test_survivor_below_float_spacing_at_one(self):
         # 1 - 1e-17 rounds to 1, where amplitude damping leaves a product
@@ -121,7 +104,7 @@ class TestThresholdSet:
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 2e-3, 1.0])
     def test_invalid_tolerance(self, tol):
         with pytest.raises(InvalidTolerance):
-            critical_q(bell_singlet(), AD, Measure.BELL, tol=tol)
+            threshold_set(bell_singlet(), AD, tol=tol)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown channel"):
@@ -145,8 +128,8 @@ class TestBisectionCorrectness:
         for q_star, alive in conditions.items():
             if q_star is None or q_star == 0.0:
                 continue
-            before = apply_channel(state, FAMILIES[AD](q_star - 2 * tol), Side.B)
-            after = apply_channel(state, FAMILIES[AD](q_star + 2 * tol), Side.B)
+            before = apply_channel(state, FAMILIES[AD](q_star - 2 * tol))
+            after = apply_channel(state, FAMILIES[AD](q_star + 2 * tol))
             assert alive(before)
             assert not alive(after)
 
@@ -206,7 +189,7 @@ class TestScan:
         for family in sorted(FAMILIES):
             table = scan(state, family, qs)
             for q, c, f, b in table:
-                evolved = apply_channel(state, FAMILIES[family](q), Side.B)
+                evolved = apply_channel(state, FAMILIES[family](q))
                 report = classify(evolved)
                 assert c == pytest.approx(report.concurrence, abs=1e-12)
                 assert f == pytest.approx(report.fidelity, abs=1e-12)
@@ -277,7 +260,7 @@ class TestRegionMapAgainstPipeline:
         for p in np.linspace(0.0, 1.0, 25):
             for q in np.linspace(0.0, 1.0, 25):
                 analytic = werner_region(p, q)
-                evolved = apply_channel(werner(p), FAMILIES[AD](q), Side.B)
+                evolved = apply_channel(werner(p), FAMILIES[AD](q))
                 report = classify(evolved)
                 numeric = report.hierarchy_class.region
                 if analytic == numeric:
