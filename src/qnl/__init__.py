@@ -32,13 +32,10 @@ from .measures import (
     HierarchyClass,
     Measure,
     MeasureReport,
-    bell_parameter,
     classify,
     concurrence,
     concurrence_unclamped,
     fidelity,
-    n_value,
-    spin_flip,
 )
 from .sampling import (
     HierarchyRecord,
@@ -54,8 +51,6 @@ from .states import (
     bell_singlet,
     load_state,
     mems,
-    save_state,
-    validate,
     werner,
 )
 from .thresholds import (

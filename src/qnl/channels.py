@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QOutOfRange
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron2
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -93,7 +93,7 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     """
     out = np.zeros((4, 4), dtype=complex)
     for m in ch.ops:
-        k = kron2(ID2, m)
+        k = np.kron(ID2, m)
         out += k @ rho.mat @ dagger(k)
     return DensityMatrix(out)
 

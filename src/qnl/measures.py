@@ -8,7 +8,7 @@ Four measures are computed from a density matrix rho:
                    correlation matrix T, t_ij = Tr(rho sigma_i x sigma_j)
   fidelity         F = (1 + N/3) / 2, the optimal teleportation fidelity;
                    useful as a teleportation resource iff F > 2/3
-  bell_parameter   B = 2 sqrt(s1^2 + s2^2) over the two largest singular
+  bell             B = 2 sqrt(s1^2 + s2^2) over the two largest singular
                    values of T; the CHSH inequality is violated iff B > 2
 
 The eigenvalue problem for the non-Hermitian product rho @ rho_tilde is never
@@ -23,8 +23,9 @@ det(rho^{T_B}) and falls back to these roots only where the determinant is
 rounding noise itself. ``tests/test_x_path.py`` pins it at 1e-7 against
 the exact curve of pure a|00> + b|11> states.
 
-``classify`` ranks a state by its first failing condition, in C, F, B, G
-order, over ``alive_margins``, the margins the threshold locator reads.
+``classify`` returns all four, named as above, in one ``MeasureReport``, and
+ranks the state by its first failing condition, in C, F, B, G order, over
+``alive_margins``, the margins the threshold locator reads.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, kron2, psd_sqrt_stack
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, psd_sqrt_stack
 from .states import DensityMatrix
 
-_SIGMA_YY = kron2(PAULI_Y, PAULI_Y)
+_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 _PAULI_KRON = np.stack(
-    [kron2(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z) for b in (PAULI_X, PAULI_Y, PAULI_Z)]
+    [np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z) for b in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
 _SIGMA_YY.setflags(write=False)
 _PAULI_KRON.setflags(write=False)
@@ -64,11 +65,6 @@ class HierarchyClass(Enum):
     BELL_NOT_GISIN = "BELL_NOT_GISIN"
     BEYOND_GISIN = "BEYOND_GISIN"
 
-    @property
-    def region(self) -> str:
-        """Region label R1..R5 of the (p, q) phase map, same ordering."""
-        return REGIONS[list(HierarchyClass).index(self)]
-
 
 class Measure(Enum):
     """The alive conditions, in the row order of ``alive_margins``."""
@@ -88,11 +84,6 @@ class MeasureReport:
     fidelity: float
     bell: float
     hierarchy_class: HierarchyClass
-
-
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    return _SIGMA_YY @ np.conj(rho.mat) @ _SIGMA_YY
 
 
 def wootters_roots_stack(rhos: np.ndarray) -> np.ndarray:
@@ -211,19 +202,9 @@ def concurrence_unclamped(rho: DensityMatrix) -> float:
     return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
 
 
-def n_value(rho: DensityMatrix) -> float:
-    """Sum of singular values of T; lies in [0, 3] for physical states."""
-    return _n_f_b(rho)[0]
-
-
 def fidelity(rho: DensityMatrix) -> float:
     """Optimal teleportation fidelity (1 + N/3)/2 in [1/2, 1]."""
     return _n_f_b(rho)[1]
-
-
-def bell_parameter(rho: DensityMatrix) -> float:
-    """Maximal CHSH expectation 2 sqrt(s1^2 + s2^2) in [0, 2 sqrt 2]."""
-    return _n_f_b(rho)[2]
 
 
 def alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:

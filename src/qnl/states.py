@@ -1,4 +1,5 @@
-"""Two-qubit state families: Bell singlet, Werner mixtures, rank-4 MEMS.
+"""Two-qubit states: the validated DensityMatrix, the Bell singlet, Werner
+mixtures, rank-4 MEMS, and the reader of the {"re", "im"} JSON state files.
 
 Basis order is fixed project-wide as |00>, |01>, |10>, |11> with the first
 label qubit A (kept locally) and the second qubit B (the one exposed to a
@@ -73,18 +74,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues sorted descending."""
-        return np.linalg.eigvalsh(self.mat)[::-1]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
-
-
-def validate(raw: np.ndarray) -> DensityMatrix:
-    """Wrap a raw 4x4 complex array as a DensityMatrix, or raise."""
-    return DensityMatrix(np.asarray(raw, dtype=complex))
-
 
 @dataclass(frozen=True)
 class MemsWeights:
@@ -136,15 +125,8 @@ def mems(weights: MemsWeights) -> DensityMatrix:
     Diagonal in the orthonormal set {|psi->, |00>, |psi+>, |11>} with weights
     (p1, p2, p3, p4); its eigenvalues are exactly those weights.
     """
-    if not isinstance(weights, MemsWeights):
-        weights = MemsWeights(*weights)
     mat = np.einsum("k,kij->ij", weights.as_tuple(), _MEMS_PROJECTORS)
     return DensityMatrix(mat)
-
-
-def to_json_dict(rho: DensityMatrix) -> dict:
-    """JSON-friendly form: {"re": 4x4, "im": 4x4}, row-major."""
-    return {"re": np.real(rho.mat).tolist(), "im": np.imag(rho.mat).tolist()}
 
 
 def from_json_dict(data: dict) -> DensityMatrix:
@@ -158,16 +140,10 @@ def from_json_dict(data: dict) -> DensityMatrix:
         raise ValueError(
             f"state JSON arrays must be 4x4, got re {re.shape}, im {im.shape}"
         )
-    return validate(re + 1j * im)
+    return DensityMatrix(re + 1j * im)
 
 
 def load_state(path: str) -> DensityMatrix:
     """Load and validate a density matrix from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         return from_json_dict(json.load(fh))
-
-
-def save_state(rho: DensityMatrix, path: str) -> None:
-    """Write a density matrix to the JSON file format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(rho), fh)

@@ -1,5 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+
+
+def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
+    """Random density matrix G G^dag / Tr with G of shape (4, rank)."""
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
 
 
 def ginibre_density_stack(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -8,6 +17,12 @@ def ginibre_density_stack(n: int, rng: np.random.Generator) -> np.ndarray:
     mats = g @ np.conj(np.swapaxes(g, -1, -2))
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     return mats / tr[:, None, None]
+
+
+def write_state(mat: np.ndarray, path) -> None:
+    """Write a 4x4 matrix as the {"re": 4x4, "im": 4x4} row-major file ``load_state`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"re": np.real(mat).tolist(), "im": np.imag(mat).tolist()}, fh)
 
 
 def partial_transpose_b(rho: np.ndarray) -> np.ndarray:

@@ -1,0 +1,61 @@
+"""Independent references that the tests compare the library's kernels against.
+
+Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
+
+  hermitian_eig   eigh of one Hermitian matrix, eigenvalues descending
+  psd_sqrt        its PSD square root, the reference for ``psd_sqrt_stack``
+  spin_flip       rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y),
+                  the reference for the Wootters roots
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qnl.errors import NotHermitian, NotPSD
+from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
+from qnl.states import DensityMatrix
+
+# Eigenvalues of a PSD matrix more negative than this are treated as a real
+# violation rather than rounding noise.
+PSD_CLAMP_TOL = 1e-10
+# hermitian_eig rejects a matrix whose max|h - h^dagger| exceeds this.
+_HERMITIAN_TOL = 1e-10
+
+_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+
+
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    Returns (values, vectors) with h = vectors @ diag(values) @ vectors^dagger
+    and the k-th column of ``vectors`` the eigenvector of ``values[k]``.
+
+    Raises NotHermitian if ``max|h - h^dagger|`` exceeds _HERMITIAN_TOL.
+    """
+    h = np.asarray(h, dtype=complex)
+    defect = hermiticity_defect(h)
+    if defect > _HERMITIAN_TOL:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {defect:.3e} (tolerance {_HERMITIAN_TOL:.3e})"
+        )
+    w, v = np.linalg.eigh(h)
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.
+
+    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to zero; anything more
+    negative raises NotPSD.
+    """
+    w, v = hermitian_eig(h)
+    if w[-1] < -PSD_CLAMP_TOL:
+        raise NotPSD(f"minimum eigenvalue {w[-1]:.3e} below -{PSD_CLAMP_TOL:.0e}")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ dagger(v)
+
+
+def spin_flip(rho: DensityMatrix) -> np.ndarray:
+    """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
+    return _SIGMA_YY @ np.conj(rho.mat) @ _SIGMA_YY

@@ -22,7 +22,7 @@ from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.cli import main as cli_main
 from qnl.measures import (
     GISIN_BOUND,
-    bell_parameter,
+    classify,
     concurrence,
     concurrence_unclamped,
     fidelity,
@@ -30,7 +30,7 @@ from qnl.measures import (
     correlation_singvals_stack,
 )
 from qnl.sampling import SamplerConfig, hierarchy_experiment
-from qnl.states import bell_singlet, validate, werner
+from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.thresholds import threshold_set
 from qnl.werner_analytic import concurrence_ad, fidelity_ad
 
@@ -76,7 +76,7 @@ def test_criterion_1_werner_noiseless_triple():
     for p in np.linspace(0.0, 1.0, 11):
         rho = werner(p)
         targets = (max(0.0, (3 * p - 1) / 2), (1 + p) / 2, 2 * math.sqrt(2) * p)
-        got = (concurrence(rho), fidelity(rho), bell_parameter(rho))
+        got = (concurrence(rho), fidelity(rho), classify(rho).bell)
         worst = max(worst, max(abs(g - t) for g, t in zip(got, targets)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -91,7 +91,7 @@ def test_criterion_2_werner_noiseless_thresholds():
     roots = {
         "entanglement": bisect_increasing(lambda p: concurrence_unclamped(werner(p))),
         "teleportation": bisect_increasing(lambda p: fidelity(werner(p)) - 2 / 3),
-        "bell": bisect_increasing(lambda p: bell_parameter(werner(p)) - 2),
+        "bell": bisect_increasing(lambda p: classify(werner(p)).bell - 2),
         "gisin": bisect_increasing(lambda p: fidelity(werner(p)) - GISIN_BOUND),
     }
     targets = {
@@ -232,13 +232,13 @@ def test_criterion_7_physics_invariant_suite():
     worst_id = 0.0
     for family in sorted(FAMILIES):
         for mat in sweep_states[:20]:
-            out = apply_channel(validate(mat), FAMILIES[family](0.0))
+            out = apply_channel(DensityMatrix(mat), FAMILIES[family](0.0))
             worst_id = max(worst_id, float(np.max(np.abs(out.mat - mat))))
     assert worst_id <= 1e-14
 
     worst_comp = 0.0
     for mat in sweep_states[:20]:
-        rho = validate(mat)
+        rho = DensityMatrix(mat)
         for q1, q2 in ((0.15, 0.3), (0.6, 0.6), (0.95, 0.1)):
             twice = apply_channel(apply_channel(rho, FAMILIES[AD](q1)), FAMILIES[AD](q2))
             merged = apply_channel(rho, FAMILIES[AD](1 - (1 - q1) * (1 - q2)))

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ginibre
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, x_entries
@@ -198,12 +199,6 @@ def check_same(margins, n: int, tol: float, guess: np.ndarray | None = None) -> 
         bisection += [min(_BLOCK_POINTS, points - k) for k in range(0, points, _BLOCK_POINTS)]
     assert sizes[len(sizes) - len(bisection):] == bisection
     return steps
-
-
-def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
 
 
 @pytest.mark.parametrize("tol", TOLS)

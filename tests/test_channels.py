@@ -15,7 +15,7 @@ from qnl.channels import (
 )
 from qnl.errors import QOutOfRange
 from qnl.measures import concurrence
-from qnl.states import DensityMatrix, bell_singlet, validate, werner
+from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.werner_analytic import concurrence_ad
 
 
@@ -28,7 +28,7 @@ def plus_on_b() -> DensityMatrix:
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     mat = np.zeros((4, 4), dtype=complex)
     mat[:2, :2] = np.outer(plus, plus.conj())
-    return validate(mat)
+    return DensityMatrix(mat)
 
 
 class TestConstructors:
@@ -85,7 +85,7 @@ class TestApply:
     def test_q0_is_identity(self, family, rng):
         ch = FAMILIES[family](0.0)
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(validate(mat), ch)
+            out = apply_channel(DensityMatrix(mat), ch)
             assert np.max(np.abs(out.mat - mat)) <= 1e-14
 
     def test_full_damping_of_singlet(self):
@@ -105,7 +105,7 @@ class TestApply:
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_dephasing_fixes_diagonal_states(self, rng):
-        diag = validate(np.diag(rng.dirichlet(np.ones(4))))
+        diag = DensityMatrix(np.diag(rng.dirichlet(np.ones(4))))
         for q in (0.2, 0.7, 1.0):
             out = apply_channel(diag, phase_damping(q))
             np.testing.assert_allclose(out.mat, diag.mat, atol=1e-15)
@@ -118,7 +118,7 @@ class TestApply:
         # One-sided white noise: rho -> (1-q) rho + q (Tr_B rho) x I/2.
         q = 0.44
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(validate(mat), depolarizing(q))
+            out = apply_channel(DensityMatrix(mat), depolarizing(q))
             marginal_a = partial_trace_b(mat)
             expected = (1 - q) * mat + q * np.kron(marginal_a, np.eye(2) / 2)
             np.testing.assert_allclose(out.mat, expected, atol=1e-13)
@@ -130,7 +130,7 @@ class TestApply:
     def test_acts_on_b_and_takes_no_side(self):
         # A third argument once chose the qubit, and any value but B or BOTH
         # acted on A: "B" itself gave diag(0.4, 0.6, 0, 0) here.
-        rho = validate(np.diag([0.1, 0.2, 0.3, 0.4]))
+        rho = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))
         ch = amplitude_damping(1.0)
         np.testing.assert_allclose(apply_channel(rho, ch).mat, np.diag([0.3, 0, 0.7, 0]), atol=0)
         with pytest.raises(TypeError):
@@ -153,7 +153,7 @@ class TestChannelSweepInvariants:
 
     def test_amplitude_damping_composition(self, rng):
         for mat in ginibre_density_stack(20, rng):
-            rho = validate(mat)
+            rho = DensityMatrix(mat)
             for q1, q2 in ((0.1, 0.3), (0.5, 0.5), (0.9, 0.2)):
                 twice = apply_channel(
                     apply_channel(rho, amplitude_damping(q1)), amplitude_damping(q2)
@@ -187,7 +187,7 @@ class TestGridKernels:
     def test_evolve_grid_matches_apply(self, family, rng):
         qs = np.array([0.0, 0.123, 0.5, 0.987, 1.0])
         for mat in ginibre_density_stack(10, rng):
-            rho = validate(mat)
+            rho = DensityMatrix(mat)
             grid = evolve_grid(mat, family, qs)
             for q, evolved in zip(qs, grid):
                 direct = apply_channel(rho, FAMILIES[family](q))

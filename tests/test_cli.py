@@ -11,8 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import qnl
+from conftest import write_state
 from qnl.cli import MAX_GRID, MAX_MAP_AXIS, main
-from qnl.states import save_state, validate, werner
+from qnl.states import werner
 from qnl.werner_analytic import concurrence_ad, fidelity_ad
 
 
@@ -61,9 +62,22 @@ class TestMeasuresCommand:
 
     def test_file_spec(self, runner, tmp_path):
         path = tmp_path / "w.json"
-        save_state(werner(0.5), str(path))
+        write_state(werner(0.5).mat, path)
         doc = json.loads(run_ok(runner, ["measures", "--state", f"file:{path}"]))
         assert doc["fidelity"] == pytest.approx(0.75, abs=1e-12)
+
+    # SHA-256 of the stdout on the spec of each state family: the JSON goes
+    # through classify, so a refactor of the scalar path must keep these bytes.
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [("bell:singlet", "5285922b8779ef265c8f29ef7254b2a8dc1a42c8d6bca8b839a59af191f67140"),
+         ("werner:p=0.8", "e5118990630977a3bd4f4def135bf2d7f75311b2390ac5b6793a6f9a1e4961b3"),
+         ("mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05",
+          "4fdf0f49f78269bc97039c27d868606fece9840b4f4529291b51f1048c3e3430")],
+    )
+    def test_golden_stdout(self, runner, spec, digest):
+        out = run_ok(runner, ["measures", "--state", spec])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "spec",
@@ -120,7 +134,7 @@ class TestScanCommand:
         # 0.8 |psi><psi| + 0.05 I, entangled and not an X-state.
         psi = np.array([0.64, 0.48j, 0.36, 0.48])
         path = tmp_path / "state.json"
-        save_state(validate(0.8 * np.outer(psi, psi.conj()) + 0.05 * np.eye(4)), str(path))
+        write_state(0.8 * np.outer(psi, psi.conj()) + 0.05 * np.eye(4), path)
         out = run_ok(runner, ["scan", "--state", f"file:{path}", "--channel",
                               "amplitude-damping", "--steps", "4005"])
         digest = "01528d534d7fd8c1eaca43bb74c44309f94ccf1b9557582eed96873ae3ff4be4"
@@ -162,7 +176,7 @@ class TestThresholdsCommand:
 
     def test_maximally_mixed_from_file(self, runner, tmp_path):
         path = tmp_path / "mixed.json"
-        save_state(validate(np.eye(4) / 4), str(path))
+        write_state(np.eye(4) / 4, path)
         doc = json.loads(run_ok(runner, ["thresholds", "--state", f"file:{path}"]))
         assert doc["q_G"] == doc["q_B"] == doc["q_F"] == doc["q_C"] == 0.0
         assert doc["hierarchy_ok"] is True
@@ -184,6 +198,32 @@ class TestThresholdsCommand:
         for key in ("q_G", "q_B", "q_F"):
             assert tiny[key] == pytest.approx(ref[key], abs=1e-11)
         assert tiny["q_C"] is ref["q_C"] is None
+
+    # The same for threshold_set, on those states under each channel.
+    @pytest.mark.parametrize(
+        "spec, channel, digest",
+        [("bell:singlet", "amplitude-damping",
+          "a7bb869b3adfe95668e9e6c3e85ab75b2077fe0d404f1b64333af4f4ca695718"),
+         ("bell:singlet", "phase-damping",
+          "accf29497b7aa69494ec3321acd8c1ff963208a57fa2d1b844a7dda5b7c03844"),
+         ("bell:singlet", "depolarizing",
+          "ab0034bcf6ccae0fccf61596ca967ecf102f26031db2f56429d20986d12aa7dd"),
+         ("werner:p=0.8", "amplitude-damping",
+          "ca01b99b49915999970f70811d157c9c201113abeb8c670e02a706f5dad25f4d"),
+         ("werner:p=0.8", "phase-damping",
+          "4a2fa2fe9ea73fb1c4f74d5886cc6d0f7e3b290ebff6680f57d1e751430c74b6"),
+         ("werner:p=0.8", "depolarizing",
+          "dd1c70ff3bcdeda7af8b661f53ada9eb4d6cbba8e9cfa8fdfe829b0a989dffc8"),
+         ("mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05", "amplitude-damping",
+          "a657857373384c979e941055dfc22a12059fc48b60b6b83d804b362937940edf"),
+         ("mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05", "phase-damping",
+          "393ab2703aa428307785288796a9032d4465b608adb066b2c56cca04f9d006ff"),
+         ("mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05", "depolarizing",
+          "625e4b440fbd9e2de366e433919cef4f89f94591a58f512420e2c04dc8b0b982")],
+    )
+    def test_golden_stdout(self, runner, spec, channel, digest):
+        out = run_ok(runner, ["thresholds", "--state", spec, "--channel", channel])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSampleMemsCommand:

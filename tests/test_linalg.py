@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import hermitian_eig, psd_sqrt
 from qnl.errors import NotHermitian, NotPSD
-from qnl.linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    dagger,
-    hermitian_eig,
-    kron2,
-    psd_sqrt,
-    psd_sqrt_stack,
-)
+from qnl.linalg import PAULI_X, dagger, psd_sqrt_stack
 
 
 class TestHermitianEig:
@@ -78,38 +70,3 @@ class TestPsdSqrt:
         for h, s in zip(hs, batch):
             np.testing.assert_allclose(s, psd_sqrt(h), atol=1e-11)
 
-
-class TestKron2:
-    def test_identity(self):
-        np.testing.assert_allclose(kron2(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_left(self):
-        np.testing.assert_allclose(
-            kron2(PAULI_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex)
-        )
-
-    def test_sigma_yy_antidiagonal(self):
-        # Expanding the product by hand gives antidiagonal -1, 1, 1, -1
-        # reading rows top to bottom.
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3] = -1
-        expected[1, 2] = 1
-        expected[2, 1] = 1
-        expected[3, 0] = -1
-        np.testing.assert_allclose(kron2(PAULI_Y, PAULI_Y), expected, atol=0)
-
-    def test_bilinearity(self, rng):
-        for _ in range(100):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            scale = complex(rng.standard_normal(), rng.standard_normal())
-            np.testing.assert_allclose(
-                kron2(scale * a, b), scale * kron2(a, b), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                kron2(a, scale * b), scale * kron2(a, b), atol=1e-12
-            )
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            kron2(np.eye(3), np.eye(2))

@@ -15,6 +15,7 @@ may any threshold.
 
 import numpy as np
 import pytest
+from conftest import ginibre
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES
@@ -25,7 +26,7 @@ from qnl.measures import (
     classify,
     concurrence_unclamped,
 )
-from qnl.states import MemsWeights, mems, validate, werner
+from qnl.states import DensityMatrix, MemsWeights, mems, werner
 from qnl.thresholds import Measure, scan, threshold_set
 from qnl.werner_analytic import boundary_q_c
 
@@ -33,13 +34,6 @@ TOL = 1e-6
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 LOCAL_TOL = 1e-9
 LOCAL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
-    """Random density matrix G G^dag / Tr with G of shape (4, rank)."""
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -77,7 +71,7 @@ def check_locator(rho) -> None:
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_ginibre_states(seed, rank):
-    check_locator(validate(ginibre(np.random.default_rng(seed), rank)))
+    check_locator(DensityMatrix(ginibre(np.random.default_rng(seed), rank)))
 
 
 def assert_same_thresholds(rho, rotated, family: str) -> None:
@@ -96,7 +90,7 @@ def test_unitary_on_a_keeps_every_threshold(seed, rank):
     mat = ginibre(rng, rank)
     k = np.kron(haar_unitary(rng), np.eye(2))
     for family in sorted(FAMILIES):
-        assert_same_thresholds(validate(mat), validate(k @ mat @ k.conj().T), family)
+        assert_same_thresholds(DensityMatrix(mat), DensityMatrix(k @ mat @ k.conj().T), family)
 
 
 @LOCAL
@@ -105,7 +99,7 @@ def test_local_unitaries_keep_depolarizing_thresholds(seed, rank):
     rng = np.random.default_rng(seed)
     mat = ginibre(rng, rank)
     k = np.kron(haar_unitary(rng), haar_unitary(rng))
-    assert_same_thresholds(validate(mat), validate(k @ mat @ k.conj().T), "depolarizing")
+    assert_same_thresholds(DensityMatrix(mat), DensityMatrix(k @ mat @ k.conj().T), "depolarizing")
 
 
 @PROPERTY
@@ -139,7 +133,7 @@ def test_classify_counts_the_conditions_alive_at_q0():
     rng = np.random.default_rng(11)
     ranks = set()
     for k in range(60):
-        rho = validate(ginibre(rng, 1 + k % 4))
+        rho = DensityMatrix(ginibre(rng, 1 + k % 4))
         report = classify(rho)
         at_zero = alive_margins(report.fidelity, report.bell, concurrence_unclamped(rho))
         if np.any(np.abs(at_zero) <= 1e-6):

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_density_stack, partial_transpose_b
+from oracles import spin_flip
 from qnl.measures import (
     CLASS_SLACK,
     GISIN_BOUND,
+    REGIONS,
     HierarchyClass,
-    bell_parameter,
     classify,
     concurrence,
     concurrence_unclamped,
     correlation_matrix_stack,
     fidelity,
     hierarchy_rank,
-    n_value,
-    spin_flip,
     wootters_roots_stack,
 )
-from qnl.states import bell_singlet, validate, werner
+from qnl.states import DensityMatrix, bell_singlet, werner
 
 MAX_MIXED = np.eye(4) / 4
 
@@ -32,7 +31,7 @@ def ket_projector(index: int) -> np.ndarray:
 
 class TestSpinFlip:
     def test_maximally_mixed_invariant(self):
-        np.testing.assert_allclose(spin_flip(validate(MAX_MIXED)), MAX_MIXED, atol=1e-15)
+        np.testing.assert_allclose(spin_flip(DensityMatrix(MAX_MIXED)), MAX_MIXED, atol=1e-15)
 
     def test_singlet_invariant(self):
         rho = bell_singlet()
@@ -40,12 +39,12 @@ class TestSpinFlip:
 
     def test_computational_state_flips(self):
         # sigma_y x sigma_y maps |00> to -|11>, so the projector flips cleanly.
-        out = spin_flip(validate(ket_projector(0)))
+        out = spin_flip(DensityMatrix(ket_projector(0)))
         np.testing.assert_allclose(out, ket_projector(3), atol=1e-15)
 
     def test_output_hermitian_psd(self, rng):
         for mat in ginibre_density_stack(25, rng):
-            out = spin_flip(validate(mat))
+            out = spin_flip(DensityMatrix(mat))
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
             assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
@@ -55,7 +54,7 @@ class TestConcurrence:
         assert concurrence(bell_singlet()) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert concurrence(validate(MAX_MIXED)) == 0.0
+        assert concurrence(DensityMatrix(MAX_MIXED)) == 0.0
 
     def test_werner_threshold(self):
         assert concurrence(werner(1.0 / 3.0)) == pytest.approx(0.0, abs=1e-12)
@@ -65,13 +64,13 @@ class TestConcurrence:
         assert concurrence(werner(p)) == pytest.approx((3 * p - 1) / 2, abs=1e-12)
 
     def test_unclamped_negative_for_separable(self):
-        assert concurrence_unclamped(validate(MAX_MIXED)) < -0.4
+        assert concurrence_unclamped(DensityMatrix(MAX_MIXED)) < -0.4
 
     def test_roots_match_product_eigenvalues(self, rng):
         # The svd route must agree with eigenvalues of rho @ rho_tilde taken
         # with a general eigensolver.
         for mat in ginibre_density_stack(50, rng):
-            rho = validate(mat)
+            rho = DensityMatrix(mat)
             product = mat @ spin_flip(rho)
             lam = np.sort(np.real(np.linalg.eigvals(product)))[::-1]
             roots = wootters_roots_stack(mat[None])[0]
@@ -80,7 +79,7 @@ class TestConcurrence:
 
 class TestCorrelationMatrix:
     def test_maximally_mixed_is_zero(self):
-        t = correlation_matrix_stack(validate(MAX_MIXED).mat[None])[0]
+        t = correlation_matrix_stack(DensityMatrix(MAX_MIXED).mat[None])[0]
         np.testing.assert_allclose(t, 0, atol=1e-15)
 
     def test_singlet(self):
@@ -88,13 +87,13 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(t, -np.eye(3), atol=1e-12)
 
     def test_product_state_zz_only(self):
-        t = correlation_matrix_stack(validate(ket_projector(0)).mat[None])[0]
+        t = correlation_matrix_stack(DensityMatrix(ket_projector(0)).mat[None])[0]
         expected = np.diag([0.0, 0.0, 1.0])
         np.testing.assert_allclose(t, expected, atol=1e-15)
 
     def test_entries_bounded(self, rng):
         for mat in ginibre_density_stack(200, rng):
-            t = correlation_matrix_stack(validate(mat).mat[None])[0]
+            t = correlation_matrix_stack(DensityMatrix(mat).mat[None])[0]
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
 
     def test_traces_essentially_real(self, rng):
@@ -107,14 +106,14 @@ class TestCorrelationMatrix:
 
 class TestScalarMeasures:
     def test_n_value_singlet(self):
-        assert n_value(bell_singlet()) == pytest.approx(3.0, abs=1e-12)
+        assert classify(bell_singlet()).n_value == pytest.approx(3.0, abs=1e-12)
 
     def test_n_value_maximally_mixed(self):
-        assert n_value(validate(MAX_MIXED)) == pytest.approx(0.0, abs=1e-12)
+        assert classify(DensityMatrix(MAX_MIXED)).n_value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_n_value_werner(self, p):
-        assert n_value(werner(p)) == pytest.approx(3 * p, abs=1e-12)
+        assert classify(werner(p)).n_value == pytest.approx(3 * p, abs=1e-12)
 
     def test_fidelity_singlet(self):
         assert fidelity(bell_singlet()) == pytest.approx(1.0, abs=1e-12)
@@ -124,14 +123,14 @@ class TestScalarMeasures:
         assert fidelity(werner(p)) == pytest.approx((1 + p) / 2, abs=1e-12)
 
     def test_bell_singlet(self):
-        assert bell_parameter(bell_singlet()) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert classify(bell_singlet()).bell == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.6, 0.9])
     def test_bell_werner(self, p):
-        assert bell_parameter(werner(p)) == pytest.approx(2 * math.sqrt(2) * p, abs=1e-12)
+        assert classify(werner(p)).bell == pytest.approx(2 * math.sqrt(2) * p, abs=1e-12)
 
     def test_bell_werner_critical_point(self):
-        assert bell_parameter(werner(1 / math.sqrt(2))) == pytest.approx(2.0, abs=1e-12)
+        assert classify(werner(1 / math.sqrt(2))).bell == pytest.approx(2.0, abs=1e-12)
 
 
 class TestGisinBound:
@@ -148,7 +147,7 @@ class TestGisinBound:
 
 class TestClassify:
     def test_maximally_mixed(self):
-        assert classify(validate(MAX_MIXED)).hierarchy_class is HierarchyClass.SEPARABLE
+        assert classify(DensityMatrix(MAX_MIXED)).hierarchy_class is HierarchyClass.SEPARABLE
 
     def test_werner_teleport_not_bell(self):
         report = classify(werner(0.6))
@@ -169,7 +168,7 @@ class TestClassify:
 
     def test_fidelity_consistent_with_n(self, rng):
         for mat in ginibre_density_stack(20, rng):
-            report = classify(validate(mat))
+            report = classify(DensityMatrix(mat))
             assert report.fidelity == (1 + report.n_value / 3) / 2
 
     def test_hierarchy_rank_stops_at_the_first_failing_condition(self):
@@ -185,8 +184,9 @@ class TestClassify:
         assert hierarchy_rank(margins[:, 4]) == 3
 
     def test_region_labels(self):
-        assert HierarchyClass.SEPARABLE.region == "R1"
-        assert HierarchyClass.BEYOND_GISIN.region == "R5"
+        regions = dict(zip(HierarchyClass, REGIONS))
+        assert regions[HierarchyClass.SEPARABLE] == "R1"
+        assert regions[HierarchyClass.BEYOND_GISIN] == "R5"
 
     def test_werner_class_sequence(self):
         """Along increasing p the Werner classes step through
@@ -268,12 +268,12 @@ class TestRandomStateInvariants:
         roots = wootters_roots_stack(subset)
         sv = correlation_singvals_stack(subset)
         for i, mat in enumerate(subset):
-            rho = validate(mat)
+            rho = DensityMatrix(mat)
             c_scalar = concurrence(rho)
             c_batch = max(0.0, roots[i, 0] - roots[i, 1:].sum())
             assert c_scalar == pytest.approx(c_batch, abs=1e-14)
             assert fidelity(rho) == pytest.approx(0.5 * (1 + sv[i].sum() / 3), abs=1e-14)
-            assert bell_parameter(rho) == pytest.approx(
+            assert classify(rho).bell == pytest.approx(
                 2 * math.sqrt(sv[i, 0] ** 2 + sv[i, 1] ** 2), abs=1e-14
             )
 

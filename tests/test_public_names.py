@@ -1,0 +1,30 @@
+"""The public surface of ``qnl``: its non-module names, pinned.
+
+Adding or removing an export changes this list, so it shows up in review as a
+deliberate diff. CI reports the same count next to the line count of src/qnl.
+"""
+
+import types
+
+import qnl
+
+PUBLIC_NAMES = [
+    "BadGrid", "DensityMatrix", "FAMILIES", "GISIN_BOUND", "HierarchyClass",
+    "HierarchyRecord", "InvalidTolerance", "KrausChannel", "Measure", "MeasureReport",
+    "MemsWeights", "NotHermitian", "NotPSD", "QOutOfRange", "QnlError",
+    "RejectionStall", "SamplerConfig", "ThresholdSet", "TraceNotOne",
+    "amplitude_damping", "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
+    "boundary_q_c", "channel_family", "classify", "concurrence", "concurrence_ad",
+    "concurrence_ad_unclamped", "concurrence_unclamped", "depolarizing", "fidelity",
+    "fidelity_ad", "gaps_of", "hierarchy_check", "hierarchy_experiment", "load_state",
+    "mems", "phase_damping", "sample_mems_above_gisin", "scan", "threshold_set",
+    "werner", "werner_region", "write_records_csv",
+]
+
+
+def test_public_non_module_names():
+    names = sorted(
+        name for name in dir(qnl)
+        if not name.startswith("_") and not isinstance(getattr(qnl, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import partial_transpose_b
+from conftest import ginibre, partial_transpose_b
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, evolve_grid, x_entries
@@ -45,7 +45,7 @@ from qnl.measures import (
     correlation_measures,
     wootters_roots_stack,
 )
-from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
+from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
     DET_ROUNDING,
     PRESCAN_POINTS,
@@ -69,12 +69,6 @@ DET_SLACK = 1e-15
 seeds = st.integers(0, 2**32 - 1)
 families = st.sampled_from(sorted(FAMILIES))
 strengths = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).map(np.array)
-
-
-def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
 
 
 def x_state(rng: np.random.Generator) -> np.ndarray:
@@ -205,7 +199,7 @@ def test_pure_product_states(name, family):
     # det(rho^{T_B}) is 0 up to rounding all along the path, and nothing is
     # alive at q = 0.
     psi = PURE_PRODUCTS[name]
-    rho = validate(np.outer(psi, psi.conj()))
+    rho = DensityMatrix(np.outer(psi, psi.conj()))
     assert np.all(np.abs(kraus_margins(rho.mat, family, GRID)[3]) <= DET_SLACK)
     assert threshold_set(rho, family, 1e-9) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
 
@@ -218,7 +212,7 @@ def test_products_keep_the_spectra_thresholds(seed, family):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     psi = np.kron(a, b)
-    rho = validate(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    rho = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
     assert threshold_set(rho, family, 1e-9) == spectra_threshold_set(rho.mat, family, 1e-9)
 
 

@@ -7,12 +7,13 @@ from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.errors import BadGrid, InvalidTolerance
 from qnl.measures import (
     GISIN_BOUND,
-    bell_parameter,
+    REGIONS,
+    HierarchyClass,
     classify,
     concurrence_unclamped,
     fidelity,
 )
-from qnl.states import bell_singlet, validate, werner
+from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.thresholds import (
     _BLOCK_POINTS,
     ThresholdSet,
@@ -81,7 +82,7 @@ class TestThresholdSet:
         assert ts.q_c is None
 
     def test_maximally_mixed_all_zero(self):
-        ts = threshold_set(validate(np.eye(4) / 4), AD)
+        ts = threshold_set(DensityMatrix(np.eye(4) / 4), AD)
         assert ts == ThresholdSet(0.0, 0.0, 0.0, 0.0)
         assert hierarchy_check(ts)
 
@@ -121,7 +122,7 @@ class TestBisectionCorrectness:
         ts = threshold_set(state, AD, tol=tol)
         conditions = {
             ts.q_g: lambda r: fidelity(r) > GISIN_BOUND,
-            ts.q_b: lambda r: bell_parameter(r) > 2.0,
+            ts.q_b: lambda r: classify(r).bell > 2.0,
             ts.q_f: lambda r: fidelity(r) > 2.0 / 3.0,
             ts.q_c: lambda r: concurrence_unclamped(r) > 0.0,
         }
@@ -184,7 +185,7 @@ class TestScan:
         from conftest import ginibre_density_stack
 
         mat = ginibre_density_stack(1, rng)[0]
-        state = validate(mat)
+        state = DensityMatrix(mat)
         qs = np.array([0.0, 0.2, 0.7])
         for family in sorted(FAMILIES):
             table = scan(state, family, qs)
@@ -200,7 +201,7 @@ class TestScan:
         # Two full blocks and a last block of one row.
         from conftest import ginibre_density_stack
 
-        state = validate(ginibre_density_stack(1, rng)[0])
+        state = DensityMatrix(ginibre_density_stack(1, rng)[0])
         qs = np.linspace(0.0, 1.0, 2 * _BLOCK_POINTS + 1)
         c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs))
         whole = np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])
@@ -262,7 +263,7 @@ class TestRegionMapAgainstPipeline:
                 analytic = werner_region(p, q)
                 evolved = apply_channel(werner(p), FAMILIES[AD](q))
                 report = classify(evolved)
-                numeric = report.hierarchy_class.region
+                numeric = REGIONS[list(HierarchyClass).index(report.hierarchy_class)]
                 if analytic == numeric:
                     continue
                 mismatches += 1

@@ -22,7 +22,7 @@ from qnl import thresholds
 from qnl.channels import FAMILIES, x_entries
 from qnl.measures import GISIN_BOUND
 from qnl.sampling import SamplerConfig, _accepted_weights, _mems_entries
-from qnl.states import bell_singlet, validate, werner
+from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.thresholds import (
     _BLOCK_POINTS,
     _locate,
@@ -122,7 +122,7 @@ def x_state(raw, r14, r23, f14, f23) -> np.ndarray:
     mat[0, 3] = r14 * math.sqrt(d[0] * d[3]) * np.exp(1j * f14)
     mat[1, 2] = r23 * math.sqrt(d[1] * d[2]) * np.exp(1j * f23)
     mat[3, 0], mat[2, 1] = np.conj(mat[0, 3]), np.conj(mat[1, 2])
-    return validate(mat).mat
+    return DensityMatrix(mat).mat
 
 
 @PROPERTY

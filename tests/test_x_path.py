@@ -32,7 +32,7 @@ from qnl.measures import (
     x_singvals,
 )
 from qnl.sampling import SamplerConfig, hierarchy_experiment
-from qnl.states import MemsWeights, bell_singlet, mems, validate, werner
+from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
     _curves,
     _kraus_margins,
@@ -56,7 +56,7 @@ def x_state(diag, c14=0.0, c23=0.0) -> np.ndarray:
     mat = np.diag(np.asarray(diag, dtype=complex))
     mat[0, 3], mat[3, 0] = c14, np.conj(c14)
     mat[1, 2], mat[2, 1] = c23, np.conj(c23)
-    return validate(mat).mat
+    return DensityMatrix(mat).mat
 
 
 def both_margins(mat: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +154,7 @@ def test_pure_states_on_00_11(theta, f):
         assert np.all(x[3][exact[family] <= 0] <= 1e-15)
     # The printed concurrence is 2|ab| sqrt(1-q) under amplitude damping, up to
     # the Wootters error on this rank-one coherence block.
-    printed = scan(validate(rho), "amplitude-damping", GRID)[:, 1]
+    printed = scan(DensityMatrix(rho), "amplitude-damping", GRID)[:, 1]
     np.testing.assert_allclose(
         printed, 2 * abs(a * b) * np.sqrt(1 - GRID), rtol=0, atol=WOOTTERS_SINGULAR_ATOL
     )
@@ -217,7 +217,7 @@ def test_x_threshold_sets_bracket_like_threshold_set(raw, r14, r23, f14, f23):
     for family in sorted(FAMILIES):
         found = x_threshold_sets(x_entries(mats), family, TOL)
         for mat, ts in zip(mats, found):
-            ref = threshold_set(validate(mat), family, TOL)
+            ref = threshold_set(DensityMatrix(mat), family, TOL)
             for q, r in zip(ts.as_dict().values(), ref.as_dict().values()):
                 assert (q is None) == (r is None), (family, ts, ref)
                 assert q is None or type(q) is float and abs(q - r) <= 2 * TOL, (family, ts, ref)
