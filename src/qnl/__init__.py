@@ -38,9 +38,8 @@ from .measures import (
     fidelity,
 )
 from .sampling import (
-    HierarchyRecord,
+    HierarchyResult,
     SamplerConfig,
-    gaps_of,
     hierarchy_experiment,
     sample_mems_above_gisin,
     write_records_csv,

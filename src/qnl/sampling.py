@@ -5,14 +5,18 @@ uniforms) and sorted descending. States whose teleportation fidelity exceeds
 the Gisin bound are kept; each kept state gets a full threshold set and the
 gaps q_B - q_G, q_F - q_B, q_C - q_F. A gap touching an absent threshold is
 itself absent. MEMS are X-states, so the filter and the threshold sets use
-the closed-form X entries rather than the general Kraus pipeline.
+the closed-form X entries rather than the general Kraus pipeline. The
+experiment stays in arrays from the draw to the CSV: one ``HierarchyResult``
+holds the weights and thresholds of all accepted states as columns.
 
 The draw sequence is generated single-threaded from the seed, so a given
-configuration always reproduces the same record list bit for bit.
+configuration always reproduces the same result, and the same CSV bytes, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -20,10 +24,10 @@ import numpy as np
 
 from .channels import channel_family
 from .errors import RejectionStall
-from .measures import GISIN_BOUND, correlation_measures, x_singvals
+from .measures import GISIN_BOUND
 from .measures import correlation_singvals_stack  # noqa: F401  (benchmark traces this name here)
 from .states import DensityMatrix, MemsWeights, mems
-from .thresholds import ThresholdSet, _check_tol, x_threshold_sets
+from .thresholds import HIERARCHY_SLACK, _BLOCK_POINTS, _check_tol, _x_thresholds
 from .thresholds import threshold_set  # noqa: F401  (benchmark traces this name here)
 
 MAX_DRAWS = 10**9
@@ -46,6 +50,11 @@ class SamplerConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("n_states", "seed"):  # numpy integers too, never a float
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
         if self.seed < 0:
@@ -55,32 +64,51 @@ class SamplerConfig:
         _check_tol(self.tol)
 
 
-@dataclass(frozen=True)
-class HierarchyRecord:
-    weights: MemsWeights
-    thresholds: ThresholdSet
+@dataclass(frozen=True, eq=False)
+class HierarchyResult:
+    """The accepted MEMS of one experiment, in draw order, as read-only columns.
+
+    ``weights`` (n, 4) holds p1..p4 and ``thresholds`` (n, 4) q_G, q_B, q_F,
+    q_C, with NaN where a correlation survives all noise.
+    """
+
+    weights: np.ndarray
+    thresholds: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.weights.setflags(write=False)
+        self.thresholds.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
 
     @property
-    def gaps(self) -> tuple[float | None, float | None, float | None]:
-        return gaps_of(self.thresholds)
+    def gaps(self) -> np.ndarray:
+        """(q_B - q_G, q_F - q_B, q_C - q_F) per row (n, 3), NaN where an operand is absent."""
+        return np.diff(self.thresholds, axis=1)
 
-
-def _gap(later: float | None, earlier: float | None) -> float | None:
-    if later is None or earlier is None:
-        return None
-    return later - earlier
-
-
-def gaps_of(ts: ThresholdSet) -> tuple[float | None, float | None, float | None]:
-    """(q_B - q_G, q_F - q_B, q_C - q_F) with absent operands giving None."""
-    return (_gap(ts.q_b, ts.q_g), _gap(ts.q_f, ts.q_b), _gap(ts.q_c, ts.q_f))
+    @property
+    def ordered(self) -> np.ndarray:
+        """``hierarchy_check`` of each row (n,): q_G <= q_B <= q_F <= q_C, NaN as +infinity."""
+        q = np.where(np.isnan(self.thresholds), np.inf, self.thresholds)
+        return np.all(q[:, :-1] <= q[:, 1:] + HIERARCHY_SLACK, axis=1)
 
 
 def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform draws on the descending 3-simplex, rows (n, 4)."""
-    cuts = np.sort(rng.uniform(size=(n, 3)), axis=1)
-    spacings = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
-    return np.sort(spacings, axis=1)[:, ::-1]
+    """n uniform draws on the descending 3-simplex, rows (n, 4).
+
+    Compare-exchange networks sort the three uniforms ascending (3 exchanges)
+    and their four spacings descending (5 exchanges): the values of row-wise
+    sorts, without a sort's cost per row.
+    """
+    a, b, c = rng.uniform(size=(n, 3)).T
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    w = [a, b - a, c - b, 1.0 - c]
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        w[i], w[j] = np.maximum(w[i], w[j]), np.minimum(w[i], w[j])
+    return np.stack(w, axis=1)
 
 
 def _mems_entries(weights: np.ndarray) -> np.ndarray:
@@ -95,8 +123,19 @@ def _mems_entries(weights: np.ndarray) -> np.ndarray:
 
 
 def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
-    """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form."""
-    return correlation_measures(x_singvals(_mems_entries(weights)))[1]
+    """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form.
+
+    The float operations of ``correlation_measures(x_singvals(_mems_entries(
+    weights)))[1]`` in their order, on the columns alone: with |rho14| = 0 the
+    singular values are xy = 2|rho23| (twice) and zz = |rho11 - rho22 - rho33
+    + rho44|, and N adds them from the largest first.
+    """
+    p1, p2, p3, p4 = weights.T
+    half = 0.5 * (p1 + p3)
+    xy = 2.0 * (0.5 * np.abs(p1 - p3))
+    zz = np.abs(p2 - half - half + p4)
+    n = xy + np.maximum(xy, zz) + np.minimum(xy, zz)
+    return 0.5 * (1.0 + n / 3.0)
 
 
 def _accepted_weights(cfg: SamplerConfig) -> np.ndarray:
@@ -130,25 +169,27 @@ def sample_mems_above_gisin(cfg: SamplerConfig) -> Iterator[tuple[DensityMatrix,
         yield mems(w), w
 
 
-def hierarchy_experiment(cfg: SamplerConfig) -> list[HierarchyRecord]:
-    """Threshold sets and gaps for cfg.n_states accepted MEMS, in draw order.
+def hierarchy_experiment(cfg: SamplerConfig) -> HierarchyResult:
+    """Threshold sets of cfg.n_states accepted MEMS, in draw order, as columns.
 
     Every MEMS is an X-state, so all of them are located at once on the
     closed-form X path (``x_threshold_sets``), straight from their weights.
     """
     weights = _accepted_weights(cfg)
-    found = x_threshold_sets(_mems_entries(weights), cfg.channel, cfg.tol)
-    return [HierarchyRecord(MemsWeights(*row), ts) for row, ts in zip(weights, found)]
+    return HierarchyResult(weights, _x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else format(value, ".12g")
+def write_records_csv(records: HierarchyResult, fh: TextIO) -> None:
+    """Write the result as CSV with LF endings; absent values are empty cells.
 
-
-def write_records_csv(records: list[HierarchyRecord], fh: TextIO) -> None:
-    """Write records as CSV with LF endings; absent values are empty cells."""
+    Every cell is ``%.12g`` of its float, the bytes of ``format(v, ".12g")``;
+    an absent one prints as "nan", which no number contains, and is dropped.
+    Rows are formatted and written _BLOCK_POINTS at a time, so the text held
+    in memory does not grow with n.
+    """
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        ts = rec.thresholds
-        values = (*rec.weights.as_tuple(), ts.q_g, ts.q_b, ts.q_f, ts.q_c, *rec.gaps)
-        fh.write(",".join(_cell(v) for v in values) + "\n")
+    row = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
+    columns = (records.weights, records.thresholds, records.gaps)
+    for k in range(0, len(records), _BLOCK_POINTS):
+        cells = np.hstack([c[k:k + _BLOCK_POINTS] for c in columns])
+        fh.write(((row * len(cells)) % tuple(cells.ravel().tolist())).replace("nan", ""))

@@ -552,6 +552,21 @@ def threshold_set(
     return _threshold_sets(_locate(margins, dead_at[None], tol, guess[None]))[0]
 
 
+def _x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
+    """Critical strengths (N, 4) of X-states, in Measure order, NaN where one survives.
+
+    The array ``x_threshold_sets`` wraps, for callers that keep columns.
+    """
+    tol = _check_tol(tol)
+    found = np.empty((entries.shape[1], len(Measure)))
+    # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
+    for k in range(0, entries.shape[1], _BLOCK_POINTS):
+        block = entries[:, k:k + _BLOCK_POINTS]
+        dead_at, guess, _ = _x_brackets(block, family, tol)
+        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol, guess)
+    return found
+
+
 def x_threshold_sets(
     entries: np.ndarray, family: str, tol: float = 1e-9
 ) -> list[ThresholdSet]:
@@ -565,14 +580,7 @@ def x_threshold_sets(
     of ``_locate`` with the pre-scan. The general Kraus pipeline of
     ``threshold_set`` stays the reference.
     """
-    tol = _check_tol(tol)
-    found = np.empty((entries.shape[1], len(Measure)))
-    # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
-    for k in range(0, entries.shape[1], _BLOCK_POINTS):
-        block = entries[:, k:k + _BLOCK_POINTS]
-        dead_at, guess, _ = _x_brackets(block, family, tol)
-        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol, guess)
-    return _threshold_sets(found)
+    return _threshold_sets(_x_thresholds(entries, family, tol))
 
 
 def hierarchy_check(ts: ThresholdSet) -> bool:

@@ -6,6 +6,10 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
   psd_sqrt        its PSD square root, the reference for ``psd_sqrt_stack``
   spin_flip       rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y),
                   the reference for the Wootters roots
+  draw_weights    descending simplex draws by row-wise sorts, the reference
+                  for the sorting networks of ``sampling._draw_weights``
+  mems_fidelity   teleportation fidelity of MEMS weight rows through the X
+                  singular values, the reference for ``sampling._fidelity_of_weights``
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 
 from qnl.errors import NotHermitian, NotPSD
 from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
+from qnl.measures import correlation_measures, x_singvals
+from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
 
 # Eigenvalues of a PSD matrix more negative than this are treated as a real
@@ -59,3 +65,15 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
     return _SIGMA_YY @ np.conj(rho.mat) @ _SIGMA_YY
+
+
+def draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform draws on the descending 3-simplex, rows (n, 4): sorted spacings of sorted uniforms."""
+    cuts = np.sort(rng.uniform(size=(n, 3)), axis=1)
+    spacings = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    return np.sort(spacings, axis=1)[:, ::-1]
+
+
+def mems_fidelity(weights: np.ndarray) -> np.ndarray:
+    """Teleportation fidelity of MEMS from weight rows (N, 4), via their X singular values."""
+    return correlation_measures(x_singvals(_mems_entries(weights)))[1]

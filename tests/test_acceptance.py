@@ -176,12 +176,13 @@ def _run_gap_experiment(n_states: int, channel: str, seed: int):
     """One seeded experiment: (all its checks hold, summary, seconds)."""
     start = time.perf_counter()
     cfg = SamplerConfig(n_states=n_states, seed=seed, channel=channel, tol=1e-6)
-    records = hierarchy_experiment(cfg)
+    result = hierarchy_experiment(cfg)
     elapsed = time.perf_counter() - start
-    present = [g for rec in records for g in rec.gaps if g is not None]
-    absent = sum(g is None for rec in records for g in rec.gaps)
+    gaps = result.gaps
+    present = gaps[~np.isnan(gaps)].tolist()
+    absent = int(np.isnan(gaps).sum())
     min_gap = min(present)
-    ok = len(records) == n_states and min_gap >= -1e-6
+    ok = len(result) == n_states and gaps.shape == (n_states, 3) and min_gap >= -1e-6
     detail = (
         f"{n_states} seeded MEMS above the Gisin bound, {channel}: "
         f"{len(present)} present gaps all >= -1e-6 (min {min_gap:.3e}), "

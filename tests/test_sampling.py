@@ -6,21 +6,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnl.sampling as sampling
+from oracles import draw_weights, mems_fidelity
 from qnl.channels import x_entries
 from qnl.errors import InvalidTolerance, RejectionStall
 from qnl.measures import GISIN_BOUND, fidelity
 from qnl.sampling import (
     CSV_COLUMNS,
-    HierarchyRecord,
+    HierarchyResult,
     SamplerConfig,
-    gaps_of,
     hierarchy_experiment,
     _draw_weights,
+    _fidelity_of_weights,
     sample_mems_above_gisin,
     write_records_csv,
 )
 from qnl.states import MemsWeights, bell_singlet, mems
-from qnl.thresholds import ThresholdSet, threshold_set
+from qnl.thresholds import _BLOCK_POINTS, HIERARCHY_SLACK, ThresholdSet, hierarchy_check, threshold_set
+
+NAN = math.nan
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _none(values) -> list:
+    """Floats with NaN as None, the absent value of ``ThresholdSet``."""
+    return [None if math.isnan(v) else v for v in np.asarray(values).tolist()]
+
+
+def _gap(later, earlier):
+    return None if later is None or earlier is None else later - earlier
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``uniform`` returns given rows, to force ties."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def uniform(self, size):
+        assert size == self.rows.shape
+        return self.rows.copy()
+
+
+def _result(weights, thresholds) -> HierarchyResult:
+    return HierarchyResult(np.array(weights, dtype=float), np.array(thresholds, dtype=float))
 
 
 class TestSampleWeights:
@@ -41,6 +72,34 @@ class TestSampleWeights:
         # Order statistics of uniform spacings: E[p1] = (1 + 1/2 + 1/3 + 1/4)/4.
         p1 = _draw_weights(np.random.default_rng(99), 100_000)[:, 0]
         assert p1.mean() == pytest.approx(25.0 / 48.0, abs=0.01)
+
+    def test_sorting_networks_equal_the_row_sorts_bit_for_bit(self):
+        # 10^6 rows over four seeds, in blocks of the sampler's largest size and one odd size.
+        for seed in (0, 7, 31, 2024):
+            for n in (sampling._MAX_DRAW_BLOCK, 250_000 - sampling._MAX_DRAW_BLOCK):
+                rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = _draw_weights(rng_new, n), draw_weights(rng_ref, n)
+                assert got.shape == (n, 4)
+                assert np.array_equal(_bits(got), _bits(want))
+                assert np.array_equal(_bits(_fidelity_of_weights(got)), _bits(mems_fidelity(want)))
+
+    def test_ties(self):
+        # Ties among the uniforms (zero spacings) and among the spacings themselves.
+        rows = [
+            [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.75, 0.25, 0.5],
+            [0.5, 0.25, 0.5], [0.2, 0.4, 0.2], [0.1, 0.1, 0.9], [0.9, 0.1, 0.1],
+            [0.3, 0.6, 0.3], [0.6, 0.3, 0.6], [0.125, 0.25, 0.375], [0.0, 0.5, 0.5],
+        ]
+        got = _draw_weights(_FixedUniforms(rows), len(rows))
+        want = draw_weights(_FixedUniforms(rows), len(rows))
+        assert np.array_equal(_bits(got), _bits(want))
+        # p1 = p3 (no coherence), xy = zz, and the corners and centre of the simplex.
+        w = np.concatenate([want, [
+            [1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0],
+            [0.4, 0.2, 0.2, 0.2], [0.5, 0.25, 0.25, 0.0], [0.375, 0.375, 0.125, 0.125],
+            [0.6, 0.2, 0.2, 0.0], [1 / 3, 1 / 3, 1 / 3, 0.0], [0.7, 0.1, 0.1, 0.1],
+        ]])
+        assert np.array_equal(_bits(_fidelity_of_weights(w)), _bits(mems_fidelity(w)))
 
 
 class TestRejectionSampler:
@@ -93,6 +152,14 @@ class TestRejectionSampler:
             SamplerConfig(n_states=0, seed=1)
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(n_states=1, seed=-1)
+        for bad in (2.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="n_states"):
+                SamplerConfig(n_states=bad, seed=1)
+            with pytest.raises(ValueError, match="seed"):
+                SamplerConfig(n_states=1, seed=bad)
+        cfg = SamplerConfig(n_states=np.int64(3), seed=np.uint32(5))
+        assert (cfg.n_states, cfg.seed) == (3, 5)
+        assert type(cfg.n_states) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize("kwargs, error", [
         ({"channel": "bogus"}, ValueError),
@@ -130,31 +197,38 @@ class TestMemsEntries:
     def test_generator_and_experiment_accept_the_same_weights(self):
         cfg = SamplerConfig(n_states=60, seed=17, channel="phase-damping")
         drawn = [w for _, w in sample_mems_above_gisin(cfg)]
-        assert [rec.weights for rec in hierarchy_experiment(cfg)] == drawn
+        assert [MemsWeights(*row) for row in hierarchy_experiment(cfg).weights.tolist()] == drawn
 
 
 class TestHierarchyExperiment:
     def test_single_record(self):
-        records = hierarchy_experiment(SamplerConfig(n_states=1, seed=3))
-        assert len(records) == 1
+        result = hierarchy_experiment(SamplerConfig(n_states=1, seed=3))
+        assert len(result) == 1
+        assert result.weights.shape == result.thresholds.shape == (1, 4)
+        assert result.gaps.shape == (1, 3) and result.ordered.shape == (1,)
+        for column in (result.weights, result.thresholds):  # the result is frozen
+            with pytest.raises(ValueError):
+                column[0, 0] = 0.5
 
     def test_gap_positivity_small_run(self):
-        records = hierarchy_experiment(SamplerConfig(n_states=50, seed=8))
-        assert len(records) == 50
-        for rec in records:
-            for gap in rec.gaps:
+        result = hierarchy_experiment(SamplerConfig(n_states=50, seed=8))
+        assert len(result) == 50
+        for row in result.gaps:
+            for gap in _none(row):
                 if gap is not None:
                     assert gap >= -1e-6
 
     def test_deterministic(self):
         a = hierarchy_experiment(SamplerConfig(n_states=10, seed=21))
         b = hierarchy_experiment(SamplerConfig(n_states=10, seed=21))
-        assert a == b
+        assert np.array_equal(_bits(a.weights), _bits(b.weights))
+        assert np.array_equal(_bits(a.thresholds), _bits(b.thresholds))
 
     def test_gaps_match_thresholds(self):
-        records = hierarchy_experiment(SamplerConfig(n_states=5, seed=13))
-        for rec in records:
-            assert rec.gaps == gaps_of(rec.thresholds)
+        result = hierarchy_experiment(SamplerConfig(n_states=5, seed=13))
+        for found, gaps in zip(result.thresholds, result.gaps):
+            q_g, q_b, q_f, q_c = _none(found)
+            assert _none(gaps) == [_gap(q_b, q_g), _gap(q_f, q_b), _gap(q_c, q_f)]
 
     def test_pure_singlet_weights_reproduce_bell_state(self):
         # A draw landing exactly on (1, 0, 0, 0) is the Bell state itself.
@@ -168,20 +242,75 @@ class TestHierarchyExperiment:
         assert ts.q_b == pytest.approx(0.5, abs=1e-6)
 
     def test_gaps_none_propagation(self):
-        gaps = gaps_of(ThresholdSet(0.1, 0.2, 0.4, None))
+        gaps = _none(_result([[0.85, 0.1, 0.05, 0.0]], [[0.1, 0.2, 0.4, NAN]]).gaps[0])
         assert gaps[0] == pytest.approx(0.1)
         assert gaps[1] == pytest.approx(0.2)
         assert gaps[2] is None
 
 
+# Threshold rows on which ``ordered`` must agree with ``hierarchy_check``: all
+# absent, one absent in each position, ties, and neighbours HIERARCHY_SLACK
+# apart in either direction. The last two are pairs at which a <= b + slack
+# holds while the rearranged a - slack <= b or b - a >= -slack fails.
+_S = HIERARCHY_SLACK
+_ORDER_ROWS = [
+    [NAN, NAN, NAN, NAN],
+    [NAN, 0.2, 0.3, 0.4], [0.1, NAN, 0.3, 0.4], [0.1, 0.2, NAN, 0.4], [0.1, 0.2, 0.3, NAN],
+    [0.1, 0.2, NAN, NAN], [NAN, NAN, 0.3, 0.4], [0.1, NAN, NAN, NAN], [NAN, NAN, NAN, 0.4],
+    [0.3, 0.3, 0.3, 0.3], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, NAN], [0.2, 0.2, 0.2, NAN],
+    [0.3 + _S, 0.3, 0.4, 0.5], [0.3, 0.3 - _S, 0.4, 0.5], [0.2, 0.4 + _S, 0.4, 0.5],
+    [0.2, 0.3, 0.5 + _S, 0.5], [0.2, 0.3, 0.4, 0.4 - _S], [0.3 - _S, 0.3, 0.3 + _S, 0.3],
+    [0.3 + 2 * _S, 0.3, 0.4, 0.5], [0.2, 0.3, 0.5, 0.5 - 1.5 * _S], [_S, 0.0, 0.0, 0.0],
+    [0.5 + math.ulp(0.5), 0.5 - _S, 0.6, NAN], [0.5, 0.5 - _S, 0.6, NAN],
+    [0.9, 0.5, 0.3, 0.1], [0.1, 0.2, 0.3, 0.4], [NAN, 0.1, NAN, 0.4], [0.4, NAN, 0.3, NAN],
+    [0.5000005999996, 0.4999995999996, 0.6, 0.7], [0.1, 0.2, 0.300001, 0.3],
+]
+
+
+class TestOrdered:
+    def test_hand_made_rows_equal_hierarchy_check(self):
+        found = np.array(_ORDER_ROWS)
+        ordered = _result(np.full((len(found), 4), 0.25), found).ordered
+        assert ordered.dtype == bool
+        want = [hierarchy_check(ThresholdSet(*_none(row))) for row in found]
+        assert ordered.tolist() == want
+        # Both outcomes occur.
+        assert True in want and False in want
+
+    @pytest.mark.parametrize("channel", ["amplitude-damping", "phase-damping", "depolarizing"])
+    def test_experiment_rows_equal_hierarchy_check(self, channel):
+        result = hierarchy_experiment(SamplerConfig(n_states=200, seed=44, channel=channel))
+        want = [hierarchy_check(ThresholdSet(*_none(row))) for row in result.thresholds]
+        assert result.ordered.tolist() == want
+
+
+def _reference_csv(result: HierarchyResult) -> str:
+    """The CSV cell by cell: ``format(v, ".12g")``, gaps as later - earlier of floats."""
+    lines = [",".join(CSV_COLUMNS)]
+    for w, found in zip(result.weights.tolist(), result.thresholds.tolist()):
+        q = _none(found)
+        values = (*w, *q, _gap(q[1], q[0]), _gap(q[2], q[1]), _gap(q[3], q[2]))
+        lines.append(",".join("" if v is None else format(v, ".12g") for v in values))
+    return "\n".join(lines) + "\n"
+
+
+class _Writes(io.StringIO):
+    """A text buffer that records the size of each write, in lines."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
 class TestCsvOutput:
     def test_layout_and_empty_cells(self):
-        rec = HierarchyRecord(
-            weights=MemsWeights(0.85, 0.1, 0.05, 0.0),
-            thresholds=ThresholdSet(0.1, 0.25, 0.5, None),
-        )
+        result = _result([[0.85, 0.1, 0.05, 0.0]], [[0.1, 0.25, 0.5, NAN]])
         buf = io.StringIO()
-        write_records_csv([rec], buf)
+        write_records_csv(result, buf)
         lines = buf.getvalue().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         cells = lines[1].split(",")
@@ -194,12 +323,27 @@ class TestCsvOutput:
         assert "\r" not in buf.getvalue()
 
     def test_twelve_significant_digits(self):
-        rec = HierarchyRecord(
-            weights=MemsWeights(1 / 3, 1 / 3, 1 / 6, 1 / 6),
-            thresholds=ThresholdSet(1 / 7, 2 / 7, 3 / 7, 4 / 7),
-        )
+        result = _result([[1 / 3, 1 / 3, 1 / 6, 1 / 6]], [[1 / 7, 2 / 7, 3 / 7, 4 / 7]])
         buf = io.StringIO()
-        write_records_csv([rec], buf)
+        write_records_csv(result, buf)
         cells = buf.getvalue().split("\n")[1].split(",")
         assert cells[0] == "0.333333333333"
         assert cells[4] == "0.142857142857"
+
+    def test_blocks_match_the_per_cell_format(self):
+        # One row past a block, with absent cells in every threshold column,
+        # tiny, negative-gap and exactly representable values.
+        n = _BLOCK_POINTS + 1
+        rng = np.random.default_rng(5)
+        weights = _draw_weights(rng, n)
+        found = np.sort(rng.uniform(size=(n, 4)), axis=1)
+        found[rng.uniform(size=(n, 4)) < 0.2] = NAN
+        found[:8] = [[0.0, 0.0, 0.5, 1.0], [1e-300, 2e-300, NAN, NAN], [0.3, 0.2, 0.1, 0.0],
+                     [NAN] * 4, [0.1, 0.1 + 1e-13, 0.7, 0.7], [0.25, 0.5, 0.75, 1 - 1e-12],
+                     [1 / 3, 2 / 3, NAN, 1.0], [0.5, NAN, 0.5, NAN]]
+        found[-1] = [0.125, NAN, 0.375, 0.5]
+        result = HierarchyResult(weights, found)
+        buf = _Writes()
+        write_records_csv(result, buf)
+        assert buf.getvalue() == _reference_csv(result)
+        assert buf.lines == [1, _BLOCK_POINTS, 1]  # the header, then one write per block

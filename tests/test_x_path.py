@@ -34,6 +34,7 @@ from qnl.measures import (
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
+    ThresholdSet,
     _curves,
     _kraus_margins,
     _x_margins,
@@ -197,10 +198,11 @@ def test_evolve_x_rejects_bad_input():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_experiment_records_equal_threshold_set(family):
-    records = hierarchy_experiment(SamplerConfig(n_states=50, seed=2024, channel=family, tol=TOL))
-    assert len(records) == 50
-    for rec in records:
-        assert rec.thresholds == threshold_set(mems(rec.weights), family, TOL)
+    result = hierarchy_experiment(SamplerConfig(n_states=50, seed=2024, channel=family, tol=TOL))
+    assert len(result) == 50
+    for weights, found in zip(result.weights.tolist(), result.thresholds.tolist()):
+        got = ThresholdSet(*(None if math.isnan(q) else q for q in found))
+        assert got == threshold_set(mems(MemsWeights(*weights)), family, TOL)
 
 
 @PROPERTY
