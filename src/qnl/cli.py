@@ -134,8 +134,12 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
         table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
     except BadGrid as exc:
         _fail_usage(str(exc))
-    rows = ["%.12g,%.12g,%.12g,%.12g" % tuple(row) for row in table.tolist()]
-    click.echo("\n".join(["q,concurrence,fidelity,bell", *rows]))
+    click.echo("q,concurrence,fidelity,bell")
+    # One % per block of rows, as sampling.write_records_csv formats them.
+    for k in range(0, len(table), thresholds._BLOCK_POINTS):
+        block = table[k:k + thresholds._BLOCK_POINTS]
+        click.echo(("%.12g,%.12g,%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()),
+                   nl=False)
 
 
 @main.command("thresholds")

@@ -26,6 +26,13 @@ the exact curve of pure a|00> + b|11> states.
 ``classify`` returns all four, named as above, in one ``MeasureReport``, and
 ranks the state by its first failing condition, in C, F, B, G order, over
 ``alive_margins``, the margins the threshold locator reads.
+
+The locator reads the signs of F - F_lhv, B - 2 and F - 2/3 without an SVD,
+in two steps: ``correlation_invariants`` gives the polynomials of T they
+need (the entries of T^T T, ||adj T||_F^2 and det T), and
+``invariant_sign_margins`` the signs from them. The locator takes the first
+only at 9 points per state and interpolates it, and the second at every point
+(``thresholds._kraus_table``).
 """
 
 from __future__ import annotations
@@ -124,18 +131,29 @@ def x_singvals(entries: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
 
 
-# Flat indices into T of the products of each cofactor, by cyclic indices:
-# C_ij = t[i+1, j+1] t[i+2, j+2] - t[i+1, j+2] t[i+2, j+1].
-_CYCLES = np.array([[1, 2, 0], [2, 0, 1], [1, 2, 0], [2, 0, 1]])
-_COFACTOR_TERMS = (3 * _CYCLES[:, :, None] + _CYCLES[[0, 1, 1, 0], None, :]).reshape(4, 9)
+# Cyclic successors i + 1 and i + 2 of the indices 0, 1, 2.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 # Entries (i, j) of T^T T, diagonal first, and the cuts c of N > c for F > F_lhv and F > 2/3.
 _GRAM_I, _GRAM_J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 _N_CUTS = np.array([3.0 * (2.0 * GISIN_BOUND - 1.0), 1.0])[:, None]
 _N_CUTS_SQ, _N_CUTS_2 = _N_CUTS * _N_CUTS, 2.0 * _N_CUTS
 
 
-def correlation_sign_margins(t: np.ndarray) -> np.ndarray:
-    """Rows (3, ...) with the signs of F - F_lhv, B - 2 and F - 2/3 of T, entries first (3, 3, ...).
+def correlation_invariants(t: np.ndarray) -> np.ndarray:
+    """Rows (8, ...) of T, entries first (3, 3, ...): the Gram entries, ||adj T||_F^2 and det T.
+
+    The Gram entries are those of T^T T in _GRAM_I, _GRAM_J order. Row i of
+    the cofactor matrix of T is the cross product of rows i + 1 and i + 2. All
+    eight are polynomials in the entries of T, of degree 2, 4 and 3.
+    """
+    u, v = t[_NEXT], t[_AFTER]
+    cof = u[:, _NEXT] * v[:, _AFTER] - u[:, _AFTER] * v[:, _NEXT]
+    gram = (t[:, _GRAM_I] * t[:, _GRAM_J]).sum(axis=0)
+    return np.concatenate([gram, [(cof * cof).sum(axis=(0, 1)), (t[0] * cof[0]).sum(axis=0)]])
+
+
+def invariant_sign_margins(inv: np.ndarray) -> np.ndarray:
+    """Rows (3, ...) with the signs of F - F_lhv, B - 2 and F - 2/3 from ``correlation_invariants``.
 
     From a = ||T||_F^2, b = ||adj T||_F^2 and d = |det T|, not the singular
     values s1 >= s2 >= s3: N is the largest root of g(x) = ((x^2 - a)/2)^2 - b - 2dx,
@@ -145,13 +163,8 @@ def correlation_sign_margins(t: np.ndarray) -> np.ndarray:
     test (an exactly zero pivot reads B = 2). Each point is computed elementwise
     in a fixed order, so its row does not depend on the other points.
     """
-    terms = t.reshape(9, -1).take(_COFACTOR_TERMS, axis=0)
-    cof = terms[0] * terms[1] - terms[2] * terms[3]
-    # Python's sum adds the rows of its argument in order.
-    d = np.abs(sum(t[0] * cof[:3]))
-    b = sum(sum((cof * cof).reshape(3, 3, -1)))
-    gram = sum(t.take(_GRAM_I, axis=1) * t.take(_GRAM_J, axis=1))
-    a = sum(gram[:3])
+    gram, b, d = inv[:6], inv[6], np.abs(inv[7])
+    a = gram[0] + gram[1] + gram[2]
     out = np.empty((3,) + a.shape)
     # Signs of N - c: positive iff a > c^2 or g(c) < 0.
     out[0], out[2] = np.maximum(a - _N_CUTS_SQ, b + _N_CUTS_2 * d - (0.5 * (_N_CUTS_SQ - a)) ** 2)

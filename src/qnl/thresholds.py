@@ -30,12 +30,14 @@ only how many points are read, never the floats.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` evolves the state
-once into rho(q) = A + q B + sqrt(1-q) C and reads each point from a
-per-state interpolant of det(rho^{T_B}) in sqrt(1-q) and from
-``correlation_sign_margins`` (no SVD); ``x_threshold_sets`` reads many
-X-states at once from their evolved X entries in closed form. ``scan`` takes
-the Wootters roots because it prints C; ``threshold_set`` takes them only
-where the determinant is rounding noise (``_kraus_margins``).
+once into rho(q) = A + q B + sqrt(1-q) C and tabulates, once per state, every
+quantity its margins read as a Chebyshev series in s = sqrt(1-q): the entries
+of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
+det(rho^{T_B}) (``_kraus_table``). Each point sums that table and takes its
+signs from the sums (``invariant_sign_margins``, no SVD); ``x_threshold_sets``
+reads many X-states at once from their evolved X entries in closed form.
+``scan`` takes the Wootters roots because it prints C; ``threshold_set``
+takes them only where the determinant is rounding noise (``_kraus_margins``).
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ from .measures import (
     concurrence_of_roots,
     correlation_matrix_stack,
     correlation_measures,
-    correlation_sign_margins,
+    correlation_invariants,
     correlation_singvals_stack,
     hierarchy_rank,
+    invariant_sign_margins,
     wootters_roots_stack,
     x_singvals,
 )
@@ -120,15 +123,16 @@ class ThresholdSet:
 # the coefficients of rho(q) = A + q B + sqrt(1-q) C through a fixed 3x3 map.
 _AFFINE_QS = np.array([0.0, 0.75, 1.0])
 _AFFINE_OF_SAMPLES = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
-# Each entry of rho^{T_B} is then a quadratic in s = sqrt(1-q), and its
-# determinant a polynomial of degree 8 in s, sampled at the Chebyshev points
-# x_j = cos(j pi / 8) of x = 2s - 1 (q = 0 and q = 1 among them). This matrix
-# maps the samples f_j to the coefficients c_k = sum_j f_j T_k(x_j) / 4 of
-# T_k(x), with the terms j = 0, 8 and the coefficients k = 0, 8 halved.
-_DET_NODES = 0.5 + 0.5 * np.cos(np.pi * np.arange(9) / 8)
-_DET_CHEB = np.cos(np.pi * (np.outer(np.arange(9), np.arange(9)) % 16) / 8) / 4
-_DET_CHEB[[0, -1]] /= 2
-_DET_CHEB[:, [0, -1]] /= 2
+# Each entry of rho(q), of T and of rho^{T_B} is then a quadratic in
+# s = sqrt(1-q), and each row of _kraus_table a polynomial of degree at most 8
+# in s, sampled at the Chebyshev points x_j = cos(j pi / 8) of x = 2s - 1
+# (q = 0 and q = 1 among them). This matrix maps the samples f_j to the
+# coefficients c_k = sum_j f_j T_k(x_j) / 4 of T_k(x), with the terms j = 0, 8
+# and the coefficients k = 0, 8 halved.
+_CHEB_NODES = 0.5 + 0.5 * np.cos(np.pi * np.arange(9) / 8)
+_CHEB_OF_SAMPLES = np.cos(np.pi * (np.outer(np.arange(9), np.arange(9)) % 16) / 8) / 4
+_CHEB_OF_SAMPLES[[0, -1]] /= 2
+_CHEB_OF_SAMPLES[:, [0, -1]] /= 2
 
 
 def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
@@ -144,15 +148,52 @@ def _curves(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c_unclamped, f, b
 
 
+def _kraus_table(state_mat: np.ndarray, family: str) -> np.ndarray:
+    """Chebyshev table (9, 9) of a state's Kraus path: row r holds the coefficients of T_0..T_8.
+
+    The rows are the ``correlation_invariants`` of T (the six Gram entries,
+    ||adj T||_F^2 and det T) and det(rho^{T_B}). Each entry of rho, and so of
+    T and of rho^{T_B}, is a quadratic in s = sqrt(1-q), so each row is a
+    polynomial of degree at most 8 in s, taken exactly from its values at
+    ``_CHEB_NODES``.
+    """
+    s = _CHEB_NODES[:, None, None]
+    coef = _affine_coefficients(state_mat, family)
+    # The parts of T and of rho^{T_B} (which swaps the B indices of row (a, b)
+    # and column (a', b')), each then taken at the nodes.
+    parts = (correlation_matrix_stack(coef),
+             coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 4, 4))
+    t, transposed = (p[0] + (1.0 - s * s) * p[1] + s * p[2] for p in parts)
+    at_nodes = np.vstack([correlation_invariants(t.transpose(1, 2, 0)),
+                          np.linalg.det(transposed).real])
+    return at_nodes @ _CHEB_OF_SAMPLES.T
+
+
+def _chebyshev_rows(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The rows (9, M) of a ``_kraus_table`` at strengths qs, the sum of table[:, k] T_k(x).
+
+    x = 2 sqrt(1-q) - 1; T_k(x) comes from the three-term recurrence and the
+    terms are added in order of k, all elementwise, so a point's rows do not
+    depend on the other points of the call (a matrix product would).
+    """
+    x = 2.0 * np.sqrt(1.0 - qs) - 1.0
+    x2 = 2.0 * x
+    rows = table[:, :1] + table[:, 1:2] * x
+    prev, cur = 1.0, x
+    for k in range(2, table.shape[1]):
+        prev, cur = cur, x2 * cur - prev
+        rows += table[:, k:k + 1] * cur
+    return rows
+
+
 def _kraus_margins(state_mat: np.ndarray, family: str):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
-    The state is evolved once, at the three strengths of ``_affine_coefficients``.
-    det(rho^{T_B}) is a polynomial of degree 8 in s = sqrt(1-q): LAPACK
-    computes it at the 9 points ``_DET_NODES``, once per state, and every
-    point reads its concurrence row from that interpolant by Clenshaw's
-    recurrence. T is A + q B + sqrt(1-q) C taken elementwise, and the other
-    rows come from ``correlation_sign_margins`` (no SVD). No step mixes points.
+    The state is evolved once, at the three strengths of ``_affine_coefficients``,
+    and tabulated once (``_kraus_table``). Every point sums its rows from that
+    table (``_chebyshev_rows``): the G, B and F rows are the signs of the
+    invariants of T (``invariant_sign_margins``, no SVD) and the concurrence
+    row is -det(rho^{T_B}). No step mixes points.
 
     Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
     partial transpose with a zero eigenvalue, as for a product state or at
@@ -161,25 +202,12 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     Wootters concurrence at size DET_ROUNDING, so rank-deficient states keep
     the thresholds the spectra gave.
     """
-    coef = _affine_coefficients(state_mat, family)
-    # rho^{T_B}: swap the B indices of row (a, b) and column (a', b').
-    transposed = coef.reshape(3, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(3, 4, 4)
-    s = _DET_NODES[:, None, None]
-    det_cheb = _DET_CHEB @ np.linalg.det(
-        transposed[0] + (1.0 - s * s) * transposed[1] + s * transposed[2]).real
-    corr = correlation_matrix_stack(coef).reshape(3, 9, 1)
+    table = _kraus_table(state_mat, family)
 
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        root = np.sqrt(1.0 - qs)
-        t = corr[0] + qs * corr[1] + root * corr[2]
-        # Clenshaw's recurrence for the sum of det_cheb[k] T_k(x), x = 2 root - 1.
-        x = 2.0 * root - 1.0
-        x2 = 2.0 * x
-        c0, c1 = det_cheb[-2], det_cheb[-1]
-        for c in det_cheb[-3::-1]:
-            c0, c1 = c - c1, c0 + c1 * x2
-        det = c0 + c1 * x
-        out = np.concatenate([correlation_sign_margins(t.reshape(3, 3, -1)), -det[None]])
+        rows = _chebyshev_rows(table, qs)
+        det = rows[-1]
+        out = np.concatenate([invariant_sign_margins(rows[:-1]), -det[None]])
         unresolved = np.flatnonzero(np.abs(det) <= DET_ROUNDING)
         if unresolved.size:
             c, f, b = _curves(evolve_grid(state_mat, family, qs[unresolved]))

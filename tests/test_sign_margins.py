@@ -2,26 +2,32 @@
 
 ``thresholds._kraus_margins`` evolves a state as rho(q) = A + q B + sqrt(1-q) C,
 with A, B and C taken from three Kraus evolutions (``_affine_coefficients``),
-and reads entanglement from -det(rho^{T_B}). ``thresholds._x_margins`` reads
-the same determinant of X-states in closed form. Checked here:
+and reads every margin from one per-state Chebyshev table in s = sqrt(1-q)
+(``_kraus_table``): -det(rho^{T_B}) for entanglement, and the entries of
+T^T T, ||adj T||_F^2 and det T of the correlation matrix T, whose signs give
+the F, B and G rows. ``thresholds._x_margins`` reads the same determinant of
+X-states in closed form. Checked here:
 
 - the affine evolution equals ``evolve_grid`` at random strengths under every
   family, so a family that is not affine in (1, q, sqrt(1-q)) fails;
 - -det(rho^{T_B}) has the sign of the unclamped Wootters concurrence wherever
   that is clearly non-zero, on Ginibre states of rank 1 to 4;
-- the Chebyshev interpolant the Kraus provider reads det(rho^{T_B}) from is
-  within 5e-17 of the exact determinant of the same floats (``fractions``);
+- every row of the table, summed at a point, is within a measured bound of
+  the exact value of the same floats (``fractions``): 5e-17 for
+  det(rho^{T_B}), 8e-16 for the Gram entries, 2.5e-15 for ||adj T||_F^2 and
+  7e-16 for det T;
 - boundary states, where the determinant is rounding noise (pure product
   states, q = 1 under amplitude damping), keep the threshold sets the spectra
   gave: those points are read from ``_curves``;
 - the four alive margins are nested, G => B => F => C, for both providers:
   F > F_lhv gives B > 2, B > 2 gives N > 1, and N > 1 means entangled
   (de Vicente, QIC 7, 624 (2007));
-- ``correlation_sign_margins``, which gives the Kraus F, B and G rows from
-  invariants of T without an SVD, has the signs of the SVD margins wherever
-  those are clear of rounding: on Ginibre, X, product (rank-one T) and
-  rotated Werner and MEMS states, on a triple-degenerate T, on any matrix,
-  and at N = 1 exactly;
+- ``correlation_invariants`` and ``invariant_sign_margins``, which give the F,
+  B and G signs from T without an SVD, read the signs of the SVD margins
+  wherever those are clear of rounding: on Ginibre, X, product (rank-one T)
+  and rotated Werner and MEMS states, on a triple-degenerate T, on any
+  matrix, and at N = 1 exactly; so do the rows ``_kraus_margins`` gives the
+  locator from its table;
 - a point's margins depend only on (state, q), not on the other points of
   the call, for both providers, which multi-level bisection relies on.
 """
@@ -40,9 +46,10 @@ from qnl.measures import (
     GISIN_BOUND,
     alive_margins,
     concurrence_of_roots,
+    correlation_invariants,
     correlation_matrix_stack,
-    correlation_sign_margins,
     correlation_measures,
+    invariant_sign_margins,
     wootters_roots_stack,
 )
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
@@ -52,8 +59,10 @@ from qnl.thresholds import (
     Measure,
     ThresholdSet,
     _affine_coefficients,
+    _chebyshev_rows,
     _curves,
     _kraus_margins,
+    _kraus_table,
     _locate,
     _prescan,
     _x_margins,
@@ -126,20 +135,29 @@ LEIBNIZ = [(p, (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4
 # 16,000 points of Ginibre states of rank 1 to 4 the largest seen was 4.2e-17,
 # and LAPACK's LU determinant of the same matrices reached 3.3e-17.
 EXACT_DET_BOUND = 5e-17
+# Largest distance of the other rows of the table from the exact values of the
+# same float T: the six entries of T^T T, ||adj T||_F^2 and det T. Over 90,720
+# points of Ginibre states of rank 1 to 4 under every family the largest seen
+# were 7.6e-16, 2.3e-15 and 6.4e-16; computed from T at each point instead,
+# they reached 3.0e-16, 7.8e-16 and 2.2e-16.
+EXACT_ROW_BOUNDS = [8e-16] * 6 + [2.5e-15, 7e-16]
+GRAM_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def exact_det(parts: np.ndarray, q: float) -> Fraction:
-    """det(A + q B + sqrt(1-q) C) of complex parts (3, 4, 4) in exact arithmetic.
+def exact_at(parts: np.ndarray, q: float) -> list:
+    """A + q B + sqrt(1-q) C of real parts (3, n, n), entry by entry, in exact arithmetic.
 
     The weights are the floats the margins provider evaluates at, taken exactly.
     """
     weights = [Fraction(1), Fraction(q), Fraction(float(np.sqrt(1.0 - q)))]
+    n = parts.shape[1]
+    return [[sum(w * Fraction(float(p[i, j])) for w, p in zip(weights, parts)) for j in range(n)]
+            for i in range(n)]
 
-    def entry(i, j):
-        return (sum(w * Fraction(float(p[i, j].real)) for w, p in zip(weights, parts)),
-                sum(w * Fraction(float(p[i, j].imag)) for w, p in zip(weights, parts)))
 
-    mat = [[entry(i, j) for j in range(4)] for i in range(4)]
+def exact_det(parts: np.ndarray, q: float) -> Fraction:
+    """det(A + q B + sqrt(1-q) C) of complex parts (3, 4, 4) in exact arithmetic."""
+    mat = [list(zip(re, im)) for re, im in zip(exact_at(parts.real, q), exact_at(parts.imag, q))]
     total = Fraction(0)
     for perm, sign in LEIBNIZ:
         re, im = Fraction(1), Fraction(0)
@@ -150,22 +168,39 @@ def exact_det(parts: np.ndarray, q: float) -> Fraction:
     return total
 
 
+def exact_invariants(parts: np.ndarray, q: float) -> list:
+    """The Gram entries, ||adj T||_F^2 and det T of T = T0 + q T1 + sqrt(1-q) T2, exactly."""
+    t = exact_at(parts, q)
+    gram = [sum(t[k][i] * t[k][j] for k in range(3)) for i, j in GRAM_ENTRIES]
+    cof = [[t[(i + 1) % 3][(j + 1) % 3] * t[(i + 2) % 3][(j + 2) % 3]
+            - t[(i + 1) % 3][(j + 2) % 3] * t[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
+           for i in range(3)]
+    return gram + [sum(c * c for row in cof for c in row), sum(a * c for a, c in zip(t[0], cof[0]))]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_det_row_against_the_exact_determinant(family):
     # The Hermitian partial transpose has a real determinant; its imaginary
-    # part is dropped, as the provider drops it.
+    # part is dropped, as the provider drops it. The other rows of the table
+    # are checked against the exact values of T0, T1 and T2 of the same floats.
     rng = np.random.default_rng(11)
     grid = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     for rank in (1, 1, 2, 2, 3, 3, 4, 4):
         mat = ginibre(rng, rank)
-        parts = partial_transpose_b(_affine_coefficients(mat, family))
+        coef = _affine_coefficients(mat, family)
+        parts, t_parts = partial_transpose_b(coef), correlation_matrix_stack(coef)
         qs = np.concatenate([[0.0, 0.75, 1.0], grid[::125], rng.uniform(size=8)])
-        for q, entangled in zip(qs.tolist(), kraus_margins(mat, family, qs)[3].tolist()):
+        rows = _chebyshev_rows(_kraus_table(mat, family), qs)[:8].T
+        for q, entangled, invariants in zip(qs.tolist(), kraus_margins(mat, family, qs)[3].tolist(),
+                                            rows.tolist()):
             exact = exact_det(parts, q)
             if abs(entangled) in (0.0, DET_ROUNDING):
                 assert abs(exact) <= DET_ROUNDING + EXACT_DET_BOUND
             else:
                 assert abs(Fraction(-entangled) - exact) <= EXACT_DET_BOUND, (rank, q)
+            for value, want, bound in zip(invariants, exact_invariants(t_parts, q),
+                                          EXACT_ROW_BOUNDS):
+                assert abs(Fraction(value) - want) <= bound, (rank, q)
 
 
 PURE_PRODUCTS = {
@@ -283,20 +318,33 @@ SIGN_STATES = {
 }
 
 
-def check_signs(t: np.ndarray) -> None:
-    """correlation_sign_margins of T (M, 3, 3) against the margins of its SVD."""
+def svd_signs(t: np.ndarray) -> np.ndarray:
+    """F - F_lhv, B - 2 and F - 2/3 of T (M, 3, 3), rows (3, M), from its singular values."""
     _, f, b = correlation_measures(np.linalg.svd(t, compute_uv=False))
-    spectra = np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0])
-    signs = correlation_sign_margins(t.transpose(1, 2, 0))
+    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0])
+
+
+def check_signs(signs: np.ndarray, spectra: np.ndarray) -> None:
+    """Sign rows (3, M) against the SVD margins wherever those are clear of rounding."""
     clear = np.abs(spectra) > 1e-12
     np.testing.assert_array_equal(signs[clear] > 0, spectra[clear] > 0)
+
+
+def check_kernel(t: np.ndarray) -> None:
+    """The invariants and sign kernel of T (M, 3, 3) against its SVD."""
+    check_signs(invariant_sign_margins(correlation_invariants(t.transpose(1, 2, 0))), svd_signs(t))
 
 
 @PROPERTY
 @given(seed=seeds, kind=st.sampled_from(sorted(SIGN_STATES)), family=families, qs=strengths)
 def test_sign_kernel_reads_the_svd_signs(seed, kind, family, qs):
+    # The kernel on T at each point, and what the locator reads: the G, B and
+    # F rows of _kraus_margins, from the interpolated invariants.
     mat = SIGN_STATES[kind](np.random.default_rng(seed))
-    check_signs(correlation_matrix_stack(evolve_grid(mat, family, np.concatenate([qs, GRID]))))
+    qs = np.concatenate([qs, GRID])
+    t = correlation_matrix_stack(evolve_grid(mat, family, qs))
+    check_kernel(t)
+    check_signs(kraus_margins(mat, family, qs)[:3], svd_signs(t))
 
 
 @PROPERTY
@@ -306,7 +354,7 @@ def test_sign_kernel_on_a_triple_degenerate_spectrum(p, qs):
     t = correlation_matrix_stack(evolve_grid(werner(p).mat, "depolarizing",
                                              np.concatenate([qs, GRID])))
     np.testing.assert_allclose(t, t[:, :1, :1] * np.eye(3), rtol=0, atol=1e-15)
-    check_signs(t)
+    check_kernel(t)
 
 
 @PROPERTY
@@ -314,13 +362,14 @@ def test_sign_kernel_on_a_triple_degenerate_spectrum(p, qs):
 def test_sign_kernel_on_any_matrix(seed, scale):
     # Beyond states, s1 may exceed the cut c: then g(c) can be positive while
     # N > c, and a > c^2 decides.
-    check_signs(scale * np.random.default_rng(seed).standard_normal((200, 3, 3)))
+    check_kernel(scale * np.random.default_rng(seed).standard_normal((200, 3, 3)))
 
 
 def test_sign_kernel_at_n_equal_one():
     # Werner p = 1/3 has T = -I/3: N = 1 exactly, so F = 2/3 is dead, not alive.
     t = correlation_matrix_stack(werner(1.0 / 3.0).mat[None])
-    gisin, bell, fidelity = correlation_sign_margins(t.transpose(1, 2, 0))[:, 0]
+    invariants = correlation_invariants(t.transpose(1, 2, 0))
+    gisin, bell, fidelity = invariant_sign_margins(invariants)[:, 0]
     assert gisin < 0.0 and bell < 0.0
     assert -1e-15 <= fidelity <= 0.0
     for family in sorted(FAMILIES):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import ginibre
 
 from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.errors import BadGrid, InvalidTolerance
@@ -26,6 +28,10 @@ from qnl.thresholds import (
 from qnl.werner_analytic import bell_ad, concurrence_ad, fidelity_ad
 
 AD = "amplitude-damping"
+# Most memory one threshold_set may allocate at once (tracemalloc's peak). Each
+# point reads its margins from a per-state table, so a pre-scan holds a few
+# (9, 1002) arrays; per-point cofactor and Gram stacks took about 930 KiB.
+PEAK_BYTES = 512 * 1024
 
 
 def bisect_analytic(func, target, lo=0.0, hi=1.0, tol=1e-12):
@@ -110,6 +116,21 @@ class TestThresholdSet:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown channel"):
             threshold_set(bell_singlet(), "bit-flip")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_threshold_set_peak_memory(family):
+    rng = np.random.default_rng(5)
+    threshold_set(werner(0.9), family)  # first-call allocations are not the locator's
+    for rank in (1, 2, 3, 4):
+        state = DensityMatrix(ginibre(rng, rank))
+        tracemalloc.start()
+        try:
+            threshold_set(state, family, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BYTES, (rank, peak)
 
 
 class TestBisectionCorrectness:

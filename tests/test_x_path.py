@@ -7,7 +7,7 @@ against the Kraus margins on a grid for MEMS, Werner states, the singlet,
 X-states with complex coherences and rank-deficient X-states, under every
 channel; its thresholds against ``threshold_set``. The X G, B and F rows are
 checked against the spectra (``_curves``) at 1e-12, and the Kraus rows, which
-carry only the signs of those margins (``correlation_sign_margins``), must
+carry only the signs of those margins (``invariant_sign_margins``), must
 read the same alive bits wherever the X margin is clear of rounding.
 
 Neither provider takes a square root of the state, so the concurrence rows
