@@ -9,13 +9,14 @@ and q = 0 is always the identity channel:
                       single-qubit action is rho -> (1-q) rho + q I/2, i.e.
                       q is the total error probability.
 
-A channel acts on qubit B, the transmitted one. On X-states (non-zero only on
-the diagonal and the anti-diagonal) each family moves B's populations and
-scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q (``evolve_x``).
+A channel acts on qubit B, the transmitted one, as one real map (``affine_map``).
+On X-states (non-zero only on the diagonal and the anti-diagonal) each family moves
+B's populations and scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q (``evolve_x``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
+X_FLAT = np.array([0, 5, 10, 15, 3, 6])  # rho11..rho44, rho14, rho23 in rho.reshape(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +144,11 @@ def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
 def x_entries(mats: np.ndarray) -> np.ndarray:
     """X entries (6, ...) of X-state matrices (..., 4, 4), one entry per row.
 
-    The rows are rho11, rho22, rho33, rho44, |rho14|, |rho23|; entries off the
-    diagonal and the anti-diagonal are ignored.
+    The rows are rho11, rho22, rho33, rho44, |rho14|, |rho23| (``X_FLAT``);
+    entries off the diagonal and the anti-diagonal are ignored.
     """
-    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
-    coherences = np.abs(mats[..., [0, 1], [3, 2]])
-    return np.moveaxis(np.concatenate([diag, coherences], axis=-1), -1, 0)
+    flat = mats.reshape(mats.shape[:-2] + (16,))[..., X_FLAT]
+    return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
 def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
@@ -155,7 +156,9 @@ def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
 
     Each action keeps X-states in X form (Yu & Eberly, QIC 7, 459 (2007)): it moves
     population within B's pairs (rho11, rho22), (rho33, rho44) and scales both
-    coherences by one factor >= 0, so their moduli suffice.
+    coherences by one factor >= 0, so their moduli suffice. It is the X block of
+    ``affine_map`` in closed form, and the tests check it against the map; it is
+    kept because its float order gives the ``sample-mems`` CSV bytes.
     """
     channel_family(name)
     qs = _strengths(qs)
@@ -185,3 +188,25 @@ def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     ops = np.ascontiguousarray(np.moveaxis(kraus_stack(name, qs), 0, -1))
     out = np.einsum("kxyq,aycz,kwzq->axcwq", ops, rho_mat.reshape(2, 2, 2, 2), np.conj(ops))
     return out.reshape(4, 4, -1).transpose(2, 0, 1).copy()
+
+
+# Every family is affine in (1, q, sqrt(1-q)): its Kraus entries are 1, sqrt(1-q)
+# and sqrt(q) (damping), or sqrt(1-3q/4) and sqrt(q/4) (depolarizing), and a
+# product of two entries of one operator is one of 1, q, sqrt(1-q), 1-q and
+# 1-3q/4. (1, q, sqrt(1-q)) is exactly (1, 0, 1), (1, 3/4, 1/2) and (1, 1, 0) at
+# the strengths below, so the 16 matrix units evolved there give the map.
+_AFFINE_QS = np.array([0.0, 0.75, 1.0])
+_AFFINE_OF_SAMPLES = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
+
+
+@functools.cache
+def affine_map(name: str) -> np.ndarray:
+    """The family's action on qubit B, one real read-only map (16, 3, 16), built once.
+
+    m[i, k, j] is what entry i of rho.reshape(16) adds to entry j of A, B or C
+    (k = 0, 1, 2) in rho(q) = A + q B + sqrt(1-q) C.
+    """
+    samples = np.stack([evolve_grid(u, name, _AFFINE_QS) for u in np.eye(16).reshape(16, 4, 4)])
+    out = np.einsum("km,imj->ikj", _AFFINE_OF_SAMPLES, samples.real.reshape(16, 3, 16))
+    out.setflags(write=False)
+    return out

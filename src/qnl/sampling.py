@@ -27,7 +27,7 @@ from .errors import RejectionStall
 from .measures import GISIN_BOUND
 from .measures import correlation_singvals_stack  # noqa: F401  (benchmark traces this name here)
 from .states import DensityMatrix, MemsWeights, mems
-from .thresholds import HIERARCHY_SLACK, _BLOCK_POINTS, _check_tol, _x_thresholds
+from .thresholds import _BLOCK_POINTS, _check_tol, ordered, x_thresholds
 from .thresholds import threshold_set  # noqa: F401  (benchmark traces this name here)
 
 MAX_DRAWS = 10**9
@@ -90,8 +90,7 @@ class HierarchyResult:
     @property
     def ordered(self) -> np.ndarray:
         """``hierarchy_check`` of each row (n,): q_G <= q_B <= q_F <= q_C, NaN as +infinity."""
-        q = np.where(np.isnan(self.thresholds), np.inf, self.thresholds)
-        return np.all(q[:, :-1] <= q[:, 1:] + HIERARCHY_SLACK, axis=1)
+        return ordered(self.thresholds)
 
 
 def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -173,10 +172,10 @@ def hierarchy_experiment(cfg: SamplerConfig) -> HierarchyResult:
     """Threshold sets of cfg.n_states accepted MEMS, in draw order, as columns.
 
     Every MEMS is an X-state, so all of them are located at once on the
-    closed-form X path (``x_threshold_sets``), straight from their weights.
+    closed-form X path (``x_thresholds``), straight from their weights.
     """
     weights = _accepted_weights(cfg)
-    return HierarchyResult(weights, _x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
+    return HierarchyResult(weights, x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
 
 
 def write_records_csv(records: HierarchyResult, fh: TextIO) -> None:

@@ -12,7 +12,7 @@ The critical strength of a condition is the smallest q in [0, 1] at which it
 first fails: it is bisected between its first dead bracket point and the point
 before it. The bracket points (``_ends``) are the 1001-point grid below q = 1
 and the tail point 1 - tol. ``threshold_set`` finds the first dead one by a
-pre-scan of them all. ``x_threshold_sets`` reads only q = 0, the tail point and
+pre-scan of them all. ``x_thresholds`` reads only q = 0, the tail point and
 the grid points around the closed-form roots of its margins, and pre-scans the
 states whose roots cannot be certified. Conventions: a condition already dead
 at q = 0 reports 0; a condition still alive at the tail point reports None (it
@@ -29,13 +29,13 @@ point read is one the one-level bisection could read, so the guess decides
 only how many points are read, never the floats.
 
 The locator reads only the sign of one margin per condition, so its margins
-providers compute signs, not spectra. ``threshold_set`` evolves the state
-once into rho(q) = A + q B + sqrt(1-q) C and tabulates, once per state, every
-quantity its margins read as a Chebyshev series in s = sqrt(1-q): the entries
-of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
-det(rho^{T_B}) (``_kraus_table``). Each point sums that table and takes its
-signs from the sums (``invariant_sign_margins``, no SVD); ``x_threshold_sets``
-reads many X-states at once from their evolved X entries in closed form.
+providers compute signs, not spectra. ``threshold_set`` reads the state's path
+rho(q) = A + q B + sqrt(1-q) C from ``channels.affine_map`` and tabulates, once
+per state, every quantity its margins read as a Chebyshev series in s: the
+entries of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
+det(rho^{T_B}) (``_kraus_table``). Each point takes its signs from the table's
+sums (``invariant_sign_margins``, no SVD). ``x_thresholds`` reads many X-states
+at once in closed form, their candidate strengths from the map's X block.
 ``scan`` takes the Wootters roots because it prints C; ``threshold_set``
 takes them only where the determinant is rounding noise (``_kraus_margins``).
 """
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channel_family, evolve_grid, evolve_x
+from .channels import X_FLAT, affine_map, channel_family, evolve_grid, evolve_x
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
     _N_CUTS,
@@ -75,7 +75,7 @@ _SURVIVES = PRESCAN_POINTS  # dead_at of a row alive at every bracket point
 _AROUND = np.arange(-1, 3, dtype=np.int16)
 _UNREAD = np.iinfo(np.int16).max
 MAX_TOL = 1e-3
-# The tail point 1 - tol stays below 1, where amplitude damping leaves a product state.
+# The tail point 1 - tol stays below 1, where a channel may leave a product state.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 # The locator locates X-states _BLOCK_POINTS at a time and never asks a margins
 # provider for more than _BLOCK_POINTS points at once, so its memory does not
@@ -115,20 +115,12 @@ class ThresholdSet:
         return {"q_G": self.q_g, "q_B": self.q_b, "q_F": self.q_f, "q_C": self.q_c}
 
 
-# Every family is affine in (1, q, sqrt(1-q)): its Kraus entries are 1,
-# sqrt(1-q) and sqrt(q) (damping), or sqrt(1-3q/4) and sqrt(q/4)
-# (depolarizing), and a product of two entries of one operator is one of 1, q,
-# sqrt(1-q), 1-q and 1-3q/4. (1, q, sqrt(1-q)) is exactly (1, 0, 1), (1, 3/4,
-# 1/2) and (1, 1, 0) at the strengths below, so the states evolved there give
-# the coefficients of rho(q) = A + q B + sqrt(1-q) C through a fixed 3x3 map.
-_AFFINE_QS = np.array([0.0, 0.75, 1.0])
-_AFFINE_OF_SAMPLES = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
-# Each entry of rho(q), of T and of rho^{T_B} is then a quadratic in
-# s = sqrt(1-q), and each row of _kraus_table a polynomial of degree at most 8
-# in s, sampled at the Chebyshev points x_j = cos(j pi / 8) of x = 2s - 1
-# (q = 0 and q = 1 among them). This matrix maps the samples f_j to the
-# coefficients c_k = sum_j f_j T_k(x_j) / 4 of T_k(x), with the terms j = 0, 8
-# and the coefficients k = 0, 8 halved.
+# Each entry of rho(q) = A + q B + sqrt(1-q) C, of T and of rho^{T_B} is a
+# quadratic in s = sqrt(1-q), and each row of _kraus_table a polynomial of
+# degree at most 8 in s, sampled at the Chebyshev points x_j = cos(j pi / 8) of
+# x = 2s - 1 (q = 0 and q = 1 among them). This matrix maps the samples f_j to
+# the coefficients c_k = sum_j f_j T_k(x_j) / 4 of T_k(x), with the terms
+# j = 0, 8 and the coefficients k = 0, 8 halved.
 _CHEB_NODES = 0.5 + 0.5 * np.cos(np.pi * np.arange(9) / 8)
 _CHEB_OF_SAMPLES = np.cos(np.pi * (np.outer(np.arange(9), np.arange(9)) % 16) / 8) / 4
 _CHEB_OF_SAMPLES[[0, -1]] /= 2
@@ -137,8 +129,7 @@ _CHEB_OF_SAMPLES[:, [0, -1]] /= 2
 
 def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
     """(A, B, C), shape (3, 4, 4), such that evolve_grid at q is A + q B + sqrt(1-q) C."""
-    samples = evolve_grid(state_mat, family, _AFFINE_QS)
-    return np.tensordot(_AFFINE_OF_SAMPLES, samples, axes=1)
+    return (state_mat.reshape(16) @ affine_map(family).reshape(16, 48)).reshape(3, 4, 4)
 
 
 def _curves(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,15 +180,14 @@ def _chebyshev_rows(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def _kraus_margins(state_mat: np.ndarray, family: str):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
-    The state is evolved once, at the three strengths of ``_affine_coefficients``,
-    and tabulated once (``_kraus_table``). Every point sums its rows from that
-    table (``_chebyshev_rows``): the G, B and F rows are the signs of the
-    invariants of T (``invariant_sign_margins``, no SVD) and the concurrence
-    row is -det(rho^{T_B}). No step mixes points.
+    The state is tabulated once (``_kraus_table``), and every point sums its
+    rows from that table (``_chebyshev_rows``): the G, B and F rows are the
+    signs of the invariants of T (``invariant_sign_margins``, no SVD) and the
+    concurrence row is -det(rho^{T_B}). No step mixes points.
 
     Where |det(rho^{T_B})| <= DET_ROUNDING its sign is rounding noise (a
-    partial transpose with a zero eigenvalue, as for a product state or at
-    q = 1 under amplitude damping). Such points are evolved directly and read
+    partial transpose with a zero eigenvalue, as for a product state, which a
+    channel may leave at q = 1). Such points are evolved directly and read
     from ``_curves`` instead, the concurrence row taking the sign of the
     Wootters concurrence at size DET_ROUNDING, so rank-deficient states keep
     the thresholds the spectra gave.
@@ -338,11 +328,11 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
     """(qs, uncertain) of X-states, X entries (6, N): candidate strengths (2, 3, 4, N).
 
-    Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in
-    s = sqrt(1-q), with its coefficients taken from ``evolve_x`` at
-    _AFFINE_QS. A condition can change sign only where one of these
-    quadratics does (max(x, y) > 0 changes sign only where x or y does):
-    N - c as 4 max(|rho14|, |rho23|) +- z - c in s, with
+    Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in s = sqrt(1-q),
+    read from the X block of ``affine_map``, which acts on moduli: no term joins
+    rho14 and rho23 or their conjugates. A condition can change sign only where
+    one of these quadratics does (max(x, y) > 0 changes sign only where x or y
+    does): N - c as 4 max(|rho14|, |rho23|) +- z - c in s, with
     z = rho11 - rho22 - rho33 + rho44 (G, then F); s1^2 + s2^2 - 1 as
     8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
     (B); and the two factors of det(rho^{T_B}) in u (C). ``qs[kind, k, j]``
@@ -350,10 +340,7 @@ def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndar
     (kind 0) or in u (kind 1), NaN where it is not real or not in [0, 1]. A
     state is uncertain if its coefficients are degenerate or not finite.
     """
-    n = entries.shape[1]
-    samples = evolve_x(np.repeat(entries, _AFFINE_QS.size, axis=1), family,
-                       np.tile(_AFFINE_QS, n)).reshape(6, n, _AFFINE_QS.size)
-    a, b, c = np.moveaxis(samples @ _AFFINE_OF_SAMPLES.T, -1, 0)
+    a, b, c = np.tensordot(affine_map(family)[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
     d11, d22, d33, d44, a14, a23 = np.stack([a + b, c, -b], axis=1)
     z = d11 - d22 - d33 + d44
     coh = np.maximum(a14, a23)
@@ -559,11 +546,6 @@ def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray) -> np.n
     return found.reshape(dead_at.shape)
 
 
-def _threshold_sets(found: np.ndarray) -> list[ThresholdSet]:
-    """ThresholdSets of _locate rows, with Python floats and None for NaN."""
-    return [ThresholdSet(*(None if math.isnan(q) else q for q in row.tolist())) for row in found]
-
-
 def threshold_set(
     state: DensityMatrix, family: str, tol: float = 1e-9
 ) -> ThresholdSet:
@@ -577,13 +559,18 @@ def threshold_set(
     tol = _check_tol(tol)
     margins = _kraus_margins(state.mat, family)
     dead_at, guess = _prescan(margins, 0, tol)
-    return _threshold_sets(_locate(margins, dead_at[None], tol, guess[None]))[0]
+    found = _locate(margins, dead_at[None], tol, guess[None])[0]
+    return ThresholdSet(*(None if math.isnan(q) else q for q in found.tolist()))
 
 
-def _x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
+def x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """Critical strengths (N, 4) of X-states, in Measure order, NaN where one survives.
 
-    The array ``x_threshold_sets`` wraps, for callers that keep columns.
+    ``entries`` (6, N) comes from ``channels.x_entries``; row k is the
+    ``threshold_set`` of state k, NaN for None. The margins come in closed
+    form (``_x_margins``), and the brackets from their roots (``_x_brackets``),
+    with no pre-scan unless a state's roots cannot be certified; the floats
+    are those of ``_locate`` with the pre-scan.
     """
     tol = _check_tol(tol)
     found = np.empty((entries.shape[1], len(Measure)))
@@ -595,31 +582,19 @@ def _x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     return found
 
 
-def x_threshold_sets(
-    entries: np.ndarray, family: str, tol: float = 1e-9
-) -> list[ThresholdSet]:
-    """``threshold_set`` of each X-state, given by its X entries (6, N), all at once.
-
-    ``entries`` comes from ``channels.x_entries`` of states whose entries off
-    the diagonal and the anti-diagonal are zero. Their margins come in closed
-    form (``evolve_x``, ``x_singvals`` and the X form of det(rho^{T_B})), and
-    their brackets from the roots of those margins (``_x_brackets``), with no
-    pre-scan unless a state's roots cannot be certified; the floats are those
-    of ``_locate`` with the pre-scan. The general Kraus pipeline of
-    ``threshold_set`` stays the reference.
-    """
-    return _threshold_sets(_x_thresholds(entries, family, tol))
-
-
-def hierarchy_check(ts: ThresholdSet) -> bool:
-    """True iff q_G <= q_B <= q_F <= q_C up to HIERARCHY_SLACK, with None as +infinity.
+def ordered(found: np.ndarray) -> np.ndarray:
+    """q_G <= q_B <= q_F <= q_C up to HIERARCHY_SLACK of rows (..., 4), NaN as +infinity.
 
     At every state G alive => B alive => F alive => C alive (see the README), so the
     first deaths obey this order on every noise path: False flags a locator error.
     """
-    inf = math.inf
-    seq = [inf if v is None else v for v in (ts.q_g, ts.q_b, ts.q_f, ts.q_c)]
-    return all(a <= b + HIERARCHY_SLACK for a, b in zip(seq, seq[1:]))
+    q = np.where(np.isnan(found), np.inf, found)
+    return np.all(q[..., :-1] <= q[..., 1:] + HIERARCHY_SLACK, axis=-1)
+
+
+def hierarchy_check(ts: ThresholdSet) -> bool:
+    """``ordered`` of one ThresholdSet, None read as +infinity."""
+    return bool(ordered(np.array([ts.q_g, ts.q_b, ts.q_f, ts.q_c], dtype=float)))
 
 
 def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
@@ -627,7 +602,7 @@ def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
 
     R1 separable, R2 entangled only, R3 teleportation-useful without CHSH
     violation, R4 CHSH-violating below the Gisin bound, R5 beyond it. The
-    analytic amplitude-damping curves are ranked by ``hierarchy_rank``, the
+    curves of ``werner_analytic`` are ranked by ``hierarchy_rank``, the
     ladder of ``classify``. Takes floats (one label, an ``np.str_``) or arrays
     that broadcast together (an array of labels).
     """

@@ -25,6 +25,12 @@ def write_state(mat: np.ndarray, path) -> None:
         json.dump({"re": np.real(mat).tolist(), "im": np.imag(mat).tolist()}, fh)
 
 
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Two float arrays are equal bit for bit: NaN equals NaN, 0.0 differs from -0.0."""
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
 def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     """Transpose qubit B's indices; works on (4, 4) or stacked (n, 4, 4)."""
     if rho.ndim == 2:

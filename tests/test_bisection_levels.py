@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ginibre
+from conftest import assert_same_bits, ginibre
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, x_entries
@@ -39,15 +39,14 @@ from qnl.thresholds import (
     _kraus_margins,
     _locate,
     _prescan,
-    _threshold_sets,
     _x_brackets,
     _x_margins,
-    x_threshold_sets,
+    x_thresholds,
 )
 
 TOLS = (1e-3, 1e-6, 1e-9, 1e-15)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-# States per x_threshold_sets call: between them, every level count from 3 to 9.
+# States per x_thresholds call: between them, every level count from 3 to 9.
 STATE_COUNTS = (1, 2, 5, 30, 300)
 
 
@@ -348,7 +347,7 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
     # One Ginibre state on the Kraus provider and five MEMS on the X provider,
     # each row with a guess of any kind: the floats and the calls are those
     # check_same expects. With ``fallback``, every X state is pre-scanned by
-    # x_threshold_sets, whose guesses then come from _cubic_root.
+    # x_thresholds, whose guesses then come from _cubic_root.
     rng = np.random.default_rng(seed)
     entries = mems_entries(5 + seed % 295, family)[:, -5:]
     cases = [(_kraus_margins(ginibre(rng, 1 + seed % 4), family), 1),
@@ -365,7 +364,7 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
             patch.setattr(thresholds, "_unit_candidates", lambda coef: (
                 np.full(coef.shape, np.nan), np.zeros(coef.shape[1:], dtype=bool)))
             assert _x_brackets(entries, family, tol)[2].all()
-        assert x_threshold_sets(entries, family, tol) == _threshold_sets(want)
+        assert_same_bits(x_thresholds(entries, family, tol), want)
 
 
 def counted_calls(monkeypatch, provider: str, of=np.size) -> list:
@@ -405,7 +404,7 @@ def test_threshold_set_calls(monkeypatch, family):
     assert sizes == SET_CALLS[family]
 
 
-# Margins calls of x_threshold_sets on the 30 MEMS of one sample-mems run at
+# Margins calls of x_thresholds on the 30 MEMS of one sample-mems run at
 # tol 1e-6: one call reads the points around the roots, and one verifies every
 # row's predicted path; no row resumes.
 MEMS_CALLS = 2
@@ -416,7 +415,7 @@ MEMS_CALLS = 2
 def test_x_threshold_sets_calls(monkeypatch, family, seed):
     entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=seed, channel=family)))
     sizes = counted_calls(monkeypatch, "_x_margins")
-    thresholds.x_threshold_sets(entries, family, 1e-6)
+    thresholds.x_thresholds(entries, family, 1e-6)
     assert len(sizes) == MEMS_CALLS
 
 
@@ -455,5 +454,5 @@ def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
         assert kraus[0] == 1.0
         assert max(kraus[1:], default=0.0) <= tail_q
     x = counted_calls(monkeypatch, "_x_margins", np.max)
-    thresholds.x_threshold_sets(mems_entries(30, family), family, tol)
+    thresholds.x_thresholds(mems_entries(30, family), family, tol)
     assert max(x) <= tail_q

@@ -4,12 +4,15 @@ import pytest
 from conftest import ginibre_density_stack
 from qnl.channels import (
     FAMILIES,
+    X_FLAT,
     KrausChannel,
+    affine_map,
     amplitude_damping,
     apply_channel,
     channel_family,
     depolarizing,
     evolve_grid,
+    evolve_x,
     kraus_stack,
     phase_damping,
 )
@@ -234,3 +237,31 @@ class TestGridKernels:
     def test_nan_kraus_operator_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel("x", 0.1, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+
+
+class TestAffineMap:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_real_and_its_x_block_is_evolve_x(self, family, rng):
+        m = affine_map(family)
+        assert m.shape == (16, 3, 16) and m.dtype == np.float64 and not m.flags.writeable
+        # Into the X entries from those an X-state holds (its X entries, then
+        # rho41 and rho32): populations from populations, and each coherence
+        # from itself only. Every other term, rho14 <-> rho23 among them, is
+        # exactly 0, so the X block acts on the moduli of the coherences.
+        into_x = m[np.r_[X_FLAT, 12, 9]][:, :, X_FLAT]
+        inputs, outputs = np.ogrid[:8, :6]
+        allowed = ((inputs < 4) & (outputs < 4)) | ((inputs >= 4) & (inputs == outputs))
+        assert not np.moveaxis(into_x, 1, 0)[:, ~allowed].any()
+        # A + q B + sqrt(1-q) C of the X block is evolve_x, on random X entries.
+        n = 200
+        d = rng.dirichlet(np.ones(4), size=n).T
+        coherences = rng.uniform(size=(2, n)) * np.sqrt([d[0] * d[3], d[1] * d[2]])
+        entries = np.vstack([d, coherences])
+        qs = np.concatenate([[0.0, 1.0], rng.uniform(size=n - 2)])
+        a, b, c = np.tensordot(m[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
+        got = a + qs * b + np.sqrt(1.0 - qs) * c
+        np.testing.assert_allclose(got, evolve_x(entries, family, qs), rtol=0, atol=1e-15)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown channel family 'bit-flip'"):
+            affine_map("bit-flip")

@@ -314,7 +314,7 @@ class TestSampleMemsCommand:
                         "--out", str(out_path)])
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
-    # The same at --n 10000, which x_threshold_sets locates in three blocks of states.
+    # The same at --n 10000, which x_thresholds locates in three blocks of states.
     @pytest.mark.parametrize(
         "channel, digest",
         [("amplitude-damping", "857e68ced5de550aff3daff049d62dd3cba4b4c70528d8f8dacd069febcd3d33"),

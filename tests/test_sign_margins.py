@@ -1,15 +1,16 @@
 """The locator's sign margins against the spectra they replace.
 
 ``thresholds._kraus_margins`` evolves a state as rho(q) = A + q B + sqrt(1-q) C,
-with A, B and C taken from three Kraus evolutions (``_affine_coefficients``),
-and reads every margin from one per-state Chebyshev table in s = sqrt(1-q)
+with A, B and C read from its family's map (``channels.affine_map``), and
+reads every margin from one per-state Chebyshev table in s = sqrt(1-q)
 (``_kraus_table``): -det(rho^{T_B}) for entanglement, and the entries of
 T^T T, ||adj T||_F^2 and det T of the correlation matrix T, whose signs give
 the F, B and G rows. ``thresholds._x_margins`` reads the same determinant of
 X-states in closed form. Checked here:
 
-- the affine evolution equals ``evolve_grid`` at random strengths under every
-  family, so a family that is not affine in (1, q, sqrt(1-q)) fails;
+- the evolution through the map equals ``evolve_grid`` at random strengths
+  under every family, so a family that is not affine in (1, q, sqrt(1-q))
+  fails;
 - -det(rho^{T_B}) has the sign of the unclamped Wootters concurrence wherever
   that is clearly non-zero, on Ginibre states of rank 1 to 4;
 - every row of the table, summed at a point, is within a measured bound of
@@ -41,7 +42,7 @@ import pytest
 from conftest import ginibre, partial_transpose_b
 from hypothesis import given, settings, strategies as st
 
-from qnl.channels import FAMILIES, evolve_grid, x_entries
+from qnl.channels import FAMILIES, affine_map, evolve_grid, x_entries
 from qnl.measures import (
     GISIN_BOUND,
     alive_margins,
@@ -105,7 +106,7 @@ def kraus_margins(mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
 @given(seed=seeds, rank=st.integers(1, 4), family=families, qs=strengths)
 def test_affine_evolution_equals_evolve_grid(seed, rank, family, qs):
     mat = ginibre(np.random.default_rng(seed), rank)
-    a, b, c = _affine_coefficients(mat, family)
+    a, b, c = np.einsum("i,ikj->kj", mat.reshape(16), affine_map(family)).reshape(3, 4, 4)
     q = qs[:, None, None]
     np.testing.assert_allclose(
         a + q * b + np.sqrt(1.0 - q) * c, evolve_grid(mat, family, qs), rtol=0, atol=1e-15

@@ -7,8 +7,8 @@ only at q = 0, at the tail point and around each candidate strength. On every
 row it must give what the pre-scan of every bracket point ``_prescan`` gives, on MEMS (seeded, rank three, p1 = p3), the
 singlet, Werner states on and off their thresholds and X-states with complex
 coherences, including coefficients that underflow. A state whose candidates
-cannot be certified is read from the pre-scan instead; ``x_threshold_sets``
-must give the floats of ``_locate`` with the pre-scan bit for bit, with that
+cannot be certified is read from the pre-scan instead; ``x_thresholds`` must
+give the floats of ``_locate`` with the pre-scan bit for bit, with that
 fallback taken for some states, for every state, or not at all.
 """
 
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import example, given, settings, strategies as st
 
 from qnl import thresholds
@@ -27,11 +28,10 @@ from qnl.thresholds import (
     _BLOCK_POINTS,
     _locate,
     _prescan,
-    _threshold_sets,
     _unit_candidates,
     _x_brackets,
     _x_margins,
-    x_threshold_sets,
+    x_thresholds,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -144,17 +144,18 @@ def mixed_entries(family: str) -> np.ndarray:
                            x_entries(bell_singlet().mat[None]), third], axis=1)
 
 
-def prescan_sets(entries: np.ndarray, family: str, tol: float):
+def prescan_sets(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
+    """Critical strengths (N, 4) of _locate after the pre-scan, with no guess."""
     dead_at = prescan(entries, family, tol)
     guess = np.full(dead_at.shape, np.nan)
-    return _threshold_sets(_locate(_x_margins(entries, family), dead_at, tol, guess))
+    return _locate(_x_margins(entries, family), dead_at, tol, guess)
 
 
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_floats_are_the_prescans(family, tol):
     entries = mixed_entries(family)
-    assert x_threshold_sets(entries, family, tol) == prescan_sets(entries, family, tol)
+    assert_same_bits(x_thresholds(entries, family, tol), prescan_sets(entries, family, tol))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -163,8 +164,8 @@ def test_located_block_by_block(monkeypatch, family):
     # states, and the floats are those of the same states located one block at a time.
     cfg = SamplerConfig(n_states=_BLOCK_POINTS + 30, seed=4, channel=family)
     entries = _mems_entries(_accepted_weights(cfg))
-    want = [ts for k in range(0, entries.shape[1], _BLOCK_POINTS)
-            for ts in x_threshold_sets(entries[:, k:k + _BLOCK_POINTS], family, 1e-9)]
+    want = np.concatenate([x_thresholds(entries[:, k:k + _BLOCK_POINTS], family, 1e-9)
+                           for k in range(0, entries.shape[1], _BLOCK_POINTS)])
     covered = []
     make = thresholds._x_margins
 
@@ -173,7 +174,7 @@ def test_located_block_by_block(monkeypatch, family):
         return make(entries, family)
 
     monkeypatch.setattr(thresholds, "_x_margins", recording)
-    assert x_threshold_sets(entries, family, 1e-9) == want
+    assert_same_bits(x_thresholds(entries, family, 1e-9), want)
     assert covered and max(covered) <= _BLOCK_POINTS
 
 
@@ -193,10 +194,10 @@ def test_forced_fallback(monkeypatch, family, tol):
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
     assert _x_brackets(entries, family, tol)[2].all()
-    assert x_threshold_sets(entries, family, tol) == want
+    assert_same_bits(x_thresholds(entries, family, tol), want)
     # No candidates: a state is uncertain where q = 0 and the tail point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
     uncertain = _x_brackets(entries, family, tol)[2]
     assert 0 < uncertain.sum() < uncertain.size
-    assert x_threshold_sets(entries, family, tol) == want
+    assert_same_bits(x_thresholds(entries, family, tol), want)

@@ -1,6 +1,6 @@
 """The closed-form X-state path against the general Kraus pipeline.
 
-``thresholds.x_threshold_sets`` evolves the six X entries (``channels.evolve_x``)
+``thresholds.x_thresholds`` evolves the six X entries (``channels.evolve_x``)
 and reads the correlation singular values and det(rho^{T_B}) in closed form
 (``measures.x_singvals``, ``thresholds._x_margins``). Its margins are checked
 against the Kraus margins on a grid for MEMS, Werner states, the singlet,
@@ -40,7 +40,7 @@ from qnl.thresholds import (
     _x_margins,
     scan,
     threshold_set,
-    x_threshold_sets,
+    x_thresholds,
 )
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -196,6 +196,13 @@ def test_evolve_x_rejects_bad_input():
             evolve_x(entries, "depolarizing", np.array([0.5, bad]))
 
 
+def test_x_thresholds_rejects_unknown_family():
+    # The canonical message, as threshold_set gives it on the Kraus path.
+    entries = x_entries(werner(0.5).mat[None])
+    with pytest.raises(ValueError, match="unknown channel family 'bit-flip'"):
+        x_thresholds(entries, "bit-flip", 1e-6)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_experiment_records_equal_threshold_set(family):
     result = hierarchy_experiment(SamplerConfig(n_states=50, seed=2024, channel=family, tol=TOL))
@@ -217,9 +224,10 @@ def test_x_threshold_sets_bracket_like_threshold_set(raw, r14, r23, f14, f23):
         bell_singlet().mat,
     ])
     for family in sorted(FAMILIES):
-        found = x_threshold_sets(x_entries(mats), family, TOL)
-        for mat, ts in zip(mats, found):
+        found = x_thresholds(x_entries(mats), family, TOL)
+        assert found.dtype == np.float64 and found.shape == (len(mats), 4)
+        for mat, row in zip(mats, found.tolist()):
             ref = threshold_set(DensityMatrix(mat), family, TOL)
-            for q, r in zip(ts.as_dict().values(), ref.as_dict().values()):
-                assert (q is None) == (r is None), (family, ts, ref)
-                assert q is None or type(q) is float and abs(q - r) <= 2 * TOL, (family, ts, ref)
+            for q, r in zip(row, ref.as_dict().values()):
+                assert math.isnan(q) == (r is None), (family, row, ref)
+                assert math.isnan(q) or abs(q - r) <= 2 * TOL, (family, row, ref)
