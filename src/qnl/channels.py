@@ -151,8 +151,8 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
-def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
-    """X entries (6, M) after the family acts on qubit B, column k at strength qs[k].
+def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six rows of X entries (6, M), a tuple, after the family acts on qubit B at strengths qs.
 
     Each action keeps X-states in X form (Yu & Eberly, QIC 7, 459 (2007)): it moves
     population within B's pairs (rho11, rho22), (rho33, rho44) and scales both
@@ -172,8 +172,8 @@ def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     else:  # depolarizing: populations relax towards their mean; coherences * (1-q)
         moved_12, moved_34 = 0.5 * qs * (d22 - d11), 0.5 * qs * (d44 - d33)
         factor = 1.0 - qs
-    return np.stack([d11 + moved_12, d22 - moved_12, d33 + moved_34, d44 - moved_34,
-                     factor * a14, factor * a23])
+    return (d11 + moved_12, d22 - moved_12, d33 + moved_34, d44 - moved_34,
+            factor * a14, factor * a23)
 
 
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:

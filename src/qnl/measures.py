@@ -116,8 +116,8 @@ def correlation_matrix_stack(rhos: np.ndarray) -> np.ndarray:
     return np.real(traces).reshape(-1, 3, 3)
 
 
-def x_singvals(entries: np.ndarray) -> np.ndarray:
-    """Correlation singular values (..., 3) of X-states in closed form, two largest first.
+def x_singvals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correlation singular values (s1, s2, s3) of X-states in closed form, two largest first.
 
     ``entries`` (6, ...) holds rho11, rho22, rho33, rho44, |rho14|, |rho23|.
     T is diagonal apart from its xy block, so its singular values are
@@ -128,7 +128,7 @@ def x_singvals(entries: np.ndarray) -> np.ndarray:
     d11, d22, d33, d44, a14, a23 = entries
     xy = 2.0 * np.abs(a14 - a23)
     zz = np.abs(d11 - d22 - d33 + d44)
-    return np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
+    return 2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)
 
 
 # Cyclic successors i + 1 and i + 2 of the indices 0, 1, 2.
@@ -189,9 +189,13 @@ def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:
 def correlation_measures(
     sv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, F, B) from correlation singular values (..., 3), the two largest first."""
-    n = sv.sum(axis=-1)
-    return n, 0.5 * (1.0 + n / 3.0), 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
+    """(N, F, B) from correlation singular values (3, ...), the two largest first.
+
+    N adds them in order, the float order of a sum over a trailing axis of 3.
+    """
+    s1, s2, s3 = sv
+    n = s1 + s2 + s3
+    return n, 0.5 * (1.0 + n / 3.0), 2.0 * np.sqrt(s1 ** 2 + s2 ** 2)
 
 
 def _n_f_b(rho: DensityMatrix) -> tuple[float, float, float]:
@@ -228,7 +232,9 @@ def alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.nda
     entangled exactly when its partial transpose has a negative determinant
     (Augusiak, Demianowicz & Horodecki, PRA 77, 030301 (2008)).
     """
-    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled])
+    out = np.empty((4,) + np.shape(f))
+    out[0], out[1], out[2], out[3] = f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, entangled
+    return out
 
 
 def hierarchy_rank(margins: np.ndarray) -> np.ndarray:

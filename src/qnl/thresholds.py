@@ -35,13 +35,17 @@ per state, every quantity its margins read as a Chebyshev series in s: the
 entries of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
 det(rho^{T_B}) (``_kraus_table``). Each point takes its signs from the table's
 sums (``invariant_sign_margins``, no SVD). ``x_thresholds`` reads many X-states
-at once in closed form, their candidate strengths from the map's X block.
+at once in closed form, their candidate strengths from the map's X block. Each
+stage of a block of X-states is a few array calls whatever its size: the eight
+quadratics of every state are one array, solved in one call
+(``_x_candidates``), and each margins call fills one (4, M) array.
 ``scan`` takes the Wootters roots because it prints C; ``threshold_set``
 takes them only where the determinant is rounding noise (``_kraus_margins``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,7 +139,7 @@ def _affine_coefficients(state_mat: np.ndarray, family: str) -> np.ndarray:
 def _curves(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C unclamped, F, B) of evolved states (M, 4, 4), from their spectra."""
     c_unclamped = concurrence_of_roots(wootters_roots_stack(evolved))
-    _, f, b = correlation_measures(correlation_singvals_stack(evolved))
+    _, f, b = correlation_measures(correlation_singvals_stack(evolved).T)
     return c_unclamped, f, b
 
 
@@ -238,9 +242,12 @@ def _alive(margins, states: np.ndarray, qs: np.ndarray) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _ends(tol: float) -> np.ndarray:
-    """The PRESCAN_POINTS bracket points: the grid below q = 1, then the tail point."""
-    return np.append(_GRID[:-1], min(1.0 - tol, _BELOW_ONE))
+    """The PRESCAN_POINTS bracket points, read-only: the grid below q = 1, then the tail point."""
+    ends = np.append(_GRID[:-1], min(1.0 - tol, _BELOW_ONE))
+    ends.setflags(write=False)
+    return ends
 
 
 def _prescan(margins, state: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +314,9 @@ def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     certain = np.isfinite(scale) & (scale > 0.0)
     c0, c1, c2 = np.divide(coef, scale, out=np.zeros_like(coef), where=certain)
     disc = c1 * c1 - 4.0 * c0 * c2
-    h = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
-    num, den = np.stack([h, c0, -0.5 * c1]), np.stack([c2, h, c2])
+    num, den = np.empty((2,) + coef.shape)
+    num[0] = den[1] = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+    num[1], num[2], den[0], den[2] = c0, -0.5 * c1, c2, c2
     inside = (np.abs(num) <= np.abs(den)) & (den != 0.0)
     inside[:2] &= disc >= 0.0
     t = np.divide(num, den, out=np.full(num.shape, np.nan), where=inside)
@@ -325,38 +333,78 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
 
 
-def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, uncertain) of X-states, X entries (6, N): candidate strengths (2, 3, 4, N).
+@functools.cache
+def _x_block(family: str) -> np.ndarray:
+    """The X block of ``affine_map``, read-only, laid out (18, 6) as ``np.tensordot`` lays it out.
+
+    Its ``np.dot`` with X entries (6, N) is (A, B, C) of each, the floats of tensordot.
+    """
+    block = affine_map(family)[X_FLAT][:, :, X_FLAT].transpose(1, 2, 0).reshape(18, 6)
+    block.setflags(write=False)
+    return block
+
+
+# _x_quadratics' constants. Entries of e (coefficient, entry, state), paired
+# for _even_product: |rho14|^2, |rho23|^2, (|rho14| + |rho23|)^2, z^2,
+# rho11 rho44 and rho22 rho33.
+_PAIRS = np.array([[4, 5, 7, 6, 0, 1], [4, 5, 7, 6, 3, 2]])
+# G and F in s: 4 max(|rho14|, |rho23|) +- z - c, the cut c in the constant term.
+_SIGNS = np.array([1.0, -1.0])[:, None]
+_CUTS = np.zeros((3, 2, 1, 1))
+_CUTS[0] = _N_CUTS[..., None]
+# The conditions in Measure order whose quadratics are in s (G and F), not in u.
+_IN_S = np.array([True, False, True, False])[:, None, None]
+# G, B and F guess their largest root in the bracket, C its smallest.
+_ROOT_SIGN = np.array([1.0, 1.0, 1.0, -1.0])[:, None, None]
+
+
+def _x_quadratics(entries: np.ndarray, family: str) -> np.ndarray:
+    """The eight quadratics of X-states, X entries (6, N): coefficients (3, 4, 2, N).
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in s = sqrt(1-q),
-    read from the X block of ``affine_map``, which acts on moduli: no term joins
-    rho14 and rho23 or their conjugates. A condition can change sign only where
-    one of these quadratics does (max(x, y) > 0 changes sign only where x or y
-    does): N - c as 4 max(|rho14|, |rho23|) +- z - c in s, with
-    z = rho11 - rho22 - rho33 + rho44 (G, then F); s1^2 + s2^2 - 1 as
-    8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2
-    (B); and the two factors of det(rho^{T_B}) in u (C). ``qs[kind, k, j]``
-    is the strength of root k (k = 2: the vertex) of quadratic j in s
-    (kind 0) or in u (kind 1), NaN where it is not real or not in [0, 1]. A
-    state is uncertain if its coefficients are degenerate or not finite.
+    read from the X block of ``affine_map`` (``_x_block``), which acts on
+    moduli: no term joins rho14 and rho23 or their conjugates. A condition can
+    change sign only where one of its two quadratics does (max(x, y) > 0
+    changes sign only where x or y does): N - c as
+    4 max(|rho14|, |rho23|) +- z - c in s, with z = rho11 - rho22 - rho33 + rho44
+    (G, then F); s1^2 + s2^2 - 1 as 8(|rho14|^2 + |rho23|^2) - 1 and
+    4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2 (B); and the two factors of
+    det(rho^{T_B}) in u (C). The axes are (coefficient of 1, s or u and s^2
+    or u^2; condition in Measure order; quadratic; state).
     """
-    a, b, c = np.tensordot(affine_map(family)[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
-    d11, d22, d33, d44, a14, a23 = np.stack([a + b, c, -b], axis=1)
-    z = d11 - d22 - d33 + d44
-    coh = np.maximum(a14, a23)
-    one = np.array([1.0, 0.0, 0.0])[:, None]
-    in_s = np.stack([4.0 * coh + sign * z - cut * one
-                     for cut in _N_CUTS.ravel() for sign in (1.0, -1.0)], axis=1)
-    in_u = np.stack([
-        8.0 * (_even_product(a14, a14) + _even_product(a23, a23)) - one,
-        4.0 * _even_product(a14 + a23, a14 + a23) + _even_product(z, z) - one,
-        _even_product(a23, a23) - _even_product(d11, d44),
-        _even_product(d22, d33) - _even_product(a14, a14),
-    ], axis=1)
-    t_s, certain_s = _unit_candidates(in_s)
-    t_u, certain_u = _unit_candidates(in_u)
-    uncertain = ~(certain_s.all(axis=0) & certain_u.all(axis=0))
-    return np.stack([1.0 - t_s * t_s, 1.0 - t_u]), uncertain
+    n = entries.shape[1]
+    a, b, c = np.dot(_x_block(family), entries).reshape(3, 6, n)
+    # e (coefficient of 1, s, s^2; entry; state) of rho11..rho44, |rho14|,
+    # |rho23|, z and |rho14| + |rho23|: rho(q) = (A + B) + s C - s^2 B.
+    e = np.empty((3, 8, n))
+    np.add(a, b, out=e[0, :6])
+    e[1, :6] = c
+    np.negative(b, out=e[2, :6])
+    d11, d22, d33, d44, a14, a23 = e[:, :6].swapaxes(0, 1)
+    e[:, 6] = d11 - d22 - d33 + d44
+    e[:, 7] = a14 + a23
+    quad = np.empty((3, len(Measure), 2, n))
+    # G and F, then B and C.
+    quad[:, ::2] = 4.0 * np.maximum(a14, a23)[:, None, None] + _SIGNS * e[:, 6, None, None] - _CUTS
+    p = _even_product(*e[:, _PAIRS].swapaxes(0, 1))
+    quad[:, 1, 0] = 8.0 * (p[:, 0] + p[:, 1])
+    quad[:, 1, 1] = 4.0 * p[:, 2] + p[:, 3]
+    quad[0, 1] -= 1.0
+    quad[:, 3] = p[:, [1, 5]] - p[:, [4, 0]]
+    return quad
+
+
+def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, uncertain) of X-states, X entries (6, N): candidate strengths (3, 4, 2, N).
+
+    The eight ``_x_quadratics`` of every state are solved in one
+    ``_unit_candidates`` call. ``qs[k, m, j]`` is the strength of root k
+    (k = 2: the vertex) of quadratic j of condition m, NaN where it is not
+    real or not in [0, 1]. A state is uncertain if its coefficients are
+    degenerate or not finite.
+    """
+    t, certain = _unit_candidates(_x_quadratics(entries, family))
+    return 1.0 - np.where(_IN_S, t * t, t), ~certain.all(axis=(0, 1))
 
 
 def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,16 +412,16 @@ def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.
 
     The bracket points of a certain state are q = 0, the tail point and those
     from one cell below to one cell above each candidate's cell. Each state's
-    points are one row of int16, sorted along it, with _UNREAD for none.
+    points are one row of int16 (q = 0 and the tail point, then four per
+    candidate), sorted along it, with _UNREAD for none.
     """
     n = uncertain.size
-    found = ~np.isnan(qs.reshape(-1, n)) & ~uncertain
-    reads = np.full((n, 2 + _AROUND.size * found.shape[0]), _UNREAD, dtype=np.int16)
-    reads[~uncertain, :2] = 0, PRESCAN_POINTS - 1
-    cells = np.where(found, qs.reshape(-1, n) * (PRESCAN_POINTS - 1), 0.0).astype(np.int16)
-    reads[:, 2:] = np.where(found.T[..., None],
-                            np.clip(cells.T[..., None] + _AROUND, 0, PRESCAN_POINTS - 1),
-                            _UNREAD).reshape(n, -1)
+    found = ~(np.isnan(qs) | uncertain).reshape(-1, n).T
+    reads = np.full((n, 1 + found.shape[1], _AROUND.size), _UNREAD, dtype=np.int16)
+    reads[~uncertain, 0, :2] = 0, PRESCAN_POINTS - 1
+    cells = (qs.reshape(-1, n).T[found] * (PRESCAN_POINTS - 1)).astype(np.int16)
+    reads[:, 1:][found] = np.minimum(np.maximum(cells[:, None] + _AROUND, 0), PRESCAN_POINTS - 1)
+    reads = reads.reshape(n, -1)
     reads.sort(axis=1)
     first = reads != _UNREAD
     first[:, 1:] &= reads[:, 1:] != reads[:, :-1]
@@ -401,21 +449,18 @@ def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarra
     dead_at = np.full((n, len(Measure)), _SURVIVES)
     if states.size:
         alive = _alive(margins, states, ends[points])
-        same = states[1:] == states[:-1]
-        changes = (alive[:, 1:] != alive[:, :-1]) & same
-        unread = np.diff(points) > 1
-        uncertain[states[1:][unread & changes.any(axis=0)]] = True
-        row, pair = np.nonzero(changes & alive[:, :-1])
-        np.minimum.at(dead_at, (states[pair + 1], row), points[pair + 1])
+        changes = (alive[:, 1:] != alive[:, :-1]) & (states[1:] == states[:-1])
+        uncertain[states[1:][(np.diff(points) > 1) & changes.any(axis=0)]] = True
+        # Each state read reads q = 0 first; its run of pairs ends at the next state's first point.
         starts = np.flatnonzero(points == 0)
-        dead_at[states[starts]] *= alive[:, starts].T
-    # Roots (condition, state, 4) in Measure order: G and F in s, B and C in u.
-    roots = qs[:, :2].reshape(2, 2, 2, 2, n).transpose(2, 0, 4, 1, 3).reshape(4, n, 4)
-    lo = ends[np.clip(dead_at - 1, 0, PRESCAN_POINTS - 1)].T[..., None]
-    hi = ends[np.minimum(dead_at, PRESCAN_POINTS - 1)].T[..., None]
+        dies = np.where(changes & alive[:, :-1], points[1:], _SURVIVES)
+        dead_at[states[starts]] = (np.minimum.reduceat(dies, starts, axis=1) * alive[:, starts]).T
+    lo = ends[np.maximum(dead_at - 1, 0)].T[:, None]
+    hi = ends[np.minimum(dead_at, PRESCAN_POINTS - 1)].T[:, None]
+    roots = qs[:2]
     inside = (roots >= lo) & (roots <= hi)
-    guess = np.concatenate([np.where(inside[:3], roots[:3], -np.inf).max(axis=-1),
-                            np.where(inside[3:], roots[3:], np.inf).min(axis=-1)]).T
+    signed = np.where(inside, _ROOT_SIGN * roots, -np.inf).max(axis=(0, 2))
+    guess = (signed * _ROOT_SIGN[:, 0]).T
     for state in np.flatnonzero(uncertain):
         dead_at[state], guess[state] = _prescan(margins, state, tol)
     return dead_at, guess, uncertain
@@ -573,6 +618,7 @@ def x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     are those of ``_locate`` with the pre-scan.
     """
     tol = _check_tol(tol)
+    channel_family(family)
     found = np.empty((entries.shape[1], len(Measure)))
     # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
     for k in range(0, entries.shape[1], _BLOCK_POINTS):

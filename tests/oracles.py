@@ -10,15 +10,18 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   for the sorting networks of ``sampling._draw_weights``
   mems_fidelity   teleportation fidelity of MEMS weight rows through the X
                   singular values, the reference for ``sampling._fidelity_of_weights``
+  x_margins       alive margins of X entries after ``evolve_x``, the float
+                  order of ``thresholds._x_margins``
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qnl.channels import evolve_x
 from qnl.errors import NotHermitian, NotPSD
 from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
-from qnl.measures import correlation_measures, x_singvals
+from qnl.measures import GISIN_BOUND, correlation_measures, x_singvals
 from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
 
@@ -77,3 +80,21 @@ def draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
 def mems_fidelity(weights: np.ndarray) -> np.ndarray:
     """Teleportation fidelity of MEMS from weight rows (N, 4), via their X singular values."""
     return correlation_measures(x_singvals(_mems_entries(weights)))[1]
+
+
+def x_margins(entries: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
+    """Alive margins (4, M) of X entries (6, M) at strengths qs, by stacks.
+
+    The evolved entries, their singular values stacked (M, 3) and summed over
+    that axis, F and B from them, and the four margins stacked: the float
+    operations that the X path's margins must keep, in their order.
+    """
+    d11, d22, d33, d44, a14, a23 = evolve_x(entries, family, qs)
+    xy = 2.0 * np.abs(a14 - a23)
+    zz = np.abs(d11 - d22 - d33 + d44)
+    sv = np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
+    n = sv.sum(axis=-1)
+    f = 0.5 * (1.0 + n / 3.0)
+    b = 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
+    det = (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14)
+    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, det])

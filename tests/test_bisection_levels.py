@@ -34,11 +34,13 @@ from qnl.thresholds import (
     _alive,
     _BELOW_ONE,
     _BLOCK_POINTS,
+    _GRID,
     _SURVIVES,
     _ends,
     _kraus_margins,
     _locate,
     _prescan,
+    _x_block,
     _x_brackets,
     _x_margins,
     x_thresholds,
@@ -417,6 +419,21 @@ def test_x_threshold_sets_calls(monkeypatch, family, seed):
     sizes = counted_calls(monkeypatch, "_x_margins")
     thresholds.x_thresholds(entries, family, 1e-6)
     assert len(sizes) == MEMS_CALLS
+
+
+def test_cached_arrays_are_read_only():
+    # Every call gets the same cached object, so a write would reach every later call.
+    for tol in (1e-3, 1e-9, 1e-17):
+        ends = _ends(tol)
+        assert _ends(tol) is ends
+        assert_same_bits(ends, np.append(_GRID[:-1], min(1.0 - tol, _BELOW_ONE)))
+        with pytest.raises(ValueError, match="read-only"):
+            ends[-1] = 0.5
+    for family in sorted(FAMILIES):
+        block = _x_block(family)
+        assert _x_block(family) is block and block.shape == (18, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("tol", TOLS[1:] + (1e-17,))

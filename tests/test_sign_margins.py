@@ -321,7 +321,7 @@ SIGN_STATES = {
 
 def svd_signs(t: np.ndarray) -> np.ndarray:
     """F - F_lhv, B - 2 and F - 2/3 of T (M, 3, 3), rows (3, M), from its singular values."""
-    _, f, b = correlation_measures(np.linalg.svd(t, compute_uv=False))
+    _, f, b = correlation_measures(np.linalg.svd(t, compute_uv=False).T)
     return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0])
 
 

@@ -21,7 +21,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_bits
 from hypothesis import given, settings, strategies as st
+from oracles import x_margins
 
 from qnl.channels import FAMILIES, evolve_grid, evolve_x, x_entries
 from qnl.errors import QOutOfRange
@@ -34,6 +36,7 @@ from qnl.measures import (
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
+    _BELOW_ONE,
     ThresholdSet,
     _curves,
     _kraus_margins,
@@ -181,9 +184,9 @@ def test_x_singvals_match_the_svds(rng):
     ])
     sv = x_singvals(x_entries(mats))
     svd = correlation_singvals_stack(mats)
-    np.testing.assert_allclose(np.sort(sv, axis=-1)[:, ::-1], svd, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.sort(np.transpose(sv), axis=-1)[:, ::-1], svd, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
-        correlation_measures(sv), correlation_measures(svd), rtol=0, atol=1e-12
+        correlation_measures(sv), correlation_measures(svd.T), rtol=0, atol=1e-12
     )
 
 
@@ -197,10 +200,30 @@ def test_evolve_x_rejects_bad_input():
 
 
 def test_x_thresholds_rejects_unknown_family():
-    # The canonical message, as threshold_set gives it on the Kraus path.
-    entries = x_entries(werner(0.5).mat[None])
-    with pytest.raises(ValueError, match="unknown channel family 'bit-flip'"):
-        x_thresholds(entries, "bit-flip", 1e-6)
+    # The canonical message, as threshold_set gives it on the Kraus path, with
+    # states to locate or none.
+    for entries in (x_entries(werner(0.5).mat[None]), np.empty((6, 0))):
+        with pytest.raises(ValueError, match="unknown channel family 'bit-flip'"):
+            x_thresholds(entries, "bit-flip", 1e-6)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_x_margins_keep_their_float_order(family, rng):
+    # Bit for bit the stacked composition of tests/oracles.py, on random X
+    # entries: coherences at their PSD bound, MEMS (|rho14| = 0) and subnormal
+    # entries among them, at strengths from 0 to 1 in any order.
+    n = 3000
+    d = rng.dirichlet(np.ones(4), size=n).T
+    r = rng.uniform(size=(2, n))
+    r[:, ::5] = 1.0
+    r[0, 1::5] = 0.0
+    r[:, 2::5] *= 1e-310
+    d[3, 3::5] *= 1e-310
+    entries = np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+    qs = np.concatenate([[0.0, 1.0, _BELOW_ONE], rng.uniform(size=n - 3)])
+    states = rng.permutation(n)
+    assert_same_bits(_x_margins(entries, family)(states, qs),
+                     x_margins(entries[:, states], family, qs))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
