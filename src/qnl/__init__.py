@@ -62,7 +62,6 @@ from .thresholds import (
 from .werner_analytic import (
     bell_ad,
     bell_ad_branches,
-    boundary_q_c,
     concurrence_ad,
     concurrence_ad_unclamped,
     fidelity_ad,

@@ -9,9 +9,10 @@ and q = 0 is always the identity channel:
                       single-qubit action is rho -> (1-q) rho + q I/2, i.e.
                       q is the total error probability.
 
-A channel acts on qubit B, the transmitted one, as one real map (``affine_map``).
-On X-states (non-zero only on the diagonal and the anti-diagonal) each family moves
-B's populations and scales both coherences by sqrt(1-q), sqrt(1-q) or 1-q (``evolve_x``).
+A channel acts on qubit B, the transmitted one, as one real map (``affine_map``),
+built from ``kraus_stack``, the one table of each family's operators. Each family
+keeps X-states (non-zero only on the diagonal and the anti-diagonal) in X form,
+so the map's X block is all the X path of ``thresholds`` reads.
 """
 
 from __future__ import annotations
@@ -151,31 +152,6 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
-def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The six rows of X entries (6, M), a tuple, after the family acts on qubit B at strengths qs.
-
-    Each action keeps X-states in X form (Yu & Eberly, QIC 7, 459 (2007)): it moves
-    population within B's pairs (rho11, rho22), (rho33, rho44) and scales both
-    coherences by one factor >= 0, so their moduli suffice. It is the X block of
-    ``affine_map`` in closed form, and the tests check it against the map; it is
-    kept because its float order gives the ``sample-mems`` CSV bytes.
-    """
-    channel_family(name)
-    qs = _strengths(qs)
-    d11, d22, d33, d44, a14, a23 = entries
-    if name == "amplitude-damping":  # |1> decays to |0>; coherences * sqrt(1-q)
-        moved_12, moved_34 = qs * d22, qs * d44
-        factor = np.sqrt(1.0 - qs)
-    elif name == "phase-damping":  # populations fixed; coherences * sqrt(1-q)
-        moved_12 = moved_34 = 0.0
-        factor = np.sqrt(1.0 - qs)
-    else:  # depolarizing: populations relax towards their mean; coherences * (1-q)
-        moved_12, moved_34 = 0.5 * qs * (d22 - d11), 0.5 * qs * (d44 - d33)
-        factor = 1.0 - qs
-    return (d11 + moved_12, d22 - moved_12, d33 + moved_34, d44 - moved_34,
-            factor * a14, factor * a23)
-
-
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     """Evolve one raw state through a family on qubit B over a strength grid.
 
@@ -208,5 +184,9 @@ def affine_map(name: str) -> np.ndarray:
     """
     samples = np.stack([evolve_grid(u, name, _AFFINE_QS) for u in np.eye(16).reshape(16, 4, 4)])
     out = np.einsum("km,imj->ikj", _AFFINE_OF_SAMPLES, samples.real.reshape(16, 3, 16))
+    # Every true entry is a multiple of 1/4 (0, +-1/2 or +-1), and the samples are
+    # off by rounding of at most 4.4e-16, so the nearest quarter is the exact entry
+    # (+ 0.0 turns -0 into 0).
+    out = np.round(4.0 * out) / 4.0 + 0.0
     out.setflags(write=False)
     return out

@@ -144,6 +144,10 @@ def from_json_dict(data: dict) -> DensityMatrix:
 
 
 def load_state(path: str) -> DensityMatrix:
-    """Load and validate a density matrix from a JSON file."""
+    """Load and validate a density matrix from a JSON file; a bad document is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("state JSON is nested too deeply") from None
+    return from_json_dict(data)

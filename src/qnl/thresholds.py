@@ -35,7 +35,9 @@ per state, every quantity its margins read as a Chebyshev series in s: the
 entries of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
 det(rho^{T_B}) (``_kraus_table``). Each point takes its signs from the table's
 sums (``invariant_sign_margins``, no SVD). ``x_thresholds`` reads many X-states
-at once in closed form, their candidate strengths from the map's X block. Each
+at once in closed form, from the same map's X block (``_x_block``): their
+margins from each point's entries (A + q B) + sqrt(1-q) C (``_x_margins``), and
+their candidate strengths from the quadratics in s of the same block. Each
 stage of a block of X-states is a few array calls whatever its size: the eight
 quadratics of every state are one array, solved in one call
 (``_x_candidates``), and each margins call fills one (4, M) array.
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import X_FLAT, affine_map, channel_family, evolve_grid, evolve_x
+from .channels import X_FLAT, affine_map, channel_family, evolve_grid
 from .errors import BadGrid, InvalidTolerance
 from .measures import (
     _N_CUTS,
@@ -214,11 +216,24 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
 def _x_margins(entries: np.ndarray, family: str):
     """Margins provider of X-states, X entries (6, N), through the closed-form X path.
 
-    The partial transpose of an X-state swaps rho14 and rho23, so its
-    determinant is (rho11 rho44 - |rho23|^2)(rho22 rho33 - |rho14|^2).
+    The provider takes (A, B, C) of every state once from the map's X block
+    (``_x_block``); a point's evolved entries are (A + q B) + sqrt(1-q) C. It
+    keeps only the rows of B and C that the block does not leave at exactly
+    0, as adding q 0 or sqrt(1-q) 0 changes no float. The partial transpose
+    of an X-state swaps rho14 and rho23, so its determinant is
+    (rho11 rho44 - |rho23|^2)(rho22 rho33 - |rho14|^2).
     """
+    block = _x_block(family)
+    kept = block.any(axis=1)
+    kept[:6] = True
+    on_b, on_c = np.flatnonzero(kept[6:12]), np.flatnonzero(kept[12:])
+    parts = np.dot(block[kept], entries)
+
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        evolved = evolve_x(entries[:, states], family, qs)
+        taken = parts.take(states, axis=1)
+        evolved = taken[:6]
+        evolved[on_b] += qs * taken[6:6 + on_b.size]
+        evolved[on_c] += np.sqrt(1.0 - qs) * taken[6 + on_b.size:]
         d11, d22, d33, d44, a14, a23 = evolved
         _, f, b = correlation_measures(x_singvals(evolved))
         return alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
@@ -301,10 +316,12 @@ def _cubic_root(qs: np.ndarray, values: np.ndarray, dead_at: np.ndarray) -> np.n
 
 
 def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots and vertex in [0, 1] of quadratics c0 + c1 t + c2 t^2, ``coef`` (3, ...).
+    """Real roots and vertex in (0, 1] of quadratics c0 + c1 t + c2 t^2, ``coef`` (3, ...).
 
     Returns (t, certain): t (3, ...) holds two roots and the vertex, NaN where
-    there is none in [0, 1]; ``certain`` is False where the coefficients are
+    there is none in (0, 1]. t = 0 is q = 1, past the tail point: a quadratic
+    in s with no s term, as under depolarizing noise, has its vertex there
+    and nothing to locate. ``certain`` is False where the coefficients are
     all zero or not finite. Each quadratic is scaled by its largest
     coefficient, its roots are h / c2 and c0 / h with
     h = -(c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) / 2, and a quotient is taken
@@ -320,7 +337,7 @@ def _unit_candidates(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inside = (np.abs(num) <= np.abs(den)) & (den != 0.0)
     inside[:2] &= disc >= 0.0
     t = np.divide(num, den, out=np.full(num.shape, np.nan), where=inside)
-    return np.where(t >= 0.0, t, np.nan), certain
+    return np.where(t > 0.0, t, np.nan), certain
 
 
 def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -328,7 +345,7 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The odd powers of s are dropped: on X-states they are zero, as each
     coherence is one multiple of s or of s^2, and the populations are affine
-    in q (their s coefficients are rounding noise).
+    in q (the map gives them no s term).
     """
     return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
 
@@ -428,21 +445,21 @@ def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.
     return np.nonzero(first)[0], reads[first]
 
 
-def _x_brackets(entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, ...]:
+def _x_brackets(margins, entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, ...]:
     """(dead_at, guess, uncertain) of X-states, X entries (6, N), as ``_prescan`` gives them.
 
-    ``_x_margins`` is read at the points of ``_read_points`` around the
-    candidate strengths of ``_x_candidates``; between two of those points the
-    sign is taken as constant, so a row's first dead point is the dead end of
-    its first alive-to-dead pair of read points. Each condition's guess is a
-    real root in its bracket of its own two quadratics, vertices left out: G,
-    B and F, alive while either quadratic is positive, take the largest, C,
-    whose product changes sign at either root, the smallest; +-inf if none.
-    A state is uncertain if ``_x_candidates`` says so, or if two points that
-    bound an unread run of bracket points disagree, and is pre-scanned instead.
+    ``margins``, the states' ``_x_margins``, is read at the points of
+    ``_read_points`` around the candidate strengths of ``_x_candidates``;
+    between two of those points the sign is taken as constant, so a row's
+    first dead point is the dead end of its first alive-to-dead pair of read
+    points. Each condition's guess is a real root in its bracket of its own
+    two quadratics, vertices left out: G, B and F, alive while either
+    quadratic is positive, take the largest, C, whose product changes sign at
+    either root, the smallest; +-inf if none. A state is uncertain if
+    ``_x_candidates`` says so, or if two points that bound an unread run of
+    bracket points disagree, and is pre-scanned instead.
     """
     n = entries.shape[1]
-    margins = _x_margins(entries, family)
     qs, uncertain = _x_candidates(entries, family)
     states, points = _read_points(qs, uncertain)
     ends = _ends(tol)
@@ -623,8 +640,9 @@ def x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
     for k in range(0, entries.shape[1], _BLOCK_POINTS):
         block = entries[:, k:k + _BLOCK_POINTS]
-        dead_at, guess, _ = _x_brackets(block, family, tol)
-        found[k:k + _BLOCK_POINTS] = _locate(_x_margins(block, family), dead_at, tol, guess)
+        margins = _x_margins(block, family)
+        dead_at, guess, _ = _x_brackets(margins, block, family, tol)
+        found[k:k + _BLOCK_POINTS] = _locate(margins, dead_at, tol, guess)
     return found
 
 

@@ -69,17 +69,3 @@ def bell_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """
     return np.maximum(*bell_ad_branches(p, q))
 
-
-def boundary_q_c(p: float) -> float | None:
-    """Smallest q in [0, 1] where the closed-form concurrence reaches zero.
-
-    Exhaustive by cases: 0 for p <= 1/3 (never entangled to begin with),
-    (3p - 1)/(1 - p) for p in (1/3, 1/2] (reaching exactly 1 at p = 1/2),
-    and None for p > 1/2, where entanglement survives every q < 1.
-    """
-    p = float(_check_point(p, 0.0)[0])
-    if p <= 1.0 / 3.0:
-        return 0.0
-    if p > 0.5:
-        return None
-    return (3.0 * p - 1.0) / (1.0 - p)

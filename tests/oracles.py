@@ -10,15 +10,19 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   for the sorting networks of ``sampling._draw_weights``
   mems_fidelity   teleportation fidelity of MEMS weight rows through the X
                   singular values, the reference for ``sampling._fidelity_of_weights``
-  x_margins       alive margins of X entries after ``evolve_x``, the float
-                  order of ``thresholds._x_margins``
+  evolve_x        X entries after a family acts on qubit B, in closed form per
+                  family, the reference for the X block of ``channels.affine_map``
+  x_margins       alive margins of X entries evolved by the map's X block, the
+                  float order of ``thresholds._x_margins``
+  boundary_q_c    first q at which the closed-form Werner concurrence under
+                  amplitude damping reaches zero, by cases
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnl.channels import evolve_x
+from qnl.channels import X_FLAT, _strengths, affine_map, channel_family
 from qnl.errors import NotHermitian, NotPSD
 from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
 from qnl.measures import GISIN_BOUND, correlation_measures, x_singvals
@@ -82,14 +86,41 @@ def mems_fidelity(weights: np.ndarray) -> np.ndarray:
     return correlation_measures(x_singvals(_mems_entries(weights)))[1]
 
 
+def evolve_x(entries: np.ndarray, name: str, qs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six rows of X entries (6, M), a tuple, after the family acts on qubit B at strengths qs.
+
+    Each action keeps X-states in X form (Yu & Eberly, QIC 7, 459 (2007)): it moves
+    population within B's pairs (rho11, rho22), (rho33, rho44) and scales both
+    coherences by one factor >= 0, so their moduli suffice. Each family is
+    written out on its own, independently of the map that ``qnl`` derives from
+    the Kraus operators.
+    """
+    channel_family(name)
+    qs = _strengths(qs)
+    d11, d22, d33, d44, a14, a23 = entries
+    if name == "amplitude-damping":  # |1> decays to |0>; coherences * sqrt(1-q)
+        moved_12, moved_34 = qs * d22, qs * d44
+        factor = np.sqrt(1.0 - qs)
+    elif name == "phase-damping":  # populations fixed; coherences * sqrt(1-q)
+        moved_12 = moved_34 = 0.0
+        factor = np.sqrt(1.0 - qs)
+    else:  # depolarizing: populations relax towards their mean; coherences * (1-q)
+        moved_12, moved_34 = 0.5 * qs * (d22 - d11), 0.5 * qs * (d44 - d33)
+        factor = 1.0 - qs
+    return (d11 + moved_12, d22 - moved_12, d33 + moved_34, d44 - moved_34,
+            factor * a14, factor * a23)
+
+
 def x_margins(entries: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
     """Alive margins (4, M) of X entries (6, M) at strengths qs, by stacks.
 
-    The evolved entries, their singular values stacked (M, 3) and summed over
-    that axis, F and B from them, and the four margins stacked: the float
+    The evolved entries (A + q B) + sqrt(1-q) C from the X block of the
+    family's map, their singular values stacked (M, 3) and summed over that
+    axis, F and B from them, and the four margins stacked: the float
     operations that the X path's margins must keep, in their order.
     """
-    d11, d22, d33, d44, a14, a23 = evolve_x(entries, family, qs)
+    a, b, c = np.tensordot(affine_map(family)[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
+    d11, d22, d33, d44, a14, a23 = (a + qs * b) + np.sqrt(1.0 - qs) * c
     xy = 2.0 * np.abs(a14 - a23)
     zz = np.abs(d11 - d22 - d33 + d44)
     sv = np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
@@ -98,3 +129,20 @@ def x_margins(entries: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
     b = 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
     det = (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14)
     return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, det])
+
+
+def boundary_q_c(p: float) -> float | None:
+    """Smallest q in [0, 1] where the closed-form concurrence reaches zero.
+
+    Exhaustive by cases: 0 for p <= 1/3 (never entangled to begin with),
+    (3p - 1)/(1 - p) for p in (1/3, 1/2] (reaching exactly 1 at p = 1/2),
+    and None for p > 1/2, where entanglement survives every q < 1.
+    """
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"state parameter p must lie in [0, 1], got {p}")
+    if p <= 1.0 / 3.0:
+        return 0.0
+    if p > 0.5:
+        return None
+    return (3.0 * p - 1.0) / (1.0 - p)

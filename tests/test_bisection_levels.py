@@ -223,7 +223,7 @@ def mems_entries(n: int, family: str) -> np.ndarray:
 def check_x(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """check_same of the X provider with the guesses of ``_x_brackets``, then with none."""
     margins = _x_margins(entries, family)
-    check_same(margins, entries.shape[1], tol, _x_brackets(entries, family, tol)[1])
+    check_same(margins, entries.shape[1], tol, _x_brackets(margins, entries, family, tol)[1])
     return check_same(margins, entries.shape[1], tol)
 
 
@@ -365,7 +365,7 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
         if fallback:
             patch.setattr(thresholds, "_unit_candidates", lambda coef: (
                 np.full(coef.shape, np.nan), np.zeros(coef.shape[1:], dtype=bool)))
-            assert _x_brackets(entries, family, tol)[2].all()
+            assert _x_brackets(_x_margins(entries, family), entries, family, tol)[2].all()
         assert_same_bits(x_thresholds(entries, family, tol), want)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ginibre_density_stack
+from conftest import assert_same_bits, ginibre_density_stack
+from oracles import evolve_x
 from qnl.channels import (
     FAMILIES,
     X_FLAT,
@@ -12,7 +13,6 @@ from qnl.channels import (
     channel_family,
     depolarizing,
     evolve_grid,
-    evolve_x,
     kraus_stack,
     phase_damping,
 )
@@ -199,7 +199,7 @@ class TestGridKernels:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_kraus_stack_gives_documented_qubit_action(self, family, rng):
         # The single-qubit maps of the module docstring, which the X-entry
-        # maps of evolve_x encode as well.
+        # maps of the reference evolve_x encode as well.
         def documented(rho, q):
             r = np.sqrt(1.0 - q)
             if family == "amplitude-damping":
@@ -241,6 +241,23 @@ class TestGridKernels:
 
 class TestAffineMap:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_exact_quarters_of_the_sampled_map(self, family):
+        # (1, q, sqrt(1-q)) is (1, 0, 1), (1, 3/4, 1/2) and (1, 1, 0) at the
+        # strengths sampled; solved for A, B and C, the samples of the 16 matrix
+        # units give the map up to rounding, and the map is exact quarters (with
+        # no -0) within 1e-15 of them.
+        m = affine_map(family)
+        assert np.array_equal(4.0 * m, np.round(4.0 * m))
+        assert not np.signbit(m[m == 0.0]).any()
+        points = np.array([[1.0, 0.0, 1.0], [1.0, 0.75, 0.5], [1.0, 1.0, 0.0]])
+        solve = np.array([[2.0, -4.0, 3.0], [-2.0, 4.0, -2.0], [-1.0, 4.0, -3.0]])
+        assert np.array_equal(solve @ points, np.eye(3))
+        units = np.eye(16).reshape(16, 4, 4)
+        samples = np.stack([evolve_grid(u, family, points[:, 1]) for u in units])
+        sampled = np.einsum("km,imj->ikj", solve, samples.real.reshape(16, 3, 16))
+        np.testing.assert_allclose(m, sampled, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_real_and_its_x_block_is_evolve_x(self, family, rng):
         m = affine_map(family)
         assert m.shape == (16, 3, 16) and m.dtype == np.float64 and not m.flags.writeable
@@ -252,15 +269,27 @@ class TestAffineMap:
         inputs, outputs = np.ogrid[:8, :6]
         allowed = ((inputs < 4) & (outputs < 4)) | ((inputs >= 4) & (inputs == outputs))
         assert not np.moveaxis(into_x, 1, 0)[:, ~allowed].any()
-        # A + q B + sqrt(1-q) C of the X block is evolve_x, on random X entries.
-        n = 200
+        # (A + q B) + sqrt(1-q) C of the X block, on random X entries with
+        # coherences at their PSD bound, MEMS (|rho14| = 0) and subnormal
+        # entries among them, at q = 0, 1 and the float below 1: the closed
+        # form bit for bit under damping. Under depolarizing noise a coherence
+        # is a - q a here and (1-q) a there, one rounding of a apart.
+        n = 2000
         d = rng.dirichlet(np.ones(4), size=n).T
-        coherences = rng.uniform(size=(2, n)) * np.sqrt([d[0] * d[3], d[1] * d[2]])
-        entries = np.vstack([d, coherences])
-        qs = np.concatenate([[0.0, 1.0], rng.uniform(size=n - 2)])
+        r = rng.uniform(size=(2, n))
+        r[:, ::5] = 1.0
+        r[0, 1::5] = 0.0
+        r[:, 2::5] *= 1e-310
+        d[3, 3::5] *= 1e-310
+        entries = np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+        qs = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)], rng.uniform(size=n - 3)])
         a, b, c = np.tensordot(m[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
-        got = a + qs * b + np.sqrt(1.0 - qs) * c
-        np.testing.assert_allclose(got, evolve_x(entries, family, qs), rtol=0, atol=1e-15)
+        got = (a + qs * b) + np.sqrt(1.0 - qs) * c
+        want = np.array(evolve_x(entries, family, qs))
+        if family == "depolarizing":
+            assert (np.abs(got - want) <= np.spacing(entries)).all()
+        else:
+            assert_same_bits(got, want)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown channel family 'bit-flip'"):

@@ -1,5 +1,8 @@
 """The CI workflow parses, every step does something, and it runs the tier-1 command.
 
+It installs the test extra of ``pyproject.toml``, so the extra is the one list
+of test dependencies, and it names the ``pyyaml`` this test needs.
+
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
 """
@@ -20,3 +23,13 @@ def test_workflow_runs_the_tier_one_command():
     assert steps and all("run" in step or "uses" in step for step in steps)
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
     assert any(command in step.get("run", "") for step in steps if step.get("name") == "Tier-1 tests")
+
+
+def test_workflow_installs_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert "pyyaml" in project["optional-dependencies"]["test"]
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    install = [step["run"] for step in steps if step.get("name") == "Install dependencies"]
+    assert install and all('".[test]"' in run for run in install)

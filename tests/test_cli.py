@@ -392,6 +392,15 @@ class TestFailureExits:
         assert isinstance(result.exception, SystemExit)
         assert "finite" in result.output
 
+    def test_deeply_nested_file_state_exits_2(self, runner, tmp_path):
+        # Deeper than the JSON parser's recursion limit: a message, not a traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        result = runner.invoke(main, ["measures", "--state", f"file:{path}"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid state spec" in result.output
+
     def test_nan_mems_weight_exits_2(self, runner):
         result = runner.invoke(
             main, ["measures", "--state", "mems:p1=nan,p2=0.5,p3=0.3,p4=0.2"]

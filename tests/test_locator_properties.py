@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import ginibre
 from hypothesis import given, settings, strategies as st
+from oracles import boundary_q_c
 
 from qnl.channels import FAMILIES
 from qnl.measures import (
@@ -28,7 +29,6 @@ from qnl.measures import (
 )
 from qnl.states import DensityMatrix, MemsWeights, mems, werner
 from qnl.thresholds import Measure, scan, threshold_set
-from qnl.werner_analytic import boundary_q_c
 
 TOL = 1e-6
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "MemsWeights", "NotHermitian", "NotPSD", "QOutOfRange", "QnlError",
     "RejectionStall", "SamplerConfig", "ThresholdSet", "TraceNotOne",
     "amplitude_damping", "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
-    "boundary_q_c", "channel_family", "classify", "concurrence", "concurrence_ad",
+    "channel_family", "classify", "concurrence", "concurrence_ad",
     "concurrence_ad_unclamped", "concurrence_unclamped", "depolarizing", "fidelity",
     "fidelity_ad", "hierarchy_check", "hierarchy_experiment", "load_state",
     "mems", "phase_damping", "sample_mems_above_gisin", "scan", "threshold_set",

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import boundary_q_c
 
 from qnl.channels import evolve_grid
 from qnl.measures import correlation_singvals_stack, wootters_roots_stack
@@ -17,7 +18,6 @@ from qnl.states import werner
 from qnl.werner_analytic import (
     bell_ad,
     bell_ad_branches,
-    boundary_q_c,
     concurrence_ad,
     concurrence_ad_unclamped,
     fidelity_ad,

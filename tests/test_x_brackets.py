@@ -47,7 +47,7 @@ def prescan(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
 
 def check(entries: np.ndarray, family: str, tol: float = 1e-9) -> np.ndarray:
     """_x_brackets against _prescan on every row; returns which states were uncertain."""
-    dead_at, _, uncertain = _x_brackets(entries, family, tol)
+    dead_at, _, uncertain = _x_brackets(_x_margins(entries, family), entries, family, tol)
     np.testing.assert_array_equal(dead_at, prescan(entries, family, tol), err_msg=family)
     return uncertain
 
@@ -58,8 +58,10 @@ def candidates(*coef) -> tuple[set, bool]:
 
 
 def test_unit_candidates():
-    # Roots and vertex in [0, 1] of c0 + c1 t + c2 t^2.
+    # Roots and vertex in (0, 1] of c0 + c1 t + c2 t^2; t = 0 is q = 1, past the tail point.
     assert candidates(0.125, -0.75, 1.0) == ({0.25, 0.5, 0.375}, True)
+    assert candidates(-1.0, 0.0, 1.0) == ({1.0}, True)  # its vertex at 0 is left out
+    assert candidates(0.0, 0.5, -1.0) == ({0.5, 0.25}, True)  # and so is its root at 0
     assert candidates(0.25, -1.0, 1.0) == ({0.5}, True)  # a double root is its vertex
     assert candidates(0.25 + 1e-16, -1.0, 1.0) == ({0.5}, True)  # no real root, the vertex stays
     assert candidates(-0.5, 1.0, 0.0) == ({0.5}, True)  # linear
@@ -193,11 +195,11 @@ def test_forced_fallback(monkeypatch, family, tol):
     want = prescan_sets(entries, family, tol)
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
-    assert _x_brackets(entries, family, tol)[2].all()
+    assert _x_brackets(_x_margins(entries, family), entries, family, tol)[2].all()
     assert_same_bits(x_thresholds(entries, family, tol), want)
     # No candidates: a state is uncertain where q = 0 and the tail point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
-    uncertain = _x_brackets(entries, family, tol)[2]
+    uncertain = _x_brackets(_x_margins(entries, family), entries, family, tol)[2]
     assert 0 < uncertain.sum() < uncertain.size
     assert_same_bits(x_thresholds(entries, family, tol), want)

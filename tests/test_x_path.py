@@ -1,14 +1,18 @@
 """The closed-form X-state path against the general Kraus pipeline.
 
-``thresholds.x_thresholds`` evolves the six X entries (``channels.evolve_x``)
+``thresholds.x_thresholds`` evolves the six X entries through the X block of
+the family's map (``channels.affine_map``, read by ``thresholds._x_margins``)
 and reads the correlation singular values and det(rho^{T_B}) in closed form
-(``measures.x_singvals``, ``thresholds._x_margins``). Its margins are checked
-against the Kraus margins on a grid for MEMS, Werner states, the singlet,
-X-states with complex coherences and rank-deficient X-states, under every
-channel; its thresholds against ``threshold_set``. The X G, B and F rows are
-checked against the spectra (``_curves``) at 1e-12, and the Kraus rows, which
-carry only the signs of those margins (``invariant_sign_margins``), must
-read the same alive bits wherever the X margin is clear of rounding.
+(``measures.x_singvals``). Its margins are checked against the Kraus margins
+on a grid for MEMS, Werner states, the singlet, X-states with complex
+coherences and rank-deficient X-states, under every channel; its thresholds
+against ``threshold_set``; and its float order, bit for bit, against the
+stacked composition of ``tests/oracles.py``. The oracle's closed form of each
+family (``oracles.evolve_x``) is checked against ``evolve_grid``. The X G, B
+and F rows are checked against the spectra (``_curves``) at 1e-12, and the
+Kraus rows, which carry only the signs of those margins
+(``invariant_sign_margins``), must read the same alive bits wherever the X
+margin is clear of rounding.
 
 Neither provider takes a square root of the state, so the concurrence rows
 agree to 1e-12, rank-deficient states included. The printed concurrence of
@@ -23,9 +27,9 @@ import numpy as np
 import pytest
 from conftest import assert_same_bits
 from hypothesis import given, settings, strategies as st
-from oracles import x_margins
+from oracles import evolve_x, x_margins
 
-from qnl.channels import FAMILIES, evolve_grid, evolve_x, x_entries
+from qnl.channels import FAMILIES, evolve_grid, x_entries
 from qnl.errors import QOutOfRange
 from qnl.measures import (
     alive_margins,
