@@ -41,8 +41,10 @@ their candidate strengths from the quadratics in s of the same block. Each
 stage of a block of X-states is a few array calls whatever its size: the eight
 quadratics of every state are one array, solved in one call
 (``_x_candidates``), and each margins call fills one (4, M) array.
-``scan`` takes the Wootters roots because it prints C; ``threshold_set``
-takes them only where the determinant is rounding noise (``_kraus_margins``).
+``threshold_set`` takes the Wootters roots only where the determinant is
+rounding noise (``_kraus_margins``). ``scan`` prints C, so it takes them too,
+but only at the points that the state's table does not prove separable; at
+the others the printed concurrence is 0 (``SEPARABLE_DET``).
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ _MIN_LEVELS = 3
 # under every family, against the exact determinant of the same floats, and
 # LAPACK's LU determinant by about as much.
 DET_ROUNDING = 1e-15
+# A det(rho^{T_B}) of at least this size proves the state separable with room
+# to spare: rho^{T_B} has at most one negative eigenvalue, so it is positive
+# definite, with lambda_min >= det as every eigenvalue is at most 1. A separable
+# state's unclamped concurrence is at most -2 lambda_min <= -2e-6 (equal on
+# Werner states), far below the ~2e-8 error of its Wootters roots, so its C
+# prints as 0 without them (``scan``).
+SEPARABLE_DET = 1e-6
 # Slack of hierarchy_check's order q_G <= q_B <= q_F <= q_C.
 HIERARCHY_SLACK = 1e-6
 
@@ -677,7 +686,12 @@ def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
 def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     """Measure table over a strength grid: rows (q, concurrence, fidelity, bell).
 
-    Evolved and measured _BLOCK_POINTS points at a time: memory beyond the table is bounded.
+    Evolved and measured _BLOCK_POINTS points at a time: memory beyond the
+    table is bounded. F and B come from the correlation spectra of every
+    point. C comes from the Wootters roots only at the points whose
+    det(rho^{T_B}), summed from the state's ``_kraus_table``, is below
+    SEPARABLE_DET (or NaN); at the others the state is separable and C is 0,
+    the float the roots would give after the clamp.
     """
     qs = np.asarray(q_grid, dtype=float)
     if qs.ndim != 1 or qs.size == 0:
@@ -687,8 +701,18 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
     channel_family(family)
-    table = np.empty((qs.size, 4))
+    det_row = _kraus_table(state.mat, family)[-1:]
+    table = np.zeros((qs.size, 4))
     for block in (slice(k, k + _BLOCK_POINTS) for k in range(0, qs.size, _BLOCK_POINTS)):
-        c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs[block]))
-        table[block] = np.column_stack([qs[block], np.maximum(0.0, c_unclamped), f, b])
+        q = qs[block]
+        evolved = evolve_grid(state.mat, family, q)
+        rows = table[block]
+        rows[:, 0] = q
+        _, rows[:, 2], rows[:, 3] = correlation_measures(correlation_singvals_stack(evolved).T)
+        # A NaN determinant proves nothing, so its row reads the roots too.
+        unproven = ~(_chebyshev_rows(det_row, q)[0] >= SEPARABLE_DET)
+        if unproven.any():
+            # Rebound, so that the whole block is freed before the roots' scratch arrays are made.
+            evolved = evolved[unproven]
+            rows[unproven, 1] = np.maximum(0.0, concurrence_of_roots(wootters_roots_stack(evolved)))
     return table

@@ -11,6 +11,12 @@ def ginibre(rng: np.random.Generator, rank: int) -> np.ndarray:
     return mat / np.trace(mat).real
 
 
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary: Q of a Ginibre matrix, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def ginibre_density_stack(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrices G G^dag / Tr, stacked (n, 4, 4)."""
     g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
@@ -37,6 +43,22 @@ def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
         return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     n = rho.shape[0]
     return rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+
+
+@pytest.fixture
+def wootters_stacks(monkeypatch):
+    """Every stack that ``thresholds`` passes to ``wootters_roots_stack``, in call order."""
+    from qnl import thresholds
+
+    stacks = []
+    roots = thresholds.wootters_roots_stack
+
+    def recorded(rhos):
+        stacks.append(np.array(rhos))
+        return roots(rhos)
+
+    monkeypatch.setattr(thresholds, "wootters_roots_stack", recorded)
+    return stacks
 
 
 @pytest.fixture

@@ -16,18 +16,21 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   float order of ``thresholds._x_margins``
   boundary_q_c    first q at which the closed-form Werner concurrence under
                   amplitude damping reaches zero, by cases
+  scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
+                  roots taken at every row, none skipped
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnl.channels import X_FLAT, _strengths, affine_map, channel_family
+from qnl.channels import X_FLAT, _strengths, affine_map, channel_family, evolve_grid
 from qnl.errors import NotHermitian, NotPSD
 from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
 from qnl.measures import GISIN_BOUND, correlation_measures, x_singvals
 from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
+from qnl.thresholds import _BLOCK_POINTS, _curves
 
 # Eigenvalues of a PSD matrix more negative than this are treated as a real
 # violation rather than rounding noise.
@@ -146,3 +149,18 @@ def boundary_q_c(p: float) -> float | None:
     if p > 0.5:
         return None
     return (3.0 * p - 1.0) / (1.0 - p)
+
+
+def scan_all_rows(state: DensityMatrix, family: str, qs: np.ndarray) -> np.ndarray:
+    """Rows (q, concurrence, fidelity, bell) at strengths qs, C from every row's Wootters roots.
+
+    Each block of _BLOCK_POINTS strengths is evolved and read by ``_curves``,
+    C clamped at zero, as ``scan`` read every row before it skipped the
+    Wootters roots of the rows its determinant proves separable.
+    """
+    table = np.empty((qs.size, 4))
+    for k in range(0, qs.size, _BLOCK_POINTS):
+        block = qs[k:k + _BLOCK_POINTS]
+        c_unclamped, f, b = _curves(evolve_grid(state.mat, family, block))
+        table[k:k + _BLOCK_POINTS] = np.column_stack([block, np.maximum(0.0, c_unclamped), f, b])
+    return table

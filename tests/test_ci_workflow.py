@@ -1,12 +1,14 @@
 """The CI workflow parses, every step does something, and it runs the tier-1 command.
 
 It installs the test extra of ``pyproject.toml``, so the extra is the one list
-of test dependencies, and it names the ``pyyaml`` this test needs.
+of test dependencies, and it names the ``pyyaml`` this test needs. Its
+benchmark correctness gate runs every workload that ``BENCHMARK.json`` names.
 
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -33,3 +35,14 @@ def test_workflow_installs_the_test_extra():
     steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
     install = [step["run"] for step in steps if step.get("name") == "Install dependencies"]
     assert install and all('".[test]"' in run for run in install)
+
+
+def test_gate_runs_every_benchmark_workload():
+    names = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    gate = [step["run"] for step in steps if step.get("name") == "Benchmark correctness gate"]
+    assert len(gate) == 1
+    loop = re.search(r"for workload in ([^;]+); do", gate[0])
+    assert loop and set(loop[1].split()) == names
+    assert '--workload "$workload"' in gate[0] and "\"correct\": true" in gate[0]

@@ -15,7 +15,7 @@ may any threshold.
 
 import numpy as np
 import pytest
-from conftest import ginibre
+from conftest import ginibre, haar_unitary
 from hypothesis import given, settings, strategies as st
 from oracles import boundary_q_c
 
@@ -34,12 +34,6 @@ TOL = 1e-6
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 LOCAL_TOL = 1e-9
 LOCAL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary: Q of a Ginibre matrix, phases fixed by R's diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def margins(rho, family: str, q: float) -> dict:

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ginibre, partial_transpose_b
+from conftest import ginibre, haar_unitary, partial_transpose_b
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, affine_map, evolve_grid, x_entries
@@ -290,11 +290,7 @@ def test_margins_are_nested(seed, kind, family, qs):
 
 
 def local_unitary(rng: np.random.Generator) -> np.ndarray:
-    def unitary():
-        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    return np.kron(unitary(), unitary())
+    return np.kron(haar_unitary(rng), haar_unitary(rng))
 
 
 def rotated(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
