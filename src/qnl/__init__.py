@@ -34,7 +34,6 @@ from .measures import (
     MeasureReport,
     classify,
     concurrence,
-    concurrence_unclamped,
     fidelity,
 )
 from .sampling import (

@@ -71,6 +71,14 @@ def parse_state_spec(text: str) -> states.DensityMatrix:
     raise AssertionError("unreachable")
 
 
+def _echo(message: str, nl: bool = True) -> None:
+    """``click.echo`` to the text stream click picks for stdout, looked up on each call.
+
+    click.echo's own lookup caches that stream, which keeps every redirected stdout alive.
+    """
+    click.echo(message, click.get_text_stream("stdout", errors=None), nl)
+
+
 def _sig12(x: float) -> float:
     """Round to 12 significant digits for stable, plot-ready output."""
     return float(format(x, ".12g"))
@@ -91,7 +99,7 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except QnlError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            click.echo(f"numerical failure: {exc}", click.get_text_stream("stderr", errors=None))
             sys.exit(EXIT_NUMERICAL)
 
 
@@ -105,7 +113,7 @@ def main() -> None:
 def cmd_measures(spec: str) -> None:
     """Print concurrence, fidelity, N and Bell parameter of a state as JSON."""
     report = classify(parse_state_spec(spec))
-    click.echo(json.dumps(
+    _echo(json.dumps(
         {
             "concurrence": _sig12(report.concurrence),
             "fidelity": _sig12(report.fidelity),
@@ -134,12 +142,11 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
         table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
     except BadGrid as exc:
         _fail_usage(str(exc))
-    click.echo("q,concurrence,fidelity,bell")
+    _echo("q,concurrence,fidelity,bell")
     # One % per block of rows, as sampling.write_records_csv formats them.
     for k in range(0, len(table), thresholds._BLOCK_POINTS):
         block = table[k:k + thresholds._BLOCK_POINTS]
-        click.echo(("%.12g,%.12g,%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()),
-                   nl=False)
+        _echo(("%.12g,%.12g,%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()), nl=False)
 
 
 @main.command("thresholds")
@@ -155,7 +162,7 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
         for key, value in ts.as_dict().items()
     }
     payload["hierarchy_ok"] = thresholds.hierarchy_check(ts)
-    click.echo(json.dumps(payload))
+    _echo(json.dumps(payload))
 
 
 @main.command("sample-mems")
@@ -181,8 +188,8 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
     ok = int(records.ordered.sum())
-    click.echo(f"wrote {len(records)} records to {out}; "
-               f"locator self-check: {ok} of {len(records)} ordered q_G <= q_B <= q_F <= q_C")
+    _echo(f"wrote {len(records)} records to {out}; "
+          f"locator self-check: {ok} of {len(records)} ordered q_G <= q_B <= q_F <= q_C")
 
 
 @main.command("werner-map")
@@ -203,7 +210,7 @@ def cmd_werner_map(grid: int, out: str) -> None:
                                  for q_label, region in zip(labels, regions)))
     except OSError as exc:
         _fail_usage(f"cannot write {out!r}: {exc}")
-    click.echo(f"wrote {grid * grid} rows to {out}")
+    _echo(f"wrote {grid * grid} rows to {out}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ the exact curve of pure a|00> + b|11> states.
 
 ``classify`` returns all four, named as above, in one ``MeasureReport``, and
 ranks the state by its first failing condition, in C, F, B, G order, over
-``alive_margins``, the margins the threshold locator reads.
+``alive_margins``, the conditions whose signs the threshold locator reads.
 
 The locator reads the signs of F - F_lhv, B - 2 and F - 2/3 without an SVD,
 in two steps: ``correlation_invariants`` gives the polynomials of T they
@@ -116,21 +116,6 @@ def correlation_matrix_stack(rhos: np.ndarray) -> np.ndarray:
     return np.real(traces).reshape(-1, 3, 3)
 
 
-def x_singvals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correlation singular values (s1, s2, s3) of X-states in closed form, two largest first.
-
-    ``entries`` (6, ...) holds rho11, rho22, rho33, rho44, |rho14|, |rho23|.
-    T is diagonal apart from its xy block, so its singular values are
-    2(|rho14| + |rho23|), 2 ||rho14| - |rho23|| and |rho11 - rho22 - rho33 + rho44|.
-    The first is never below the second, so no sort is needed to put the two
-    largest first, which is all ``correlation_measures`` reads.
-    """
-    d11, d22, d33, d44, a14, a23 = entries
-    xy = 2.0 * np.abs(a14 - a23)
-    zz = np.abs(d11 - d22 - d33 + d44)
-    return 2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)
-
-
 # Cyclic successors i + 1 and i + 2 of the indices 0, 1, 2.
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 # Entries (i, j) of T^T T, diagonal first, and the cuts c of N > c for F > F_lhv and F > 2/3.
@@ -207,16 +192,7 @@ def _n_f_b(rho: DensityMatrix) -> tuple[float, float, float]:
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence, clamped to [0, 1]."""
-    return max(0.0, concurrence_unclamped(rho))
-
-
-def concurrence_unclamped(rho: DensityMatrix) -> float:
-    """Signed combination l1 - l2 - l3 - l4 without the clamp at zero.
-
-    Negative for separable states. It has the sign of -det(rho^{T_B}), which
-    the threshold locator reads instead.
-    """
-    return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
+    return max(0.0, float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0])))
 
 
 def fidelity(rho: DensityMatrix) -> float:
@@ -227,8 +203,8 @@ def fidelity(rho: DensityMatrix) -> float:
 def alive_margins(f: np.ndarray, b: np.ndarray, entangled: np.ndarray) -> np.ndarray:
     """Alive margins, shape (4, ...), rows in ``Measure`` order: F - F_lhv, B - 2, F - 2/3, C.
 
-    ``entangled`` has the sign of the unclamped concurrence: -det(rho^{T_B})
-    for the threshold locator's margins providers, since a two-qubit state is
+    ``entangled`` has the sign of the unclamped concurrence, which is that of
+    -det(rho^{T_B}), the sign the threshold locator reads: a two-qubit state is
     entangled exactly when its partial transpose has a negative determinant
     (Augusiak, Demianowicz & Horodecki, PRA 77, 030301 (2008)).
     """

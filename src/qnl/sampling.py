@@ -124,10 +124,10 @@ def _mems_entries(weights: np.ndarray) -> np.ndarray:
 def _fidelity_of_weights(weights: np.ndarray) -> np.ndarray:
     """Teleportation fidelity of MEMS from weight rows (N, 4), in closed form.
 
-    The float operations of ``correlation_measures(x_singvals(_mems_entries(
-    weights)))[1]`` in their order, on the columns alone: with |rho14| = 0 the
-    singular values are xy = 2|rho23| (twice) and zz = |rho11 - rho22 - rho33
-    + rho44|, and N adds them from the largest first.
+    The float operations of its reference, ``tests/oracles.py::mems_fidelity``,
+    in their order, on the columns alone: with |rho14| = 0 the singular values
+    are xy = 2|rho23| (twice) and zz = |rho11 - rho22 - rho33 + rho44|, and N
+    adds them from the largest first.
     """
     p1, p2, p3, p4 = weights.T
     half = 0.5 * (p1 + p3)

@@ -35,12 +35,13 @@ per state, every quantity its margins read as a Chebyshev series in s: the
 entries of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
 det(rho^{T_B}) (``_kraus_table``). Each point takes its signs from the table's
 sums (``invariant_sign_margins``, no SVD). ``x_thresholds`` reads many X-states
-at once in closed form, from the same map's X block (``_x_block``): their
-margins from each point's entries (A + q B) + sqrt(1-q) C (``_x_margins``), and
-their candidate strengths from the quadratics in s of the same block. Each
-stage of a block of X-states is a few array calls whatever its size: the eight
-quadratics of every state are one array, solved in one call
-(``_x_candidates``), and each margins call fills one (4, M) array.
+at once in closed form, from the same map's X block (``_x_block``). Each
+condition is two blocks (``_x_blocks``): of each point's entries
+(A + q B) + sqrt(1-q) C its margin (``_x_margins``), of their coefficients in
+s its candidate quadratics (``_x_quadratics``). Each stage of a block of
+X-states is a few array calls whatever its size: the eight quadratics of every
+state are one array, solved in one call (``_x_candidates``), and each margins
+call fills one (4, M) array.
 ``threshold_set`` takes the Wootters roots only where the determinant is
 rounding noise (``_kraus_margins``). ``scan`` prints C, so it takes them too,
 but only at the points that the state's table does not prove separable; at
@@ -70,7 +71,6 @@ from .measures import (
     hierarchy_rank,
     invariant_sign_margins,
     wootters_roots_stack,
-    x_singvals,
 )
 from .states import DensityMatrix
 from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
@@ -228,9 +228,8 @@ def _x_margins(entries: np.ndarray, family: str):
     The provider takes (A, B, C) of every state once from the map's X block
     (``_x_block``); a point's evolved entries are (A + q B) + sqrt(1-q) C. It
     keeps only the rows of B and C that the block does not leave at exactly
-    0, as adding q 0 or sqrt(1-q) 0 changes no float. The partial transpose
-    of an X-state swaps rho14 and rho23, so its determinant is
-    (rho11 rho44 - |rho23|^2)(rho22 rho33 - |rho14|^2).
+    0, as adding q 0 or sqrt(1-q) 0 changes no float. A margin is the larger
+    of its condition's two ``_x_blocks`` (G, B, F) or their product (C).
     """
     block = _x_block(family)
     kept = block.any(axis=1)
@@ -243,9 +242,10 @@ def _x_margins(entries: np.ndarray, family: str):
         evolved = taken[:6]
         evolved[on_b] += qs * taken[6:6 + on_b.size]
         evolved[on_c] += np.sqrt(1.0 - qs) * taken[6 + on_b.size:]
-        d11, d22, d33, d44, a14, a23 = evolved
-        _, f, b = correlation_measures(x_singvals(evolved))
-        return alive_margins(f, b, (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14))
+        blocks = _x_blocks(evolved, np.multiply, 1.0)
+        out = np.maximum(blocks[:, 0], blocks[:, 1])
+        out[3] = blocks[3, 0] * blocks[3, 1]
+        return out
 
     return margins
 
@@ -356,7 +356,11 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     coherence is one multiple of s or of s^2, and the populations are affine
     in q (the map gives them no s term).
     """
-    return np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
+    out = x * y
+    # The u term x0 y2 + x1 y1 + x2 y0, over the reversed coefficients of y.
+    cross = x * y[::-1]
+    out[1] = cross[0] + cross[1] + cross[2]
+    return out
 
 
 @functools.cache
@@ -370,18 +374,46 @@ def _x_block(family: str) -> np.ndarray:
     return block
 
 
-# _x_quadratics' constants. Entries of e (coefficient, entry, state), paired
-# for _even_product: |rho14|^2, |rho23|^2, (|rho14| + |rho23|)^2, z^2,
-# rho11 rho44 and rho22 rho33.
-_PAIRS = np.array([[4, 5, 7, 6, 0, 1], [4, 5, 7, 6, 3, 2]])
-# G and F in s: 4 max(|rho14|, |rho23|) +- z - c, the cut c in the constant term.
-_SIGNS = np.array([1.0, -1.0])[:, None]
-_CUTS = np.zeros((3, 2, 1, 1))
-_CUTS[0] = _N_CUTS[..., None]
+# The constant term 1 of a quadratic in s, laid out as _x_quadratics' entries.
+_ONE_IN_S = np.array([1.0, 0.0, 0.0])[:, None]
 # The conditions in Measure order whose quadratics are in s (G and F), not in u.
 _IN_S = np.array([True, False, True, False])[:, None, None]
 # G, B and F guess their largest root in the bracket, C its smallest.
 _ROOT_SIGN = np.array([1.0, 1.0, 1.0, -1.0])[:, None, None]
+
+
+def _x_blocks(x, mul, one) -> np.ndarray:
+    """The two blocks (4, 2, ...) of each condition of X entries x (6, ...), in Measure order.
+
+    x holds rho11, rho22, rho33, rho44, |rho14|, |rho23|, multiplied by ``mul``,
+    with unit ``one``; z = rho11 - rho22 - rho33 + rho44. By the singular values
+    2(|rho14| + |rho23|), 2 ||rho14| - |rho23|| and |z| of T, G, B and F hold
+    where the larger of their blocks is positive, C where their product is:
+
+      G, F  4 max(|rho14|, |rho23|) +- z - c: the larger is N - c (F > F_lhv, F > 2/3)
+      B     8(|rho14|^2 + |rho23|^2) - 1 and 4(|rho14| + |rho23|)^2 + z^2 - 1:
+            the larger is s1^2 + s2^2 - 1 (B > 2)
+      C     |rho23|^2 - rho11 rho44 and rho22 rho33 - |rho14|^2: the product is
+            det(rho^{T_B}), as the partial transpose swaps rho14 and rho23
+
+    ``_x_margins`` takes x at points, ``_x_quadratics`` their coefficients in s.
+    """
+    d11, d22, d33, d44, a14, a23 = x
+    z = d11 - d22 - d33 + d44
+    big = 4.0 * np.maximum(a14, a23)
+    sq14, sq23, both = mul(a14, a14), mul(a23, a23), a14 + a23
+    cut_g, cut_f = (cut * one for cut in _N_CUTS[:, 0])
+    # In place, cheaper than stacking eight blocks: 4 max +- z less the cut of F, then of G.
+    blocks = np.empty((4, 2) + z.shape)
+    np.add(big, z, out=blocks[0, 0])
+    np.subtract(big, z, out=blocks[0, 1])
+    np.subtract(blocks[0], cut_f, out=blocks[2])
+    blocks[0] -= cut_g
+    blocks[1, 0] = 8.0 * (sq14 + sq23) - one
+    blocks[1, 1] = 4.0 * mul(both, both) + mul(z, z) - one
+    blocks[3, 0] = sq23 - mul(d11, d44)
+    blocks[3, 1] = mul(d22, d33) - sq14
+    return blocks
 
 
 def _x_quadratics(entries: np.ndarray, family: str) -> np.ndarray:
@@ -389,35 +421,20 @@ def _x_quadratics(entries: np.ndarray, family: str) -> np.ndarray:
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in s = sqrt(1-q),
     read from the X block of ``affine_map`` (``_x_block``), which acts on
-    moduli: no term joins rho14 and rho23 or their conjugates. A condition can
-    change sign only where one of its two quadratics does (max(x, y) > 0
-    changes sign only where x or y does): N - c as
-    4 max(|rho14|, |rho23|) +- z - c in s, with z = rho11 - rho22 - rho33 + rho44
-    (G, then F); s1^2 + s2^2 - 1 as 8(|rho14|^2 + |rho23|^2) - 1 and
-    4(|rho14| + |rho23|)^2 + z^2 - 1 in u = s^2 (B); and the two factors of
-    det(rho^{T_B}) in u (C). The axes are (coefficient of 1, s or u and s^2
-    or u^2; condition in Measure order; quadratic; state).
+    moduli: no term joins rho14 and rho23 or their conjugates. The quadratics
+    are the ``_x_blocks`` of those coefficients, so a condition can change
+    sign only where one of its two quadratics does (max(x, y) > 0 and xy > 0
+    change sign only where x or y does). G and F take no product and stay in
+    s; the products of B and C (``_even_product``) are in u = s^2. The axes
+    are (coefficient of 1, s or u and s^2 or u^2; condition in Measure order;
+    quadratic; state).
     """
     n = entries.shape[1]
     a, b, c = np.dot(_x_block(family), entries).reshape(3, 6, n)
-    # e (coefficient of 1, s, s^2; entry; state) of rho11..rho44, |rho14|,
-    # |rho23|, z and |rho14| + |rho23|: rho(q) = (A + B) + s C - s^2 B.
-    e = np.empty((3, 8, n))
-    np.add(a, b, out=e[0, :6])
-    e[1, :6] = c
-    np.negative(b, out=e[2, :6])
-    d11, d22, d33, d44, a14, a23 = e[:, :6].swapaxes(0, 1)
-    e[:, 6] = d11 - d22 - d33 + d44
-    e[:, 7] = a14 + a23
-    quad = np.empty((3, len(Measure), 2, n))
-    # G and F, then B and C.
-    quad[:, ::2] = 4.0 * np.maximum(a14, a23)[:, None, None] + _SIGNS * e[:, 6, None, None] - _CUTS
-    p = _even_product(*e[:, _PAIRS].swapaxes(0, 1))
-    quad[:, 1, 0] = 8.0 * (p[:, 0] + p[:, 1])
-    quad[:, 1, 1] = 4.0 * p[:, 2] + p[:, 3]
-    quad[0, 1] -= 1.0
-    quad[:, 3] = p[:, [1, 5]] - p[:, [4, 0]]
-    return quad
+    # rho(q) = (A + B) + s C - s^2 B.
+    blocks = _x_blocks(np.stack([a + b, c, -b], axis=1), _even_product, _ONE_IN_S)
+    # A contiguous copy: _unit_candidates reads it faster than the strided view.
+    return np.ascontiguousarray(np.moveaxis(blocks, 2, 0))
 
 
 def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:

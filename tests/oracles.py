@@ -6,14 +6,23 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
   psd_sqrt        its PSD square root, the reference for ``psd_sqrt_stack``
   spin_flip       rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y),
                   the reference for the Wootters roots
+  concurrence_unclamped
+                  l1 - l2 - l3 - l4 of one state without the clamp at zero,
+                  negative for separable states, which ``concurrence`` clamps
   draw_weights    descending simplex draws by row-wise sorts, the reference
                   for the sorting networks of ``sampling._draw_weights``
-  mems_fidelity   teleportation fidelity of MEMS weight rows through the X
-                  singular values, the reference for ``sampling._fidelity_of_weights``
+  x_singvals      correlation singular values of X entries in closed form,
+                  the reference for the LAPACK SVD on X-states
+  mems_fidelity   teleportation fidelity of MEMS weight rows through
+                  ``x_singvals``, the reference for ``sampling._fidelity_of_weights``
   evolve_x        X entries after a family acts on qubit B, in closed form per
                   family, the reference for the X block of ``channels.affine_map``
-  x_margins       alive margins of X entries evolved by the map's X block, the
-                  float order of ``thresholds._x_margins``
+  x_margins       alive margins of X entries evolved by the map's X block,
+                  composed from each condition's two blocks: the float order
+                  of ``thresholds._x_margins``
+  x_quadratics    the coefficients of each condition's two quadratics in s or
+                  u = s^2, expanded by hand entry by entry: the floats of
+                  ``thresholds._x_quadratics``
   boundary_q_c    first q at which the closed-form Werner concurrence under
                   amplitude damping reaches zero, by cases
   scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
@@ -27,7 +36,12 @@ import numpy as np
 from qnl.channels import X_FLAT, _strengths, affine_map, channel_family, evolve_grid
 from qnl.errors import NotHermitian, NotPSD
 from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
-from qnl.measures import GISIN_BOUND, correlation_measures, x_singvals
+from qnl.measures import (
+    GISIN_BOUND,
+    concurrence_of_roots,
+    correlation_measures,
+    wootters_roots_stack,
+)
 from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
 from qnl.thresholds import _BLOCK_POINTS, _curves
@@ -77,11 +91,35 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     return _SIGMA_YY @ np.conj(rho.mat) @ _SIGMA_YY
 
 
+def concurrence_unclamped(rho: DensityMatrix) -> float:
+    """Signed combination l1 - l2 - l3 - l4 of one state without the clamp at zero.
+
+    Negative for separable states. It has the sign of -det(rho^{T_B}), which
+    the threshold locator reads instead.
+    """
+    return float(concurrence_of_roots(wootters_roots_stack(rho.mat[None])[0]))
+
+
 def draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform draws on the descending 3-simplex, rows (n, 4): sorted spacings of sorted uniforms."""
     cuts = np.sort(rng.uniform(size=(n, 3)), axis=1)
     spacings = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
     return np.sort(spacings, axis=1)[:, ::-1]
+
+
+def x_singvals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correlation singular values (s1, s2, s3) of X-states in closed form, two largest first.
+
+    ``entries`` (6, ...) holds rho11, rho22, rho33, rho44, |rho14|, |rho23|.
+    T is diagonal apart from its xy block, so its singular values are
+    2(|rho14| + |rho23|), 2 ||rho14| - |rho23|| and |rho11 - rho22 - rho33 + rho44|.
+    The first is never below the second, so no sort is needed to put the two
+    largest first, which is all ``correlation_measures`` reads.
+    """
+    d11, d22, d33, d44, a14, a23 = entries
+    xy = 2.0 * np.abs(a14 - a23)
+    zz = np.abs(d11 - d22 - d33 + d44)
+    return 2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)
 
 
 def mems_fidelity(weights: np.ndarray) -> np.ndarray:
@@ -118,20 +156,61 @@ def x_margins(entries: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
     """Alive margins (4, M) of X entries (6, M) at strengths qs, by stacks.
 
     The evolved entries (A + q B) + sqrt(1-q) C from the X block of the
-    family's map, their singular values stacked (M, 3) and summed over that
-    axis, F and B from them, and the four margins stacked: the float
-    operations that the X path's margins must keep, in their order.
+    family's map, each condition's two blocks stacked (4, 2, M), and each
+    margin the larger block of G, B and F (N - c and s1^2 + s2^2 - 1) or the
+    product of C's two (det(rho^{T_B})): the float operations that the X
+    path's margins must keep, in their order.
     """
     a, b, c = np.tensordot(affine_map(family)[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
     d11, d22, d33, d44, a14, a23 = (a + qs * b) + np.sqrt(1.0 - qs) * c
-    xy = 2.0 * np.abs(a14 - a23)
-    zz = np.abs(d11 - d22 - d33 + d44)
-    sv = np.stack([2.0 * (a14 + a23), np.maximum(xy, zz), np.minimum(xy, zz)], axis=-1)
-    n = sv.sum(axis=-1)
-    f = 0.5 * (1.0 + n / 3.0)
-    b = 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2)
-    det = (a23 * a23 - d11 * d44) * (d22 * d33 - a14 * a14)
-    return np.stack([f - GISIN_BOUND, b - 2.0, f - 2.0 / 3.0, det])
+    z = d11 - d22 - d33 + d44
+    big = 4.0 * np.maximum(a14, a23)
+    both = a14 + a23
+    cuts = np.array([3.0 * (2.0 * GISIN_BOUND - 1.0), 1.0])
+    blocks = np.stack([
+        np.stack([big + z, big - z]) - cuts[0],
+        np.stack([8.0 * (a14 * a14 + a23 * a23), 4.0 * (both * both) + z * z]) - 1.0,
+        np.stack([big + z, big - z]) - cuts[1],
+        np.stack([a23 * a23 - d11 * d44, d22 * d33 - a14 * a14]),
+    ])
+    margins = blocks.max(axis=1)
+    margins[3] = blocks[3].prod(axis=0)
+    return margins
+
+
+def x_quadratics(entries: np.ndarray, family: str) -> np.ndarray:
+    """The eight quadratics of X entries (6, N), coefficients (3, 4, 2, N), expanded by hand.
+
+    Axes (coefficient of 1, s or u and s^2 or u^2; condition in Measure
+    order; quadratic; state). Each entry is e0 + e1 s + e2 s^2 with
+    rho(q) = (A + B) + s C - s^2 B. G and F are 4 max(|rho14|, |rho23|) +- z
+    minus the cut, in s; B's 8(|rho14|^2 + |rho23|^2) - 1 and
+    4(|rho14| + |rho23|)^2 + z^2 - 1 and C's |rho23|^2 - rho11 rho44 and
+    rho22 rho33 - |rho14|^2 are in u = s^2, their odd powers of s dropped:
+    they are zero on X-states.
+    """
+    n = entries.shape[1]
+    a, b, c = np.tensordot(affine_map(family)[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
+    # e (coefficient, entry, state) of rho11..rho44, |rho14|, |rho23|, z and |rho14| + |rho23|.
+    e = np.empty((3, 8, n))
+    e[0, :6], e[1, :6], e[2, :6] = a + b, c, -b
+    d11, d22, d33, d44, a14, a23 = e[:, :6].swapaxes(0, 1)
+    e[:, 6] = d11 - d22 - d33 + d44
+    e[:, 7] = a14 + a23
+    # Products of the pairs |rho14|^2, |rho23|^2, (|rho14| + |rho23|)^2, z^2,
+    # rho11 rho44 and rho22 rho33, coefficients of 1, u and u^2.
+    x, y = e[:, [4, 5, 7, 6, 0, 1]], e[:, [4, 5, 7, 6, 3, 2]]
+    p = np.stack([x[0] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0], x[2] * y[2]])
+    cuts = np.zeros((3, 2, 1, 1))
+    cuts[0, :, 0, 0] = 3.0 * (2.0 * GISIN_BOUND - 1.0), 1.0
+    quad = np.empty((3, 4, 2, n))
+    signs = np.array([1.0, -1.0])[:, None]
+    quad[:, ::2] = 4.0 * np.maximum(a14, a23)[:, None, None] + signs * e[:, 6, None, None] - cuts
+    quad[:, 1, 0] = 8.0 * (p[:, 0] + p[:, 1])
+    quad[:, 1, 1] = 4.0 * p[:, 2] + p[:, 3]
+    quad[0, 1] -= 1.0
+    quad[:, 3] = p[:, [1, 5]] - p[:, [4, 0]]
+    return quad
 
 
 def boundary_q_c(p: float) -> float | None:

@@ -18,13 +18,13 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import ginibre_density_stack, partial_transpose_b
+from oracles import concurrence_unclamped
 from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.cli import main as cli_main
 from qnl.measures import (
     GISIN_BOUND,
     classify,
     concurrence,
-    concurrence_unclamped,
     fidelity,
     wootters_roots_stack,
     correlation_singvals_stack,

@@ -2,7 +2,9 @@
 
 It installs the test extra of ``pyproject.toml``, so the extra is the one list
 of test dependencies, and it names the ``pyyaml`` this test needs. Its
-benchmark correctness gate runs every workload that ``BENCHMARK.json`` names.
+benchmark correctness gate runs every workload that ``BENCHMARK.json`` names,
+and one step runs the benchmark's self-tests, which fail if a name that
+``perfbench/spans.py`` traces is removed from ``src/``.
 
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
@@ -19,9 +21,14 @@ yaml = pytest.importorskip("yaml")
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_workflow_runs_the_tier_one_command():
+def workflow_steps() -> list[dict]:
+    """Every step of every job of the workflow, in order."""
     workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
-    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    return [step for job in workflow["jobs"].values() for step in job["steps"]]
+
+
+def test_workflow_runs_the_tier_one_command():
+    steps = workflow_steps()
     assert steps and all("run" in step or "uses" in step for step in steps)
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
     assert any(command in step.get("run", "") for step in steps if step.get("name") == "Tier-1 tests")
@@ -31,18 +38,21 @@ def test_workflow_installs_the_test_extra():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert "pyyaml" in project["optional-dependencies"]["test"]
-    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
-    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    steps = workflow_steps()
     install = [step["run"] for step in steps if step.get("name") == "Install dependencies"]
     assert install and all('".[test]"' in run for run in install)
 
 
 def test_gate_runs_every_benchmark_workload():
     names = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
-    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    steps = workflow_steps()
     gate = [step["run"] for step in steps if step.get("name") == "Benchmark correctness gate"]
     assert len(gate) == 1
     loop = re.search(r"for workload in ([^;]+); do", gate[0])
     assert loop and set(loop[1].split()) == names
     assert '--workload "$workload"' in gate[0] and "\"correct\": true" in gate[0]
+
+
+def test_workflow_runs_the_benchmark_self_tests():
+    command = "python3 perfbench/selftest.py"
+    assert len([step for step in workflow_steps() if command in step.get("run", "")]) == 1

@@ -1,9 +1,13 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +36,11 @@ def fail_allocation(*args, **kwargs):
     raise AssertionError("a grid was allocated")
 
 
-def run_cli_process(args, timeout):
+def run_cli_process(args, timeout, env=None):
     """Run ``python -m qnl.cli`` in a child process, so that a hang fails the test."""
     src = str(Path(qnl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", "qnl.cli", *args], capture_output=True,
                           text=True, env=env, timeout=timeout)
 
@@ -433,3 +437,30 @@ class TestFailureExits:
         assert "numerical failure" in result.stderr
         assert result.stdout == ""
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--state", "werner:p=0.8", "--steps", "11"],
+    ["thresholds", "--state", "werner:p=0.8", "--tol", "1e-3"],
+])
+def test_in_process_run_frees_the_redirected_stdout(args):
+    # A program that runs a command in-process into a redirected stdout keeps
+    # no reference to that stream once it drops its own.
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main.main(args, standalone_mode=False)
+    assert buffer.getvalue()
+    freed = weakref.ref(buffer)
+    del buffer
+    gc.collect()
+    assert freed() is None
+
+
+def test_ascii_stdout_takes_a_non_ascii_path(tmp_path):
+    # On a stdout opened as ASCII, output goes through the UTF-8 text stream
+    # that click.echo would pick, so a non-ASCII --out path is echoed, not an error.
+    out = tmp_path / "\u00e9.csv"
+    result = run_cli_process(["werner-map", "--grid", "2", "--out", str(out)], timeout=60,
+                             env={"PYTHONIOENCODING": "ascii"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote 4 rows to {out}\n"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from conftest import ginibre, haar_unitary
 from hypothesis import given, settings, strategies as st
-from oracles import boundary_q_c
+from oracles import boundary_q_c, concurrence_unclamped
 
 from qnl.channels import FAMILIES
 from qnl.measures import (
@@ -25,7 +25,6 @@ from qnl.measures import (
     HierarchyClass,
     alive_margins,
     classify,
-    concurrence_unclamped,
 )
 from qnl.states import DensityMatrix, MemsWeights, mems, werner
 from qnl.thresholds import Measure, scan, threshold_set

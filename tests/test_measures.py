@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_density_stack, partial_transpose_b
-from oracles import spin_flip
+from oracles import concurrence_unclamped, spin_flip
 from qnl.measures import (
     CLASS_SLACK,
     GISIN_BOUND,
@@ -12,7 +12,6 @@ from qnl.measures import (
     HierarchyClass,
     classify,
     concurrence,
-    concurrence_unclamped,
     correlation_matrix_stack,
     fidelity,
     hierarchy_rank,

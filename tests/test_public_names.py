@@ -15,10 +15,10 @@ PUBLIC_NAMES = [
     "RejectionStall", "SamplerConfig", "ThresholdSet", "TraceNotOne",
     "amplitude_damping", "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
     "channel_family", "classify", "concurrence", "concurrence_ad",
-    "concurrence_ad_unclamped", "concurrence_unclamped", "depolarizing", "fidelity",
-    "fidelity_ad", "hierarchy_check", "hierarchy_experiment", "load_state",
-    "mems", "phase_damping", "sample_mems_above_gisin", "scan", "threshold_set",
-    "werner", "werner_region", "write_records_csv",
+    "concurrence_ad_unclamped", "depolarizing", "fidelity", "fidelity_ad",
+    "hierarchy_check", "hierarchy_experiment", "load_state", "mems", "phase_damping",
+    "sample_mems_above_gisin", "scan", "threshold_set", "werner", "werner_region",
+    "write_records_csv",
 ]
 
 

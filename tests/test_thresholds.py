@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import ginibre
+from oracles import concurrence_unclamped
 
 from qnl.channels import FAMILIES, apply_channel, evolve_grid
 from qnl.errors import BadGrid, InvalidTolerance
@@ -12,7 +13,6 @@ from qnl.measures import (
     REGIONS,
     HierarchyClass,
     classify,
-    concurrence_unclamped,
     fidelity,
 )
 from qnl.states import DensityMatrix, bell_singlet, werner

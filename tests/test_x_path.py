@@ -2,15 +2,21 @@
 
 ``thresholds.x_thresholds`` evolves the six X entries through the X block of
 the family's map (``channels.affine_map``, read by ``thresholds._x_margins``)
-and reads the correlation singular values and det(rho^{T_B}) in closed form
-(``measures.x_singvals``). Its margins are checked against the Kraus margins
-on a grid for MEMS, Werner states, the singlet, X-states with complex
-coherences and rank-deficient X-states, under every channel; its thresholds
-against ``threshold_set``; and its float order, bit for bit, against the
-stacked composition of ``tests/oracles.py``. The oracle's closed form of each
-family (``oracles.evolve_x``) is checked against ``evolve_grid``. The X G, B
-and F rows are checked against the spectra (``_curves``) at 1e-12, and the
-Kraus rows, which carry only the signs of those margins
+and reads each condition from its two blocks (``thresholds._x_blocks``): the
+larger of them for G, B and F, their product, det(rho^{T_B}), for C. Its
+margins are checked against the Kraus margins on a grid for MEMS, Werner
+states, the singlet, X-states with complex coherences and rank-deficient
+X-states, under every channel; its thresholds against ``threshold_set``; and
+its float order, bit for bit, against the stacked composition of
+``tests/oracles.py``. The candidate quadratics (``thresholds._x_quadratics``)
+are the same blocks of the coefficients in s: they equal the hand expansion
+of ``oracles.x_quadratics`` bit for bit, and their values match the blocks of
+the evolved entries within a few ulps. The oracle's closed form of each
+family (``oracles.evolve_x``) is checked against ``evolve_grid``, and the
+closed-form singular values (``oracles.x_singvals``) against the SVD. The X
+G, B and F rows are checked against the spectra (``_curves``) in the blocks'
+units, 6(F - F_lhv), (B/2)^2 - 1 and 6(F - 2/3), at 1e-12 scaled to them, and
+the Kraus rows, which carry only the signs of those margins
 (``invariant_sign_margins``), must read the same alive bits wherever the X
 margin is clear of rounding.
 
@@ -27,24 +33,23 @@ import numpy as np
 import pytest
 from conftest import assert_same_bits
 from hypothesis import given, settings, strategies as st
-from oracles import evolve_x, x_margins
+from oracles import evolve_x, x_margins, x_quadratics, x_singvals
 
 from qnl.channels import FAMILIES, evolve_grid, x_entries
 from qnl.errors import QOutOfRange
-from qnl.measures import (
-    alive_margins,
-    correlation_measures,
-    correlation_singvals_stack,
-    x_singvals,
-)
+from qnl.measures import GISIN_BOUND, correlation_measures, correlation_singvals_stack
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
     _BELOW_ONE,
+    _IN_S,
     ThresholdSet,
     _curves,
     _kraus_margins,
+    _x_block,
+    _x_blocks,
     _x_margins,
+    _x_quadratics,
     scan,
     threshold_set,
     x_thresholds,
@@ -55,6 +60,10 @@ GRID = np.linspace(0.0, 1.0, 101)
 TOL = 1e-6
 # Printed (Wootters) concurrence on a singular, non-diagonal coherence block.
 WOOTTERS_SINGULAR_ATOL = 1e-7
+# Agreement of the X rows with the spectra: 1e-12 on F - F_lhv, B - 2, F - 2/3
+# and det(rho^{T_B}), scaled to the units of the X rows, 6(F - F_lhv),
+# (B/2)^2 - 1 (whose slope in B is B/2 <= sqrt(2)), 6(F - 2/3) and det(rho^{T_B}).
+MARGIN_ATOL = 1e-12 * np.array([6.0, math.sqrt(2.0), 6.0, 1.0])
 
 unit = st.floats(0.0, 1.0)
 phase = st.floats(0.0, 2.0 * math.pi)
@@ -78,11 +87,11 @@ def check_margins(mat: np.ndarray) -> None:
     for family in sorted(FAMILIES):
         x, kraus = both_margins(mat, family)
         _, f, b = _curves(evolve_grid(mat, family, GRID))
-        spectra = alive_margins(f, b, x[3])
-        np.testing.assert_allclose(x[:3], spectra[:3], rtol=0, atol=1e-12, err_msg=family)
-        np.testing.assert_allclose(x[3], kraus[3], rtol=0, atol=1e-12, err_msg=family)
+        spectra = (6.0 * (f - GISIN_BOUND), (0.5 * b) ** 2 - 1.0, 6.0 * (f - 2.0 / 3.0), kraus[3])
+        for row, want, atol in zip(x, spectra, MARGIN_ATOL):
+            np.testing.assert_allclose(row, want, rtol=0, atol=atol, err_msg=family)
         # The Kraus G, B and F rows carry signs only.
-        clear = np.abs(x) > 1e-12
+        clear = np.abs(x) > MARGIN_ATOL[:, None]
         np.testing.assert_array_equal(x[clear] > 0, kraus[clear] > 0, err_msg=family)
 
 
@@ -211,23 +220,52 @@ def test_x_thresholds_rejects_unknown_family():
             x_thresholds(entries, "bit-flip", 1e-6)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_x_margins_keep_their_float_order(family, rng):
-    # Bit for bit the stacked composition of tests/oracles.py, on random X
-    # entries: coherences at their PSD bound, MEMS (|rho14| = 0) and subnormal
-    # entries among them, at strengths from 0 to 1 in any order.
-    n = 3000
+def edge_x_entries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random X entries (6, n), some at the PSD bound, some MEMS (|rho14| = 0), some subnormal."""
     d = rng.dirichlet(np.ones(4), size=n).T
     r = rng.uniform(size=(2, n))
     r[:, ::5] = 1.0
     r[0, 1::5] = 0.0
     r[:, 2::5] *= 1e-310
     d[3, 3::5] *= 1e-310
-    entries = np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+    return np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_x_margins_keep_their_float_order(family, rng):
+    # Bit for bit the stacked composition of tests/oracles.py, on random X
+    # entries (edge_x_entries), at strengths from 0 to 1 in any order.
+    n = 3000
+    entries = edge_x_entries(rng, n)
     qs = np.concatenate([[0.0, 1.0, _BELOW_ONE], rng.uniform(size=n - 3)])
     states = rng.permutation(n)
     assert_same_bits(_x_margins(entries, family)(states, qs),
                      x_margins(entries[:, states], family, qs))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_x_quadratics_equal_the_hand_expansion(family, rng):
+    # The blocks of the coefficients in s are the hand-expanded coefficients,
+    # bit for bit, on random X entries (edge_x_entries) and on MEMS.
+    entries = np.hstack([edge_x_entries(rng, 10_000), x_entries(np.stack(
+        [mems(MemsWeights(*w)).mat for w in np.sort(rng.dirichlet(np.ones(4), 50))[:, ::-1]]))])
+    assert_same_bits(_x_quadratics(entries, family), x_quadratics(entries, family))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_x_quadratics_are_the_blocks_of_the_evolved_entries(family, rng):
+    # Each quadratic at t = sqrt(1-q) (G, F) or t = 1 - q (B, C) is the block
+    # of the entries that _x_margins evolves to q, within a few ulps: every
+    # entry is at most 1, so every term of a block is at most a few units.
+    n = 3000
+    entries = edge_x_entries(rng, n)
+    qs = np.concatenate([[0.0, 1.0, _BELOW_ONE], rng.uniform(size=n - 3)])
+    a, b, c = np.dot(_x_block(family), entries).reshape(3, 6, n)
+    blocks = _x_blocks((a + qs * b) + np.sqrt(1.0 - qs) * c, np.multiply, 1.0)
+    quad = _x_quadratics(entries, family)
+    t = np.where(_IN_S, np.sqrt(1.0 - qs), 1.0 - qs)
+    values = quad[0] + quad[1] * t + quad[2] * (t * t)
+    assert np.all(np.abs(values - blocks) <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(blocks)))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
