@@ -33,6 +33,11 @@ need (the entries of T^T T, ||adj T||_F^2 and det T), and
 ``invariant_sign_margins`` the signs from them. The locator takes the first
 only at 9 points per state and interpolates it, and the second at every point
 (``thresholds._kraus_table``).
+
+``scan`` prints F and B to 12 digits, which need not be LAPACK's floats:
+``jacobi_fidelity_bell`` reads them from a one-sided Jacobi SVD, elementwise
+over a stack, with a bound on their distance to the F and B of
+``correlation_singvals_stack``.
 """
 
 from __future__ import annotations
@@ -164,6 +169,68 @@ def invariant_sign_margins(inv: np.ndarray) -> np.ndarray:
     # Minus the first pivot that is not positive, or minus the last pivot.
     out[1] = -np.where(m11 > 0.0, np.where(p2 > 0.0, p3, p2), m11)
     return out
+
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# Column pairs of one cyclic Jacobi sweep. After three sweeps about one Ginibre
+# row in eight still has residuals far above rounding; four converge them.
+_JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
+_JACOBI_SWEEPS = 4
+# Bound on the distance of each singular value of jacobi_fidelity_bell to
+# LAPACK's, in units of eps ||T||_F, plus the residual term (see there). Both
+# are the exact singular values of a nearby matrix (backward stability), and by
+# Weyl's inequality each singular value moves no more than that matrix does:
+# about 5 eps ||T||_F per rotation, twelve of them, for Jacobi, and a few eps
+# for LAPACK, in the worst case. Over 10^7 rows (tests/test_jacobi_svd.py's
+# cases and Ginibre states) the F and B gaps stayed below a fifth of the bounds.
+SINGVAL_SLACK = 64
+# Squares of entries below ~1e-154 underflow: an absolute term that covers
+# them, so rows with ||T||_F below ~1e-140 are never certain.
+_UNDERFLOW = 1e-150
+
+
+def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and B, rows (2, M), of correlation matrices (M, 3, 3), and bounds (2, M) on their distance to LAPACK's.
+
+    A one-sided Jacobi SVD (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1204 (1992)): _JACOBI_SWEEPS cyclic sweeps of plane rotations of the
+    columns of T, each choosing the angle that makes a pair orthogonal, after
+    which the singular values are the column norms n_i. Each bound starts from
+    ds = SINGVAL_SLACK eps ||T||_F + 2 sum_{i<j} |a_i . a_j| / max(n_i, n_j):
+    the columns a_i that are left are Q R with R - diag(n) of Frobenius norm at
+    most twice the residual sum, to first order, so by Weyl each sorted n_i is
+    within that of a singular value of the rotated T. N moves by at most 3 ds,
+    so F by ds/2 plus its own rounding, and B = 2 sqrt(s1^2 + s2^2) by at most
+    2 sqrt(2) ds plus rounding: the bounds are ds/2 + 4 eps and 3 ds. Every
+    step is elementwise, so a row's floats do not depend on the other rows.
+    """
+    cols = list(np.ascontiguousarray(t.transpose(2, 1, 0)))  # column j of every T, (3, M)
+    sq = [(c * c).sum(axis=0) for c in cols]
+    for _ in range(_JACOBI_SWEEPS):
+        for i, j in _JACOBI_PAIRS:
+            x, y = cols[i], cols[j]
+            dot = (x * y).sum(axis=0)
+            if not dot.any():
+                continue  # every row's rotation is the identity, up to the signs of zeros
+            half = 0.5 * (sq[j] - sq[i])
+            # The smaller root of tan^2 + 2 tan half / dot - 1 = 0, and 0 where dot = half = 0.
+            tan = dot / (half + np.copysign(np.sqrt(half * half + dot * dot) + _TINY, half))
+            cos = 1.0 / np.sqrt(1.0 + tan * tan)
+            sin = cos * tan
+            cols[i], cols[j] = cos * x - sin * y, sin * x + cos * y
+            step = tan * dot
+            sq[i], sq[j] = sq[i] - step, sq[j] + step
+    sq = [(c * c).sum(axis=0) for c in cols]
+    n = [np.sqrt(s) for s in sq]
+    resid = sum(np.abs((cols[i] * cols[j]).sum(axis=0)) / (np.maximum(n[i], n[j]) + _TINY)
+                for i, j in _JACOBI_PAIRS)
+    ds = SINGVAL_SLACK * _EPS * np.sqrt(sq[0] + sq[1] + sq[2]) + 2.0 * resid + _UNDERFLOW
+    # Descending by a sorting network: np.sort along an axis of 3 costs ~10x more.
+    lo, hi = np.minimum(n[0], n[1]), np.maximum(n[0], n[1])
+    sv = (np.maximum(hi, n[2]), np.maximum(lo, np.minimum(hi, n[2])), np.minimum(lo, n[2]))
+    _, f, b = correlation_measures(sv)
+    return np.stack([f, b]), np.stack([0.5 * ds + 4.0 * _EPS, 3.0 * ds])
 
 
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:

@@ -45,7 +45,10 @@ call fills one (4, M) array.
 ``threshold_set`` takes the Wootters roots only where the determinant is
 rounding noise (``_kraus_margins``). ``scan`` prints C, so it takes them too,
 but only at the points that the state's table does not prove separable; at
-the others the printed concurrence is 0 (``SEPARABLE_DET``).
+the others the printed concurrence is 0 (``SEPARABLE_DET``). ``scan`` takes F
+and B from a Jacobi SVD (``jacobi_fidelity_bell``) wherever every float within
+its error bound prints the same %.12g bytes (``_prints_alike``), and from
+LAPACK's SVD (``correlation_singvals_stack``) at the other points.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .measures import (
     correlation_singvals_stack,
     hierarchy_rank,
     invariant_sign_margins,
+    jacobi_fidelity_bell,
     wootters_roots_stack,
 )
 from .states import DensityMatrix
@@ -700,15 +704,35 @@ def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
     return np.asarray(REGIONS)[hierarchy_rank(margins)]
 
 
+def _prints_alike(x: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Columns of x (2, M), x >= 0 or NaN, where every float within err of both entries prints one ``%.12g``.
+
+    %.12g rounds x correctly to 12 significant digits, monotonically, so every
+    float within err prints alike if no rounding midpoint of x's decade lies
+    within err of it. In units y = x 10^(11 - e) of the 12th digit, with
+    e = floor(log10 x), the midpoints are the half-integers, and the decade is
+    [1e11, 1e12). A column is refused where y is within err (plus 4 eps x, the
+    rounding of y) of a half-integer or of the decade's ends, which also
+    catches an e that log10 rounded to the wrong side, a zero and a NaN.
+    """
+    scale = 10.0 ** (11.0 - np.floor(np.log10(np.maximum(x, 1e-200))))
+    y, m = x * scale, (err + 4.0 * np.finfo(float).eps * x) * scale
+    return ((np.abs(y - np.floor(y) - 0.5) > m) & (y - m > 1e11) & (y + m < 1e12)).all(axis=0)
+
+
 def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     """Measure table over a strength grid: rows (q, concurrence, fidelity, bell).
 
     Evolved and measured _BLOCK_POINTS points at a time: memory beyond the
-    table is bounded. F and B come from the correlation spectra of every
-    point. C comes from the Wootters roots only at the points whose
-    det(rho^{T_B}), summed from the state's ``_kraus_table``, is below
-    SEPARABLE_DET (or NaN); at the others the state is separable and C is 0,
-    the float the roots would give after the clamp.
+    table is bounded. F and B come from a Jacobi SVD of each point's
+    correlation matrix, and from LAPACK's only at the points where a float
+    within the Jacobi bound could print other %.12g bytes (``_prints_alike``):
+    the printed F and B are LAPACK's, the floats within the bound of them. C
+    comes from the Wootters roots only at the points whose det(rho^{T_B}),
+    summed from the state's ``_kraus_table``, is below SEPARABLE_DET (or NaN);
+    at the others the state is separable and C is 0, the float the roots would
+    give after the clamp. Every step is elementwise over the points, so the
+    floats do not depend on how the grid is cut into blocks.
     """
     qs = np.asarray(q_grid, dtype=float)
     if qs.ndim != 1 or qs.size == 0:
@@ -725,7 +749,12 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
         evolved = evolve_grid(state.mat, family, q)
         rows = table[block]
         rows[:, 0] = q
-        _, rows[:, 2], rows[:, 3] = correlation_measures(correlation_singvals_stack(evolved).T)
+        fb, err = jacobi_fidelity_bell(correlation_matrix_stack(evolved))
+        rows[:, 2:] = fb.T
+        uncertain = ~_prints_alike(fb, err)
+        if uncertain.any():
+            _, rows[uncertain, 2], rows[uncertain, 3] = correlation_measures(
+                correlation_singvals_stack(evolved[uncertain]).T)
         # A NaN determinant proves nothing, so its row reads the roots too.
         unproven = ~(_chebyshev_rows(det_row, q)[0] >= SEPARABLE_DET)
         if unproven.any():

@@ -37,6 +37,30 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
                                   np.ascontiguousarray(want).view(np.uint64))
 
 
+def printed(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``cmd_scan`` prints it, with %.12g."""
+    return ["%.12g" % v for v in np.ravel(values).tolist()]
+
+
+def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.ndarray,
+                     family: str) -> None:
+    """``scan`` rows (q, C, F, B) against a reference that took F and B from LAPACK at every row.
+
+    q and C bit for bit. F and B print the reference's %.12g bytes, and each
+    lies within the bound that ``jacobi_fidelity_bell`` gives its row.
+    """
+    from qnl.channels import evolve_grid
+    from qnl.measures import correlation_matrix_stack, jacobi_fidelity_bell
+
+    assert_same_bits(table[:, :2], reference[:, :2])
+    got, want = table[:, 2:], reference[:, 2:]
+    differ = np.flatnonzero(np.array(printed(got)) != np.array(printed(want)))
+    assert differ.size == 0, f"{differ.size} printed F/B differ, first {got.flat[differ[0]]!r} " \
+                             f"against {want.flat[differ[0]]!r}"
+    _, err = jacobi_fidelity_bell(correlation_matrix_stack(evolve_grid(state_mat, family, table[:, 0])))
+    assert np.all(np.abs(got - want) <= err.T)
+
+
 def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     """Transpose qubit B's indices; works on (4, 4) or stacked (n, 4, 4)."""
     if rho.ndim == 2:
@@ -58,6 +82,22 @@ def wootters_stacks(monkeypatch):
         return roots(rhos)
 
     monkeypatch.setattr(thresholds, "wootters_roots_stack", recorded)
+    return stacks
+
+
+@pytest.fixture
+def svd_stacks(monkeypatch):
+    """Every stack that ``thresholds`` passes to ``correlation_singvals_stack``, in call order."""
+    from qnl import thresholds
+
+    stacks = []
+    svd = thresholds.correlation_singvals_stack
+
+    def recorded(rhos):
+        stacks.append(np.array(rhos))
+        return svd(rhos)
+
+    monkeypatch.setattr(thresholds, "correlation_singvals_stack", recorded)
     return stacks
 
 

@@ -26,7 +26,7 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
   boundary_q_c    first q at which the closed-form Werner concurrence under
                   amplitude damping reaches zero, by cases
   scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
-                  roots taken at every row, none skipped
+                  roots and the LAPACK correlation SVD taken at every row
 """
 
 from __future__ import annotations
@@ -231,11 +231,12 @@ def boundary_q_c(p: float) -> float | None:
 
 
 def scan_all_rows(state: DensityMatrix, family: str, qs: np.ndarray) -> np.ndarray:
-    """Rows (q, concurrence, fidelity, bell) at strengths qs, C from every row's Wootters roots.
+    """Rows (q, concurrence, fidelity, bell) at strengths qs, C, F and B from every row's spectra.
 
     Each block of _BLOCK_POINTS strengths is evolved and read by ``_curves``,
     C clamped at zero, as ``scan`` read every row before it skipped the
-    Wootters roots of the rows its determinant proves separable.
+    Wootters roots of the rows its determinant proves separable and took F
+    and B from a Jacobi SVD where their printed digits are certain.
     """
     table = np.empty((qs.size, 4))
     for k in range(0, qs.size, _BLOCK_POINTS):

@@ -7,14 +7,17 @@ state separable, and its unclamped concurrence at most -2 lambda_min: far
 below zero, so the clamped C of those rows is 0 without the roots. The tests:
 
   * oracle: ``scan`` against ``oracles.scan_all_rows``, which takes the roots
-    of every row, bit for bit on over 10^6 rows over the three channels;
+    and the correlation SVD of every row, on over 10^6 rows over the three
+    channels: q and C bit for bit, F and B by their printed bytes and within
+    the bound of ``jacobi_fidelity_bell`` (``tests/test_jacobi_svd.py``);
   * certificate: the three inequalities above, on over 10^5 PPT points;
   * skip count: which rows reach ``wootters_roots_stack``.
 """
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, ginibre, haar_unitary, partial_transpose_b
+from conftest import (assert_same_bits, assert_scan_rows, ginibre, haar_unitary,
+                      partial_transpose_b)
 from oracles import scan_all_rows
 
 from qnl.channels import FAMILIES, evolve_grid
@@ -93,7 +96,8 @@ def test_scan_matches_every_row_oracle(family):
     rows = 0
     for state in oracle_states(np.random.default_rng(2400)):
         for qs in grids(state, family):
-            assert_same_bits(scan(state, family, qs), scan_all_rows(state, family, qs))
+            assert_scan_rows(scan(state, family, qs), scan_all_rows(state, family, qs),
+                             state.mat, family)
             rows += qs.size
     assert rows >= ORACLE_ROWS
 

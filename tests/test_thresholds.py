@@ -220,13 +220,13 @@ class TestScan:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_blocks_equal_one_whole_grid_evaluation(self, family, rng):
         # Two full blocks and a last block of one row.
-        from conftest import ginibre_density_stack
+        from conftest import assert_scan_rows, ginibre_density_stack
 
         state = DensityMatrix(ginibre_density_stack(1, rng)[0])
         qs = np.linspace(0.0, 1.0, 2 * _BLOCK_POINTS + 1)
         c_unclamped, f, b = _curves(evolve_grid(state.mat, family, qs))
         whole = np.column_stack([qs, np.maximum(0.0, c_unclamped), f, b])
-        assert np.array_equal(scan(state, family, qs), whole)
+        assert_scan_rows(scan(state, family, qs), whole, state.mat, family)
 
     @pytest.mark.parametrize(
         "grid",
