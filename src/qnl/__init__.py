@@ -1,22 +1,15 @@
 """Nonlocal correlations of two-qubit states under noisy channels.
 
 Library surface: state constructors and validation (states), the four
-correlation measures and hierarchy classifier (measures), Kraus channel
-families (channels), closed-form Werner decay curves (werner_analytic),
+correlation measures and hierarchy classifier (measures), the three channel
+families as one Kraus table, ``FAMILIES[name](q)`` reading one row of it
+(channels), closed-form Werner decay curves (werner_analytic),
 critical-strength solvers and the region map (thresholds), and the seeded
 Monte-Carlo hierarchy experiment (sampling). The ``qnl`` command exposes all
 of it on the command line.
 """
 
-from .channels import (
-    FAMILIES,
-    KrausChannel,
-    amplitude_damping,
-    apply_channel,
-    channel_family,
-    depolarizing,
-    phase_damping,
-)
+from .channels import FAMILIES, apply_channel, channel_family
 from .errors import (
     BadGrid,
     InvalidTolerance,

@@ -9,16 +9,17 @@ and q = 0 is always the identity channel:
                       single-qubit action is rho -> (1-q) rho + q I/2, i.e.
                       q is the total error probability.
 
-A channel acts on qubit B, the transmitted one, as one real map (``affine_map``),
-built from ``kraus_stack``, the one table of each family's operators. Each family
-keeps X-states (non-zero only on the diagonal and the anti-diagonal) in X form,
-so the map's X block is all the X path of ``thresholds`` reads.
+A family's operators at one strength are one row of ``kraus_stack``, the one
+table of each family's operators, and ``FAMILIES[name](q)`` reads that row. A
+channel acts on qubit B, the transmitted one, as one real map (``affine_map``),
+built from the same table. Each family keeps X-states (non-zero only on the
+diagonal and the anti-diagonal) in X form, so the map's X block is all the X
+path of ``thresholds`` reads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,72 +31,43 @@ COMPLETENESS_TOL = 1e-12
 X_FLAT = np.array([0, 5, 10, 15, 3, 6])  # rho11..rho44, rho14, rho23 in rho.reshape(16)
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A named one-parameter channel with its 2x2 Kraus operators."""
-
-    name: str
-    q: float
-    ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        ops = tuple(np.array(op, dtype=complex) for op in self.ops)
-        total = sum(dagger(op) @ op for op in ops)
-        defect = float(np.max(np.abs(total - ID2)))
-        if not defect <= COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus completeness violated by {defect:.3e} for {self.name}(q={self.q})"
-            )
-        for op in ops:
-            op.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
+def _kraus_ops(name: str, q: float) -> np.ndarray:
+    return kraus_stack(name, np.array([float(q)]))[0]
 
 
-def _from_table(name: str, q: float) -> KrausChannel:
-    q = float(q)
-    return KrausChannel(name, q, tuple(kraus_stack(name, np.array([q]))[0]))
-
-
-def amplitude_damping(q: float) -> KrausChannel:
-    """Energy-loss channel: |1> decays to |0> with probability q."""
-    return _from_table("amplitude-damping", q)
-
-
-def phase_damping(q: float) -> KrausChannel:
-    """Pure dephasing: off-diagonal coherence shrinks, populations are fixed."""
-    return _from_table("phase-damping", q)
-
-
-def depolarizing(q: float) -> KrausChannel:
-    """White noise: rho -> (1-q) rho + q I/2 on the target qubit."""
-    return _from_table("depolarizing", q)
-
-
-#: Canonical channel names as used by the CLI and CSV outputs.
+#: Canonical channel names as used by the CLI and CSV outputs; ``FAMILIES[name](q)``
+#: is the family's Kraus operators at strength q, shape (k, 2, 2).
 FAMILIES = {
-    "amplitude-damping": amplitude_damping,
-    "phase-damping": phase_damping,
-    "depolarizing": depolarizing,
+    name: functools.partial(_kraus_ops, name)
+    for name in ("amplitude-damping", "phase-damping", "depolarizing")
 }
 
 
 def channel_family(name: str):
-    """Look up a channel constructor by its canonical hyphenated name."""
+    """The family of a canonical hyphenated name: q -> its Kraus operators (k, 2, 2)."""
     try:
         return FAMILIES[name]
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
-        raise ValueError(f"unknown channel family {name!r}; known: {known}")
+        raise ValueError(f"unknown channel family {name!r}; known: {known}") from None
 
 
-def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """Evolve a state through the channel on qubit B.
+def apply_channel(rho: DensityMatrix, ops: np.ndarray) -> DensityMatrix:
+    """Evolve a state through the Kraus operators ``ops`` (k, 2, 2) on qubit B.
 
-    Applies sum_i (I x M_i) rho (I x M_i)^dagger. The output is validated; a
-    completeness-breaking channel surfaces as a state validation error.
+    Applies sum_i (I x M_i) rho (I x M_i)^dagger, one operator at a time, and
+    validates the output. Raises ValueError if ``ops`` is not shaped (k, 2, 2)
+    or sum_i M_i^dagger M_i is further than ``COMPLETENESS_TOL`` from I (NaN
+    included): an incomplete set can still give a valid state.
     """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (2, 2):
+        raise ValueError(f"Kraus operators must be shaped (k, 2, 2), got {ops.shape}")
+    defect = float(np.max(np.abs(sum(dagger(m) @ m for m in ops) - ID2)))
+    if not defect <= COMPLETENESS_TOL:
+        raise ValueError(f"Kraus completeness violated by {defect:.3e}")
     out = np.zeros((4, 4), dtype=complex)
-    for m in ch.ops:
+    for m in ops:
         k = np.kron(ID2, m)
         out += k @ rho.mat @ dagger(k)
     return DensityMatrix(out)
@@ -112,8 +84,8 @@ def _strengths(qs) -> np.ndarray:
 def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
     """Kraus operators of one family over a strength grid, shape (Q, k, 2, 2).
 
-    This is the one table of each family's operators; the scalar constructors
-    read their single row from it.
+    This is the one table of each family's operators; ``FAMILIES[name](q)`` is
+    its single row at q.
     """
     qs = _strengths(qs)
     n = qs.shape[0]

@@ -6,20 +6,18 @@ from oracles import evolve_x
 from qnl.channels import (
     FAMILIES,
     X_FLAT,
-    KrausChannel,
     affine_map,
-    amplitude_damping,
     apply_channel,
     channel_family,
-    depolarizing,
     evolve_grid,
     kraus_stack,
-    phase_damping,
 )
 from qnl.errors import QOutOfRange
 from qnl.measures import concurrence
 from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.werner_analytic import concurrence_ad
+
+AD, PD, DEP = "amplitude-damping", "phase-damping", "depolarizing"
 
 
 def partial_trace_b(rho: np.ndarray) -> np.ndarray:
@@ -36,40 +34,47 @@ def plus_on_b() -> DensityMatrix:
 
 class TestConstructors:
     def test_amplitude_damping_q0(self):
-        ch = amplitude_damping(0.0)
-        np.testing.assert_allclose(ch.ops[0], np.eye(2), atol=0)
-        np.testing.assert_allclose(ch.ops[1], 0.0, atol=0)
+        ops = FAMILIES[AD](0.0)
+        np.testing.assert_allclose(ops[0], np.eye(2), atol=0)
+        np.testing.assert_allclose(ops[1], 0.0, atol=0)
 
     def test_amplitude_damping_q1(self):
-        ch = amplitude_damping(1.0)
-        np.testing.assert_allclose(ch.ops[0], np.diag([1.0, 0.0]), atol=0)
-        np.testing.assert_allclose(ch.ops[1], [[0.0, 1.0], [0.0, 0.0]], atol=0)
+        ops = FAMILIES[AD](1.0)
+        np.testing.assert_allclose(ops[0], np.diag([1.0, 0.0]), atol=0)
+        np.testing.assert_allclose(ops[1], [[0.0, 1.0], [0.0, 0.0]], atol=0)
 
     def test_amplitude_damping_half(self):
-        ch = amplitude_damping(0.5)
-        np.testing.assert_allclose(ch.ops[0], np.diag([1.0, 1 / np.sqrt(2)]), atol=1e-15)
+        ops = FAMILIES[AD](0.5)
+        np.testing.assert_allclose(ops[0], np.diag([1.0, 1 / np.sqrt(2)]), atol=1e-15)
 
     def test_phase_damping_forms(self):
-        ch = phase_damping(0.36)
-        np.testing.assert_allclose(ch.ops[0], np.diag([1.0, 0.8]), atol=1e-15)
-        np.testing.assert_allclose(ch.ops[1], np.diag([0.0, 0.6]), atol=1e-15)
+        ops = FAMILIES[PD](0.36)
+        np.testing.assert_allclose(ops[0], np.diag([1.0, 0.8]), atol=1e-15)
+        np.testing.assert_allclose(ops[1], np.diag([0.0, 0.6]), atol=1e-15)
 
     def test_depolarizing_single_qubit_action(self, rng):
         # The four operators must implement rho -> (1-q) rho + q I/2.
         q = 0.61
-        ch = depolarizing(q)
+        ops = FAMILIES[DEP](q)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho1 = g @ g.conj().T
         rho1 /= np.trace(rho1)
-        out = sum(m @ rho1 @ m.conj().T for m in ch.ops)
+        out = sum(m @ rho1 @ m.conj().T for m in ops)
         np.testing.assert_allclose(out, (1 - q) * rho1 + q * np.eye(2) / 2, atol=1e-14)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
     def test_completeness(self, family, q):
-        ch = FAMILIES[family](q)
-        total = sum(m.conj().T @ m for m in ch.ops)
+        ops = FAMILIES[family](q)
+        total = sum(m.conj().T @ m for m in ops)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-15
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_row_of_the_table(self, family):
+        for q in (0.0, 0.37, np.nextafter(1.0, 0.0), 1.0):
+            ops = FAMILIES[family](q)
+            assert ops.shape == (4 if family == DEP else 2, 2, 2)
+            assert_same_bits(ops, kraus_stack(family, np.array([q]))[0])
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("q", [-0.01, 1.01, 5.0])
@@ -78,21 +83,27 @@ class TestConstructors:
             FAMILIES[family](q)
 
     def test_family_lookup(self):
-        assert channel_family("amplitude-damping") is amplitude_damping
+        assert channel_family("amplitude-damping") is FAMILIES[AD]
         with pytest.raises(ValueError, match="unknown channel"):
             channel_family("bit-flip")
+
+    def test_unknown_family_raises_without_the_key_error(self):
+        # No "During handling of the above exception" KeyError before the message.
+        with pytest.raises(ValueError, match="unknown channel family 'bit-flip'") as info:
+            channel_family("bit-flip")
+        assert info.value.__suppress_context__ and info.value.__cause__ is None
 
 
 class TestApply:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_q0_is_identity(self, family, rng):
-        ch = FAMILIES[family](0.0)
+        ops = FAMILIES[family](0.0)
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(DensityMatrix(mat), ch)
+            out = apply_channel(DensityMatrix(mat), ops)
             assert np.max(np.abs(out.mat - mat)) <= 1e-14
 
     def test_full_damping_of_singlet(self):
-        out = apply_channel(bell_singlet(), amplitude_damping(1.0))
+        out = apply_channel(bell_singlet(), FAMILIES[AD](1.0))
         expected = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         np.testing.assert_allclose(out.mat, expected, atol=1e-15)
         assert concurrence(out) == 0.0
@@ -100,46 +111,60 @@ class TestApply:
     def test_damped_werner_matches_closed_form(self):
         for p in (0.2, 0.4, 0.8):
             for q in (0.1, 0.5, 0.9):
-                out = apply_channel(werner(p), amplitude_damping(q))
+                out = apply_channel(werner(p), FAMILIES[AD](q))
                 assert concurrence(out) == pytest.approx(concurrence_ad(p, q), abs=1e-12)
 
     def test_full_dephasing_kills_coherence(self):
-        out = apply_channel(plus_on_b(), phase_damping(1.0))
+        out = apply_channel(plus_on_b(), FAMILIES[PD](1.0))
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_dephasing_fixes_diagonal_states(self, rng):
         diag = DensityMatrix(np.diag(rng.dirichlet(np.ones(4))))
         for q in (0.2, 0.7, 1.0):
-            out = apply_channel(diag, phase_damping(q))
+            out = apply_channel(diag, FAMILIES[PD](q))
             np.testing.assert_allclose(out.mat, diag.mat, atol=1e-15)
 
     def test_full_depolarizing_mixes_target(self):
-        out = apply_channel(plus_on_b(), depolarizing(1.0))
+        out = apply_channel(plus_on_b(), FAMILIES[DEP](1.0))
         np.testing.assert_allclose(out.mat, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_depolarizing_two_qubit_form(self, rng):
         # One-sided white noise: rho -> (1-q) rho + q (Tr_B rho) x I/2.
         q = 0.44
         for mat in ginibre_density_stack(5, rng):
-            out = apply_channel(DensityMatrix(mat), depolarizing(q))
+            out = apply_channel(DensityMatrix(mat), FAMILIES[DEP](q))
             marginal_a = partial_trace_b(mat)
             expected = (1 - q) * mat + q * np.kron(marginal_a, np.eye(2) / 2)
             np.testing.assert_allclose(out.mat, expected, atol=1e-13)
 
     def test_output_is_validated_state(self):
-        out = apply_channel(werner(0.8), depolarizing(0.5))
+        out = apply_channel(werner(0.8), FAMILIES[DEP](0.5))
         assert isinstance(out, DensityMatrix)
 
     def test_acts_on_b_and_takes_no_side(self):
         # A third argument once chose the qubit, and any value but B or BOTH
         # acted on A: "B" itself gave diag(0.4, 0.6, 0, 0) here.
         rho = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))
-        ch = amplitude_damping(1.0)
-        np.testing.assert_allclose(apply_channel(rho, ch).mat, np.diag([0.3, 0, 0.7, 0]), atol=0)
+        ops = FAMILIES[AD](1.0)
+        np.testing.assert_allclose(apply_channel(rho, ops).mat, np.diag([0.3, 0, 0.7, 0]), atol=0)
         with pytest.raises(TypeError):
-            apply_channel(rho, ch, "B")
+            apply_channel(rho, ops, "B")
         with pytest.raises(TypeError):
-            apply_channel(rho, ch, side="B")
+            apply_channel(rho, ops, side="B")
+
+    def test_single_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"shaped \(k, 2, 2\)"):
+            apply_channel(werner(0.5), np.eye(2))
+
+    def test_incomplete_set_rejected(self):
+        # Tr M rho M^dagger is 1 on |00><00|, so the Kraus sum is a valid state
+        # and only the completeness check refuses the set.
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+        ops = np.array([np.diag([1.0, 0.0])])
+        k = np.kron(np.eye(2), ops[0])
+        DensityMatrix(k @ rho.mat @ k.conj().T)
+        with pytest.raises(ValueError, match=r"Kraus completeness violated by 1.000e\+00"):
+            apply_channel(rho, ops)
 
 
 class TestChannelSweepInvariants:
@@ -158,10 +183,8 @@ class TestChannelSweepInvariants:
         for mat in ginibre_density_stack(20, rng):
             rho = DensityMatrix(mat)
             for q1, q2 in ((0.1, 0.3), (0.5, 0.5), (0.9, 0.2)):
-                twice = apply_channel(
-                    apply_channel(rho, amplitude_damping(q1)), amplitude_damping(q2)
-                )
-                merged = apply_channel(rho, amplitude_damping(1 - (1 - q1) * (1 - q2)))
+                twice = apply_channel(apply_channel(rho, FAMILIES[AD](q1)), FAMILIES[AD](q2))
+                merged = apply_channel(rho, FAMILIES[AD](1 - (1 - q1) * (1 - q2)))
                 assert np.max(np.abs(twice.mat - merged.mat)) <= 1e-10
 
 
@@ -236,7 +259,7 @@ class TestGridKernels:
 
     def test_nan_kraus_operator_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
-            KrausChannel("x", 0.1, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+            apply_channel(werner(0.5), np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 class TestAffineMap:

@@ -3,8 +3,9 @@
 It installs the test extra of ``pyproject.toml``, so the extra is the one list
 of test dependencies, and it names the ``pyyaml`` this test needs. Its
 benchmark correctness gate runs every workload that ``BENCHMARK.json`` names,
-and one step runs the benchmark's self-tests, which fail if a name that
-``perfbench/spans.py`` traces is removed from ``src/``.
+at a seed with recorded references and at one without, and one step runs the
+benchmark's self-tests, which fail if a name that ``perfbench/spans.py``
+traces is removed from ``src/``.
 
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
@@ -51,6 +52,23 @@ def test_gate_runs_every_benchmark_workload():
     loop = re.search(r"for workload in ([^;]+); do", gate[0])
     assert loop and set(loop[1].split()) == names
     assert '--workload "$workload"' in gate[0] and "\"correct\": true" in gate[0]
+
+
+def test_gate_runs_a_seed_without_references():
+    # At a seed with recorded references the gate only compares digests and
+    # thresholds; at one without, it calls the library (check_bracket,
+    # check_mems_csv, check_scan_csv, check_werner_map), so CI runs both.
+    steps = workflow_steps()
+    gate = [step["run"] for step in steps if step.get("name") == "Benchmark correctness gate"]
+    loop = re.search(r"for seed in ([^;]+); do", gate[0])
+    assert loop and '--seed "$seed"' in gate[0]
+    recorded = set()
+    for path in sorted((ROOT / "perfbench/reference").glob("*.json")):
+        for line in path.read_text().splitlines():
+            doc = json.loads(line)
+            if "seed" in doc:
+                recorded.add(doc["seed"])
+    assert recorded and {int(seed) for seed in loop[1].split()} - recorded
 
 
 def test_workflow_runs_the_benchmark_self_tests():

@@ -10,13 +10,13 @@ import qnl
 
 PUBLIC_NAMES = [
     "BadGrid", "DensityMatrix", "FAMILIES", "GISIN_BOUND", "HierarchyClass",
-    "HierarchyResult", "InvalidTolerance", "KrausChannel", "Measure", "MeasureReport",
+    "HierarchyResult", "InvalidTolerance", "Measure", "MeasureReport",
     "MemsWeights", "NotHermitian", "NotPSD", "QOutOfRange", "QnlError",
     "RejectionStall", "SamplerConfig", "ThresholdSet", "TraceNotOne",
-    "amplitude_damping", "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
+    "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
     "channel_family", "classify", "concurrence", "concurrence_ad",
-    "concurrence_ad_unclamped", "depolarizing", "fidelity", "fidelity_ad",
-    "hierarchy_check", "hierarchy_experiment", "load_state", "mems", "phase_damping",
+    "concurrence_ad_unclamped", "fidelity", "fidelity_ad",
+    "hierarchy_check", "hierarchy_experiment", "load_state", "mems",
     "sample_mems_above_gisin", "scan", "threshold_set", "werner", "werner_region",
     "write_records_csv",
 ]
