@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .errors import QOutOfRange
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger
+from .linalg import ID2, dagger
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -102,12 +102,14 @@ def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
         ops[:, 0, 1, 1] = root_1mq
         ops[:, 1, 1, 1] = root_q
     elif name == "depolarizing":
+        # sqrt(1-3q/4) I and sqrt(q/4) sigma_{x,y,z}, entry by entry.
         ops = np.zeros((n, 4, 2, 2), dtype=complex)
-        ops[:, 0] = np.sqrt(1.0 - 0.75 * qs)[:, None, None] * ID2
-        half_root = np.sqrt(0.25 * qs)[:, None, None]
-        ops[:, 1] = half_root * PAULI_X
-        ops[:, 2] = half_root * PAULI_Y
-        ops[:, 3] = half_root * PAULI_Z
+        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.sqrt(1.0 - 0.75 * qs)
+        half_root = np.sqrt(0.25 * qs)
+        ops[:, 1, 0, 1] = ops[:, 1, 1, 0] = ops[:, 3, 0, 0] = half_root
+        ops[:, 3, 1, 1] = -half_root
+        ops.imag[:, 2, 0, 1] = -half_root
+        ops.imag[:, 2, 1, 0] = half_root
     else:
         channel_family(name)  # raises with the canonical message
         raise AssertionError("unreachable")
@@ -124,18 +126,81 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
+@functools.cache
+def _evolve_plan(name: str) -> tuple:
+    """The products of ``evolve_grid`` that are not zero by structure, built once per family.
+
+    Read from the non-zero pattern of ``kraus_stack`` at ``_AFFINE_QS``: an
+    entry that is 0 there is 0 at every q, as its squared modulus is affine in
+    (1, q, sqrt(1-q)) (see ``affine_map``). Every non-zero entry must be real
+    or imaginary, i^p f with f its non-zero float. There is one term per pair
+    of non-zero entries of one M_k, listed in the einsum's order (k, then x,
+    y, w, z): (M_kxy rho[a, y, c, z]) conj(M_kwz) adds to the output's slot
+    (x, w), and is (f (i^p (-i)^p' rho[a, y, c, z])) f' but for the signs of
+    zeros, f' the float of M_kwz.
+
+    Returns, per term, the columns of f and f' in the stack's (Q, 8k) float
+    view, the entries (a, c) of rho in rho.reshape(16), the phase
+    i^p (-i)^p' and the slot; and per M_k the (start, stop) of its terms and
+    whether they are one per slot, in slot order.
+    """
+    live = kraus_stack(name, _AFFINE_QS).view(float).reshape(3, -1, 2, 2, 2).any(axis=0)
+    if (live[..., 0] & live[..., 1]).any():
+        raise ValueError(f"{name}: a Kraus entry is neither real nor imaginary")
+    nonzero, imag = live.any(axis=-1), live[..., 1]
+    k, x, y, w, z = np.argwhere(nonzero[:, :, :, None, None] & nonzero[:, None, None]).T
+    parts = np.stack([imag[k, x, y], imag[k, w, z]])
+    columns = 2 * (4 * k + 2 * np.stack([x, w]) + np.stack([y, z])) + parts
+    a, c = np.meshgrid([0, 1], [0, 1], indexing="ij")
+    entries = 8 * a + 4 * y[:, None, None] + 2 * c + z[:, None, None]
+    phases = np.where(parts[0], 1j, 1.0) * np.where(parts[1], -1j, 1.0)
+    slots = list(zip(x.tolist(), w.tolist()))
+    starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+    groups = tuple((lo, hi, slots[lo:hi] == [(0, 0), (0, 1), (1, 0), (1, 1)])
+                   for lo, hi in zip(starts, starts[1:] + [k.size]))
+    return columns, entries, phases, slots, groups
+
+
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     """Evolve one raw state through a family on qubit B over a strength grid.
 
-    Returns the evolved stack (Q, 4, 4), not re-validated. Each M_k acts on B's
-    indices of rho directly: this leaves out only products with exact zeros of
-    I x M_k and sums the rest in the same order, so the result is
-    sum_k (I x M_k) rho (I x M_k)^dagger bit for bit. q is the innermost axis,
-    so the einsum's inner loop runs over contiguous memory.
+    Returns the evolved stack (Q, 4, 4), not re-validated, for a finite rho.
+    Its floats are those of the einsum of sum_k (I x M_k) rho (I x M_k)^dagger
+    over B's indices (``tests/oracles.py``). Only the products of a Kraus
+    entry, an entry of rho and a conjugated Kraus entry that are not zero by
+    structure are formed (``_evolve_plan``: 5 per entry pair (a, c) for the
+    damping families, 16 for depolarizing noise), one M_k at a time, and each
+    is added in the einsum's order into an accumulator that starts at +0.0.
+    The products left out are +-0, and adding +-0 to a sum that starts at
+    +0.0 changes no float, so every output is the einsum's bit for bit, signed
+    zeros included. q is the innermost axis of the work arrays.
     """
-    ops = np.ascontiguousarray(np.moveaxis(kraus_stack(name, qs), 0, -1))
-    out = np.einsum("kxyq,aycz,kwzq->axcwq", ops, rho_mat.reshape(2, 2, 2, 2), np.conj(ops))
-    return out.reshape(4, 4, -1).transpose(2, 0, 1).copy()
+    ops = kraus_stack(name, qs)
+    columns, entries, phases, slots, groups = _evolve_plan(name)
+    n = ops.shape[0]
+    f, f_w = ops.view(float).reshape(n, 8 * ops.shape[1]).T[columns]  # (term, q) each
+    del ops  # freed before the work arrays are made
+    s = np.asarray(rho_mat, dtype=complex).reshape(16)[entries] * phases[:, None, None]
+    s = s.view(float).reshape(-1, 2, 2, 2)  # (term, a, c, re/im)
+    acc = np.zeros((2, 2, 2, 2, 2, n))  # (a, x, c, w, re/im, q)
+    buf = np.empty_like(acc)
+    for lo, hi, one_per_slot in groups:
+        if one_per_slot:  # all four terms at once, laid out like acc
+            np.multiply(f[lo:hi].reshape(1, 2, 1, 2, 1, n),
+                        s[lo:hi].reshape(2, 2, 2, 2, 2, 1).transpose(2, 0, 3, 1, 4, 5), out=buf)
+            buf *= f_w[lo:hi].reshape(1, 2, 1, 2, 1, n)
+            acc += buf
+            continue
+        term = buf[:, 0, :, 0]
+        for t in range(lo, hi):
+            np.multiply(f[t], s[t, ..., None], out=term)
+            term *= f_w[t]
+            x, w = slots[t]
+            acc_t = acc[:, x, :, w]
+            acc_t += term
+    out = np.empty((n, 4, 4), dtype=complex)
+    out.view(float).reshape(n, 32)[...] = acc.reshape(32, n).T
+    return out
 
 
 # Every family is affine in (1, q, sqrt(1-q)): its Kraus entries are 1, sqrt(1-q)

@@ -27,15 +27,22 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   amplitude damping reaches zero, by cases
   scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
                   roots and the LAPACK correlation SVD taken at every row
+  evolve_einsum   sum_k (I x M_k) rho (I x M_k)^dagger over B's indices as one
+                  einsum that forms every product, zeros of M_k included: the
+                  floats of ``channels.evolve_grid``
+  correlation_einsum
+                  Re Tr(rho sigma_i x sigma_j) as one einsum over all 16
+                  products per entry: the floats of
+                  ``measures.correlation_matrix_stack``
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnl.channels import X_FLAT, _strengths, affine_map, channel_family, evolve_grid
+from qnl.channels import X_FLAT, _strengths, affine_map, channel_family, evolve_grid, kraus_stack
 from qnl.errors import NotHermitian, NotPSD
-from qnl.linalg import PAULI_Y, dagger, hermiticity_defect
+from qnl.linalg import PAULI_X, PAULI_Y, PAULI_Z, dagger, hermiticity_defect
 from qnl.measures import (
     GISIN_BOUND,
     concurrence_of_roots,
@@ -53,6 +60,8 @@ PSD_CLAMP_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+_PAULI_KRON = np.stack([np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z)
+                        for b in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,3 +253,20 @@ def scan_all_rows(state: DensityMatrix, family: str, qs: np.ndarray) -> np.ndarr
         c_unclamped, f, b = _curves(evolve_grid(state.mat, family, block))
         table[k:k + _BLOCK_POINTS] = np.column_stack([block, np.maximum(0.0, c_unclamped), f, b])
     return table
+
+
+def evolve_einsum(rho_mat: np.ndarray, name: str, qs) -> np.ndarray:
+    """Evolved stack (Q, 4, 4) of one state through a family on qubit B, by one einsum.
+
+    Each M_k acts on B's indices of rho, q the innermost axis; the einsum sums
+    every product, those with a zero entry of M_k included, k outermost, into
+    an output that starts at +0.0.
+    """
+    ops = np.ascontiguousarray(np.moveaxis(kraus_stack(name, qs), 0, -1))
+    out = np.einsum("kxyq,aycz,kwzq->axcwq", ops, np.asarray(rho_mat).reshape(2, 2, 2, 2), np.conj(ops))
+    return out.reshape(4, 4, -1).transpose(2, 0, 1).copy()
+
+
+def correlation_einsum(rhos: np.ndarray) -> np.ndarray:
+    """Correlation matrices (N, 3, 3) of states (N, 4, 4), Re Tr(rho sigma_i x sigma_j) by one einsum."""
+    return np.real(np.einsum("nij,kji->nk", rhos, _PAULI_KRON)).reshape(-1, 3, 3)

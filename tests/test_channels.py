@@ -13,6 +13,7 @@ from qnl.channels import (
     kraus_stack,
 )
 from qnl.errors import QOutOfRange
+from qnl.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from qnl.measures import concurrence
 from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.werner_analytic import concurrence_ad
@@ -241,6 +242,16 @@ class TestGridKernels:
             for ops, q in zip(stack, qs):
                 got = sum(k @ rho @ k.conj().T for k in ops)
                 np.testing.assert_allclose(got, documented(rho, q), atol=1e-15)
+
+    def test_depolarizing_table_is_the_pauli_products(self):
+        # The table sets each non-zero entry directly; its bytes are those of
+        # sqrt(1-3q/4) I and sqrt(q/4) sigma_{x,y,z} as complex products.
+        qs = np.concatenate([[0.0, 5e-324, 0.75, np.nextafter(1.0, 0.0), 1.0],
+                             np.random.default_rng(3).random(1000)])
+        half_root = np.sqrt(0.25 * qs)[:, None, None]
+        want = np.stack([np.sqrt(1.0 - 0.75 * qs)[:, None, None] * ID2, half_root * PAULI_X,
+                         half_root * PAULI_Y, half_root * PAULI_Z], axis=1)
+        assert kraus_stack("depolarizing", qs).tobytes() == want.tobytes()
 
     def test_kraus_stack_rejects_bad_q(self):
         with pytest.raises(QOutOfRange):
