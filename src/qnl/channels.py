@@ -14,7 +14,10 @@ table of each family's operators, and ``FAMILIES[name](q)`` reads that row. A
 channel acts on qubit B, the transmitted one, as one real map (``affine_map``),
 built from the same table. Each family keeps X-states (non-zero only on the
 diagonal and the anti-diagonal) in X form, so the map's X block is all the X
-path of ``thresholds`` reads.
+path of ``thresholds`` reads. ``evolve_grid`` evolves one state over a grid of
+strengths, as ``scan`` does on every row: each row of each operator has one
+entry that is not zero by structure, so it forms one product per operator and
+output entry, the einsum's own, with the einsum's floats.
 """
 
 from __future__ import annotations
@@ -127,38 +130,21 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _evolve_plan(name: str) -> tuple:
-    """The products of ``evolve_grid`` that are not zero by structure, built once per family.
+def _columns(name: str) -> np.ndarray:
+    """The column y_k(x) of the one entry of row x of M_k that is not zero by structure, (k, 2).
 
     Read from the non-zero pattern of ``kraus_stack`` at ``_AFFINE_QS``: an
     entry that is 0 there is 0 at every q, as its squared modulus is affine in
-    (1, q, sqrt(1-q)) (see ``affine_map``). Every non-zero entry must be real
-    or imaginary, i^p f with f its non-zero float. There is one term per pair
-    of non-zero entries of one M_k, listed in the einsum's order (k, then x,
-    y, w, z): (M_kxy rho[a, y, c, z]) conj(M_kwz) adds to the output's slot
-    (x, w), and is (f (i^p (-i)^p' rho[a, y, c, z])) f' but for the signs of
-    zeros, f' the float of M_kwz.
-
-    Returns, per term, the columns of f and f' in the stack's (Q, 8k) float
-    view, the entries (a, c) of rho in rho.reshape(16), the phase
-    i^p (-i)^p' and the slot; and per M_k the (start, stop) of its terms and
-    whether they are one per slot, in slot order.
+    (1, q, sqrt(1-q)) (see ``affine_map``). A row that is 0 everywhere takes
+    column 0. Built once per family, read-only; a row with two non-zero
+    entries raises ValueError.
     """
-    live = kraus_stack(name, _AFFINE_QS).view(float).reshape(3, -1, 2, 2, 2).any(axis=0)
-    if (live[..., 0] & live[..., 1]).any():
-        raise ValueError(f"{name}: a Kraus entry is neither real nor imaginary")
-    nonzero, imag = live.any(axis=-1), live[..., 1]
-    k, x, y, w, z = np.argwhere(nonzero[:, :, :, None, None] & nonzero[:, None, None]).T
-    parts = np.stack([imag[k, x, y], imag[k, w, z]])
-    columns = 2 * (4 * k + 2 * np.stack([x, w]) + np.stack([y, z])) + parts
-    a, c = np.meshgrid([0, 1], [0, 1], indexing="ij")
-    entries = 8 * a + 4 * y[:, None, None] + 2 * c + z[:, None, None]
-    phases = np.where(parts[0], 1j, 1.0) * np.where(parts[1], -1j, 1.0)
-    slots = list(zip(x.tolist(), w.tolist()))
-    starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
-    groups = tuple((lo, hi, slots[lo:hi] == [(0, 0), (0, 1), (1, 0), (1, 1)])
-                   for lo, hi in zip(starts, starts[1:] + [k.size]))
-    return columns, entries, phases, slots, groups
+    live = (kraus_stack(name, _AFFINE_QS) != 0.0).any(axis=0)  # (k, x, y)
+    if (live.sum(axis=-1) > 1).any():
+        raise ValueError(f"{name}: a Kraus row has two non-zero entries")
+    columns = live.argmax(axis=-1)
+    columns.setflags(write=False)
+    return columns
 
 
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
@@ -166,41 +152,31 @@ def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
 
     Returns the evolved stack (Q, 4, 4), not re-validated, for a finite rho.
     Its floats are those of the einsum of sum_k (I x M_k) rho (I x M_k)^dagger
-    over B's indices (``tests/oracles.py``). Only the products of a Kraus
-    entry, an entry of rho and a conjugated Kraus entry that are not zero by
-    structure are formed (``_evolve_plan``: 5 per entry pair (a, c) for the
-    damping families, 16 for depolarizing noise), one M_k at a time, and each
-    is added in the einsum's order into an accumulator that starts at +0.0.
-    The products left out are +-0, and adding +-0 to a sum that starts at
-    +0.0 changes no float, so every output is the einsum's bit for bit, signed
-    zeros included. q is the innermost axis of the work arrays.
+    over B's indices (``tests/oracles.py``). Row x of M_k has one entry that is
+    not zero by structure, in column y_k(x) (``_columns``), so M_k adds one
+    product to output entry (a x, c w), the einsum's own
+    (M_k[x, y] rho[a y, c z]) conj(M_k[w, z]) with y = y_k(x) and z = y_k(w):
+    32 products per evolved row for the damping families and 64 for
+    depolarizing noise, where the einsum forms 128 and 256. Each Kraus entry
+    is real or imaginary, so each complex multiplication scales the floats of
+    its other factor exactly as the einsum's does. The products are added in
+    order of k into a sum that starts at +0.0. The einsum's other products are
+    +-0, and adding +-0 to such a sum changes no float, so every output is the
+    einsum's bit for bit, signed zeros included. q is the innermost axis of
+    the work arrays.
     """
-    ops = kraus_stack(name, qs)
-    columns, entries, phases, slots, groups = _evolve_plan(name)
-    n = ops.shape[0]
-    f, f_w = ops.view(float).reshape(n, 8 * ops.shape[1]).T[columns]  # (term, q) each
-    del ops  # freed before the work arrays are made
-    s = np.asarray(rho_mat, dtype=complex).reshape(16)[entries] * phases[:, None, None]
-    s = s.view(float).reshape(-1, 2, 2, 2)  # (term, a, c, re/im)
-    acc = np.zeros((2, 2, 2, 2, 2, n))  # (a, x, c, w, re/im, q)
-    buf = np.empty_like(acc)
-    for lo, hi, one_per_slot in groups:
-        if one_per_slot:  # all four terms at once, laid out like acc
-            np.multiply(f[lo:hi].reshape(1, 2, 1, 2, 1, n),
-                        s[lo:hi].reshape(2, 2, 2, 2, 2, 1).transpose(2, 0, 3, 1, 4, 5), out=buf)
-            buf *= f_w[lo:hi].reshape(1, 2, 1, 2, 1, n)
-            acc += buf
-            continue
-        term = buf[:, 0, :, 0]
-        for t in range(lo, hi):
-            np.multiply(f[t], s[t, ..., None], out=term)
-            term *= f_w[t]
-            x, w = slots[t]
-            acc_t = acc[:, x, :, w]
-            acc_t += term
-    out = np.empty((n, 4, 4), dtype=complex)
-    out.view(float).reshape(n, 32)[...] = acc.reshape(32, n).T
-    return out
+    columns = _columns(name)
+    # M_k[x, y_k(x)] as (k, x, q); the Kraus stack is dropped before the work arrays are made.
+    entries = kraus_stack(name, qs)[:, np.arange(len(columns))[:, None], [0, 1], columns].transpose(1, 2, 0)
+    rho = np.asarray(rho_mat, dtype=complex).reshape(2, 2, 2, 2)[:, columns[:, :, None], :, columns[:, None]]
+    out = np.zeros((2, 2, 2, 2) + entries.shape[-1:], dtype=complex)  # (a, x, c, w, q)
+    term = np.empty_like(out)
+    # rho[a, y_k(x), c, y_k(w)] is rho[k, x, w, a, c] above.
+    for m, m_conj, rho_k in zip(entries, entries.conj(), rho.transpose(0, 3, 1, 4, 2)):
+        np.multiply(m[:, None, None], rho_k[..., None], out=term)
+        term *= m_conj
+        out += term
+    return np.ascontiguousarray(out.reshape(16, -1).T).reshape(-1, 4, 4)
 
 
 # Every family is affine in (1, q, sqrt(1-q)): its Kraus entries are 1, sqrt(1-q)

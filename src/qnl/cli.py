@@ -4,7 +4,8 @@ Commands: measures, scan, thresholds, sample-mems, werner-map. States are
 given as text specs: ``bell:singlet``, ``werner:p=0.8``,
 ``mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05`` or ``file:path/to/state.json``.
 Exit codes: 0 success, 2 usage or validation error (non-finite numbers
-included), 3 when the computation itself fails (``_Group``).
+included) or a stdout that cannot be written, 3 when the computation itself
+fails (``_Group``).
 """
 
 from __future__ import annotations
@@ -75,8 +76,15 @@ def _echo(message: str, nl: bool = True) -> None:
     """``click.echo`` to the text stream click picks for stdout, looked up on each call.
 
     click.echo's own lookup caches that stream, which keeps every redirected stdout alive.
+    A failed write (a full disk, a closed pipe) exits 2 with one line on stderr.
     """
-    click.echo(message, click.get_text_stream("stdout", errors=None), nl)
+    try:
+        click.echo(message, click.get_text_stream("stdout", errors=None), nl)
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # Python's last flush of stdout then writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        click.echo(f"cannot write to stdout: {exc}", click.get_text_stream("stderr", errors=None))
+        sys.exit(2)
 
 
 def _sig12(x: float) -> float:

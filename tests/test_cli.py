@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -36,13 +37,17 @@ def fail_allocation(*args, **kwargs):
     raise AssertionError("a grid was allocated")
 
 
-def run_cli_process(args, timeout, env=None):
-    """Run ``python -m qnl.cli`` in a child process, so that a hang fails the test."""
+def cli_env(env=None):
+    """The environment of a child ``python -m qnl.cli`` that imports this qnl."""
     src = str(Path(qnl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    return {**os.environ, **(env or {}), "PYTHONPATH": path}
+
+
+def run_cli_process(args, timeout, env=None):
+    """Run ``python -m qnl.cli`` in a child process, so that a hang fails the test."""
     return subprocess.run([sys.executable, "-m", "qnl.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=cli_env(env), timeout=timeout)
 
 
 class TestMeasuresCommand:
@@ -464,3 +469,46 @@ def test_ascii_stdout_takes_a_non_ascii_path(tmp_path):
                              env={"PYTHONIOENCODING": "ascii"})
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"wrote 4 rows to {out}\n"
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+STDOUT_COMMANDS = [
+    ["measures", "--state", "bell:singlet"],
+    ["thresholds", "--state", "bell:singlet"],
+    ["scan", "--state", "bell:singlet", "--steps", "100000"],
+]
+
+
+@pytest.mark.parametrize("args", STDOUT_COMMANDS)
+def test_failed_stdout_write_exits_2_with_one_line(args, capsys):
+    with contextlib.redirect_stdout(_FullStream()), pytest.raises(SystemExit) as exit_info:
+        main.main(args, standalone_mode=False)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", STDOUT_COMMANDS)
+def test_stdout_on_a_full_device_exits_2_with_one_line(args):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "qnl.cli", *args], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+    assert result.returncode == 2
+    assert result.stderr == "cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+def test_closed_pipe_exits_2_with_one_line():
+    # The pipe has no reader from the start: no "Exception ignored" from the last flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "qnl.cli", *STDOUT_COMMANDS[2]], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "cannot write to stdout: [Errno 32] Broken pipe\n"

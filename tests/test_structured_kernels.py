@@ -1,17 +1,21 @@
 """The two array kernels under every ``scan`` row form only the products that are
-not zero by structure, and keep the floats of the one-einsum references
+not zero by structure (``evolve_grid`` one per Kraus operator and output entry),
+and keep the floats of the one-einsum references
 (``oracles.evolve_einsum``, ``oracles.correlation_einsum``) byte for byte,
 signed zeros included: ``channels.evolve_grid`` and
 ``measures.correlation_matrix_stack``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+import oracles
 import qnl.channels
 from conftest import ginibre
 from oracles import correlation_einsum, evolve_einsum
-from qnl.channels import FAMILIES, _evolve_plan, evolve_grid, kraus_stack
+from qnl.channels import FAMILIES, _columns, evolve_grid, kraus_stack
 from qnl.measures import correlation_matrix_stack
 from qnl.states import MemsWeights, bell_singlet, mems, werner
 
@@ -19,11 +23,11 @@ SIZES = (1, 2, 3, 17, 1001, 4004, 4099)
 
 
 def _grids() -> list[np.ndarray]:
-    """Even and random grids of each size, and the blocks [0], [1] and [0, 1]."""
+    """Even and random grids of each size, the empty grid, and the blocks [0], [1] and [0, 1]."""
     rng = np.random.default_rng(17)
     grids = [np.linspace(0.0, 1.0, size) for size in SIZES]
     grids += [np.sort(rng.random(size)) for size in SIZES]
-    return grids + [np.array(block) for block in ([0.0], [1.0], [0.0, 1.0])]
+    return grids + [np.array(block, dtype=float) for block in ([], [0.0], [1.0], [0.0, 1.0])]
 
 
 def _with_signed_zeros(mat: np.ndarray) -> np.ndarray:
@@ -63,6 +67,28 @@ def test_evolve_grid_is_the_einsum_bit_for_bit(family, state):
         got, want = evolve_grid(mat, family, qs), evolve_einsum(mat, family, qs)
         assert got.shape == (qs.size, 4, 4) and got.dtype == complex and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes(), f"{qs.size} strengths"
+
+
+def test_evolve_grid_scales_in_the_einsums_order(monkeypatch):
+    # In the three families the non-zero entries of one M_k share their modulus
+    # or one of them is 1, so the order of a product's two scalings never shows.
+    # Here they differ; each entry is real or imaginary, as in the families.
+    def stack(name, qs):
+        qs = np.asarray(qs, dtype=float)
+        ops = np.zeros((qs.size, 2, 2, 2), dtype=complex)
+        ops[:, 0, 0, 0] = np.sqrt(1.0 - qs / 3.0)
+        ops[:, 0, 1, 1] = -np.sqrt(1.0 - 0.7 * qs)
+        ops.imag[:, 1, 0, 1] = np.sqrt(qs / 3.0)
+        ops.imag[:, 1, 1, 0] = -np.sqrt(0.7 * qs)
+        return ops
+
+    for module in (qnl.channels, oracles):
+        monkeypatch.setattr(module, "kraus_stack", stack)
+    monkeypatch.setattr(qnl.channels, "_columns", functools.cache(_columns.__wrapped__))
+    for state, mat in STATES.items():
+        for qs in GRIDS:
+            got, want = evolve_grid(mat, "unequal-moduli", qs), evolve_einsum(mat, "unequal-moduli", qs)
+            assert got.tobytes() == want.tobytes(), f"{state}, {qs.size} strengths"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -106,26 +132,24 @@ def test_correlation_matrix_stack_reads_a_real_stack_as_complex():
     assert correlation_matrix_stack(stack[::2]).tobytes() == correlation_einsum(stack[::2]).tobytes()
 
 
-@pytest.mark.parametrize("family, terms", [("amplitude-damping", 5), ("phase-damping", 5),
-                                           ("depolarizing", 16)])
-def test_plan_forms_the_products_that_are_not_zero_by_structure(family, terms):
-    # Per entry pair (a, c) of the output, one product per pair of non-zero
-    # entries of one Kraus operator, each read from its non-zero float.
-    columns, entries, phases, slots, groups = _evolve_plan(family)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_columns_pick_each_rows_nonzero_entry(family):
+    columns = _columns(family)
+    assert _columns(family) is columns and not columns.flags.writeable  # built once, read-only
     ops = kraus_stack(family, np.array([0.5]))[0]
-    assert columns.shape == (2, terms) and entries.shape == (terms, 2, 2)
-    assert len(phases) == len(slots) == groups[-1][1] == terms
-    assert (ops.view(float).reshape(-1)[columns] != 0.0).all()
-    assert np.count_nonzero(ops != 0.0, axis=(1, 2)) @ np.count_nonzero(ops != 0.0, axis=(1, 2)) == terms
-    assert _evolve_plan(family) is _evolve_plan(family)  # built once
+    assert columns.shape == (ops.shape[0], 2)
+    picked = np.take_along_axis(ops, columns[..., None], axis=-1)[..., 0]
+    has_entry = (ops != 0.0).any(axis=-1)
+    assert has_entry.any() and (picked[has_entry] != 0.0).all()
+    assert (np.count_nonzero(ops, axis=-1) <= 1).all()
 
 
-def test_plan_rejects_an_entry_that_is_neither_real_nor_imaginary(monkeypatch):
+def test_columns_reject_a_row_with_two_non_zero_entries(monkeypatch):
     def stack(name, qs):
         ops = np.zeros((len(qs), 1, 2, 2), dtype=complex)
-        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = (1.0 + 1.0j) / np.sqrt(2.0)
+        ops[:, 0] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # Hadamard
         return ops
 
     monkeypatch.setattr(qnl.channels, "kraus_stack", stack)
-    with pytest.raises(ValueError, match="neither real nor imaginary"):
-        _evolve_plan.__wrapped__("phase-rotation")
+    with pytest.raises(ValueError, match="two non-zero entries"):
+        _columns.__wrapped__("hadamard")
