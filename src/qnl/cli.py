@@ -151,10 +151,8 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
     except BadGrid as exc:
         _fail_usage(str(exc))
     _echo("q,concurrence,fidelity,bell")
-    # One % per block of rows, as sampling.write_records_csv formats them.
-    for k in range(0, len(table), thresholds._BLOCK_POINTS):
-        block = table[k:k + thresholds._BLOCK_POINTS]
-        _echo(("%.12g,%.12g,%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()), nl=False)
+    for text in sampling.csv_blocks(table):
+        _echo(text, nl=False)
 
 
 @main.command("thresholds")

@@ -178,17 +178,25 @@ def hierarchy_experiment(cfg: SamplerConfig) -> HierarchyResult:
     return HierarchyResult(weights, x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
 
 
+def csv_blocks(*columns: np.ndarray) -> Iterator[str]:
+    """CSV text, LF endings, of the rows of column arrays (n, m_i) side by side.
+
+    Every cell is ``%.12g`` of its float, the bytes of ``format(v, ".12g")``.
+    Rows are formatted with one ``%`` per _BLOCK_POINTS of them and yielded a
+    block at a time, so the text held in memory does not grow with n.
+    """
+    row = ",".join(["%.12g"] * sum(c.shape[1] for c in columns)) + "\n"
+    for k in range(0, len(columns[0]), _BLOCK_POINTS):
+        cells = np.hstack([c[k:k + _BLOCK_POINTS] for c in columns])
+        yield (row * len(cells)) % tuple(cells.ravel().tolist())
+
+
 def write_records_csv(records: HierarchyResult, fh: TextIO) -> None:
     """Write the result as CSV with LF endings; absent values are empty cells.
 
-    Every cell is ``%.12g`` of its float, the bytes of ``format(v, ".12g")``;
-    an absent one prints as "nan", which no number contains, and is dropped.
-    Rows are formatted and written _BLOCK_POINTS at a time, so the text held
-    in memory does not grow with n.
+    The rows are ``csv_blocks`` of the weights, thresholds and gaps; an
+    absent value prints as "nan", which no number contains, and is dropped.
     """
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    row = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
-    columns = (records.weights, records.thresholds, records.gaps)
-    for k in range(0, len(records), _BLOCK_POINTS):
-        cells = np.hstack([c[k:k + _BLOCK_POINTS] for c in columns])
-        fh.write(((row * len(cells)) % tuple(cells.ravel().tolist())).replace("nan", ""))
+    for text in csv_blocks(records.weights, records.thresholds, records.gaps):
+        fh.write(text.replace("nan", ""))

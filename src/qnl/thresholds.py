@@ -35,13 +35,14 @@ per state, every quantity its margins read as a Chebyshev series in s: the
 entries of T^T T, ||adj T||_F^2 and det T of the correlation matrix T, and
 det(rho^{T_B}) (``_kraus_table``). Each point takes its signs from the table's
 sums (``invariant_sign_margins``, no SVD). ``x_thresholds`` reads many X-states
-at once in closed form, from the same map's X block (``_x_block``). Each
-condition is two blocks (``_x_blocks``): of each point's entries
-(A + q B) + sqrt(1-q) C its margin (``_x_margins``), of their coefficients in
-s its candidate quadratics (``_x_quadratics``). Each stage of a block of
-X-states is a few array calls whatever its size: the eight quadratics of every
-state are one array, solved in one call (``_x_candidates``), and each margins
-call fills one (4, M) array.
+at once in closed form, from the same map's X block (``_x_block``). A block of
+X-states is its (A, B, C) parts, (18, N), formed once as the ``np.dot`` of
+that X block with its X entries; every stage reads that array. Each condition
+is two blocks (``_x_blocks``): of each point's entries (A + q B) + sqrt(1-q) C
+its margin (``_x_margins``), of their coefficients in s its candidate
+quadratics (``_x_quadratics``). Each stage is a few array calls whatever the
+block's size: the eight quadratics of every state are one array, solved in one
+call (``_x_brackets``), and each margins call fills one (4, M) array.
 ``threshold_set`` takes the Wootters roots only where the determinant is
 rounding noise (``_kraus_margins``). ``scan`` prints C, so it takes them too,
 but only at the points that the state's table does not prove separable; at
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import X_FLAT, affine_map, channel_family, evolve_grid
-from .errors import BadGrid, InvalidTolerance
+from .errors import BadGrid, InvalidTolerance, NotPSD, TraceNotOne
 from .measures import (
     _N_CUTS,
     REGIONS,
@@ -76,7 +77,7 @@ from .measures import (
     jacobi_fidelity_bell,
     wootters_roots_stack,
 )
-from .states import DensityMatrix
+from .states import PSD_TOL, TRACE_TOL, DensityMatrix
 from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
@@ -226,27 +227,18 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     return margins
 
 
-def _x_margins(entries: np.ndarray, family: str):
-    """Margins provider of X-states, X entries (6, N), through the closed-form X path.
+def _x_margins(parts: np.ndarray):
+    """Margins provider of X-states, their (A, B, C) parts (18, N), through the closed-form X path.
 
-    The provider takes (A, B, C) of every state once from the map's X block
-    (``_x_block``); a point's evolved entries are (A + q B) + sqrt(1-q) C. It
-    keeps only the rows of B and C that the block does not leave at exactly
-    0, as adding q 0 or sqrt(1-q) 0 changes no float. A margin is the larger
-    of its condition's two ``_x_blocks`` (G, B, F) or their product (C).
+    ``parts`` is the ``np.dot`` of the map's X block (``_x_block``) with the
+    states' X entries, formed once per block by ``x_thresholds``; a point's
+    evolved entries are (A + q B) + sqrt(1-q) C. A margin is the larger of
+    its condition's two ``_x_blocks`` (G, B, F) or their product (C).
     """
-    block = _x_block(family)
-    kept = block.any(axis=1)
-    kept[:6] = True
-    on_b, on_c = np.flatnonzero(kept[6:12]), np.flatnonzero(kept[12:])
-    parts = np.dot(block[kept], entries)
 
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        taken = parts.take(states, axis=1)
-        evolved = taken[:6]
-        evolved[on_b] += qs * taken[6:6 + on_b.size]
-        evolved[on_c] += np.sqrt(1.0 - qs) * taken[6 + on_b.size:]
-        blocks = _x_blocks(evolved, np.multiply, 1.0)
+        a, b, c = parts.take(states, axis=1).reshape(3, 6, -1)
+        blocks = _x_blocks((a + qs * b) + np.sqrt(1.0 - qs) * c, np.multiply, 1.0)
         out = np.maximum(blocks[:, 0], blocks[:, 1])
         out[3] = blocks[3, 0] * blocks[3, 1]
         return out
@@ -371,7 +363,8 @@ def _even_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _x_block(family: str) -> np.ndarray:
     """The X block of ``affine_map``, read-only, laid out (18, 6) as ``np.tensordot`` lays it out.
 
-    Its ``np.dot`` with X entries (6, N) is (A, B, C) of each, the floats of tensordot.
+    Its ``np.dot`` with X entries (6, N) is (A, B, C) of each, the floats of tensordot:
+    the parts that ``x_thresholds`` forms once per block and every X stage reads.
     """
     block = affine_map(family)[X_FLAT][:, :, X_FLAT].transpose(1, 2, 0).reshape(18, 6)
     block.setflags(write=False)
@@ -420,38 +413,24 @@ def _x_blocks(x, mul, one) -> np.ndarray:
     return blocks
 
 
-def _x_quadratics(entries: np.ndarray, family: str) -> np.ndarray:
-    """The eight quadratics of X-states, X entries (6, N): coefficients (3, 4, 2, N).
+def _x_quadratics(parts: np.ndarray) -> np.ndarray:
+    """The eight quadratics of X-states, their (A, B, C) parts (18, N): coefficients (3, 4, 2, N).
 
     Each entry of the evolved state is e(s) = e0 + e1 s + e2 s^2 in s = sqrt(1-q),
-    read from the X block of ``affine_map`` (``_x_block``), which acts on
-    moduli: no term joins rho14 and rho23 or their conjugates. The quadratics
-    are the ``_x_blocks`` of those coefficients, so a condition can change
-    sign only where one of its two quadratics does (max(x, y) > 0 and xy > 0
-    change sign only where x or y does). G and F take no product and stay in
-    s; the products of B and C (``_even_product``) are in u = s^2. The axes
-    are (coefficient of 1, s or u and s^2 or u^2; condition in Measure order;
-    quadratic; state).
+    read from the parts that ``_x_margins`` evolves: the map's X block
+    (``_x_block``) acts on moduli, so no term joins rho14 and rho23 or their
+    conjugates. The quadratics are the ``_x_blocks`` of those coefficients,
+    so a condition can change sign only where one of its two quadratics does
+    (max(x, y) > 0 and xy > 0 change sign only where x or y does). G and F
+    take no product and stay in s; the products of B and C
+    (``_even_product``) are in u = s^2. The axes are (coefficient of 1, s or
+    u and s^2 or u^2; condition in Measure order; quadratic; state).
     """
-    n = entries.shape[1]
-    a, b, c = np.dot(_x_block(family), entries).reshape(3, 6, n)
+    a, b, c = parts.reshape(3, 6, -1)
     # rho(q) = (A + B) + s C - s^2 B.
     blocks = _x_blocks(np.stack([a + b, c, -b], axis=1), _even_product, _ONE_IN_S)
     # A contiguous copy: _unit_candidates reads it faster than the strided view.
     return np.ascontiguousarray(np.moveaxis(blocks, 2, 0))
-
-
-def _x_candidates(entries: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, uncertain) of X-states, X entries (6, N): candidate strengths (3, 4, 2, N).
-
-    The eight ``_x_quadratics`` of every state are solved in one
-    ``_unit_candidates`` call. ``qs[k, m, j]`` is the strength of root k
-    (k = 2: the vertex) of quadratic j of condition m, NaN where it is not
-    real or not in [0, 1]. A state is uncertain if its coefficients are
-    degenerate or not finite.
-    """
-    t, certain = _unit_candidates(_x_quadratics(entries, family))
-    return 1.0 - np.where(_IN_S, t * t, t), ~certain.all(axis=(0, 1))
 
 
 def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,22 +454,26 @@ def _read_points(qs: np.ndarray, uncertain: np.ndarray) -> tuple[np.ndarray, np.
     return np.nonzero(first)[0], reads[first]
 
 
-def _x_brackets(margins, entries: np.ndarray, family: str, tol: float) -> tuple[np.ndarray, ...]:
-    """(dead_at, guess, uncertain) of X-states, X entries (6, N), as ``_prescan`` gives them.
+def _x_brackets(margins, parts: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """(dead_at, guess, uncertain) of X-states, their (A, B, C) parts (18, N), as ``_prescan`` gives them.
 
-    ``margins``, the states' ``_x_margins``, is read at the points of
-    ``_read_points`` around the candidate strengths of ``_x_candidates``;
+    The eight ``_x_quadratics`` of every state are solved in one
+    ``_unit_candidates`` call: the candidate strengths qs (3, 4, 2, N), where
+    ``qs[k, m, j]`` is root k (k = 2: the vertex) of quadratic j of condition
+    m, NaN where it is not real or not in [0, 1]. ``margins``, the states'
+    ``_x_margins``, is read at the points of ``_read_points`` around them;
     between two of those points the sign is taken as constant, so a row's
     first dead point is the dead end of its first alive-to-dead pair of read
     points. Each condition's guess is a real root in its bracket of its own
     two quadratics, vertices left out: G, B and F, alive while either
     quadratic is positive, take the largest, C, whose product changes sign at
-    either root, the smallest; +-inf if none. A state is uncertain if
-    ``_x_candidates`` says so, or if two points that bound an unread run of
-    bracket points disagree, and is pre-scanned instead.
+    either root, the smallest; +-inf if none. A state is uncertain, and is
+    pre-scanned instead, if its coefficients are degenerate or not finite, or
+    if two points that bound an unread run of bracket points disagree.
     """
-    n = entries.shape[1]
-    qs, uncertain = _x_candidates(entries, family)
+    n = parts.shape[1]
+    t, certain = _unit_candidates(_x_quadratics(parts))
+    qs, uncertain = 1.0 - np.where(_IN_S, t * t, t), ~certain.all(axis=(0, 1))
     states, points = _read_points(qs, uncertain)
     ends = _ends(tol)
     dead_at = np.full((n, len(Measure)), _SURVIVES)
@@ -655,23 +638,53 @@ def threshold_set(
     return ThresholdSet(*(None if math.isnan(q) else q for q in found.tolist()))
 
 
+def _check_x_entries(entries: np.ndarray) -> np.ndarray:
+    """X entries (6, N) as an array, checked with the errors and tolerances of ``DensityMatrix``.
+
+    ValueError unless real, shaped (6, N) and finite (complex coherences are
+    not entries: ``channels.x_entries`` takes their moduli); TraceNotOne
+    unless the populations sum to 1 within TRACE_TOL; NotPSD if a modulus is
+    negative or a block {rho11, rho44, |rho14|} or {rho22, rho33, |rho23|},
+    whose eigenvalues are those of the X-state, has one below -PSD_TOL.
+    """
+    entries = np.asarray(entries)
+    if entries.ndim != 2 or entries.shape[0] != 6 or entries.dtype.kind not in "iuf":
+        raise ValueError(f"expected real X entries of shape (6, N), got {entries.dtype} {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise ValueError("X entries must be finite numbers")
+    trace_err = np.abs(entries[:4].sum(axis=0) - 1.0).max(initial=0.0)
+    if trace_err > TRACE_TOL:
+        raise TraceNotOne(f"a trace is off by {trace_err:.3e}")
+    # The blocks' diagonals (rho11, rho22) and (rho44, rho33), and their moduli.
+    d, e, m = entries[:2], entries[3:1:-1], entries[4:]
+    if m.min(initial=0.0) < 0.0:
+        raise NotPSD(f"modulus {m.min():.3e} below 0")
+    min_eig = (0.5 * (d + e) - np.hypot(0.5 * (d - e), m)).min(initial=0.0)
+    if min_eig < -PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{PSD_TOL:.0e}")
+    return entries
+
+
 def x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """Critical strengths (N, 4) of X-states, in Measure order, NaN where one survives.
 
     ``entries`` (6, N) comes from ``channels.x_entries``; row k is the
-    ``threshold_set`` of state k, NaN for None. The margins come in closed
+    ``threshold_set`` of state k, NaN for None. The entries are checked as
+    ``DensityMatrix`` checks a state (``_check_x_entries``). Each block's
+    (A, B, C) parts are formed once; the margins come from them in closed
     form (``_x_margins``), and the brackets from their roots (``_x_brackets``),
     with no pre-scan unless a state's roots cannot be certified; the floats
     are those of ``_locate`` with the pre-scan.
     """
     tol = _check_tol(tol)
     channel_family(family)
+    entries = _check_x_entries(entries)
     found = np.empty((entries.shape[1], len(Measure)))
     # Located _BLOCK_POINTS states at a time, so the scratch arrays do not grow with n.
     for k in range(0, entries.shape[1], _BLOCK_POINTS):
-        block = entries[:, k:k + _BLOCK_POINTS]
-        margins = _x_margins(block, family)
-        dead_at, guess, _ = _x_brackets(margins, block, family, tol)
+        parts = np.dot(_x_block(family), entries[:, k:k + _BLOCK_POINTS])
+        margins = _x_margins(parts)
+        dead_at, guess, _ = _x_brackets(margins, parts, tol)
         found[k:k + _BLOCK_POINTS] = _locate(margins, dead_at, tol, guess)
     return found
 

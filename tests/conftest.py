@@ -61,6 +61,13 @@ def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.nda
     assert np.all(np.abs(got - want) <= err.T)
 
 
+def x_parts(entries: np.ndarray, family: str) -> np.ndarray:
+    """The (A, B, C) parts (18, N) of X entries (6, N), the one product ``x_thresholds`` forms per block."""
+    from qnl.thresholds import _x_block
+
+    return np.dot(_x_block(family), entries)
+
+
 def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     """Transpose qubit B's indices; works on (4, 4) or stacked (n, 4, 4)."""
     if rho.ndim == 2:

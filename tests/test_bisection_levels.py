@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, ginibre
+from conftest import assert_same_bits, ginibre, x_parts
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, x_entries
@@ -222,8 +222,9 @@ def mems_entries(n: int, family: str) -> np.ndarray:
 
 def check_x(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """check_same of the X provider with the guesses of ``_x_brackets``, then with none."""
-    margins = _x_margins(entries, family)
-    check_same(margins, entries.shape[1], tol, _x_brackets(margins, entries, family, tol)[1])
+    parts = x_parts(entries, family)
+    margins = _x_margins(parts)
+    check_same(margins, entries.shape[1], tol, _x_brackets(margins, parts, tol)[1])
     return check_same(margins, entries.shape[1], tol)
 
 
@@ -283,7 +284,7 @@ def test_resumed_rows(tol):
 
 def test_every_level_count_is_exercised():
     providers = [(row_margins(random_roots(n)), n) for n in STATE_COUNTS]
-    providers += [(_x_margins(mems_entries(n, family), family), n)
+    providers += [(_x_margins(x_parts(mems_entries(n, family), family)), n)
                   for n in STATE_COUNTS for family in sorted(FAMILIES)]
     levels = set()
     for margins, n in providers:
@@ -353,7 +354,7 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
     rng = np.random.default_rng(seed)
     entries = mems_entries(5 + seed % 295, family)[:, -5:]
     cases = [(_kraus_margins(ginibre(rng, 1 + seed % 4), family), 1),
-             (_x_margins(entries, family), entries.shape[1])]
+             (_x_margins(x_parts(entries, family)), entries.shape[1])]
     for margins, n in cases:
         want = one_level_locate(margins, n, tol)
         dead_at = np.stack([_prescan(margins, state, tol)[0] for state in range(n)])
@@ -365,7 +366,8 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
         if fallback:
             patch.setattr(thresholds, "_unit_candidates", lambda coef: (
                 np.full(coef.shape, np.nan), np.zeros(coef.shape[1:], dtype=bool)))
-            assert _x_brackets(_x_margins(entries, family), entries, family, tol)[2].all()
+            parts = x_parts(entries, family)
+            assert _x_brackets(_x_margins(parts), parts, tol)[2].all()
         assert_same_bits(x_thresholds(entries, family, tol), want)
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ginibre, haar_unitary, partial_transpose_b
+from conftest import ginibre, haar_unitary, partial_transpose_b, x_parts
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, affine_map, evolve_grid, x_entries
@@ -286,7 +286,7 @@ def test_margins_are_nested(seed, kind, family, qs):
     check_nested(kraus_margins(mat, family, qs))
     if kind != "ginibre":
         states = np.zeros(qs.size, dtype=np.intp)
-        check_nested(_x_margins(x_entries(mat[None]), family)(states, qs))
+        check_nested(_x_margins(x_parts(x_entries(mat[None]), family))(states, qs))
 
 
 def local_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -405,4 +405,4 @@ def test_kraus_margins_do_not_depend_on_the_call(family):
 def test_x_margins_do_not_depend_on_the_call(family):
     rng = np.random.default_rng(9)
     mats = np.stack([x_state(rng) for _ in range(4)] + [werner(0.9).mat, bell_singlet().mat])
-    check_call_independence(_x_margins(x_entries(mats), family), len(mats), rng)
+    check_call_independence(_x_margins(x_parts(x_entries(mats), family)), len(mats), rng)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import assert_same_bits, x_parts
 from hypothesis import example, given, settings, strategies as st
 
 from qnl import thresholds
@@ -41,13 +41,14 @@ phase = st.floats(0.0, 2.0 * math.pi)
 
 def prescan(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """dead_at of every state from the pre-scan."""
-    margins = _x_margins(entries, family)
+    margins = _x_margins(x_parts(entries, family))
     return np.stack([_prescan(margins, state, tol)[0] for state in range(entries.shape[1])])
 
 
 def check(entries: np.ndarray, family: str, tol: float = 1e-9) -> np.ndarray:
     """_x_brackets against _prescan on every row; returns which states were uncertain."""
-    dead_at, _, uncertain = _x_brackets(_x_margins(entries, family), entries, family, tol)
+    parts = x_parts(entries, family)
+    dead_at, _, uncertain = _x_brackets(_x_margins(parts), parts, tol)
     np.testing.assert_array_equal(dead_at, prescan(entries, family, tol), err_msg=family)
     return uncertain
 
@@ -150,7 +151,7 @@ def prescan_sets(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """Critical strengths (N, 4) of _locate after the pre-scan, with no guess."""
     dead_at = prescan(entries, family, tol)
     guess = np.full(dead_at.shape, np.nan)
-    return _locate(_x_margins(entries, family), dead_at, tol, guess)
+    return _locate(_x_margins(x_parts(entries, family)), dead_at, tol, guess)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -171,13 +172,31 @@ def test_located_block_by_block(monkeypatch, family):
     covered = []
     make = thresholds._x_margins
 
-    def recording(entries: np.ndarray, family: str):
-        covered.append(entries.shape[1])
-        return make(entries, family)
+    def recording(parts: np.ndarray):
+        covered.append(parts.shape[1])
+        return make(parts)
 
     monkeypatch.setattr(thresholds, "_x_margins", recording)
     assert_same_bits(x_thresholds(entries, family, 1e-9), want)
     assert covered and max(covered) <= _BLOCK_POINTS
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_product_per_block(monkeypatch, family):
+    # Each block's (A, B, C) parts are formed once, from one read of the map's
+    # X block, and the margins, the quadratics and the brackets read them.
+    cfg = SamplerConfig(n_states=_BLOCK_POINTS + 30, seed=4, channel=family)
+    entries = _mems_entries(_accepted_weights(cfg))
+    reads = []
+    block = thresholds._x_block
+
+    def counted(name: str) -> np.ndarray:
+        reads.append(name)
+        return block(name)
+
+    monkeypatch.setattr(thresholds, "_x_block", counted)
+    x_thresholds(entries, family, 1e-9)
+    assert reads == [family, family]
 
 
 def no_candidates(certain: bool):
@@ -193,13 +212,14 @@ def no_candidates(certain: bool):
 def test_forced_fallback(monkeypatch, family, tol):
     entries = mixed_entries(family)
     want = prescan_sets(entries, family, tol)
+    parts = x_parts(entries, family)
     # Degenerate coefficients everywhere: every state is read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(False))
-    assert _x_brackets(_x_margins(entries, family), entries, family, tol)[2].all()
+    assert _x_brackets(_x_margins(parts), parts, tol)[2].all()
     assert_same_bits(x_thresholds(entries, family, tol), want)
     # No candidates: a state is uncertain where q = 0 and the tail point
     # disagree across the unread grid, and read from the pre-scan.
     monkeypatch.setattr(thresholds, "_unit_candidates", no_candidates(True))
-    uncertain = _x_brackets(_x_margins(entries, family), entries, family, tol)[2]
+    uncertain = _x_brackets(_x_margins(parts), parts, tol)[2]
     assert 0 < uncertain.sum() < uncertain.size
     assert_same_bits(x_thresholds(entries, family, tol), want)

@@ -31,12 +31,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits
+from conftest import assert_same_bits, x_parts
 from hypothesis import given, settings, strategies as st
 from oracles import evolve_x, x_margins, x_quadratics, x_singvals
 
 from qnl.channels import FAMILIES, evolve_grid, x_entries
-from qnl.errors import QOutOfRange
+from qnl.errors import NotPSD, QOutOfRange, TraceNotOne
 from qnl.measures import GISIN_BOUND, correlation_measures, correlation_singvals_stack
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
@@ -46,7 +46,6 @@ from qnl.thresholds import (
     ThresholdSet,
     _curves,
     _kraus_margins,
-    _x_block,
     _x_blocks,
     _x_margins,
     _x_quadratics,
@@ -78,7 +77,7 @@ def x_state(diag, c14=0.0, c23=0.0) -> np.ndarray:
 
 def both_margins(mat: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
     states = np.zeros(GRID.size, dtype=np.intp)
-    x = _x_margins(x_entries(mat[None]), family)(states, GRID)
+    x = _x_margins(x_parts(x_entries(mat[None]), family))(states, GRID)
     kraus = _kraus_margins(mat, family)(states, GRID)
     return x, kraus
 
@@ -220,6 +219,84 @@ def test_x_thresholds_rejects_unknown_family():
             x_thresholds(entries, "bit-flip", 1e-6)
 
 
+def entries_of(*columns) -> np.ndarray:
+    """X entries (6, N) of columns (rho11, rho22, rho33, rho44, |rho14|, |rho23|)."""
+    return np.array(columns, dtype=float).T
+
+
+WERNER_COLUMN = x_entries(werner(0.5).mat[None])[:, 0]
+
+
+def test_x_thresholds_rejects_entries_that_are_not_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.full((6, 2), bad)
+        with pytest.raises(ValueError, match="finite"):
+            x_thresholds(entries, "depolarizing", 1e-6)
+        # The family is checked first.
+        with pytest.raises(ValueError, match="unknown channel family"):
+            x_thresholds(entries, "bit-flip", 1e-6)
+    entries = np.stack([WERNER_COLUMN, WERNER_COLUMN], axis=1)
+    entries[4, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        x_thresholds(entries, "amplitude-damping", 1e-6)
+
+
+def test_x_thresholds_rejects_entries_of_another_shape_or_kind():
+    for shape in ((5, 2), (7, 2), (6,), (6, 1, 1), ()):
+        with pytest.raises(ValueError, match=r"real X entries of shape \(6, N\)"):
+            x_thresholds(np.full(shape, 0.25), "phase-damping", 1e-6)
+    # Complex coherences, and arrays that hold no numbers.
+    for entries in (WERNER_COLUMN[:, None] + 0j, WERNER_COLUMN[:, None].astype(object),
+                    np.full((6, 1), "0.25")):
+        with pytest.raises(ValueError, match="real X entries"):
+            x_thresholds(entries, "phase-damping", 1e-6)
+    # Lists and integer arrays are entries too.
+    entries = [[1], [0], [0], [0], [0], [0]]
+    assert_same_bits(x_thresholds(entries, "phase-damping", 1e-6),
+                     x_thresholds(np.array(entries, dtype=float), "phase-damping", 1e-6))
+    assert_same_bits(x_thresholds(np.array(entries), "phase-damping", 1e-6),
+                     x_thresholds(np.array(entries, dtype=float), "phase-damping", 1e-6))
+
+
+def test_x_thresholds_rejects_a_trace_away_from_one():
+    entries = np.stack([WERNER_COLUMN] * 3, axis=1)
+    entries[0, 1] += 2e-10
+    with pytest.raises(TraceNotOne):
+        x_thresholds(entries, "depolarizing", 1e-6)
+    # Within TRACE_TOL, as DensityMatrix accepts it.
+    entries[0, 1] -= 1.5e-10
+    assert x_thresholds(entries, "depolarizing", 1e-6).shape == (3, 4)
+
+
+def test_x_thresholds_rejects_a_negative_modulus():
+    for row in (4, 5):
+        entries = np.stack([WERNER_COLUMN] * 2, axis=1)
+        entries[row, 0] = -1e-300
+        with pytest.raises(NotPSD, match="modulus"):
+            x_thresholds(entries, "amplitude-damping", 1e-6)
+
+
+def test_x_thresholds_rejects_a_negative_eigenvalue():
+    # The example of a trace-one X "state" with rho44 = -1 and |rho14| = 3.
+    with pytest.raises(NotPSD, match="minimum eigenvalue"):
+        x_thresholds(entries_of((2, 0, 0, -1, 3, 0)), "depolarizing", 1e-6)
+    # Each 2x2 block, just past -PSD_TOL and just inside it, against DensityMatrix.
+    for excess, raises in ((2e-10, True), (5e-11, False)):
+        for c14, c23 in ((0.25 + excess, 0.0), (0.0, 0.25 + excess)):
+            mat = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+            mat[0, 3] = mat[3, 0] = c14
+            mat[1, 2] = mat[2, 1] = c23
+            entries = entries_of((0.25, 0.25, 0.25, 0.25, c14, c23))
+            if raises:
+                with pytest.raises(NotPSD):
+                    DensityMatrix(mat)
+                with pytest.raises(NotPSD):
+                    x_thresholds(entries, "phase-damping", 1e-6)
+            else:
+                DensityMatrix(mat)
+                assert x_thresholds(entries, "phase-damping", 1e-6).shape == (1, 4)
+
+
 def edge_x_entries(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random X entries (6, n), some at the PSD bound, some MEMS (|rho14| = 0), some subnormal."""
     d = rng.dirichlet(np.ones(4), size=n).T
@@ -239,7 +316,7 @@ def test_x_margins_keep_their_float_order(family, rng):
     entries = edge_x_entries(rng, n)
     qs = np.concatenate([[0.0, 1.0, _BELOW_ONE], rng.uniform(size=n - 3)])
     states = rng.permutation(n)
-    assert_same_bits(_x_margins(entries, family)(states, qs),
+    assert_same_bits(_x_margins(x_parts(entries, family))(states, qs),
                      x_margins(entries[:, states], family, qs))
 
 
@@ -249,7 +326,7 @@ def test_x_quadratics_equal_the_hand_expansion(family, rng):
     # bit for bit, on random X entries (edge_x_entries) and on MEMS.
     entries = np.hstack([edge_x_entries(rng, 10_000), x_entries(np.stack(
         [mems(MemsWeights(*w)).mat for w in np.sort(rng.dirichlet(np.ones(4), 50))[:, ::-1]]))])
-    assert_same_bits(_x_quadratics(entries, family), x_quadratics(entries, family))
+    assert_same_bits(_x_quadratics(x_parts(entries, family)), x_quadratics(entries, family))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -260,9 +337,10 @@ def test_x_quadratics_are_the_blocks_of_the_evolved_entries(family, rng):
     n = 3000
     entries = edge_x_entries(rng, n)
     qs = np.concatenate([[0.0, 1.0, _BELOW_ONE], rng.uniform(size=n - 3)])
-    a, b, c = np.dot(_x_block(family), entries).reshape(3, 6, n)
+    parts = x_parts(entries, family)
+    a, b, c = parts.reshape(3, 6, n)
     blocks = _x_blocks((a + qs * b) + np.sqrt(1.0 - qs) * c, np.multiply, 1.0)
-    quad = _x_quadratics(entries, family)
+    quad = _x_quadratics(parts)
     t = np.where(_IN_S, np.sqrt(1.0 - qs), 1.0 - qs)
     values = quad[0] + quad[1] * t + quad[2] * (t * t)
     assert np.all(np.abs(values - blocks) <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(blocks)))
