@@ -9,15 +9,18 @@ and q = 0 is always the identity channel:
                       single-qubit action is rho -> (1-q) rho + q I/2, i.e.
                       q is the total error probability.
 
-A family's operators at one strength are one row of ``kraus_stack``, the one
-table of each family's operators, and ``FAMILIES[name](q)`` reads that row. A
-channel acts on qubit B, the transmitted one, as one real map (``affine_map``),
-built from the same table. Each family keeps X-states (non-zero only on the
-diagonal and the anti-diagonal) in X form, so the map's X block is all the X
-path of ``thresholds`` reads. ``evolve_grid`` evolves one state over a grid of
-strengths, as ``scan`` does on every row: each row of each operator has one
-entry that is not zero by structure, so it forms one product per operator and
-output entry, the einsum's own, with the einsum's floats.
+Each family is one literal table, ``_KRAUS``: each row of each operator holds
+at most one entry, and the table gives its column and the entry itself, a phase
+(+-1 or +-i) times sqrt(a + b q), or a phase of 0 for a row with no entry.
+``kraus_stack`` evaluates the table over a grid of strengths, and
+``FAMILIES[name](q)`` is one row of that stack.
+``evolve_grid`` evolves one state over a grid of strengths, as ``scan`` does on
+every row: it reads the table's entries and columns, so it forms one product per
+operator and output entry, the einsum's own, with the einsum's floats. A channel
+acts on qubit B, the transmitted one, as one real map (``affine_map``), sampled
+from ``evolve_grid``. Each family keeps X-states (non-zero only on the diagonal
+and the anti-diagonal) in X form, so the map's X block is all the X path of
+``thresholds`` reads.
 """
 
 from __future__ import annotations
@@ -34,16 +37,31 @@ COMPLETENESS_TOL = 1e-12
 X_FLAT = np.array([0, 5, 10, 15, 3, 6])  # rho11..rho44, rho14, rho23 in rho.reshape(16)
 
 
+# Row x of each operator M_k is (y, (re, im), a, b): its one entry, (re + i im)
+# sqrt(a + b q), sits in column y, and a phase of 0 means no entry. Only the
+# non-zero parts of a phase are written, so the others stay +0.0. a is -0.0 where
+# it adds nothing: -0.0 + x is x for every float x, so sqrt(a + b q) is sqrt(b q)
+# bit for bit, -0.0 included.
+_NO_ENTRY = (0, (0.0, 0.0), 0.0, 0.0)
+_KRAUS = {
+    "amplitude-damping": (((0, (1.0, 0.0), 1.0, 0.0), (1, (1.0, 0.0), 1.0, -1.0)),
+                          ((1, (1.0, 0.0), -0.0, 1.0), _NO_ENTRY)),
+    "phase-damping": (((0, (1.0, 0.0), 1.0, 0.0), (1, (1.0, 0.0), 1.0, -1.0)),
+                      (_NO_ENTRY, (1, (1.0, 0.0), -0.0, 1.0))),
+    "depolarizing": (((0, (1.0, 0.0), 1.0, -0.75), (1, (1.0, 0.0), 1.0, -0.75)),  # sqrt(1-3q/4) I
+                     ((1, (1.0, 0.0), -0.0, 0.25), (0, (1.0, 0.0), -0.0, 0.25)),  # sqrt(q/4) sigma_x
+                     ((1, (0.0, -1.0), -0.0, 0.25), (0, (0.0, 1.0), -0.0, 0.25)),  # sqrt(q/4) sigma_y
+                     ((0, (1.0, 0.0), -0.0, 0.25), (1, (-1.0, 0.0), -0.0, 0.25))),  # sqrt(q/4) sigma_z
+}
+
+
 def _kraus_ops(name: str, q: float) -> np.ndarray:
     return kraus_stack(name, np.array([float(q)]))[0]
 
 
 #: Canonical channel names as used by the CLI and CSV outputs; ``FAMILIES[name](q)``
 #: is the family's Kraus operators at strength q, shape (k, 2, 2).
-FAMILIES = {
-    name: functools.partial(_kraus_ops, name)
-    for name in ("amplitude-damping", "phase-damping", "depolarizing")
-}
+FAMILIES = {name: functools.partial(_kraus_ops, name) for name in _KRAUS}
 
 
 def channel_family(name: str):
@@ -78,44 +96,50 @@ def apply_channel(rho: DensityMatrix, ops: np.ndarray) -> DensityMatrix:
 
 def _strengths(qs) -> np.ndarray:
     qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 1:
+        raise ValueError(f"channel strengths must be a 1-d array, got shape {qs.shape}")
     inside = (qs >= 0.0) & (qs <= 1.0)
     if not inside.all():
         raise QOutOfRange(f"channel strength q must lie in [0, 1], got {qs[~inside][0]}")
     return qs
 
 
+@functools.cache
+def _table(name: str) -> tuple[np.ndarray, ...]:
+    """A family's ``_KRAUS`` table as arrays, built once.
+
+    The column y_k(x) of each row's entry, (k, 2), read-only; then, for each
+    non-zero part of an entry's phase, its k, x and part (0 real, 1 imaginary),
+    each (n,), and its sign, a and b, each (n, 1).
+    """
+    channel_family(name)  # raises with the canonical message
+    ops = _KRAUS[name]
+    columns = np.array([[y for y, *_ in op] for op in ops])
+    columns.setflags(write=False)
+    cells = [(k, x, part, sign, a, b) for k, op in enumerate(ops) for x, (_, phase, a, b) in enumerate(op)
+             for part, sign in enumerate(phase) if sign]
+    k, x, part, sign, a, b = (np.array(cell) for cell in zip(*cells))
+    return columns, k, x, part, sign[:, None], a[:, None], b[:, None]
+
+
+def _entries(name: str, qs) -> tuple[np.ndarray, np.ndarray]:
+    """The columns y_k(x), (k, 2), and the entries M_k[x, y_k(x)] over strengths qs, (k, 2, Q)."""
+    columns, k, x, part, sign, a, b = _table(name)
+    qs = _strengths(qs)
+    floats = np.zeros(columns.shape + (qs.size, 2))
+    floats[k, x, :, part] = sign * np.sqrt(a + b * qs)
+    return columns, floats.view(complex)[..., 0]
+
+
 def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
     """Kraus operators of one family over a strength grid, shape (Q, k, 2, 2).
 
-    This is the one table of each family's operators; ``FAMILIES[name](q)`` is
-    its single row at q.
+    The family's table (``_KRAUS``) at each strength; ``FAMILIES[name](q)`` is
+    its single row at q. Raises ValueError unless qs is 1-d.
     """
-    qs = _strengths(qs)
-    n = qs.shape[0]
-    root_q = np.sqrt(qs)
-    root_1mq = np.sqrt(1.0 - qs)
-    if name == "amplitude-damping":
-        ops = np.zeros((n, 2, 2, 2), dtype=complex)
-        ops[:, 0, 0, 0] = 1.0
-        ops[:, 0, 1, 1] = root_1mq
-        ops[:, 1, 0, 1] = root_q
-    elif name == "phase-damping":
-        ops = np.zeros((n, 2, 2, 2), dtype=complex)
-        ops[:, 0, 0, 0] = 1.0
-        ops[:, 0, 1, 1] = root_1mq
-        ops[:, 1, 1, 1] = root_q
-    elif name == "depolarizing":
-        # sqrt(1-3q/4) I and sqrt(q/4) sigma_{x,y,z}, entry by entry.
-        ops = np.zeros((n, 4, 2, 2), dtype=complex)
-        ops[:, 0, 0, 0] = ops[:, 0, 1, 1] = np.sqrt(1.0 - 0.75 * qs)
-        half_root = np.sqrt(0.25 * qs)
-        ops[:, 1, 0, 1] = ops[:, 1, 1, 0] = ops[:, 3, 0, 0] = half_root
-        ops[:, 3, 1, 1] = -half_root
-        ops.imag[:, 2, 0, 1] = -half_root
-        ops.imag[:, 2, 1, 0] = half_root
-    else:
-        channel_family(name)  # raises with the canonical message
-        raise AssertionError("unreachable")
+    columns, entries = _entries(name, qs)
+    ops = np.zeros(entries.shape[-1:] + columns.shape + (2,), dtype=complex)
+    ops[:, np.arange(len(columns))[:, None], [0, 1], columns] = np.moveaxis(entries, -1, 0)
     return ops
 
 
@@ -129,31 +153,13 @@ def x_entries(mats: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
-@functools.cache
-def _columns(name: str) -> np.ndarray:
-    """The column y_k(x) of the one entry of row x of M_k that is not zero by structure, (k, 2).
-
-    Read from the non-zero pattern of ``kraus_stack`` at ``_AFFINE_QS``: an
-    entry that is 0 there is 0 at every q, as its squared modulus is affine in
-    (1, q, sqrt(1-q)) (see ``affine_map``). A row that is 0 everywhere takes
-    column 0. Built once per family, read-only; a row with two non-zero
-    entries raises ValueError.
-    """
-    live = (kraus_stack(name, _AFFINE_QS) != 0.0).any(axis=0)  # (k, x, y)
-    if (live.sum(axis=-1) > 1).any():
-        raise ValueError(f"{name}: a Kraus row has two non-zero entries")
-    columns = live.argmax(axis=-1)
-    columns.setflags(write=False)
-    return columns
-
-
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     """Evolve one raw state through a family on qubit B over a strength grid.
 
     Returns the evolved stack (Q, 4, 4), not re-validated, for a finite rho.
     Its floats are those of the einsum of sum_k (I x M_k) rho (I x M_k)^dagger
-    over B's indices (``tests/oracles.py``). Row x of M_k has one entry that is
-    not zero by structure, in column y_k(x) (``_columns``), so M_k adds one
+    over B's indices (``tests/oracles.py``). Row x of M_k has at most one entry,
+    in column y_k(x), both read from the family's table, so M_k adds one
     product to output entry (a x, c w), the einsum's own
     (M_k[x, y] rho[a y, c z]) conj(M_k[w, z]) with y = y_k(x) and z = y_k(w):
     32 products per evolved row for the damping families and 64 for
@@ -163,11 +169,9 @@ def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     order of k into a sum that starts at +0.0. The einsum's other products are
     +-0, and adding +-0 to such a sum changes no float, so every output is the
     einsum's bit for bit, signed zeros included. q is the innermost axis of
-    the work arrays.
+    the work arrays. Raises ValueError unless qs is 1-d.
     """
-    columns = _columns(name)
-    # M_k[x, y_k(x)] as (k, x, q); the Kraus stack is dropped before the work arrays are made.
-    entries = kraus_stack(name, qs)[:, np.arange(len(columns))[:, None], [0, 1], columns].transpose(1, 2, 0)
+    columns, entries = _entries(name, qs)
     rho = np.asarray(rho_mat, dtype=complex).reshape(2, 2, 2, 2)[:, columns[:, :, None], :, columns[:, None]]
     out = np.zeros((2, 2, 2, 2) + entries.shape[-1:], dtype=complex)  # (a, x, c, w, q)
     term = np.empty_like(out)

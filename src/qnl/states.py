@@ -140,7 +140,9 @@ def from_json_dict(data: dict) -> DensityMatrix:
         raise ValueError(
             f"state JSON arrays must be 4x4, got re {re.shape}, im {im.shape}"
         )
-    return DensityMatrix(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part; DensityMatrix refuses it
+        mat = re + 1j * im
+    return DensityMatrix(mat)
 
 
 def load_state(path: str) -> DensityMatrix:

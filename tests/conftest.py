@@ -68,6 +68,23 @@ def x_parts(entries: np.ndarray, family: str) -> np.ndarray:
     return np.dot(_x_block(family), entries)
 
 
+def edge_x_entries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """X entries (6, n) of random X-states: some at the PSD bound, some MEMS (|rho14| = 0),
+    some with subnormal coherences and some with a subnormal rho44.
+
+    Every column is a state: a column whose rho44 is scaled down has its
+    populations renormalised before the coherences are bounded by them.
+    """
+    d = rng.dirichlet(np.ones(4), size=n).T
+    r = rng.uniform(size=(2, n))
+    r[:, ::5] = 1.0
+    r[0, 1::5] = 0.0
+    r[:, 2::5] *= 1e-310
+    d[3, 3::5] *= 1e-310
+    d[:, 3::5] /= d[:, 3::5].sum(axis=0)
+    return np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+
+
 def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     """Transpose qubit B's indices; works on (4, 4) or stacked (n, 4, 4)."""
     if rho.ndim == 2:

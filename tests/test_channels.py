@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, ginibre_density_stack
+from conftest import assert_same_bits, edge_x_entries, ginibre_density_stack
 from oracles import evolve_x
 from qnl.channels import (
+    _KRAUS,
     FAMILIES,
     X_FLAT,
     affine_map,
@@ -243,15 +246,63 @@ class TestGridKernels:
                 got = sum(k @ rho @ k.conj().T for k in ops)
                 np.testing.assert_allclose(got, documented(rho, q), atol=1e-15)
 
-    def test_depolarizing_table_is_the_pauli_products(self):
-        # The table sets each non-zero entry directly; its bytes are those of
-        # sqrt(1-3q/4) I and sqrt(q/4) sigma_{x,y,z} as complex products.
-        qs = np.concatenate([[0.0, 5e-324, 0.75, np.nextafter(1.0, 0.0), 1.0],
-                             np.random.default_rng(3).random(1000)])
-        half_root = np.sqrt(0.25 * qs)[:, None, None]
-        want = np.stack([np.sqrt(1.0 - 0.75 * qs)[:, None, None] * ID2, half_root * PAULI_X,
-                         half_root * PAULI_Y, half_root * PAULI_Z], axis=1)
-        assert kraus_stack("depolarizing", qs).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_table_is_the_documented_operators(self, family):
+        # The table sets each entry directly; its bytes are those of the module
+        # docstring's operators as complex products of a root and a fixed matrix,
+        # at 10^4 strengths, the float below 1 and the subnormals among them.
+        rng = np.random.default_rng(3)
+        qs = np.concatenate([[0.0, 5e-324, 1e-310, 0.75, np.nextafter(1.0, 0.0), 1.0],
+                             rng.random(9000), rng.random(1000) ** 50])
+
+        def times(root, mat):
+            return root[:, None, None] * np.asarray(mat, dtype=complex)
+
+        lower, upper = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        if family == DEP:
+            half_root = np.sqrt(0.25 * qs)
+            want = [times(np.sqrt(1.0 - 0.75 * qs), ID2)] + [
+                times(half_root, pauli) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
+        else:
+            m1 = [[0.0, 1.0], [0.0, 0.0]] if family == AD else upper
+            want = [times(np.ones_like(qs), lower) + times(np.sqrt(1.0 - qs), upper),
+                    times(np.sqrt(qs), m1)]
+        stack = kraus_stack(family, qs)
+        assert stack.tobytes() == np.stack(want, axis=1).tobytes()
+        assert stack.tobytes() == np.stack([FAMILIES[family](q) for q in qs]).tobytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_table_entries(self, family):
+        # Each entry is 0 (no entry), +-1 or +-i times sqrt(a + b q), its zero
+        # part +0.0 as in the stack, and a + b q >= 0 on [0, 1] (it is affine in q).
+        table = _KRAUS[family]
+        assert len(table) == (4 if family == DEP else 2) and all(len(op) == 2 for op in table)
+        qs = np.array([0.0, -0.0, 0.5, 1.0])
+        stack = kraus_stack(family, qs)
+        for k, op in enumerate(table):
+            for x, (y, phase, a, b) in enumerate(op):
+                if phase == (0.0, 0.0):
+                    assert not stack[:, k, x].any()
+                    continue
+                assert y in (0, 1) and sorted(np.abs(phase)) == [0.0, 1.0]
+                zero_part = phase.index(0.0)
+                assert not np.signbit(phase[zero_part])
+                got = stack[:, k, x, y]
+                assert not np.signbit((got.real, got.imag)[zero_part]).any()
+                assert a >= 0.0 and a + b >= 0.0
+                np.testing.assert_array_equal(got, complex(*phase) * np.sqrt(a + b * qs))
+                assert not stack[:, k, x, 1 - y].any()
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda: kraus_stack(AD, 0.5), "()"),
+        (lambda: evolve_grid(np.eye(4) / 4, DEP, 0.5), "()"),
+        (lambda: kraus_stack(DEP, np.full((2, 2), 0.5)), "(2, 2)"),
+        (lambda: kraus_stack(PD, 5.0), "()"),  # the shape is checked before the range
+    ], ids=["kraus-stack-0d", "evolve-grid-0d", "kraus-stack-2d", "0d-out-of-range"])
+    def test_strengths_must_be_one_dimensional(self, call, shape):
+        # The first three ended in numpy's IndexError or broadcast ValueError.
+        with pytest.raises(ValueError, match=f"1-d array, got shape {re.escape(shape)}"):
+            call()
 
     def test_kraus_stack_rejects_bad_q(self):
         with pytest.raises(QOutOfRange):
@@ -303,19 +354,13 @@ class TestAffineMap:
         inputs, outputs = np.ogrid[:8, :6]
         allowed = ((inputs < 4) & (outputs < 4)) | ((inputs >= 4) & (inputs == outputs))
         assert not np.moveaxis(into_x, 1, 0)[:, ~allowed].any()
-        # (A + q B) + sqrt(1-q) C of the X block, on random X entries with
-        # coherences at their PSD bound, MEMS (|rho14| = 0) and subnormal
-        # entries among them, at q = 0, 1 and the float below 1: the closed
+        # (A + q B) + sqrt(1-q) C of the X block, on random X-states
+        # (edge_x_entries: coherences at their PSD bound, MEMS and subnormal
+        # entries among them), at q = 0, 1 and the float below 1: the closed
         # form bit for bit under damping. Under depolarizing noise a coherence
         # is a - q a here and (1-q) a there, one rounding of a apart.
         n = 2000
-        d = rng.dirichlet(np.ones(4), size=n).T
-        r = rng.uniform(size=(2, n))
-        r[:, ::5] = 1.0
-        r[0, 1::5] = 0.0
-        r[:, 2::5] *= 1e-310
-        d[3, 3::5] *= 1e-310
-        entries = np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
+        entries = edge_x_entries(rng, n)
         qs = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)], rng.uniform(size=n - 3)])
         a, b, c = np.tensordot(m[X_FLAT][:, :, X_FLAT], entries, axes=(0, 0))
         got = (a + qs * b) + np.sqrt(1.0 - qs) * c

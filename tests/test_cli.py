@@ -406,6 +406,18 @@ class TestFailureExits:
         assert isinstance(result.exception, SystemExit)
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_imaginary_part_exits_2(self, runner, tmp_path, bad):
+        # 1j * inf makes a NaN real part; that raised numpy's RuntimeWarning first.
+        doc = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        doc["im"][3][3] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["measures", "--state", f"file:{path}"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "finite" in result.output
+
     def test_deeply_nested_file_state_exits_2(self, runner, tmp_path):
         # Deeper than the JSON parser's recursion limit: a message, not a traceback.
         path = tmp_path / "deep.json"

@@ -11,11 +11,10 @@ import functools
 import numpy as np
 import pytest
 
-import oracles
 import qnl.channels
 from conftest import ginibre
 from oracles import correlation_einsum, evolve_einsum
-from qnl.channels import FAMILIES, _columns, evolve_grid, kraus_stack
+from qnl.channels import _KRAUS, FAMILIES, _kraus_ops, _table, evolve_grid, kraus_stack
 from qnl.measures import correlation_matrix_stack
 from qnl.states import MemsWeights, bell_singlet, mems, werner
 
@@ -73,21 +72,19 @@ def test_evolve_grid_scales_in_the_einsums_order(monkeypatch):
     # In the three families the non-zero entries of one M_k share their modulus
     # or one of them is 1, so the order of a product's two scalings never shows.
     # Here they differ; each entry is real or imaginary, as in the families.
-    def stack(name, qs):
-        qs = np.asarray(qs, dtype=float)
-        ops = np.zeros((qs.size, 2, 2, 2), dtype=complex)
-        ops[:, 0, 0, 0] = np.sqrt(1.0 - qs / 3.0)
-        ops[:, 0, 1, 1] = -np.sqrt(1.0 - 0.7 * qs)
-        ops.imag[:, 1, 0, 1] = np.sqrt(qs / 3.0)
-        ops.imag[:, 1, 1, 0] = -np.sqrt(0.7 * qs)
-        return ops
-
-    for module in (qnl.channels, oracles):
-        monkeypatch.setattr(module, "kraus_stack", stack)
-    monkeypatch.setattr(qnl.channels, "_columns", functools.cache(_columns.__wrapped__))
+    table = (
+        ((0, (1.0, 0.0), 1.0, -1.0 / 3.0), (1, (-1.0, 0.0), 1.0, -0.7)),
+        ((1, (0.0, 1.0), -0.0, 1.0 / 3.0), (0, (0.0, -1.0), -0.0, 0.7)),
+    )
+    name = "unequal-moduli"
+    monkeypatch.setitem(_KRAUS, name, table)
+    monkeypatch.setitem(FAMILIES, name, functools.partial(_kraus_ops, name))
+    monkeypatch.setattr(qnl.channels, "_table", functools.cache(_table.__wrapped__))
+    ops = kraus_stack(name, np.array([0.3]))[0]
+    assert abs(ops[0, 0, 0]) != abs(ops[0, 1, 1]) and abs(ops[1, 0, 1]) != abs(ops[1, 1, 0])
     for state, mat in STATES.items():
         for qs in GRIDS:
-            got, want = evolve_grid(mat, "unequal-moduli", qs), evolve_einsum(mat, "unequal-moduli", qs)
+            got, want = evolve_grid(mat, name, qs), evolve_einsum(mat, name, qs)
             assert got.tobytes() == want.tobytes(), f"{state}, {qs.size} strengths"
 
 
@@ -134,22 +131,11 @@ def test_correlation_matrix_stack_reads_a_real_stack_as_complex():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_columns_pick_each_rows_nonzero_entry(family):
-    columns = _columns(family)
-    assert _columns(family) is columns and not columns.flags.writeable  # built once, read-only
+    columns = _table(family)[0]
+    assert _table(family)[0] is columns and not columns.flags.writeable  # built once, read-only
     ops = kraus_stack(family, np.array([0.5]))[0]
     assert columns.shape == (ops.shape[0], 2)
     picked = np.take_along_axis(ops, columns[..., None], axis=-1)[..., 0]
     has_entry = (ops != 0.0).any(axis=-1)
     assert has_entry.any() and (picked[has_entry] != 0.0).all()
     assert (np.count_nonzero(ops, axis=-1) <= 1).all()
-
-
-def test_columns_reject_a_row_with_two_non_zero_entries(monkeypatch):
-    def stack(name, qs):
-        ops = np.zeros((len(qs), 1, 2, 2), dtype=complex)
-        ops[:, 0] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # Hadamard
-        return ops
-
-    monkeypatch.setattr(qnl.channels, "kraus_stack", stack)
-    with pytest.raises(ValueError, match="two non-zero entries"):
-        _columns.__wrapped__("hadamard")

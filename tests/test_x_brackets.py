@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, x_parts
+from conftest import assert_same_bits, edge_x_entries, x_parts
 from hypothesis import example, given, settings, strategies as st
 
 from qnl import thresholds
@@ -158,6 +158,16 @@ def prescan_sets(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_floats_are_the_prescans(family, tol):
     entries = mixed_entries(family)
+    assert_same_bits(x_thresholds(entries, family, tol), prescan_sets(entries, family, tol))
+
+
+@pytest.mark.parametrize("tol", (1e-6, 1e-9))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_floats_are_the_prescans_on_edge_states(family, tol):
+    # Real states at the PSD bound, MEMS, subnormal coherences, and every fifth
+    # with a subnormal rho44 (edge_x_entries).
+    entries = edge_x_entries(np.random.default_rng(31), 400)
+    assert (entries[3, 3::5] < np.finfo(float).tiny).all()
     assert_same_bits(x_thresholds(entries, family, tol), prescan_sets(entries, family, tol))
 
 

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, x_parts
+from conftest import assert_same_bits, edge_x_entries, x_parts
 from hypothesis import given, settings, strategies as st
 from oracles import evolve_x, x_margins, x_quadratics, x_singvals
 
@@ -295,17 +295,6 @@ def test_x_thresholds_rejects_a_negative_eigenvalue():
             else:
                 DensityMatrix(mat)
                 assert x_thresholds(entries, "phase-damping", 1e-6).shape == (1, 4)
-
-
-def edge_x_entries(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random X entries (6, n), some at the PSD bound, some MEMS (|rho14| = 0), some subnormal."""
-    d = rng.dirichlet(np.ones(4), size=n).T
-    r = rng.uniform(size=(2, n))
-    r[:, ::5] = 1.0
-    r[0, 1::5] = 0.0
-    r[:, 2::5] *= 1e-310
-    d[3, 3::5] *= 1e-310
-    return np.vstack([d, r * np.sqrt([d[0] * d[3], d[1] * d[2]])])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
