@@ -143,16 +143,6 @@ def kraus_stack(name: str, qs: np.ndarray) -> np.ndarray:
     return ops
 
 
-def x_entries(mats: np.ndarray) -> np.ndarray:
-    """X entries (6, ...) of X-state matrices (..., 4, 4), one entry per row.
-
-    The rows are rho11, rho22, rho33, rho44, |rho14|, |rho23| (``X_FLAT``);
-    entries off the diagonal and the anti-diagonal are ignored.
-    """
-    flat = mats.reshape(mats.shape[:-2] + (16,))[..., X_FLAT]
-    return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
-
-
 def evolve_grid(rho_mat: np.ndarray, name: str, qs: np.ndarray) -> np.ndarray:
     """Evolve one raw state through a family on qubit B over a strength grid.
 

@@ -31,45 +31,38 @@ MAX_MAP_AXIS = math.isqrt(MAX_GRID)
 _CHANNEL_CHOICE = click.Choice(sorted(FAMILIES))
 
 
-def _fail_usage(message: str) -> None:
-    raise click.UsageError(message)
-
-
 def parse_state_spec(text: str) -> states.DensityMatrix:
     """Parse a state spec string into a validated DensityMatrix."""
     kind, sep, rest = text.partition(":")
     if not sep:
-        _fail_usage(f"malformed state spec {text!r}; expected '<kind>:<args>'")
+        raise click.UsageError(f"malformed state spec {text!r}; expected '<kind>:<args>'")
     try:
         if kind == "bell":
             if rest != "singlet":
-                _fail_usage(f"unknown bell state {rest!r}; only 'singlet' exists")
+                raise click.UsageError(f"unknown bell state {rest!r}; only 'singlet' exists")
             return states.bell_singlet()
         if kind == "werner":
             key, _, value = rest.partition("=")
             if key != "p" or not value:
-                _fail_usage("werner spec must look like 'werner:p=0.8'")
+                raise click.UsageError("werner spec must look like 'werner:p=0.8'")
             return states.werner(float(value))
         if kind == "mems":
             parts = {}
             for key, sep, value in (item.partition("=") for item in rest.split(",")):
                 if not sep:
-                    _fail_usage(f"mems spec item {key!r} is not 'key=value'")
+                    raise click.UsageError(f"mems spec item {key!r} is not 'key=value'")
                 if key in parts:
-                    _fail_usage(f"mems spec names {key!r} twice")
+                    raise click.UsageError(f"mems spec names {key!r} twice")
                 parts[key] = value
             if sorted(parts) != ["p1", "p2", "p3", "p4"]:
-                _fail_usage("mems spec must name p1..p4, e.g. 'mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05'")
+                raise click.UsageError("mems spec must name p1..p4, e.g. 'mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05'")
             w = states.MemsWeights(*(float(parts[k]) for k in ("p1", "p2", "p3", "p4")))
             return states.mems(w)
         if kind == "file":
             return states.load_state(rest)
-        _fail_usage(f"unknown state kind {kind!r}; use bell, werner, mems or file")
-    except click.UsageError:
-        raise
-    except (QnlError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail_usage(f"invalid state spec {text!r}: {exc}")
-    raise AssertionError("unreachable")
+        raise click.UsageError(f"unknown state kind {kind!r}; use bell, werner, mems or file")
+    except (QnlError, ValueError, OSError) as exc:
+        raise click.UsageError(f"invalid state spec {text!r}: {exc}")
 
 
 def _echo(message: str, nl: bool = True) -> None:
@@ -143,13 +136,13 @@ def cmd_scan(spec: str, channel: str, qmin: float, qmax: float, steps: int) -> N
     """Print a q,concurrence,fidelity,bell CSV over an equally spaced grid."""
     rho = parse_state_spec(spec)
     if not 2 <= steps <= MAX_GRID:
-        _fail_usage(f"steps must lie in [2, {MAX_GRID}], got {steps}")
+        raise click.UsageError(f"steps must lie in [2, {MAX_GRID}], got {steps}")
     if not (0.0 <= qmin < qmax <= 1.0):
-        _fail_usage(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
+        raise click.UsageError(f"need 0 <= qmin < qmax <= 1, got qmin={qmin}, qmax={qmax}")
     try:  # qmin < qmax can still give equal floats, as when qmax is the float after qmin
         table = thresholds.scan(rho, channel, np.linspace(qmin, qmax, steps))
     except BadGrid as exc:
-        _fail_usage(str(exc))
+        raise click.UsageError(str(exc))
     _echo("q,concurrence,fidelity,bell")
     for text in sampling.csv_blocks(table):
         _echo(text, nl=False)
@@ -181,18 +174,18 @@ def cmd_thresholds(spec: str, channel: str, tol: float) -> None:
 def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> None:
     """Run the seeded hierarchy experiment and write its CSV."""
     if not 1 <= n <= MAX_GRID:
-        _fail_usage(f"--n must lie in [1, {MAX_GRID}], got {n}")
+        raise click.UsageError(f"--n must lie in [1, {MAX_GRID}], got {n}")
     # Checked before the experiment runs; the CSV is created only once it has records.
     directory = os.path.dirname(os.path.abspath(out))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        _fail_usage(f"cannot write {out!r}: its directory is missing or not writable")
+        raise click.UsageError(f"cannot write {out!r}: its directory is missing or not writable")
     cfg = sampling.SamplerConfig(n_states=n, seed=seed, channel=channel, tol=tol)
     records = sampling.hierarchy_experiment(cfg)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             sampling.write_records_csv(records, fh)
     except OSError as exc:
-        _fail_usage(f"cannot write {out!r}: {exc}")
+        raise click.UsageError(f"cannot write {out!r}: {exc}")
     ok = int(records.ordered.sum())
     _echo(f"wrote {len(records)} records to {out}; "
           f"locator self-check: {ok} of {len(records)} ordered q_G <= q_B <= q_F <= q_C")
@@ -204,7 +197,7 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
 def cmd_werner_map(grid: int, out: str) -> None:
     """Write the p,q,region CSV of the Werner amplitude-damping phase map."""
     if not 2 <= grid <= MAX_MAP_AXIS:
-        _fail_usage(f"--grid must lie in [2, {MAX_MAP_AXIS}] (at most {MAX_GRID} rows), got {grid}")
+        raise click.UsageError(f"--grid must lie in [2, {MAX_MAP_AXIS}] (at most {MAX_GRID} rows), got {grid}")
     axis = np.linspace(0.0, 1.0, grid)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -215,7 +208,7 @@ def cmd_werner_map(grid: int, out: str) -> None:
                 fh.write("".join(f"{p_label},{q_label},{region}\n"
                                  for q_label, region in zip(labels, regions)))
     except OSError as exc:
-        _fail_usage(f"cannot write {out!r}: {exc}")
+        raise click.UsageError(f"cannot write {out!r}: {exc}")
     _echo(f"wrote {grid * grid} rows to {out}")
 
 

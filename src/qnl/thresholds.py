@@ -118,6 +118,15 @@ DET_ROUNDING = 1e-15
 # Werner states), far below the ~2e-8 error of its Wootters roots, so its C
 # prints as 0 without them (``scan``).
 SEPARABLE_DET = 1e-6
+# A state whose det(rho^{T_B}) row has no coefficient above this in size has
+# det(rho^{T_B}) = 0 up to rounding at every strength: its partial transpose is
+# singular all along the path, as a pure product's (rank one) is. Two qubits are
+# entangled iff det(rho^{T_B}) < 0 (Augusiak, Demianowicz & Horodecki, PRA 77,
+# 030301 (2008)), so such a state is separable at every strength, with F <= 2/3
+# and B <= 2, and every condition is dead at q = 0 (``threshold_set``). The rows
+# of pure products measure at most 3.6e-34, the rounding of an exact 0; those of
+# Ginibre states of rank 1 to 4 at least 2.8e-7.
+SINGULAR_PATH = 1e-30
 # Slack of hierarchy_check's order q_G <= q_B <= q_F <= q_C.
 HIERARCHY_SLACK = 1e-6
 
@@ -197,11 +206,11 @@ def _chebyshev_rows(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _kraus_margins(state_mat: np.ndarray, family: str):
+def _kraus_margins(state_mat: np.ndarray, family: str, table: np.ndarray):
     """Margins provider of one state (``states`` is all zeros) through the Kraus pipeline.
 
-    The state is tabulated once (``_kraus_table``), and every point sums its
-    rows from that table (``_chebyshev_rows``): the G, B and F rows are the
+    ``table`` is the state's ``_kraus_table``, and every point sums its rows
+    from that table (``_chebyshev_rows``): the G, B and F rows are the
     signs of the invariants of T (``invariant_sign_margins``, no SVD) and the
     concurrence row is -det(rho^{T_B}). No step mixes points.
 
@@ -212,7 +221,6 @@ def _kraus_margins(state_mat: np.ndarray, family: str):
     Wootters concurrence at size DET_ROUNDING, so rank-deficient states keep
     the thresholds the spectra gave.
     """
-    table = _kraus_table(state_mat, family)
 
     def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
         rows = _chebyshev_rows(table, qs)
@@ -629,10 +637,15 @@ def threshold_set(
     The pre-scan and the bisection read the alive margins of the Kraus
     pipeline's affine evolution (``_kraus_margins``): F and B signs from the
     correlation matrix, entanglement from -det(rho^{T_B}), and all four from
-    the spectra where that determinant is rounding noise.
+    the spectra where that determinant is rounding noise. A state whose
+    determinant is rounding noise at every strength (``SINGULAR_PATH``), as a
+    pure product's is, is separable all along its path: all four read 0.
     """
     tol = _check_tol(tol)
-    margins = _kraus_margins(state.mat, family)
+    table = _kraus_table(state.mat, family)
+    if np.abs(table[-1]).max() <= SINGULAR_PATH:
+        return ThresholdSet(0.0, 0.0, 0.0, 0.0)
+    margins = _kraus_margins(state.mat, family, table)
     dead_at, guess = _prescan(margins, 0, tol)
     found = _locate(margins, dead_at[None], tol, guess[None])[0]
     return ThresholdSet(*(None if math.isnan(q) else q for q in found.tolist()))
@@ -642,7 +655,7 @@ def _check_x_entries(entries: np.ndarray) -> np.ndarray:
     """X entries (6, N) as an array, checked with the errors and tolerances of ``DensityMatrix``.
 
     ValueError unless real, shaped (6, N) and finite (complex coherences are
-    not entries: ``channels.x_entries`` takes their moduli); TraceNotOne
+    not entries: the entries hold their moduli); TraceNotOne
     unless the populations sum to 1 within TRACE_TOL; NotPSD if a modulus is
     negative or a block {rho11, rho44, |rho14|} or {rho22, rho33, |rho23|},
     whose eigenvalues are those of the X-state, has one below -PSD_TOL.
@@ -668,8 +681,9 @@ def _check_x_entries(entries: np.ndarray) -> np.ndarray:
 def x_thresholds(entries: np.ndarray, family: str, tol: float) -> np.ndarray:
     """Critical strengths (N, 4) of X-states, in Measure order, NaN where one survives.
 
-    ``entries`` (6, N) comes from ``channels.x_entries``; row k is the
-    ``threshold_set`` of state k, NaN for None. The entries are checked as
+    ``entries`` (6, N) holds rho11, rho22, rho33, rho44, |rho14| and |rho23|
+    of each state (``channels.X_FLAT``); row k is the ``threshold_set`` of
+    state k, NaN for None. The entries are checked as
     ``DensityMatrix`` checks a state (``_check_x_entries``). Each block's
     (A, B, C) parts are formed once; the margins come from them in closed
     form (``_x_margins``), and the brackets from their roots (``_x_brackets``),
@@ -754,7 +768,6 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
         raise BadGrid("grid values must lie in [0, 1]")
     if qs.size > 1 and not np.all(np.diff(qs) > 0.0):
         raise BadGrid("grid values must be strictly increasing")
-    channel_family(family)
     det_row = _kraus_table(state.mat, family)[-1:]
     table = np.zeros((qs.size, 4))
     for block in (slice(k, k + _BLOCK_POINTS) for k in range(0, qs.size, _BLOCK_POINTS)):

@@ -61,11 +61,30 @@ def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.nda
     assert np.all(np.abs(got - want) <= err.T)
 
 
+def kraus_provider(mat: np.ndarray, family: str):
+    """The margins provider ``threshold_set`` builds for one state, on that state's ``_kraus_table``."""
+    from qnl.thresholds import _kraus_margins, _kraus_table
+
+    return _kraus_margins(mat, family, _kraus_table(mat, family))
+
+
 def x_parts(entries: np.ndarray, family: str) -> np.ndarray:
     """The (A, B, C) parts (18, N) of X entries (6, N), the one product ``x_thresholds`` forms per block."""
     from qnl.thresholds import _x_block
 
     return np.dot(_x_block(family), entries)
+
+
+def x_entries(mats: np.ndarray) -> np.ndarray:
+    """X entries (6, ...) of X-state matrices (..., 4, 4), one entry per row.
+
+    The rows are rho11, rho22, rho33, rho44, |rho14|, |rho23| (``X_FLAT``);
+    entries off the diagonal and the anti-diagonal are ignored.
+    """
+    from qnl.channels import X_FLAT
+
+    flat = mats.reshape(mats.shape[:-2] + (16,))[..., X_FLAT]
+    return np.moveaxis(np.concatenate([flat[..., :4].real, np.abs(flat[..., 4:])], axis=-1), -1, 0)
 
 
 def edge_x_entries(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnl.sampling as sampling
+from conftest import x_entries
 from oracles import draw_weights, mems_fidelity
-from qnl.channels import x_entries
 from qnl.errors import InvalidTolerance, RejectionStall
 from qnl.measures import GISIN_BOUND, fidelity
 from qnl.sampling import (

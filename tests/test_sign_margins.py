@@ -17,9 +17,12 @@ X-states in closed form. Checked here:
   the exact value of the same floats (``fractions``): 5e-17 for
   det(rho^{T_B}), 8e-16 for the Gram entries, 2.5e-15 for ||adj T||_F^2 and
   7e-16 for det T;
-- boundary states, where the determinant is rounding noise (pure product
-  states, q = 1 under amplitude damping), keep the threshold sets the spectra
-  gave: those points are read from ``_curves``;
+- pure product states, whose determinant is rounding noise at every
+  strength, read the exact set (0, 0, 0, 0), and no Ginibre state's
+  determinant row is that small (``SINGULAR_PATH``);
+- at a point where the determinant is rounding noise (q = 1 under amplitude
+  damping), the threshold sets are those the spectra gave: those points are
+  read from ``_curves``;
 - the four alive margins are nested, G => B => F => C, for both providers:
   F > F_lhv gives B > 2, B > 2 gives N > 1, and N > 1 means entangled
   (de Vicente, QIC 7, 624 (2007));
@@ -39,13 +42,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ginibre, haar_unitary, partial_transpose_b, x_parts
+from conftest import ginibre, haar_unitary, kraus_provider, partial_transpose_b, x_entries, x_parts
 from hypothesis import given, settings, strategies as st
 
-from qnl.channels import FAMILIES, affine_map, evolve_grid, x_entries
+from qnl.channels import FAMILIES, affine_map, evolve_grid
 from qnl.measures import (
     GISIN_BOUND,
-    alive_margins,
     concurrence_of_roots,
     correlation_invariants,
     correlation_matrix_stack,
@@ -57,15 +59,11 @@ from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
     DET_ROUNDING,
     PRESCAN_POINTS,
-    Measure,
+    SINGULAR_PATH,
     ThresholdSet,
     _affine_coefficients,
     _chebyshev_rows,
-    _curves,
-    _kraus_margins,
     _kraus_table,
-    _locate,
-    _prescan,
     _x_margins,
     threshold_set,
 )
@@ -99,7 +97,7 @@ STATES = {
 
 
 def kraus_margins(mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
-    return _kraus_margins(mat, family)(np.zeros(qs.size, dtype=np.intp), qs)
+    return kraus_provider(mat, family)(np.zeros(qs.size, dtype=np.intp), qs)
 
 
 @PROPERTY
@@ -209,28 +207,10 @@ PURE_PRODUCTS = {
     "+1": np.kron([1.0, 1.0], [0.0, 1.0]) / math.sqrt(2.0),
     "complex": np.kron([0.8, 0.6], [0.6, 0.8j]),
 }
-# On a product without zero entries in the computational basis, B - 2,
-# F - 2/3 and the concurrence are exactly 0 along the path, and their rounding
-# noise (~1e-8 for the Wootters concurrence) reads alive near q = 0.
-SPECTRA_NOISE = pytest.mark.xfail(strict=True, reason="B, F and C are rounding noise")
-
-
-def spectra_threshold_set(mat: np.ndarray, family: str, tol: float) -> ThresholdSet:
-    """threshold_set read from ``_curves`` at every point: the spectra locator."""
-    def margins(states, qs):
-        c, f, b = _curves(evolve_grid(mat, family, qs))
-        return alive_margins(f, b, c)
-
-    found = _locate(margins, _prescan(margins, 0, tol)[0][None], tol,
-                    np.full((1, len(Measure)), np.nan))[0]
-    return ThresholdSet(*(None if math.isnan(q) else q for q in found))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize(
-    "name", [pytest.param(k, marks=SPECTRA_NOISE) if k == "complex" else k
-             for k in sorted(PURE_PRODUCTS)]
-)
+@pytest.mark.parametrize("name", sorted(PURE_PRODUCTS))
 def test_pure_product_states(name, family):
     # det(rho^{T_B}) is 0 up to rounding all along the path, and nothing is
     # alive at q = 0.
@@ -242,14 +222,30 @@ def test_pure_product_states(name, family):
 
 @PROPERTY
 @given(seed=seeds, family=families)
-def test_products_keep_the_spectra_thresholds(seed, family):
-    # Every point of a product is at rounding level, so the whole set is read
-    # from the spectra, as before the determinant.
+def test_pure_products_die_at_zero(seed, family):
+    # On a product without zero entries in the computational basis, B - 2,
+    # F - 2/3 and the concurrence are exactly 0 along the path, and their
+    # rounding noise (~1e-8 for the Wootters concurrence) would read alive
+    # near q = 0. The determinant's row is rounding of 0, so the set is the
+    # exact one without a pre-scan.
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     psi = np.kron(a, b)
     rho = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
-    assert threshold_set(rho, family, 1e-9) == spectra_threshold_set(rho.mat, family, 1e-9)
+    assert np.abs(_kraus_table(rho.mat, family)[-1]).max() <= SINGULAR_PATH
+    for tol in (1e-6, 1e-9):
+        assert threshold_set(rho, family, tol) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_only_singular_paths_skip_the_prescan(family):
+    # Ginibre states of rank 1 to 4 have det(rho^{T_B}) rows more than twenty
+    # orders of magnitude above SINGULAR_PATH (at least 2.8e-7 on 1200 of
+    # them), so only states whose partial transpose is singular all along the
+    # path skip the locator.
+    rng = np.random.default_rng(21)
+    for rank in (1, 2, 3, 4) * 25:
+        assert np.abs(_kraus_table(ginibre(rng, rank), family)[-1]).max() > 1e20 * SINGULAR_PATH
 
 
 # The threshold sets the Wootters-root margins gave at tol 1e-9.
@@ -398,7 +394,7 @@ def test_kraus_margins_do_not_depend_on_the_call(family):
     rng = np.random.default_rng(8)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4)] + [werner(0.9).mat, mixed_product(rng)]
     for mat in mats:
-        check_call_independence(_kraus_margins(mat, family), 1, rng)
+        check_call_independence(kraus_provider(mat, family), 1, rng)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

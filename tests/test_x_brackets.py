@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, edge_x_entries, x_parts
+from conftest import assert_same_bits, edge_x_entries, x_entries, x_parts
 from hypothesis import example, given, settings, strategies as st
 
 from qnl import thresholds
-from qnl.channels import FAMILIES, x_entries
+from qnl.channels import FAMILIES
 from qnl.measures import GISIN_BOUND
 from qnl.sampling import SamplerConfig, _accepted_weights, _mems_entries
 from qnl.states import DensityMatrix, bell_singlet, werner
