@@ -61,13 +61,6 @@ def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.nda
     assert np.all(np.abs(got - want) <= err.T)
 
 
-def kraus_provider(mat: np.ndarray, family: str):
-    """The margins provider ``threshold_set`` builds for one state, on that state's ``_kraus_table``."""
-    from qnl.thresholds import _kraus_margins, _kraus_table
-
-    return _kraus_margins(mat, family, _kraus_table(mat, family))
-
-
 def x_parts(entries: np.ndarray, family: str) -> np.ndarray:
     """The (A, B, C) parts (18, N) of X entries (6, N), the one product ``x_thresholds`` forms per block."""
     from qnl.thresholds import _x_block

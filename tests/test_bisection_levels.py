@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, ginibre, kraus_provider, x_entries, x_parts
+from conftest import assert_same_bits, ginibre, x_entries, x_parts
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES
@@ -37,6 +37,7 @@ from qnl.thresholds import (
     _GRID,
     _SURVIVES,
     _ends,
+    _kraus_margins,
     _locate,
     _prescan,
     _x_block,
@@ -208,7 +209,7 @@ def test_kraus_provider(family, tol):
     rng = np.random.default_rng(5)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4)] + [werner(0.9).mat, werner(1.0).mat]
     for mat in mats:
-        margins = kraus_provider(mat, family)
+        margins = _kraus_margins(mat, family)
         check_same(margins, 1, tol)
         check_same(margins, 1, tol, _prescan(margins, 0, tol)[1][None])
 
@@ -352,7 +353,7 @@ def test_floats_do_not_depend_on_the_guess(data, seed, family, tol, fallback):
     # x_thresholds, whose guesses then come from _cubic_root.
     rng = np.random.default_rng(seed)
     entries = mems_entries(5 + seed % 295, family)[:, -5:]
-    cases = [(kraus_provider(ginibre(rng, 1 + seed % 4), family), 1),
+    cases = [(_kraus_margins(ginibre(rng, 1 + seed % 4), family), 1),
              (_x_margins(x_parts(entries, family)), entries.shape[1])]
     for margins, n in cases:
         want = one_level_locate(margins, n, tol)

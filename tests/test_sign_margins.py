@@ -17,9 +17,9 @@ X-states in closed form. Checked here:
   the exact value of the same floats (``fractions``): 5e-17 for
   det(rho^{T_B}), 8e-16 for the Gram entries, 2.5e-15 for ||adj T||_F^2 and
   7e-16 for det T;
-- pure product states, whose determinant is rounding noise at every
-  strength, read the exact set (0, 0, 0, 0), and no Ginibre state's
-  determinant row is that small (``SINGULAR_PATH``);
+- product states, pure or mixed and under local unitaries, read the exact
+  set (0, 0, 0, 0) (``PRODUCT_ROUNDING``), and entangled states near a
+  product (a|00> + b|11>, b = 1e-8 and 1e-12) keep their thresholds;
 - at a point where the determinant is rounding noise (q = 1 under amplitude
   damping), the threshold sets are those the spectra gave: those points are
   read from ``_curves``;
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ginibre, haar_unitary, kraus_provider, partial_transpose_b, x_entries, x_parts
+from conftest import ginibre, haar_unitary, partial_transpose_b, x_entries, x_parts
 from hypothesis import given, settings, strategies as st
 
 from qnl.channels import FAMILIES, affine_map, evolve_grid
@@ -59,10 +59,10 @@ from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
 from qnl.thresholds import (
     DET_ROUNDING,
     PRESCAN_POINTS,
-    SINGULAR_PATH,
     ThresholdSet,
     _affine_coefficients,
     _chebyshev_rows,
+    _kraus_margins,
     _kraus_table,
     _x_margins,
     threshold_set,
@@ -97,7 +97,7 @@ STATES = {
 
 
 def kraus_margins(mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
-    return kraus_provider(mat, family)(np.zeros(qs.size, dtype=np.intp), qs)
+    return _kraus_margins(mat, family)(np.zeros(qs.size, dtype=np.intp), qs)
 
 
 @PROPERTY
@@ -226,26 +226,46 @@ def test_pure_products_die_at_zero(seed, family):
     # On a product without zero entries in the computational basis, B - 2,
     # F - 2/3 and the concurrence are exactly 0 along the path, and their
     # rounding noise (~1e-8 for the Wootters concurrence) would read alive
-    # near q = 0. The determinant's row is rounding of 0, so the set is the
-    # exact one without a pre-scan.
+    # near q = 0. A product stays one under every channel on B, so the set is
+    # the exact one without a pre-scan.
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     psi = np.kron(a, b)
     rho = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
-    assert np.abs(_kraus_table(rho.mat, family)[-1]).max() <= SINGULAR_PATH
     for tol in (1e-6, 1e-9):
         assert threshold_set(rho, family, tol) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
 
 
+@PROPERTY
+@given(seed=seeds, family=families)
+def test_rotated_products_die_at_zero(seed, family):
+    # Pure and mixed factors under a local unitary: the rounding of the
+    # conjugation leaves the state within PRODUCT_ROUNDING of its marginals.
+    rng = np.random.default_rng(seed)
+    u = np.kron(haar_unitary(rng), haar_unitary(rng))
+    pure = np.kron(*(np.outer(v, v.conj()) / np.vdot(v, v).real
+                     for v in rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+    for mat in (pure, mixed_product(rng)):
+        rho = DensityMatrix(u @ mat @ u.conj().T)
+        assert threshold_set(rho, family, 1e-9) == ThresholdSet(0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_only_singular_paths_skip_the_prescan(family):
-    # Ginibre states of rank 1 to 4 have det(rho^{T_B}) rows more than twenty
-    # orders of magnitude above SINGULAR_PATH (at least 2.8e-7 on 1200 of
-    # them), so only states whose partial transpose is singular all along the
-    # path skip the locator.
-    rng = np.random.default_rng(21)
-    for rank in (1, 2, 3, 4) * 25:
-        assert np.abs(_kraus_table(ginibre(rng, rank), family)[-1]).max() > 1e20 * SINGULAR_PATH
+@pytest.mark.parametrize("b", [1e-8, 1e-12])
+def test_near_products_keep_their_thresholds(b, family):
+    # a|00> + b|11> is entangled, with det(rho^{T_B}) ~ -b^4 all along the
+    # path, but N = 1 + 4ab sqrt(1-q) - 2b^2 q under the damping families, so
+    # F > 2/3 up to the tail point, and N = (1 + 4ab)(1 - q) under
+    # depolarizing noise. Its distance ab from a product is far above
+    # PRODUCT_ROUNDING, so it is not read as one.
+    a = math.sqrt(1.0 - b * b)
+    rho = DensityMatrix(np.outer([a, 0.0, 0.0, b], [a, 0.0, 0.0, b]))
+    for tol in (1e-6, 1e-9):
+        q_f = threshold_set(rho, family, tol).q_f
+        if family == "depolarizing":
+            assert abs(q_f - (1.0 - 1.0 / (1.0 + 4.0 * a * b))) <= tol
+        else:
+            assert q_f is None or q_f > 0.5
 
 
 # The threshold sets the Wootters-root margins gave at tol 1e-9.
@@ -394,7 +414,7 @@ def test_kraus_margins_do_not_depend_on_the_call(family):
     rng = np.random.default_rng(8)
     mats = [ginibre(rng, rank) for rank in (1, 2, 3, 4)] + [werner(0.9).mat, mixed_product(rng)]
     for mat in mats:
-        check_call_independence(kraus_provider(mat, family), 1, rng)
+        check_call_independence(_kraus_margins(mat, family), 1, rng)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, edge_x_entries, kraus_provider, x_entries, x_parts
+from conftest import assert_same_bits, edge_x_entries, x_entries, x_parts
 from hypothesis import given, settings, strategies as st
 from oracles import evolve_x, x_margins, x_quadratics, x_singvals
 
@@ -45,6 +45,7 @@ from qnl.thresholds import (
     _IN_S,
     ThresholdSet,
     _curves,
+    _kraus_margins,
     _x_blocks,
     _x_margins,
     _x_quadratics,
@@ -77,7 +78,7 @@ def x_state(diag, c14=0.0, c23=0.0) -> np.ndarray:
 def both_margins(mat: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
     states = np.zeros(GRID.size, dtype=np.intp)
     x = _x_margins(x_parts(x_entries(mat[None]), family))(states, GRID)
-    kraus = kraus_provider(mat, family)(states, GRID)
+    kraus = _kraus_margins(mat, family)(states, GRID)
     return x, kraus
 
 
