@@ -22,11 +22,12 @@ Bisection guesses, verifies and resumes (``_locate``). Each bracket comes with
 a guess of where its row changes sign: from a cubic through the pre-scan's
 margins around it (``_cubic_root``), or from the closed-form roots on the X
 path. Every row's bisection is walked toward its guess, and all predicted
-midpoints of all rows are read in one margins call. A row whose readings all
-match is located; a row whose first mismatch is at level l resumes from its
-bracket after level l, which is exact, with the lockstep bisection. Every
-point read is one the one-level bisection could read, so the guess decides
-only how many points are read, never the floats.
+midpoints of all rows are read in one margins call; a few walked rows step in
+Python floats, many in arrays, with the same points and floats. A row whose
+readings all match is located; a row whose first mismatch is at level l
+resumes from its bracket after level l, which is exact, with the lockstep
+bisection. Every point read is one the one-level bisection could read, so the
+guess decides only how many points are read, never the floats.
 
 The locator reads only the sign of one margin per condition, so its margins
 providers compute signs, not spectra. ``threshold_set`` reads the state's path
@@ -97,6 +98,12 @@ _BLOCK_POINTS = 4 * PRESCAN_POINTS
 # Most levels of one guessed walk (_replay): tol 1e-17 takes 48 from a grid
 # cell; rows still open after it go on in lockstep.
 _MAX_WALK = 64
+# Most walked rows that _replay steps in Python floats; more are stepped in
+# arrays, which cost a round of numpy calls per level whatever their number.
+# Python floats are faster below about 18-20 walked rows and arrays above
+# (tol 1e-6 and 1e-9, MEMS under all three families); threshold_set walks at
+# most 4 rows, a 30-MEMS block of x_thresholds 90-120.
+_SCALAR_ROWS = 16
 # _cubic_root's two sets of nodes, offsets from dead_at (node, set, row): the
 # bracket and a point on either side, and the four points up to its alive end.
 _CUBIC_NODES = np.array([[-1, -1], [0, -2], [1, -3], [-2, -4]])[..., None]
@@ -193,7 +200,8 @@ def _chebyshev_rows(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
     x = 2 sqrt(1-q) - 1; T_k(x) comes from the three-term recurrence and the
     terms are added in order of k, all elementwise, so a point's rows do not
-    depend on the other points of the call (a matrix product would).
+    depend on the other points of the call (a matrix product would, and so
+    would one ``np.add.reduce`` over the terms).
     """
     x = 2.0 * np.sqrt(1.0 - qs) - 1.0
     x2 = 2.0 * x
@@ -529,25 +537,46 @@ def _walk(lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, levels: int) -> np.
     return path
 
 
-def _replay(margins, found, active, lo, hi, guess, tol: float):
-    """Locate the rows of ``_locate`` whose guess holds; the rows left open, as (active, lo, hi).
+def _replay_rows(margins, found, rows, lo, hi, guess, levels: int, tol: float):
+    """``_replay``'s walk of a few rows, one by one in Python floats: the rows left open, as (rows, lo, hi).
 
-    A row whose guess lies in its bracket walks its bisection toward it (alive
-    below the guess), for the levels the widest bracket needs at tol plus one
-    for rounding, with the floats and done test of the lockstep loop. One
-    ``_alive`` call reads every row's path up to its done level. A row whose
-    bits all match is located. A row whose first mismatch is at level l takes
-    its bracket after level l with the observed bit: located if that bracket
-    is done, left open if not, as are matched rows the walk left open and
-    rows with no guess in their bracket (NaN, inf or outside).
+    The floats, the points read and their order are those of ``_replay_arrays``.
     """
-    walk = (guess >= lo) & (guess <= hi)
-    if not walk.any():
-        return active, lo, hi
-    rows, guess = active[walk], guess[walk]
-    width = max(float((hi - lo)[walk].max()), tol)
-    levels = min(_MAX_WALK, math.ceil(math.log2(width) - math.log2(tol)) + 1)
-    path_lo, path_hi = _walk(lo[walk], hi[walk], guess, levels)
+    paths, states, points = [], [], []
+    for row, a, b, g in zip(rows.tolist(), lo.tolist(), hi.tolist(), guess.tolist()):
+        path, mid = [], 0.5 * (a + b)
+        for _ in range(levels):
+            path.append((a, b, mid, mid < g))
+            a, b = (mid, b) if mid < g else (a, mid)
+            # _done of the bracket after this level.
+            mid = 0.5 * (a + b)
+            if not b - a > tol or mid == a or mid == b:
+                break
+        paths.append((a, b, path))
+        states += [row // len(Measure)] * len(path)
+        points += [level[2] for level in path]
+    alive = _alive(margins, np.array(states), np.array(points)).tolist()
+    open_rows, open_lo, open_hi, start = [], [], [], 0
+    for row, (a, b, path) in zip(rows.tolist(), paths):
+        bits = alive[row % len(Measure)][start:start + len(path)]
+        start += len(path)
+        for (a_l, b_l, mid, predicted), bit in zip(path, bits):
+            if bit != predicted:
+                a, b = (mid, b_l) if bit else (a_l, mid)
+                break
+        mid = 0.5 * (a + b)
+        if not b - a > tol or mid == a or mid == b:
+            found[row] = mid
+        else:
+            open_rows.append(row)
+            open_lo.append(a)
+            open_hi.append(b)
+    return np.array(open_rows, dtype=rows.dtype), np.array(open_lo), np.array(open_hi)
+
+
+def _replay_arrays(margins, found, rows, lo, hi, guess, levels: int, tol: float):
+    """``_replay``'s walk of many rows, stepped level by level in arrays (``_walk``): the rows left open."""
+    path_lo, path_hi = _walk(lo, hi, guess, levels)
     done, mids = _done(path_lo, path_hi, tol)
     # A row reads the midpoints of the levels before its first done bracket,
     # at least one, and all ``levels`` if none is done.
@@ -570,8 +599,34 @@ def _replay(margins, found, active, lo, hi, guess, tol: float):
     hi_at = np.where(missed & ~observed, mid, path_hi[at, col])
     done, mid = _done(lo_at, hi_at, tol)
     found[rows[done]] = mid[done]
-    return (np.concatenate([active[~walk], rows[~done]]),
-            np.concatenate([lo[~walk], lo_at[~done]]), np.concatenate([hi[~walk], hi_at[~done]]))
+    return rows[~done], lo_at[~done], hi_at[~done]
+
+
+def _replay(margins, found, active, lo, hi, guess, tol: float):
+    """Locate the rows of ``_locate`` whose guess holds; the rows left open, as (active, lo, hi).
+
+    A row whose guess lies in its bracket walks its bisection toward it (alive
+    below the guess), for the levels the widest bracket needs at tol plus one
+    for rounding, with the floats and done test of the lockstep loop. One
+    ``_alive`` call reads every row's path up to its done level. A row whose
+    bits all match is located. A row whose first mismatch is at level l takes
+    its bracket after level l with the observed bit: located if that bracket
+    is done, left open if not, as are matched rows the walk left open and
+    rows with no guess in their bracket (NaN, inf or outside). Up to
+    _SCALAR_ROWS walked rows step in Python floats (``_replay_rows``), more in
+    arrays (``_replay_arrays``); both read the same points and give the same
+    floats.
+    """
+    walk = (guess >= lo) & (guess <= hi)
+    if not walk.any():
+        return active, lo, hi
+    rows = active[walk]
+    width = max(float((hi - lo)[walk].max()), tol)
+    levels = min(_MAX_WALK, math.ceil(math.log2(width) - math.log2(tol)) + 1)
+    replay = _replay_rows if rows.size <= _SCALAR_ROWS else _replay_arrays
+    rows, lo_at, hi_at = replay(margins, found, rows, lo[walk], hi[walk], guess[walk], levels, tol)
+    return (np.concatenate([active[~walk], rows]),
+            np.concatenate([lo[~walk], lo_at]), np.concatenate([hi[~walk], hi_at]))
 
 
 def _locate(margins, dead_at: np.ndarray, tol: float, guess: np.ndarray) -> np.ndarray:

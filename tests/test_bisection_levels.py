@@ -15,6 +15,9 @@ including rows that stop on adjacent floats (tol 1e-17) and rows that finish
 at different levels of one call. The points of every margins call are pinned
 as well: the verify call reads each guessed row's predicted path up to its
 done level, and the lockstep calls only the rows that resumed or had no guess.
+``_replay`` steps a few walked rows in Python floats and many in arrays; the
+cases run on each path, the two paths are compared directly, and each
+benchmark workload's locator is pinned to its path.
 """
 
 import math
@@ -475,3 +478,171 @@ def test_no_call_after_the_prescan_reaches_one(monkeypatch, family, tol):
     x = counted_calls(monkeypatch, "_x_margins", np.max)
     thresholds.x_thresholds(mems_entries(30, family), family, tol)
     assert max(x) <= tail_q
+
+
+# _SCALAR_ROWS forced to either side: every walk of _replay in arrays, or in Python floats.
+REPLAY_PATHS = {"arrays": 0, "python-floats": 10**6}
+
+
+@pytest.mark.parametrize("scalar_rows", REPLAY_PATHS.values(), ids=REPLAY_PATHS)
+def test_check_same_on_each_replay_path(monkeypatch, scalar_rows):
+    # The check_same cases above with every walk on one path.
+    monkeypatch.setattr(thresholds, "_SCALAR_ROWS", scalar_rows)
+    for family in sorted(FAMILIES):
+        for tol in TOLS:
+            test_kraus_provider(family, tol)
+            test_x_provider_on_mems(family, tol)
+            for n in STATE_COUNTS[:-1]:
+                test_x_provider_on_fewer_mems(n, family, tol)
+        test_rows_stopping_on_adjacent_floats(family)
+    for tol in TOLS:
+        for n in STATE_COUNTS:
+            test_rows_with_their_own_roots(n, tol)
+    for tol in TOLS[1:] + (1e-17,):
+        test_resumed_rows(tol)
+        test_locate_bisects_only(tol)
+    test_every_level_count_is_exercised()
+    test_rows_finish_at_different_levels_of_one_call()
+
+
+@pytest.mark.parametrize("scalar_rows", REPLAY_PATHS.values(), ids=REPLAY_PATHS)
+def test_guess_property_on_each_replay_path(monkeypatch, scalar_rows):
+    monkeypatch.setattr(thresholds, "_SCALAR_ROWS", scalar_rows)
+    test_floats_do_not_depend_on_the_guess()
+
+
+def replay_on(scalar_rows: int, margins, n: int, lo, hi, guess, tol: float):
+    """_replay of every row of n states on one path: (active, lo, hi), found and its (states, qs) calls."""
+    calls = []
+
+    def recorded(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        calls.append((states.copy(), qs.copy()))
+        return margins(states, qs)
+
+    found = np.full(n * len(Measure), -1.0)
+    active = np.arange(n * len(Measure))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thresholds, "_SCALAR_ROWS", scalar_rows)
+        left = thresholds._replay(recorded, found, active, np.array(lo, dtype=float),
+                                  np.array(hi, dtype=float), np.array(guess, dtype=float), tol)
+    return left, found, calls
+
+
+def assert_same_replay(margins, n: int, lo, hi, guess, tol: float):
+    """Both paths of _replay give the same open rows, brackets, located floats and calls; returns one."""
+    (rows, *brackets), found, calls = replay_on(REPLAY_PATHS["arrays"], margins, n, lo, hi, guess, tol)
+    got = replay_on(REPLAY_PATHS["python-floats"], margins, n, lo, hi, guess, tol)
+    assert got[0][0].dtype == rows.dtype and got[0][0].tolist() == rows.tolist()
+    for want, have in zip(brackets + [found], list(got[0][1:]) + [got[1]]):
+        assert_same_bits(have, want)
+    assert len(got[2]) == len(calls) <= 1
+    for (states, qs), (want_states, want_qs) in zip(got[2], calls):
+        assert states.dtype == want_states.dtype and states.tolist() == want_states.tolist()
+        assert_same_bits(qs, want_qs)
+    return (rows, *brackets), found, calls
+
+
+def test_replay_paths_on_guesses_outside_and_at_the_ends():
+    # NaN and +-inf walk no row, a guess at either end of its bracket walks it.
+    roots = np.array([[0.30012, 0.5, 0.5005, 0.7], [0.1, 0.2, 0.2003, 0.99]])
+    lo = [0.3, 0.5, 0.5, 0.699, 0.1, 0.2, 0.2, 0.989]
+    hi = [0.301, 0.501, 0.501, 0.7, 0.101, 0.201, 0.201, 0.99]
+    guess = [0.30012, np.nan, np.inf, -np.inf, 0.1, 0.201, 0.2003, 0.99]
+    for tol in (1e-3, 1e-9, 1e-17):
+        (rows, _, _), found, calls = assert_same_replay(row_margins(roots), 2, lo, hi, guess, tol)
+        assert {1, 2, 3} <= set(rows.tolist()) and len(calls) == 1
+    (rows, _, _), _, calls = assert_same_replay(row_margins(roots), 2, lo, hi, [np.nan] * 8, 1e-9)
+    assert rows.tolist() == list(range(8)) and calls == []
+
+
+def test_replay_paths_on_adjacent_floats():
+    # Brackets of two adjacent floats are done after one level; a wide
+    # bracket beside them sets the level count.
+    a = np.array([0.25, 0.5, 0.999, 1e-300])
+    b = np.nextafter(a, 1.0)
+    lo, hi = [*a.tolist(), 0.4], [*b.tolist(), 0.401]
+    roots = np.array([[*b[:3].tolist(), a[3]], [0.4003, 1.0, 1.0, 1.0]])
+    for guess in ([*a.tolist(), 0.4003], [*b.tolist(), 0.4004]):
+        assert_same_replay(row_margins(roots), 2, lo + [0.0] * 3, hi + [1.0] * 3,
+                           guess + [np.nan] * 3, 1e-17)
+
+
+def test_replay_paths_at_the_walk_cap():
+    # At tol 1e-17 a bracket 200 wide needs more than _MAX_WALK levels, so
+    # matched rows are left open after the capped walk (near 0, where the
+    # floats are dense enough); the narrow rows beside them are done first.
+    roots = np.array([[1e-10, -3e-12, 0.30012, 1e-3]])
+    lo, hi = [-100.0, -100.0, 0.3, 0.0], [100.0, 100.0, 0.301, 0.001]
+    (rows, left_lo, left_hi), _, calls = assert_same_replay(
+        row_margins(roots), 1, lo, hi, roots[0], 1e-17)
+    assert calls[0][1].size > thresholds._MAX_WALK and {0, 1} <= set(rows.tolist())
+    assert np.all(left_hi - left_lo > 1e-17)
+
+
+def test_replay_paths_on_the_tail_bracket():
+    # The tail bracket ends at the float below 1; its rows stop on adjacent floats there.
+    roots = np.array([[0.9995, 1.0 - 2**-40, 1.0 - 2**-52, 1.0]])
+    for tol in (1e-9, 1e-17):
+        lo, hi = [0.999] * 4, [_BELOW_ONE] * 4
+        assert_same_replay(row_margins(roots), 1, lo, hi, roots[0], tol)
+        assert_same_replay(row_margins(roots), 1, lo, hi, [0.99951, 0.9999, _BELOW_ONE, 0.999], tol)
+
+
+def test_replay_paths_on_a_sign_that_flips_inside_the_bracket():
+    # cos(2 pi q / 1e-4) changes sign 20 times in a cell of 1e-3: rows
+    # mismatch at different levels, so they resume from brackets of different widths.
+    def margins(states: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        return np.cos(2 * np.pi * qs / 1e-4 + np.arange(len(Measure))[:, None])
+
+    lo = np.repeat([0.5, 0.7], len(Measure))
+    guess = lo + np.linspace(0.0, 1e-3, lo.size)
+    for tol in (1e-6, 1e-12, 1e-17):
+        (_, left_lo, left_hi), _, _ = assert_same_replay(margins, 2, lo, lo + 1e-3, guess, tol)
+        assert len(set((left_hi - left_lo).tolist())) > 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 4),
+       tol=st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17)))
+def test_replay_paths_on_random_rows(seed, n, tol):
+    # Grid cells or the tail bracket, roots in or near them, guesses of every kind.
+    rng = np.random.default_rng(seed)
+    ends = _ends(tol)
+    cells = rng.integers(1, PRESCAN_POINTS, n * len(Measure))
+    lo, hi = ends[cells - 1], ends[cells]
+    roots = lo + rng.uniform(-0.5, 1.5, lo.size) * (hi - lo)
+    guess = np.where(rng.random(lo.size) < 0.5, roots, lo + rng.random(lo.size) * (hi - lo))
+    guess[rng.random(lo.size) < 0.2] = np.nan
+    assert_same_replay(row_margins(roots.reshape(n, len(Measure))), n, lo, hi, guess, tol)
+
+
+def counted_paths(monkeypatch) -> dict:
+    """The walked rows of each _replay walk from now on, by path."""
+    taken = {path: [] for path in REPLAY_PATHS}
+    for name, path in (("_replay_arrays", "arrays"), ("_replay_rows", "python-floats")):
+        step = getattr(thresholds, name)
+
+        def counted(margins, found, rows, *args, step=step, path=path):
+            taken[path].append(rows.size)
+            return step(margins, found, rows, *args)
+
+        monkeypatch.setattr(thresholds, name, counted)
+    return taken
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_benchmark_workloads_keep_their_replay_path(monkeypatch, family):
+    # threshold_set walks at most four rows, in Python floats: the sets of
+    # test_threshold_set_calls that make a verify call. One 30-MEMS block of
+    # x_thresholds walks 90-120 rows, in arrays.
+    taken = counted_paths(monkeypatch)
+    rng = np.random.default_rng(12)
+    for mat in [ginibre(rng, rank) for rank in (1, 2, 3, 4, 4, 4)] + [werner(0.9).mat]:
+        thresholds.threshold_set(DensityMatrix(mat), family, 1e-9)
+    assert taken["arrays"] == [] and len(taken["python-floats"]) == sum(map(bool, SET_CALLS[family]))
+    assert max(taken["python-floats"]) <= len(Measure) <= thresholds._SCALAR_ROWS
+    taken["python-floats"].clear()
+    entries = _mems_entries(_accepted_weights(SamplerConfig(n_states=30, seed=0, channel=family)))
+    thresholds.x_thresholds(entries, family, 1e-6)
+    assert taken["python-floats"] == [] and len(taken["arrays"]) == 1
+    assert taken["arrays"][0] > thresholds._SCALAR_ROWS

@@ -27,6 +27,7 @@ from qnl.measures import (
     classify,
 )
 from qnl.states import DensityMatrix, MemsWeights, mems, werner
+from qnl import thresholds
 from qnl.thresholds import Measure, scan, threshold_set
 
 TOL = 1e-6
@@ -138,3 +139,17 @@ def test_classify_counts_the_conditions_alive_at_q0():
             alive = sum(q != 0.0 for q in (ts.q_g, ts.q_b, ts.q_f, ts.q_c))
             assert alive == position, (k, family, ts)
     assert ranks == set(range(len(HierarchyClass)))
+
+
+@pytest.mark.parametrize("scalar_rows", (0, 10**6), ids=("arrays", "python-floats"))
+def test_locator_properties_on_each_replay_path(monkeypatch, scalar_rows):
+    # The properties above with every walk of the locator's replay in arrays,
+    # then in Python floats (threshold_set takes the latter by default).
+    monkeypatch.setattr(thresholds, "_SCALAR_ROWS", scalar_rows)
+    test_ginibre_states()
+    test_unitary_on_a_keeps_every_threshold()
+    test_local_unitaries_keep_depolarizing_thresholds()
+    test_mems_states()
+    test_werner_states()
+    test_death_in_last_grid_cell()
+    test_classify_counts_the_conditions_alive_at_q0()
