@@ -34,10 +34,14 @@ need (the entries of T^T T, ||adj T||_F^2 and det T), and
 only at 9 points per state and interpolates it, and the second at every point
 (``thresholds._kraus_table``).
 
-``scan`` prints F and B to 12 digits, which need not be LAPACK's floats:
-``jacobi_fidelity_bell`` reads them from a one-sided Jacobi SVD, elementwise
-over a stack, with a bound on their distance to the F and B of
-``correlation_singvals_stack``.
+``scan`` prints C, F and B to 12 digits, which need not be LAPACK's floats:
+``jacobi_fidelity_bell`` reads F and B from a one-sided Jacobi SVD of T, and
+``jacobi_concurrence`` reads C from the Cholesky factor of rho and a complex
+one-sided Jacobi SVD, each elementwise over a stack, with a bound on its
+distance to the floats of ``correlation_singvals_stack`` and
+``wootters_roots_stack``. The C bound grows with 1/sqrt(lambda_min), and the
+kernel refuses rank-deficient states, so their C stays LAPACK's. Neither
+kernel is exported by ``qnl``: ``classify`` and the locator keep LAPACK.
 """
 
 from __future__ import annotations
@@ -210,6 +214,21 @@ SINGVAL_SLACK = 64
 _UNDERFLOW = 1e-150
 
 
+def _jacobi_angle(sq_i: np.ndarray, sq_j: np.ndarray, dot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cos, tan and the denominator of tan of the plane rotation that makes columns i, j orthogonal.
+
+    From their squared norms and a_i . a_j (``dot``; |a_i^H a_j| for complex
+    columns, once a_j's phase is turned to make it real): tan is the smaller root
+    of tan^2 + 2 tan half / dot - 1 = 0, half = (sq_j - sq_i) / 2, and 0 where
+    dot = half = 0. After the rotation the squared norms are sq_i - tan dot and
+    sq_j + tan dot.
+    """
+    half = 0.5 * (sq_j - sq_i)
+    den = half + np.copysign(np.sqrt(half * half + dot * dot) + _TINY, half)
+    tan = dot / den
+    return 1.0 / np.sqrt(1.0 + tan * tan), tan, den
+
+
 def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F and B, rows (2, M), of correlation matrices (M, 3, 3), and bounds (2, M) on their distance to LAPACK's.
 
@@ -233,10 +252,7 @@ def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             dot = (x * y).sum(axis=0)
             if not dot.any():
                 continue  # every row's rotation is the identity, up to the signs of zeros
-            half = 0.5 * (sq[j] - sq[i])
-            # The smaller root of tan^2 + 2 tan half / dot - 1 = 0, and 0 where dot = half = 0.
-            tan = dot / (half + np.copysign(np.sqrt(half * half + dot * dot) + _TINY, half))
-            cos = 1.0 / np.sqrt(1.0 + tan * tan)
+            cos, tan, _ = _jacobi_angle(sq[i], sq[j], dot)
             sin = cos * tan
             cols[i], cols[j] = cos * x - sin * y, sin * x + cos * y
             step = tan * dot
@@ -251,6 +267,152 @@ def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sv = (np.maximum(hi, n[2]), np.maximum(lo, np.minimum(hi, n[2])), np.minimum(lo, n[2]))
     _, f, b = correlation_measures(sv)
     return np.stack([f, b]), np.stack([0.5 * ds + 4.0 * _EPS, 3.0 * ds])
+
+
+# Column pairs of one cyclic sweep over the four columns of Wootters' M.
+_WOOTTERS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Bound on the distance of jacobi_concurrence's C to LAPACK's, in units of
+# eps (1 + ||L^-1||_F), plus the residual term (see there). Over 10^7 rows
+# (tests/test_jacobi_concurrence.py's cases and Ginibre states) the gap stayed
+# below 2.5 of these units, the largest at well-conditioned rows, so below a
+# sixth of the bound. There the gap is LAPACK's rounding: against 40-digit
+# references the kernel's C was within 1.5 eps, LAPACK's within 14 eps.
+CONCURRENCE_SLACK = 16
+# Rows whose lambda_min is not proven above this are refused. It is far above
+# eps, so the rounding of a rank-deficient state never passes it.
+_LAMBDA_FLOOR = 1e-10
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, elementwise."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _sum4(z: np.ndarray) -> np.ndarray:
+    """((z0 + z1) + z2) + z3 over the first axis of z (4, ...).
+
+    Not ``z.sum(axis=0)``: where the other axes have length 1, numpy sums the
+    8 floats of four complex numbers pairwise, so a row's float would depend
+    on the size of its stack.
+    """
+    return z[0] + z[1] + z[2] + z[3]
+
+
+def jacobi_concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped C (M,) of states of unit trace (M, 4, 4), and bounds (M,) on its distance to LAPACK's.
+
+    LAPACK's C is ``concurrence_of_roots(wootters_roots_stack(rhos))``. Here
+    the roots are the singular values of M = L^T (sigma_y x sigma_y) L, where
+    rho = L L^H is the complex Cholesky factor, read from rho's lower triangle
+    and real diagonal as eigh reads them: M^H M = L^H rho_tilde L is similar
+    to rho rho_tilde. M is complex symmetric and zero below its antidiagonal.
+    _JACOBI_SWEEPS cyclic sweeps of one-sided Jacobi rotations make its
+    columns a_i orthogonal; each rotation first turns a_j's phase so that
+    a_i^H a_j is real. The roots are the column norms n_i, and
+    C = 2 max n_i - sum n_i.
+
+    The bound is CONCURRENCE_SLACK eps (1 + ||L^-1||_F) + 8 r, with
+    r = sum_{i<j} |a_i^H a_j| / max(n_i, n_j). Both C are those of a state
+    within a few eps of rho (Cholesky and eigh are backward stable), and
+    through the square root of rho a perturbation E moves the roots by about
+    ||E|| / sqrt(lambda_min) <= ||E|| ||L^-1||_F; forming and rotating M
+    moves them by a few eps ||M|| <= eps tr rho. As in
+    ``jacobi_fidelity_bell``, each sorted n_i is within 2 r of a singular
+    value of the rotated M, so C within 8 r. ||L^-1||_F comes from forward
+    substitution, and 1 / ||L^-1||_F^2 <= lambda_min.
+
+    A row is refused, C NaN and its bound inf, where a pivot of the Cholesky
+    factor is not positive, where 1 / ||L^-1||_F^2 is below _LAMBDA_FLOOR, or
+    where C or its bound is not finite: rank-deficient states, on which
+    LAPACK's own C is off by up to about 1e-8, and rows with NaN or inf
+    entries. Only the other rows are rotated. Every step is elementwise, so a
+    row's floats do not depend on the other rows.
+    """
+    n = len(rhos)
+    c, bound = np.full(n, np.nan), np.full(n, np.inf)
+    with np.errstate(all="ignore"):  # refused rows may divide by 0 or take the root of a negative
+        low, ok = _cholesky(rhos)
+        inv_sq = _inverse_norm_sq(low)
+        ok &= inv_sq * _LAMBDA_FLOOR <= 1.0
+        rows = np.flatnonzero(ok)
+        a = _wootters_columns(low if rows.size == n else {key: v[rows] for key, v in low.items()})
+        del low  # freed before the rotations' buffers are made
+        prod, vx = np.empty((2,) + a.shape[1:], dtype=complex)
+        sq = np.stack([_sum4(_abs2(col)) for col in a])
+        for _ in range(_JACOBI_SWEEPS):
+            for i, j in _WOOTTERS_PAIRS:
+                x, y = a[i], a[j]
+                dot = _conj_dot(x, y, prod)
+                if not dot.any():
+                    continue  # every row's rotation is the identity, up to the signs of zeros
+                mod = np.abs(dot)
+                cos, tan, den = _jacobi_angle(sq[i], sq[j], mod)
+                v = cos * (dot / den)  # sin times the phase of a_i^H a_j
+                np.multiply(v, x, out=vx)
+                x *= cos
+                x -= np.multiply(v.conj(), y, out=prod)
+                y *= cos
+                y += vx
+                step = tan * mod
+                sq[i] -= step
+                sq[j] += step
+        norms = np.sqrt(np.stack([_sum4(_abs2(col)) for col in a]))
+        resid = sum(np.abs(_conj_dot(a[i], a[j], prod)) / (np.maximum(norms[i], norms[j]) + _TINY)
+                    for i, j in _WOOTTERS_PAIRS)
+        c_rows = 2.0 * norms.max(axis=0) - _sum4(norms)
+        bound_rows = CONCURRENCE_SLACK * _EPS * (1.0 + np.sqrt(inv_sq[rows])) + 8.0 * resid
+    finite = np.isfinite(c_rows) & np.isfinite(bound_rows)
+    c[rows[finite]], bound[rows[finite]] = c_rows[finite], bound_rows[finite]
+    return c, bound
+
+
+def _cholesky(rhos: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Entries (i, j), j <= i, of the Cholesky factors L of rhos (M, 4, 4), and where all pivots are positive.
+
+    Reads the lower triangle and the real diagonal of each rho, as eigh does.
+    """
+    low, ok = {}, np.ones(len(rhos), dtype=bool)
+    for j in range(4):
+        pivot = rhos[:, j, j].real - sum(_abs2(low[j, k]) for k in range(j))
+        ok &= pivot > 0.0
+        low[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, 4):
+            off = rhos[:, i, j] - sum(low[i, k] * low[j, k].conj() for k in range(j))
+            low[i, j] = off / low[j, j]
+    return low, ok
+
+
+def _inverse_norm_sq(low: dict) -> np.ndarray:
+    """||L^-1||_F^2 of the factors of ``_cholesky``, by forward substitution."""
+    inv = {}
+    for j in range(4):
+        inv[j, j] = 1.0 / low[j, j]
+        for i in range(j + 1, 4):
+            inv[i, j] = -sum(low[i, k] * inv[k, j] for k in range(j, i)) / low[i, i]
+    return sum(_abs2(v) for v in inv.values())
+
+
+def _wootters_columns(low: dict) -> np.ndarray:
+    """The columns, column i at [i], (4, 4, M) of M = L^T (sigma_y x sigma_y) L of ``_cholesky``'s factors.
+
+    Entry (a, b) sums Y[k, 3-k] L[k, a] L[3-k, b] over a <= k <= 3 - b, so M is
+    symmetric and zero where a + b > 3.
+    """
+    a = np.zeros((4, 4, len(low[0, 0])), dtype=complex)
+    a[0, 0] = 2.0 * (low[1, 0] * low[2, 0] - low[0, 0] * low[3, 0])
+    a[0, 1] = a[1, 0] = low[1, 0] * low[2, 1] + low[2, 0] * low[1, 1] - low[0, 0] * low[3, 1]
+    a[0, 2] = a[2, 0] = low[1, 0] * low[2, 2] - low[0, 0] * low[3, 2]
+    a[0, 3] = a[3, 0] = -(low[0, 0] * low[3, 3])
+    a[1, 1] = 2.0 * (low[1, 1] * low[2, 1])
+    a[1, 2] = a[2, 1] = low[1, 1] * low[2, 2]
+    return a
+
+
+def _conj_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x^H y over the first axis of columns (4, M), with ``out`` (4, M) as scratch."""
+    np.conjugate(x, out=out)
+    out *= y
+    return _sum4(out)
 
 
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:

@@ -45,12 +45,15 @@ quadratics (``_x_quadratics``). Each stage is a few array calls whatever the
 block's size: the eight quadratics of every state are one array, solved in one
 call (``_x_brackets``), and each margins call fills one (4, M) array.
 ``threshold_set`` takes the Wootters roots only where the determinant is
-rounding noise (``_kraus_margins``). ``scan`` prints C, so it takes them too,
+rounding noise (``_kraus_margins``). ``scan`` prints C, so it computes it too,
 but only at the points that the state's table does not prove separable; at
-the others the printed concurrence is 0 (``SEPARABLE_DET``). ``scan`` takes F
-and B from a Jacobi SVD (``jacobi_fidelity_bell``) wherever every float within
-its error bound prints the same %.12g bytes (``_prints_alike``), and from
-LAPACK's SVD (``correlation_singvals_stack``) at the other points.
+the others the printed concurrence is 0 (``SEPARABLE_DET``). ``scan`` takes
+each printed value from a Jacobi kernel with an error bound wherever that
+bound fixes its %.12g bytes (``_prints_alike``), and from LAPACK at the other
+points: F and B from ``jacobi_fidelity_bell`` or the SVD of
+``correlation_singvals_stack``, C from ``jacobi_concurrence`` (0 where the
+bound puts it below zero) or the roots of ``wootters_roots_stack``, which
+rank-deficient states always read.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .measures import (
     correlation_singvals_stack,
     hierarchy_rank,
     invariant_sign_margins,
+    jacobi_concurrence,
     jacobi_fidelity_bell,
     wootters_roots_stack,
 )
@@ -787,7 +791,7 @@ def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
 
 
 def _prints_alike(x: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """Columns of x (2, M), x >= 0 or NaN, where every float within err of both entries prints one ``%.12g``.
+    """Columns of x (k, M), x >= 0 or NaN, where every float within err of each entry prints one ``%.12g``.
 
     %.12g rounds x correctly to 12 significant digits, monotonically, so every
     float within err prints alike if no rounding midpoint of x's decade lies
@@ -808,13 +812,17 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
     Evolved and measured _BLOCK_POINTS points at a time: memory beyond the
     table is bounded. F and B come from a Jacobi SVD of each point's
     correlation matrix, and from LAPACK's only at the points where a float
-    within the Jacobi bound could print other %.12g bytes (``_prints_alike``):
-    the printed F and B are LAPACK's, the floats within the bound of them. C
-    comes from the Wootters roots only at the points whose det(rho^{T_B}),
-    summed from the state's ``_kraus_table``, is below SEPARABLE_DET (or NaN);
-    at the others the state is separable and C is 0, the float the roots would
-    give after the clamp. Every step is elementwise over the points, so the
-    floats do not depend on how the grid is cut into blocks.
+    within the Jacobi bound could print other %.12g bytes (``_prints_alike``).
+    C is computed only at the points whose det(rho^{T_B}), summed from the
+    state's ``_kraus_table``, is below SEPARABLE_DET (or NaN); at the others
+    the state is separable and C is 0, the float the roots would give after
+    the clamp. At those points C comes from ``jacobi_concurrence``: it is 0
+    where the kernel's bound puts LAPACK's unclamped C below zero, and the
+    kernel's float where LAPACK's is above zero and prints alike. The other
+    points, rank-deficient states among them, read LAPACK's Wootters roots.
+    So every printed value is LAPACK's, the floats within the bounds of it.
+    Every step is elementwise over the points, so the floats do not depend on
+    how the grid is cut into blocks.
     """
     qs = np.asarray(q_grid, dtype=float)
     if qs.ndim != 1 or qs.size == 0:
@@ -841,5 +849,12 @@ def scan(state: DensityMatrix, family: str, q_grid: np.ndarray) -> np.ndarray:
         if unproven.any():
             # Rebound, so that the whole block is freed before the roots' scratch arrays are made.
             evolved = evolved[unproven]
-            rows[unproven, 1] = np.maximum(0.0, concurrence_of_roots(wootters_roots_stack(evolved)))
+            c, err = jacobi_concurrence(evolved)
+            # LAPACK's C lies within err of c: below 0 it is clamped, above 0 it may print alike.
+            uncertain = ~((c + err < 0.0) | ((c - err > 0.0) & _prints_alike(c[None], err[None])))
+            c = np.maximum(0.0, c)
+            if uncertain.any():
+                c[uncertain] = np.maximum(
+                    0.0, concurrence_of_roots(wootters_roots_stack(evolved[uncertain])))
+            rows[unproven, 1] = c
     return table

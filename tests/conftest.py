@@ -17,6 +17,33 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def local_rotation(rng: np.random.Generator) -> np.ndarray:
+    """U_A x U_B for Haar-random one-qubit unitaries."""
+    return np.kron(haar_unitary(rng), haar_unitary(rng))
+
+
+def random_qubit(rng: np.random.Generator, pure: bool) -> np.ndarray:
+    """A random one-qubit density matrix, pure or of full rank."""
+    g = rng.standard_normal((2, 1 if pure else 2)) + 1j * rng.standard_normal((2, 1 if pure else 2))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def x_state_mat(diag, c14: complex, c23: complex) -> np.ndarray:
+    """The X-state matrix with diagonal ``diag`` and coherences rho14 = c14, rho23 = c23."""
+    mat = np.diag(np.asarray(diag, dtype=float)).astype(complex)
+    mat[0, 3], mat[1, 2] = c14, c23
+    mat[3, 0], mat[2, 1] = np.conj(c14), np.conj(c23)
+    return mat
+
+
+def pure_ab(b: float) -> np.ndarray:
+    """The pure state a|00> + b|11>, a = sqrt(1 - b^2)."""
+    vec = np.zeros(4, dtype=complex)
+    vec[0], vec[3] = np.sqrt(1.0 - b * b), b
+    return np.outer(vec, vec.conj())
+
+
 def ginibre_density_stack(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrices G G^dag / Tr, stacked (n, 4, 4)."""
     g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
@@ -44,21 +71,24 @@ def printed(values: np.ndarray) -> list[str]:
 
 def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.ndarray,
                      family: str) -> None:
-    """``scan`` rows (q, C, F, B) against a reference that took F and B from LAPACK at every row.
+    """``scan`` rows (q, C, F, B) against a reference that took C, F and B from LAPACK at every row.
 
-    q and C bit for bit. F and B print the reference's %.12g bytes, and each
-    lies within the bound that ``jacobi_fidelity_bell`` gives its row.
+    q bit for bit. C, F and B print the reference's %.12g bytes, and each lies
+    within the bound that ``jacobi_concurrence`` or ``jacobi_fidelity_bell``
+    gives its row.
     """
     from qnl.channels import evolve_grid
-    from qnl.measures import correlation_matrix_stack, jacobi_fidelity_bell
+    from qnl.measures import correlation_matrix_stack, jacobi_concurrence, jacobi_fidelity_bell
 
-    assert_same_bits(table[:, :2], reference[:, :2])
-    got, want = table[:, 2:], reference[:, 2:]
+    assert_same_bits(table[:, 0], reference[:, 0])
+    got, want = table[:, 1:], reference[:, 1:]
     differ = np.flatnonzero(np.array(printed(got)) != np.array(printed(want)))
-    assert differ.size == 0, f"{differ.size} printed F/B differ, first {got.flat[differ[0]]!r} " \
+    assert differ.size == 0, f"{differ.size} printed C/F/B differ, first {got.flat[differ[0]]!r} " \
                              f"against {want.flat[differ[0]]!r}"
-    _, err = jacobi_fidelity_bell(correlation_matrix_stack(evolve_grid(state_mat, family, table[:, 0])))
-    assert np.all(np.abs(got - want) <= err.T)
+    evolved = evolve_grid(state_mat, family, table[:, 0])
+    _, c_err = jacobi_concurrence(evolved)
+    _, fb_err = jacobi_fidelity_bell(correlation_matrix_stack(evolved))
+    assert np.all(np.abs(got - want) <= np.column_stack([c_err, fb_err.T]))
 
 
 def x_parts(entries: np.ndarray, family: str) -> np.ndarray:
@@ -105,36 +135,37 @@ def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
 
 
-@pytest.fixture
-def wootters_stacks(monkeypatch):
-    """Every stack that ``thresholds`` passes to ``wootters_roots_stack``, in call order."""
+def recorded_stacks(monkeypatch, name: str) -> list[np.ndarray]:
+    """Every stack that ``thresholds`` passes to its kernel ``name``, in call order."""
     from qnl import thresholds
 
     stacks = []
-    roots = thresholds.wootters_roots_stack
+    kernel = getattr(thresholds, name)
 
     def recorded(rhos):
         stacks.append(np.array(rhos))
-        return roots(rhos)
+        return kernel(rhos)
 
-    monkeypatch.setattr(thresholds, "wootters_roots_stack", recorded)
+    monkeypatch.setattr(thresholds, name, recorded)
     return stacks
+
+
+@pytest.fixture
+def wootters_stacks(monkeypatch):
+    """Every stack that ``thresholds`` passes to ``wootters_roots_stack``, in call order."""
+    return recorded_stacks(monkeypatch, "wootters_roots_stack")
+
+
+@pytest.fixture
+def concurrence_stacks(monkeypatch):
+    """Every stack that ``thresholds`` passes to ``jacobi_concurrence``, in call order."""
+    return recorded_stacks(monkeypatch, "jacobi_concurrence")
 
 
 @pytest.fixture
 def svd_stacks(monkeypatch):
     """Every stack that ``thresholds`` passes to ``correlation_singvals_stack``, in call order."""
-    from qnl import thresholds
-
-    stacks = []
-    svd = thresholds.correlation_singvals_stack
-
-    def recorded(rhos):
-        stacks.append(np.array(rhos))
-        return svd(rhos)
-
-    monkeypatch.setattr(thresholds, "correlation_singvals_stack", recorded)
-    return stacks
+    return recorded_stacks(monkeypatch, "correlation_singvals_stack")
 
 
 @pytest.fixture

@@ -132,18 +132,21 @@ class TestScanCommand:
             assert f == pytest.approx(fidelity_ad(0.8, q), abs=1e-10)
 
     # SHA-256 of the scan stdout: printed curves are byte-reproducible, so a
-    # faster evolution or formatting must keep these bytes. The Wootters roots
-    # are taken only at the rows whose det(rho^{T_B}) is below SEPARABLE_DET:
-    # 6301 of the Werner state's 10007 (the rest are separable and print C =
-    # 0), and every row of the file state, which stays entangled.
-    def test_golden_stdout_werner(self, runner, wootters_stacks):
+    # faster evolution or formatting must keep these bytes. C is computed only
+    # at the rows whose det(rho^{T_B}) is below SEPARABLE_DET: 6301 of the
+    # Werner state's 10007 (the rest are separable and print C = 0), and every
+    # row of the file state, which stays entangled. Of those, LAPACK's Wootters
+    # roots read only the rows whose printed C the Jacobi kernel cannot certify.
+    def test_golden_stdout_werner(self, runner, concurrence_stacks, wootters_stacks):
         out = run_ok(runner, ["scan", "--state", "werner:p=0.9", "--channel", "depolarizing",
                               "--steps", "10007"])
         digest = "489108ca48c026c754af3c6d5cb147a25cc7aeacd220e023e09a8863c5153eed"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert sum(len(stack) for stack in wootters_stacks) == 6301
+        assert sum(len(stack) for stack in concurrence_stacks) == 6301
+        assert sum(len(stack) for stack in wootters_stacks) == 636
 
-    def test_golden_stdout_non_x_file_state(self, runner, tmp_path, wootters_stacks):
+    def test_golden_stdout_non_x_file_state(self, runner, tmp_path, concurrence_stacks,
+                                            wootters_stacks):
         # 0.8 |psi><psi| + 0.05 I, entangled and not an X-state.
         psi = np.array([0.64, 0.48j, 0.36, 0.48])
         path = tmp_path / "state.json"
@@ -152,7 +155,8 @@ class TestScanCommand:
                               "amplitude-damping", "--steps", "4005"])
         digest = "01528d534d7fd8c1eaca43bb74c44309f94ccf1b9557582eed96873ae3ff4be4"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert sum(len(stack) for stack in wootters_stacks) == 4005
+        assert sum(len(stack) for stack in concurrence_stacks) == 4005
+        assert sum(len(stack) for stack in wootters_stacks) == 730
 
     def test_steps_one_rejected(self, runner):
         result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", "1"])

@@ -19,7 +19,7 @@ rows to ``correlation_singvals_stack``. The tests:
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, ginibre, haar_unitary, printed
+from conftest import assert_same_bits, ginibre, local_rotation, printed, x_state_mat
 
 from qnl import measures
 from qnl.channels import FAMILIES, evolve_grid
@@ -49,18 +49,6 @@ def check_kernel(t: np.ndarray) -> np.ndarray:
     certain = _prints_alike(fb, err)
     assert printed(fb[:, certain]) == printed(lapack[:, certain])
     return certain
-
-
-def local_rotation(rng: np.random.Generator) -> np.ndarray:
-    """U_A x U_B for Haar-random one-qubit unitaries."""
-    return np.kron(haar_unitary(rng), haar_unitary(rng))
-
-
-def x_state(diag, c14: complex, c23: complex) -> np.ndarray:
-    mat = np.diag(np.asarray(diag, dtype=float)).astype(complex)
-    mat[0, 3], mat[1, 2] = c14, c23
-    mat[3, 0], mat[2, 1] = np.conj(c14), np.conj(c23)
-    return mat
 
 
 def special_stacks(rng: np.random.Generator):
@@ -97,7 +85,7 @@ def special_stacks(rng: np.random.Generator):
     # X-states with exact zeros and with subnormal entries.
     for c14, c23 in ((0.2, 0.0), (0.0, 0.1j), (0.25, 0.25), (1e-310, 0.1), (1e-310, 1e-310 + 1e-310j)):
         for diag in ((0.25, 0.25, 0.25, 0.25), (0.4, 0.1, 0.1, 0.4), (0.5, 0.0, 0.2, 0.3)):
-            mat = x_state(diag, c14, c23)
+            mat = x_state_mat(diag, c14, c23)
             if np.linalg.eigvalsh(mat)[0] < 0.0:
                 continue
             for family in sorted(FAMILIES):

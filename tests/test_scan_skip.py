@@ -8,22 +8,25 @@ below zero, so the clamped C of those rows is 0 without the roots. The tests:
 
   * oracle: ``scan`` against ``oracles.scan_all_rows``, which takes the roots
     and the correlation SVD of every row, on over 10^6 rows over the three
-    channels: q and C bit for bit, F and B by their printed bytes and within
-    the bound of ``jacobi_fidelity_bell`` (``tests/test_jacobi_svd.py``);
+    channels: q bit for bit, C, F and B by their printed bytes and within the
+    bounds of ``jacobi_concurrence`` (``tests/test_jacobi_concurrence.py``)
+    and ``jacobi_fidelity_bell`` (``tests/test_jacobi_svd.py``);
   * certificate: the three inequalities above, on over 10^5 PPT points;
-  * skip count: which rows reach ``wootters_roots_stack``.
+  * skip count: which rows reach ``jacobi_concurrence``, and which of them
+    go on to ``wootters_roots_stack``.
 """
 
 import numpy as np
 import pytest
-from conftest import (assert_same_bits, assert_scan_rows, ginibre, haar_unitary,
-                      partial_transpose_b)
+from conftest import (assert_same_bits, assert_scan_rows, ginibre, local_rotation,
+                      partial_transpose_b, pure_ab, random_qubit)
 from oracles import scan_all_rows
 
 from qnl.channels import FAMILIES, evolve_grid
-from qnl.measures import concurrence_of_roots, wootters_roots_stack
+from qnl.measures import concurrence_of_roots, jacobi_concurrence, wootters_roots_stack
 from qnl.states import DensityMatrix, MemsWeights, bell_singlet, mems, werner
-from qnl.thresholds import SEPARABLE_DET, _chebyshev_rows, _kraus_table, scan, threshold_set
+from qnl.thresholds import (SEPARABLE_DET, _chebyshev_rows, _kraus_table, _prints_alike, scan,
+                            threshold_set)
 
 FULL = np.linspace(0.0, 1.0, 11003)
 # Rows per family of the oracle test: three families make over 10^6.
@@ -37,20 +40,13 @@ ROUNDING = 1e-15
 
 def rotated(mat: np.ndarray, rng: np.random.Generator) -> DensityMatrix:
     """The state under a random local unitary U_A x U_B."""
-    u = np.kron(haar_unitary(rng), haar_unitary(rng))
+    u = local_rotation(rng)
     return DensityMatrix(u @ mat @ u.conj().T)
 
 
 def table_det(mat: np.ndarray, family: str, qs: np.ndarray) -> np.ndarray:
     """det(rho^{T_B}) at strengths qs as ``scan`` reads it, summed from the state's table."""
     return _chebyshev_rows(_kraus_table(mat, family)[-1:], qs)[0]
-
-
-def random_qubit(rng: np.random.Generator, pure: bool) -> np.ndarray:
-    """A random one-qubit density matrix, pure or of full rank."""
-    g = rng.standard_normal((2, 1 if pure else 2)) + 1j * rng.standard_normal((2, 1 if pure else 2))
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
 
 
 def x_state(rng: np.random.Generator, bound: float) -> DensityMatrix:
@@ -72,6 +68,9 @@ def oracle_states(rng: np.random.Generator) -> list[DensityMatrix]:
     states += [DensityMatrix(np.kron(random_qubit(rng, pure), random_qubit(rng, pure)))
                for pure in (True, False)]
     states += [x_state(rng, bound) for bound in (1.0, 0.7)]
+    # Rank-deficient states that are not products: the C kernel refuses their rows at q = 0 and
+    # under both damping families.
+    states += [DensityMatrix(pure_ab(1e-4)), DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))]
     return states
 
 
@@ -143,19 +142,26 @@ def test_werner_concurrence_is_minus_twice_lambda_min():
         np.testing.assert_allclose(c, -2.0 * lam, rtol=0.0, atol=ROUNDING)
 
 
-def test_separable_scan_reads_no_roots(wootters_stacks):
+def test_separable_scan_reads_no_roots(concurrence_stacks, wootters_stacks):
     # Werner p = 0.2 is separable, and depolarizing noise keeps it so: no stack, not even an empty one.
     table = scan(werner(0.2), "depolarizing", np.linspace(0.0, 1.0, 2 * 4004 + 1))
-    assert wootters_stacks == []
+    assert concurrence_stacks == [] and wootters_stacks == []
     assert np.all(table[:, 1] == 0.0)
 
 
 @pytest.mark.parametrize("state, family", [(bell_singlet(), "phase-damping"),
                                            (werner(0.9), "depolarizing"),
-                                           (werner(0.45), "amplitude-damping")])
-def test_roots_read_exactly_the_rows_below_the_constant(wootters_stacks, state, family):
+                                           (werner(0.45), "amplitude-damping"),
+                                           (DensityMatrix(pure_ab(1e-4)), "amplitude-damping")])
+def test_roots_read_exactly_the_rows_below_the_constant(concurrence_stacks, wootters_stacks,
+                                                        state, family):
+    # The kernel reads the rows below SEPARABLE_DET, and LAPACK the rows whose C it cannot certify.
     qs = np.linspace(0.0, 1.0, 10007)
     scan(state, family, qs)
     below = table_det(state.mat, family, qs) < SEPARABLE_DET
-    read = np.concatenate(wootters_stacks)
+    read = np.concatenate(concurrence_stacks)
     assert_same_bits(read.view(float), evolve_grid(state.mat, family, qs[below]).view(float))
+    c, err = jacobi_concurrence(read)
+    refused = ~((c + err < 0.0) | ((c - err > 0.0) & _prints_alike(c[None], err[None])))
+    roots = np.concatenate(wootters_stacks) if wootters_stacks else np.empty((0, 4, 4), dtype=complex)
+    assert_same_bits(roots.view(float), read[refused].view(float))
