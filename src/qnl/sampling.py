@@ -9,6 +9,15 @@ the closed-form X entries rather than the general Kraus pipeline. The
 experiment stays in arrays from the draw to the CSV: one ``HierarchyResult``
 holds the weights and thresholds of all accepted states as columns.
 
+``csv_blocks`` prints the CSV of ``sample-mems`` and ``scan``: every cell is
+the bytes of ``format(v, ".12g")``. An array kernel prints the cells that are
+0, NaN or have |v| in [1e-4, 10), nearly every value qnl prints (all are at
+most 2 sqrt 2).
+Their 12 digits are the nearest integer to |v| 10^k, which is formed exactly
+(Dekker's two-product), so they are those of the correctly rounded ``%``.
+The other cells (exponent notation, inf, |v| >= 10, exact ties, which Python
+rounds to even) take Python's ``%``.
+
 The draw sequence is generated single-threaded from the seed, so a given
 configuration always reproduces the same result, and the same CSV bytes, bit
 for bit.
@@ -16,6 +25,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterator, TextIO
@@ -178,17 +188,157 @@ def hierarchy_experiment(cfg: SamplerConfig) -> HierarchyResult:
     return HierarchyResult(weights, x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
 
 
+def _split(x):
+    """Dekker's split of x into two floats of at most 26 significant bits that sum to x."""
+    c = x * (2.0**27 + 1.0)
+    high = c - (c - x)
+    return high, x - high
+
+
+# The kernel's two tables are built on its first call, so that a run that prints
+# no kernel block (a 30-state sample-mems, thresholds) neither builds nor holds them.
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The ASCII of every 4-digit group 0000..9999 as a uint32 word (entry g), then
+    the same groups with their trailing zeros as NUL bytes (entry 10^4 + g)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # column g holds g's digits
+    kept = digits != 0
+    for j in (2, 1, 0):  # kept where a digit here or after it is not 0
+        kept[j] |= kept[j + 1]
+    chars = digits + np.uint8(ord("0"))
+    words = np.ascontiguousarray(np.hstack([chars, chars * kept]).T).view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+@functools.cache
+def _head_words() -> np.ndarray:
+    """A cell's bytes up to its leading digit d, right-aligned in 8 NUL bytes, as uint64
+    entry ((s * 5 + e + 4) * 10 + d) * 2 + dot for the sign s (0 plus, 1 minus, 2 and
+    3 NaN), the decade e = -4..0 and whether a digit follows d.
+
+    Decades -4..-1 print "0.000", "0.00", "0.0" or "0." before d; decade 0 prints d
+    and, where a digit follows it, ".".
+    """
+    heads = [b"0.%s%d" % (b"0" * zeros, d) for zeros in (3, 2, 1, 0) for d in range(10)
+             for _ in range(2)]
+    heads += [b"%d%s" % (d, b"." * dot) for d in range(10) for dot in range(2)]
+    text = [sign + head for sign in (b"", b"-") for head in heads] + [b"nan"] * (2 * len(heads))
+    return np.frombuffer(b"".join(t.rjust(8, b"\0") for t in text), np.uint64)
+
+
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
+# The lower bounds of the decades -3..0; a cell's class is its decade + 4 + 5 s.
+_DECADES = (1e-3, 1e-2, 1e-1, 1.0)
+# 10^k for k = 11 - e, and its split, by class.
+_SCALES = np.tile(10.0 ** np.arange(15, 10, -1), 4)
+_SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
+# The kernel's numpy calls cost about as much as one ``%`` over 330-400 cells,
+# and less over more; a 30-row sample-mems block has 330.
+_KERNEL_CELLS = 400
+# More bytes than "%.12g" prints outside the kernel ("-1.23456789012e-308" has 19).
+_FALLBACK_WIDTH = 20
+
+
+def _flag(b: np.ndarray) -> np.ndarray:
+    """A bool array as int8 0 and 1, without a copy."""
+    return b.view(np.int8)
+
+
+def _fallback_bytes(values: np.ndarray) -> np.ndarray:
+    """``%.12g`` of each value, padded with spaces to _FALLBACK_WIDTH: rows (k, width) uint8."""
+    text = (f"%-{_FALLBACK_WIDTH}.12g" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FALLBACK_WIDTH)
+
+
+def _rounded(x: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer N nearest to x 10^k for each class's k, and where N is certain.
+
+    x 10^k is formed exactly, as a float and its error (Dekker's two-product).
+    N is not certain where x 10^k lies half-way between two integers (a tie,
+    which Python rounds to even) or N is 10^12 (x rounds up into the next decade).
+    """
+    high = x * _SCALES[cls]
+    x_high, x_low = _split(x)
+    s_high, s_low = _SCALES_HIGH[cls], _SCALES_LOW[cls]
+    low = ((x_high * s_high - high) + x_high * s_low + x_low * s_high) + x_low * s_low
+    n = np.floor(high)
+    frac = high - n  # exact: a multiple of the ulp of high, and |low| <= half of it
+    tie = frac == 0.5
+    n += (frac > 0.5) | (tie & (low > 0))
+    return n, ~(tie & (low == 0)) & (n < 1e12)
+
+
+def _slots(cls: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """24-byte slots (k, 3) uint64 of cells of class cls and 12 digits n (0 for no digits).
+
+    A slot holds the cell's head up to its leading digit, then its other 11
+    digits and a 0 as three words of 4 digits, the trailing zeros as NUL bytes.
+    Its last word is left for the separator.
+    """
+    lead = np.floor(n / 1e11)
+    digits = 10 * n - 1e12 * lead
+    g0 = np.floor(digits / 1e8)
+    rest = digits - g0 * 1e8
+    g1 = np.floor(rest / 1e4)
+    g2 = rest - g1 * 1e4
+    slots = np.empty((n.size, 3), np.uint64)
+    slots[:, 0] = _head_words()[cls * 20 + (2 * lead).astype(np.intp) + _flag(digits != 0)]
+    words, table = slots.view(np.uint32), _digit_words()
+    for j, (group, trimmed) in enumerate(((g0, rest == 0), (g1, g2 == 0), (g2, True))):
+        index = group.astype(np.intp)
+        np.add(index, 10**4, out=index, where=trimmed)
+        words[:, 2 + j] = table[index]
+    return slots
+
+
+def _format_cells(cells: np.ndarray) -> str:
+    """CSV text of a block (rows, m) of float cells: ``format(v, ".12g")`` of every cell.
+
+    The kernel prints the cells that are +-0, NaN or have |v| in [1e-4, 10). There
+    the decade e = floor(log10|v|) is exact: it is read from comparisons with the
+    floats of 1e-4 to 1, and each lies at or above its power of ten with no double
+    between. The nearest integer N to |v| 10^(11 - e) is then the 12 digits that
+    the correctly rounded ``%.12g`` prints, where ``_rounded`` finds it certain.
+    Each cell fills a 24-byte slot (``_slots``) and its separator. The other cells
+    (exponent notation, inf, |v| >= 10, ties) take one ``%`` for the block, padded
+    to the slot with spaces. One ``translate`` squeezes the NUL bytes and spaces out.
+    """
+    rows, m = cells.shape
+    v = cells.ravel()
+    a = np.abs(v)
+    inside = (a >= 1e-4) & (a < 10.0)
+    x = np.where(inside, a, 1.0)
+    sign = _flag(np.signbit(v)) + 2 * _flag(v != v)
+    cls = (sum(_flag(x >= d) for d in _DECADES) + 5 * sign).astype(np.intp)
+    n, exact = _rounded(x, cls)
+    exact &= inside
+    n *= exact
+    slots = _slots(cls, n)
+    words = slots.view(np.uint32).reshape(rows, m, 6)
+    words[:, :, 5] = _COMMA
+    words[:, -1, 5] = _NEWLINE
+    refused = np.flatnonzero(~exact & (a != 0) & ~np.isnan(a))
+    if refused.size:
+        slots.view(np.uint8).reshape(-1, 24)[refused, :_FALLBACK_WIDTH] = _fallback_bytes(v[refused])
+    return slots.tobytes().translate(None, b"\0 ").decode("ascii")
+
+
 def csv_blocks(*columns: np.ndarray) -> Iterator[str]:
     """CSV text, LF endings, of the rows of column arrays (n, m_i) side by side.
 
-    Every cell is ``%.12g`` of its float, the bytes of ``format(v, ".12g")``.
-    Rows are formatted with one ``%`` per _BLOCK_POINTS of them and yielded a
-    block at a time, so the text held in memory does not grow with n.
+    Every cell is the bytes of ``format(v, ".12g")``. Rows are formatted
+    _BLOCK_POINTS at a time and yielded a block at a time, so the text held in
+    memory does not grow with n: by ``_format_cells``, or by one ``%`` for a block
+    of fewer than _KERNEL_CELLS cells.
     """
     row = ",".join(["%.12g"] * sum(c.shape[1] for c in columns)) + "\n"
     for k in range(0, len(columns[0]), _BLOCK_POINTS):
         cells = np.hstack([c[k:k + _BLOCK_POINTS] for c in columns])
-        yield (row * len(cells)) % tuple(cells.ravel().tolist())
+        if cells.size < _KERNEL_CELLS:
+            yield (row * len(cells)) % tuple(cells.ravel().tolist())
+        else:
+            yield _format_cells(cells)
 
 
 def write_records_csv(records: HierarchyResult, fh: TextIO) -> None:

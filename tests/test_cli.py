@@ -158,6 +158,15 @@ class TestScanCommand:
         assert sum(len(stack) for stack in concurrence_stacks) == 4005
         assert sum(len(stack) for stack in wootters_stacks) == 730
 
+    def test_golden_stdout_exponent_q(self, runner):
+        # Every q after the first is below 1e-4, so each prints in exponent
+        # notation through Python's %, spliced between the C, F and B cells.
+        out = run_ok(runner, ["scan", "--state", "werner:p=0.9", "--qmin", "0", "--qmax", "1e-5",
+                              "--steps", "5000"])
+        digest = "9301d3e136471357f014b78e6b6600559ec19de1808142bfea8c17ef1afc1cbe"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert out.split("\n")[2].startswith("2.00040008002e-09,")
+
     def test_steps_one_rejected(self, runner):
         result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", "1"])
         assert result.exit_code == 2
