@@ -34,18 +34,20 @@ need (the entries of T^T T, ||adj T||_F^2 and det T), and
 only at 9 points per state and interpolates it, and the second at every point
 (``thresholds._kraus_table``).
 
-``scan`` prints C, F and B to 12 digits, which need not be LAPACK's floats:
-``jacobi_fidelity_bell`` reads F and B from a one-sided Jacobi SVD of T, and
-``jacobi_concurrence`` reads C from the Cholesky factor of rho and a complex
-one-sided Jacobi SVD, each elementwise over a stack, with a bound on its
-distance to the floats of ``correlation_singvals_stack`` and
-``wootters_roots_stack``. The C bound grows with 1/sqrt(lambda_min), and the
-kernel refuses rank-deficient states, so their C stays LAPACK's. Neither
-kernel is exported by ``qnl``: ``classify`` and the locator keep LAPACK.
+``scan`` prints C, F and B to 12 digits, which need not be LAPACK's floats.
+It reads them from one one-sided Jacobi SVD, ``_jacobi``, elementwise over a
+stack of real or complex columns, with a bound on the distance of its singular
+values to LAPACK's: ``jacobi_fidelity_bell`` runs it on the columns of T, for
+the floats of ``correlation_singvals_stack``, and ``jacobi_concurrence`` on
+those of M = L^T (sigma_y x sigma_y) L, L the Cholesky factor of rho, for
+those of ``wootters_roots_stack``. The C bound grows with 1/sqrt(lambda_min),
+and that kernel refuses rank-deficient states, so their C stays LAPACK's.
+Neither is exported by ``qnl``: ``classify`` and the locator keep LAPACK.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -197,14 +199,11 @@ def invariant_sign_margins(inv: np.ndarray) -> np.ndarray:
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Column pairs of one cyclic Jacobi sweep. After three sweeps about one Ginibre
-# row in eight still has residuals far above rounding; four converge them.
-_JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
+# Cyclic sweeps of _jacobi. After three sweeps about one Ginibre row in eight
+# still has residuals far above rounding; four converge them.
 _JACOBI_SWEEPS = 4
 # Bound on the distance of each singular value of jacobi_fidelity_bell to
-# LAPACK's, in units of eps ||T||_F, plus the residual term (see there). Both
-# are the exact singular values of a nearby matrix (backward stability), and by
-# Weyl's inequality each singular value moves no more than that matrix does:
+# LAPACK's, in units of eps ||T||_F, plus the residual term (see _jacobi):
 # about 5 eps ||T||_F per rotation, twelve of them, for Jacobi, and a few eps
 # for LAPACK, in the worst case. Over 10^7 rows (tests/test_jacobi_svd.py's
 # cases and Ginibre states) the F and B gaps stayed below a fifth of the bounds.
@@ -212,65 +211,6 @@ SINGVAL_SLACK = 64
 # Squares of entries below ~1e-154 underflow: an absolute term that covers
 # them, so rows with ||T||_F below ~1e-140 are never certain.
 _UNDERFLOW = 1e-150
-
-
-def _jacobi_angle(sq_i: np.ndarray, sq_j: np.ndarray, dot: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cos, tan and the denominator of tan of the plane rotation that makes columns i, j orthogonal.
-
-    From their squared norms and a_i . a_j (``dot``; |a_i^H a_j| for complex
-    columns, once a_j's phase is turned to make it real): tan is the smaller root
-    of tan^2 + 2 tan half / dot - 1 = 0, half = (sq_j - sq_i) / 2, and 0 where
-    dot = half = 0. After the rotation the squared norms are sq_i - tan dot and
-    sq_j + tan dot.
-    """
-    half = 0.5 * (sq_j - sq_i)
-    den = half + np.copysign(np.sqrt(half * half + dot * dot) + _TINY, half)
-    tan = dot / den
-    return 1.0 / np.sqrt(1.0 + tan * tan), tan, den
-
-
-def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and B, rows (2, M), of correlation matrices (M, 3, 3), and bounds (2, M) on their distance to LAPACK's.
-
-    A one-sided Jacobi SVD (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
-    1204 (1992)): _JACOBI_SWEEPS cyclic sweeps of plane rotations of the
-    columns of T, each choosing the angle that makes a pair orthogonal, after
-    which the singular values are the column norms n_i. Each bound starts from
-    ds = SINGVAL_SLACK eps ||T||_F + 2 sum_{i<j} |a_i . a_j| / max(n_i, n_j):
-    the columns a_i that are left are Q R with R - diag(n) of Frobenius norm at
-    most twice the residual sum, to first order, so by Weyl each sorted n_i is
-    within that of a singular value of the rotated T. N moves by at most 3 ds,
-    so F by ds/2 plus its own rounding, and B = 2 sqrt(s1^2 + s2^2) by at most
-    2 sqrt(2) ds plus rounding: the bounds are ds/2 + 4 eps and 3 ds. Every
-    step is elementwise, so a row's floats do not depend on the other rows.
-    """
-    cols = list(np.ascontiguousarray(t.transpose(2, 1, 0)))  # column j of every T, (3, M)
-    sq = [(c * c).sum(axis=0) for c in cols]
-    for _ in range(_JACOBI_SWEEPS):
-        for i, j in _JACOBI_PAIRS:
-            x, y = cols[i], cols[j]
-            dot = (x * y).sum(axis=0)
-            if not dot.any():
-                continue  # every row's rotation is the identity, up to the signs of zeros
-            cos, tan, _ = _jacobi_angle(sq[i], sq[j], dot)
-            sin = cos * tan
-            cols[i], cols[j] = cos * x - sin * y, sin * x + cos * y
-            step = tan * dot
-            sq[i], sq[j] = sq[i] - step, sq[j] + step
-    sq = [(c * c).sum(axis=0) for c in cols]
-    n = [np.sqrt(s) for s in sq]
-    resid = sum(np.abs((cols[i] * cols[j]).sum(axis=0)) / (np.maximum(n[i], n[j]) + _TINY)
-                for i, j in _JACOBI_PAIRS)
-    ds = SINGVAL_SLACK * _EPS * np.sqrt(sq[0] + sq[1] + sq[2]) + 2.0 * resid + _UNDERFLOW
-    # Descending by a sorting network: np.sort along an axis of 3 costs ~10x more.
-    lo, hi = np.minimum(n[0], n[1]), np.maximum(n[0], n[1])
-    sv = (np.maximum(hi, n[2]), np.maximum(lo, np.minimum(hi, n[2])), np.minimum(lo, n[2]))
-    _, f, b = correlation_measures(sv)
-    return np.stack([f, b]), np.stack([0.5 * ds + 4.0 * _EPS, 3.0 * ds])
-
-
-# Column pairs of one cyclic sweep over the four columns of Wootters' M.
-_WOOTTERS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Bound on the distance of jacobi_concurrence's C to LAPACK's, in units of
 # eps (1 + ||L^-1||_F), plus the residual term (see there). Over 10^7 rows
 # (tests/test_jacobi_concurrence.py's cases and Ginibre states) the gap stayed
@@ -285,17 +225,90 @@ _LAMBDA_FLOOR = 1e-10
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2, elementwise."""
-    return z.real * z.real + z.imag * z.imag
+    return z.real * z.real + z.imag * z.imag if np.iscomplexobj(z) else z * z
 
 
-def _sum4(z: np.ndarray) -> np.ndarray:
-    """((z0 + z1) + z2) + z3 over the first axis of z (4, ...).
+def _sum(z: np.ndarray) -> np.ndarray:
+    """((z0 + z1) + z2) + ... over the first axis of z.
 
     Not ``z.sum(axis=0)``: where the other axes have length 1, numpy sums the
     8 floats of four complex numbers pairwise, so a row's float would depend
     on the size of its stack.
     """
-    return z[0] + z[1] + z[2] + z[3]
+    out = z[0] + z[1]
+    for term in z[2:]:
+        out += term
+    return out
+
+
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared norms (k, M), norms (k, M) and residual r (M,) of columns a (k, r, M), rotated in place.
+
+    A one-sided Jacobi SVD (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1204 (1992)) of real or complex columns: _JACOBI_SWEEPS cyclic sweeps of
+    plane rotations over the pairs i < j. Each first turns a_j's phase so that
+    d = a_i^H a_j is real, then takes tan as the smaller root of
+    tan^2 + 2 tan h / |d| - 1 = 0, h = (|a_j|^2 - |a_i|^2) / 2, and 0 where
+    d = h = 0, which makes the pair orthogonal; the squared norms become
+    |a_i|^2 - tan |d| and |a_j|^2 + tan |d|. A pair whose d is 0 on every row
+    is skipped. The singular values are then the column norms n_i.
+
+    Both this SVD and LAPACK's are the exact SVD of a nearby matrix (backward
+    stability), and by Weyl's inequality each singular value moves no more
+    than that matrix does: a few eps ||a||_F per rotation. What the sweeps
+    left is r = sum_{i<j} |a_i^H a_j| / max(n_i, n_j): the columns are Q R with
+    R - diag(n) of Frobenius norm at most 2 r, to first order, so by Weyl each
+    sorted n_i is within 2 r of a singular value of the rotated matrix. Every
+    step is elementwise, so a row's floats do not depend on the other rows.
+    """
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    prod, vx = np.empty((2,) + a.shape[1:], dtype=a.dtype)
+    sq = np.stack([_sum(_abs2(col)) for col in a])
+    for _ in range(_JACOBI_SWEEPS):
+        for i, j in pairs:
+            x, y = a[i], a[j]
+            d = _sum(np.multiply(np.conjugate(x, out=prod), y, out=prod))
+            if not d.any():
+                continue  # every row's rotation is the identity, up to the signs of zeros
+            mod = np.abs(d)
+            half = 0.5 * (sq[j] - sq[i])
+            den = half + np.copysign(np.sqrt(half * half + mod * mod) + _TINY, half)
+            tan = mod / den
+            cos = 1.0 / np.sqrt(1.0 + tan * tan)
+            v = cos * (d / den)  # sin times the phase of a_i^H a_j
+            np.multiply(v, x, out=vx)
+            x *= cos
+            x -= np.multiply(v.conj(), y, out=prod)
+            y *= cos
+            y += vx
+            step = tan * mod
+            sq[i] -= step
+            sq[j] += step
+    sq = np.stack([_sum(_abs2(col)) for col in a])
+    n = np.sqrt(sq)
+    resid = sum(np.abs(_sum(np.multiply(np.conjugate(a[i], out=prod), a[j], out=prod)))
+                / (np.maximum(n[i], n[j]) + _TINY) for i, j in pairs)
+    return sq, n, resid
+
+
+def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and B, rows (2, M), of correlation matrices (M, 3, 3), and bounds (2, M) on their distance to LAPACK's.
+
+    The singular values are the column norms n_i of T after ``_jacobi``, on
+    a real copy of T's columns. Each bound starts from
+    ds = SINGVAL_SLACK eps ||T||_F + 2 r, by which each sorted n_i may miss
+    LAPACK's singular value (see ``_jacobi``). N moves by at most 3 ds, so F by
+    ds/2 plus its own rounding, and B = 2 sqrt(s1^2 + s2^2) by at most
+    2 sqrt(2) ds plus rounding: the bounds are ds/2 + 4 eps and 3 ds.
+    """
+    # Column j of every T, (3, 3, M); real, since complex division rounds otherwise.
+    sq, n, resid = _jacobi(np.array(t.transpose(2, 1, 0), dtype=float, order="C"))
+    ds = SINGVAL_SLACK * _EPS * np.sqrt(_sum(sq)) + 2.0 * resid + _UNDERFLOW
+    # Descending by a sorting network: np.sort along an axis of 3 costs ~10x more.
+    lo, hi = np.minimum(n[0], n[1]), np.maximum(n[0], n[1])
+    sv = (np.maximum(hi, n[2]), np.maximum(lo, np.minimum(hi, n[2])), np.minimum(lo, n[2]))
+    _, f, b = correlation_measures(sv)
+    return np.stack([f, b]), np.stack([0.5 * ds + 4.0 * _EPS, 3.0 * ds])
 
 
 def jacobi_concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,27 +319,23 @@ def jacobi_concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = L L^H is the complex Cholesky factor, read from rho's lower triangle
     and real diagonal as eigh reads them: M^H M = L^H rho_tilde L is similar
     to rho rho_tilde. M is complex symmetric and zero below its antidiagonal.
-    _JACOBI_SWEEPS cyclic sweeps of one-sided Jacobi rotations make its
-    columns a_i orthogonal; each rotation first turns a_j's phase so that
-    a_i^H a_j is real. The roots are the column norms n_i, and
+    The roots are the column norms n_i of M after ``_jacobi``, and
     C = 2 max n_i - sum n_i.
 
-    The bound is CONCURRENCE_SLACK eps (1 + ||L^-1||_F) + 8 r, with
-    r = sum_{i<j} |a_i^H a_j| / max(n_i, n_j). Both C are those of a state
-    within a few eps of rho (Cholesky and eigh are backward stable), and
-    through the square root of rho a perturbation E moves the roots by about
+    The bound is CONCURRENCE_SLACK eps (1 + ||L^-1||_F) + 8 r, with r the
+    residual of ``_jacobi``. Both C are those of a state within a few eps of
+    rho (Cholesky and eigh are backward stable), and through the square root
+    of rho a perturbation E moves the roots by about
     ||E|| / sqrt(lambda_min) <= ||E|| ||L^-1||_F; forming and rotating M
-    moves them by a few eps ||M|| <= eps tr rho. As in
-    ``jacobi_fidelity_bell``, each sorted n_i is within 2 r of a singular
-    value of the rotated M, so C within 8 r. ||L^-1||_F comes from forward
-    substitution, and 1 / ||L^-1||_F^2 <= lambda_min.
+    moves them by a few eps ||M|| <= eps tr rho. Each sorted n_i is within
+    2 r of a singular value of the rotated M, so C within 8 r. ||L^-1||_F
+    comes from forward substitution, and 1 / ||L^-1||_F^2 <= lambda_min.
 
     A row is refused, C NaN and its bound inf, where a pivot of the Cholesky
     factor is not positive, where 1 / ||L^-1||_F^2 is below _LAMBDA_FLOOR, or
     where C or its bound is not finite: rank-deficient states, on which
     LAPACK's own C is off by up to about 1e-8, and rows with NaN or inf
-    entries. Only the other rows are rotated. Every step is elementwise, so a
-    row's floats do not depend on the other rows.
+    entries. Only the other rows are rotated.
     """
     n = len(rhos)
     c, bound = np.full(n, np.nan), np.full(n, np.inf)
@@ -337,29 +346,8 @@ def jacobi_concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.flatnonzero(ok)
         a = _wootters_columns(low if rows.size == n else {key: v[rows] for key, v in low.items()})
         del low  # freed before the rotations' buffers are made
-        prod, vx = np.empty((2,) + a.shape[1:], dtype=complex)
-        sq = np.stack([_sum4(_abs2(col)) for col in a])
-        for _ in range(_JACOBI_SWEEPS):
-            for i, j in _WOOTTERS_PAIRS:
-                x, y = a[i], a[j]
-                dot = _conj_dot(x, y, prod)
-                if not dot.any():
-                    continue  # every row's rotation is the identity, up to the signs of zeros
-                mod = np.abs(dot)
-                cos, tan, den = _jacobi_angle(sq[i], sq[j], mod)
-                v = cos * (dot / den)  # sin times the phase of a_i^H a_j
-                np.multiply(v, x, out=vx)
-                x *= cos
-                x -= np.multiply(v.conj(), y, out=prod)
-                y *= cos
-                y += vx
-                step = tan * mod
-                sq[i] -= step
-                sq[j] += step
-        norms = np.sqrt(np.stack([_sum4(_abs2(col)) for col in a]))
-        resid = sum(np.abs(_conj_dot(a[i], a[j], prod)) / (np.maximum(norms[i], norms[j]) + _TINY)
-                    for i, j in _WOOTTERS_PAIRS)
-        c_rows = 2.0 * norms.max(axis=0) - _sum4(norms)
+        _, norms, resid = _jacobi(a)
+        c_rows = 2.0 * norms.max(axis=0) - _sum(norms)
         bound_rows = CONCURRENCE_SLACK * _EPS * (1.0 + np.sqrt(inv_sq[rows])) + 8.0 * resid
     finite = np.isfinite(c_rows) & np.isfinite(bound_rows)
     c[rows[finite]], bound[rows[finite]] = c_rows[finite], bound_rows[finite]
@@ -406,13 +394,6 @@ def _wootters_columns(low: dict) -> np.ndarray:
     a[1, 1] = 2.0 * (low[1, 1] * low[2, 1])
     a[1, 2] = a[2, 1] = low[1, 1] * low[2, 2]
     return a
-
-
-def _conj_dot(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x^H y over the first axis of columns (4, M), with ``out`` (4, M) as scratch."""
-    np.conjugate(x, out=out)
-    out *= y
-    return _sum4(out)
 
 
 def concurrence_of_roots(roots: np.ndarray) -> np.ndarray:

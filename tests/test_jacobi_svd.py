@@ -11,6 +11,9 @@ rows to ``correlation_singvals_stack``. The tests:
     has a factor of 2 to spare;
   * residual term: after one sweep the columns are far from orthogonal, and
     the bound still certifies no wrong byte;
+  * diagonal T: every rotation is the identity, so F and B are those of the
+    sorted |t_ii| bit for bit, also among rows that rotate; and the kernel
+    rotates a copy, so neither Jacobi front end changes the array it is given;
   * certificate: floats within the bound of a rounding midpoint or of a power
     of ten are refused, and every accepted float prints like its neighbours;
   * routing: which rows reach ``correlation_singvals_stack``, and that a grid
@@ -23,7 +26,8 @@ from conftest import assert_same_bits, ginibre, local_rotation, printed, x_state
 
 from qnl import measures
 from qnl.channels import FAMILIES, evolve_grid
-from qnl.measures import correlation_matrix_stack, correlation_measures, jacobi_fidelity_bell
+from qnl.measures import (correlation_matrix_stack, correlation_measures, jacobi_concurrence,
+                          jacobi_fidelity_bell)
 from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.thresholds import _BLOCK_POINTS, _prints_alike, scan
 
@@ -139,6 +143,48 @@ def test_one_sweep_leaves_residuals_that_the_bound_carries(monkeypatch):
     slack_only = 3.0 * measures.SINGVAL_SLACK * np.finfo(float).eps * np.linalg.norm(t, axis=(1, 2))
     assert np.mean(err[1] > 2.0 * slack_only) > 0.5
     assert 0 < certain.sum() < certain.size
+
+
+def test_diagonal_t_gives_the_sorted_diagonal_bit_for_bit(rng):
+    # X-states with real coherences have a diagonal T under every family, so
+    # each of their rotations is the identity, also in blocks whose other
+    # (Ginibre) rows rotate, and their singular values are the |t_ii| exactly.
+    x_rows = np.concatenate([evolve_grid(x_state_mat(diag, c14, c23), family, GRID)
+                             for diag, c14, c23 in (((0.25, 0.25, 0.25, 0.25), 0.2, 0.0),
+                                                    ((0.4, 0.1, 0.1, 0.4), 0.3, -0.05),
+                                                    ((0.5, 0.0, 0.2, 0.3), 0.0, 0.1))
+                             for family in sorted(FAMILIES)])
+    general = np.concatenate([evolve_grid(ginibre(rng, 1 + k), family, GRID[::3])
+                              for k in range(4) for family in sorted(FAMILIES)])
+    order = rng.permutation(len(x_rows) + len(general))
+    t = correlation_matrix_stack(np.concatenate([x_rows, general])[order])
+    is_x = order < len(x_rows)
+    diag = np.abs(np.diagonal(t[is_x], axis1=1, axis2=2))
+    assert not (t[is_x] * (1.0 - np.eye(3))).any()
+    _, f, b = correlation_measures(-np.sort(-diag, axis=1).T)
+    fb, _ = jacobi_fidelity_bell(t)
+    assert_same_bits(fb[:, is_x], np.stack([f, b]))
+    # The Ginibre rows' T are not diagonal, so the block's rotations run; X
+    # rows alone skip them all.
+    assert (t[~is_x] * (1.0 - np.eye(3))).any()
+    for k in rng.choice(np.flatnonzero(is_x), size=50, replace=False):
+        assert_same_bits(jacobi_fidelity_bell(t[k:k + 1])[0], fb[:, k:k + 1])
+
+
+@pytest.mark.parametrize("size", [0, 1, 4004])
+def test_front_ends_leave_their_input_alone(size, rng):
+    # The shared Jacobi kernel rotates its columns in place; each front end
+    # gives it a copy. T also comes laid out as its own columns, the layout
+    # that a copy-free transpose would hand to the kernel as it is.
+    rhos = evolve_grid(ginibre(rng, 4), "depolarizing", GRID[:size])
+    t = correlation_matrix_stack(rhos)
+    for stack in (t, np.ascontiguousarray(t.transpose(2, 1, 0)).transpose(2, 1, 0)):
+        before = stack.copy()
+        jacobi_fidelity_bell(stack)
+        assert_same_bits(stack, before)
+    before = rhos.copy()
+    jacobi_concurrence(rhos)
+    assert_same_bits(rhos.view(float), before.view(float))
 
 
 def decimal_midpoints(rng: np.random.Generator, exponents) -> np.ndarray:
