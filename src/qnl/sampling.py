@@ -10,13 +10,13 @@ experiment stays in arrays from the draw to the CSV: one ``HierarchyResult``
 holds the weights and thresholds of all accepted states as columns.
 
 ``csv_blocks`` prints the CSV of ``sample-mems`` and ``scan``: every cell is
-the bytes of ``format(v, ".12g")``. An array kernel prints the cells that are
-0, NaN or have |v| in [1e-4, 10), nearly every value qnl prints (all are at
-most 2 sqrt 2).
+the bytes of ``format(v, ".12g")``. One array kernel prints every block. It
+writes the digits of the cells that are 0, NaN or have |v| in [1e-4, 10)
+itself, nearly every value qnl prints (all are at most 2 sqrt 2).
 Their 12 digits are the nearest integer to |v| 10^k, which is formed exactly
 (Dekker's two-product), so they are those of the correctly rounded ``%``.
 The other cells (exponent notation, inf, |v| >= 10, exact ties, which Python
-rounds to even) take Python's ``%``.
+rounds to even) take one Python ``%`` per block.
 
 The draw sequence is generated single-threaded from the seed, so a given
 configuration always reproduces the same result, and the same CSV bytes, bit
@@ -196,7 +196,7 @@ def _split(x):
 
 
 # The kernel's two tables are built on its first call, so that a run that prints
-# no kernel block (a 30-state sample-mems, thresholds) neither builds nor holds them.
+# no CSV (thresholds, measures) neither builds nor holds them.
 @functools.cache
 def _digit_words() -> np.ndarray:
     """The ASCII of every 4-digit group 0000..9999 as a uint32 word (entry g), then
@@ -233,9 +233,6 @@ _DECADES = (1e-3, 1e-2, 1e-1, 1.0)
 # 10^k for k = 11 - e, and its split, by class.
 _SCALES = np.tile(10.0 ** np.arange(15, 10, -1), 4)
 _SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
-# The kernel's numpy calls cost about as much as one ``%`` over 330-400 cells,
-# and less over more; a 30-row sample-mems block has 330.
-_KERNEL_CELLS = 400
 # More bytes than "%.12g" prints outside the kernel ("-1.23456789012e-308" has 19).
 _FALLBACK_WIDTH = 20
 
@@ -327,18 +324,12 @@ def _format_cells(cells: np.ndarray) -> str:
 def csv_blocks(*columns: np.ndarray) -> Iterator[str]:
     """CSV text, LF endings, of the rows of column arrays (n, m_i) side by side.
 
-    Every cell is the bytes of ``format(v, ".12g")``. Rows are formatted
-    _BLOCK_POINTS at a time and yielded a block at a time, so the text held in
-    memory does not grow with n: by ``_format_cells``, or by one ``%`` for a block
-    of fewer than _KERNEL_CELLS cells.
+    Every cell is the bytes of ``format(v, ".12g")``. Rows are formatted by
+    ``_format_cells`` _BLOCK_POINTS at a time and yielded a block at a time, so
+    the text held in memory does not grow with n.
     """
-    row = ",".join(["%.12g"] * sum(c.shape[1] for c in columns)) + "\n"
     for k in range(0, len(columns[0]), _BLOCK_POINTS):
-        cells = np.hstack([c[k:k + _BLOCK_POINTS] for c in columns])
-        if cells.size < _KERNEL_CELLS:
-            yield (row * len(cells)) % tuple(cells.ravel().tolist())
-        else:
-            yield _format_cells(cells)
+        yield _format_cells(np.hstack([c[k:k + _BLOCK_POINTS] for c in columns]))
 
 
 def write_records_csv(records: HierarchyResult, fh: TextIO) -> None:

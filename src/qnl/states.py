@@ -134,7 +134,7 @@ def from_json_dict(data: dict) -> DensityMatrix:
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state JSON must carry 4x4 're' and 'im' arrays: {exc}")
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError(

@@ -167,6 +167,13 @@ class TestScanCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert out.split("\n")[2].startswith("2.00040008002e-09,")
 
+    def test_golden_stdout_small_table(self, runner):
+        # A 21-row scan: one block of 84 cells, far below a full block.
+        out = run_ok(runner, ["scan", "--state", "mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05",
+                              "--channel", "phase-damping", "--steps", "21"])
+        digest = "a6a15e4a97368f3e4347893703eb4155166f3c6fb47042b30aeef58905ff1310"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_steps_one_rejected(self, runner):
         result = runner.invoke(main, ["scan", "--state", "bell:singlet", "--steps", "1"])
         assert result.exit_code == 2
@@ -354,6 +361,19 @@ class TestSampleMemsCommand:
                         "--out", str(out_path)])
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
+    # The same at --n 30, the benchmark's op: one block of 330 cells.
+    @pytest.mark.parametrize(
+        "channel, digest",
+        [("amplitude-damping", "1c93fd701a65dd9d0253e6a9113531d133c37b7f37d5ee0b276c3ec3a7e8ed1a"),
+         ("phase-damping", "36306394328eacb0cfd6a809de1b09ee3dafa6fb7eb7c9d52f6ab50449090262"),
+         ("depolarizing", "875d812119251a99a5a542aeebde91e77fb5618db7ce543915685a47d1328693")],
+    )
+    def test_golden_csv_of_thirty_states(self, runner, tmp_path, channel, digest):
+        out_path = tmp_path / "records.csv"
+        run_ok(runner, ["sample-mems", "--n", "30", "--seed", "7", "--channel", channel,
+                        "--out", str(out_path)])
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
 
 class TestWernerMapCommand:
     # SHA-256 of the map CSV: the labels and their formatting are
@@ -439,6 +459,21 @@ class TestFailureExits:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "invalid state spec" in result.output
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("command", ["measures", "thresholds", "scan"])
+    def test_integer_too_large_for_a_float_exits_2(self, runner, tmp_path, command, part):
+        # json reads 10^400 as a Python int, which no float holds.
+        doc = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        doc[part][0][1] = 10**400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--state", f"file:{path}"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "invalid state spec" in errors[0]
+        assert "Traceback" not in result.output
 
     def test_nan_mems_weight_exits_2(self, runner):
         result = runner.invoke(

@@ -2,10 +2,11 @@
 
 Each example runs one command through click's ``CliRunner`` with numbers that
 are NaN, infinite, out of range, subnormal or malformed; ``file:`` states with
-bad JSON, wrong shapes and NaN entries; bad options; and ``--out`` paths that
-are missing or a directory, all under ``tmp_path``. Sizes stay small
-(``sample-mems --n`` <= 5, ``scan --steps`` <= 50, ``werner-map --grid`` <= 5),
-and a size above the row bound is refused before anything is allocated.
+bad JSON, wrong shapes, NaN entries and integers no float holds; bad options;
+and ``--out`` paths that are missing or a directory, all under ``tmp_path``.
+Sizes stay small (``sample-mems --n`` <= 5, ``scan --steps`` <= 50,
+``werner-map --grid`` <= 5), and a size above the row bound is refused before
+anything is allocated.
 """
 
 import json
@@ -40,6 +41,7 @@ FILE_DOCS = st.sampled_from([
     " \"im\": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, Infinity]]}",
     "{\"re\": [[1e400, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],"
     " \"im\": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}",
+    json.dumps({"re": (np.eye(4) / 4).tolist(), "im": [[10**400] + [0] * 3] + [[0] * 4] * 3}),
     json.dumps({"re": np.diag([1.0, 5e-324, 0.0, 0.0]).tolist(), "im": np.zeros((4, 4)).tolist()}),
     json.dumps({"re": np.diag([2.0, -1.0, 0.0, 0.0]).tolist(), "im": np.zeros((4, 4)).tolist()}),
     json.dumps({"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}),

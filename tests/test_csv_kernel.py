@@ -149,7 +149,9 @@ def test_special_values():
         assert _format_cells(np.array([[v]])) == format(v, ".12g") + "\n"
 
 
-@pytest.mark.parametrize("rows", [1, _BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1])
+# 1-11 columns of 1, 2, 30 and 99 rows make blocks of 1 to 1089 cells; a
+# 30-state sample-mems block has 330 and a 21-step scan 84.
+@pytest.mark.parametrize("rows", [1, 2, 30, 99, _BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1])
 def test_block_shapes(rows):
     rng = np.random.default_rng(rows)
     pool = np.concatenate([rng.uniform(0.0, 1.0, 64), rng.uniform(-10.0, 10.0, 16),

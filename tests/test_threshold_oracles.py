@@ -10,11 +10,18 @@
   PRA 54, 1838 (1996)), and phase damping and depolarizing noise keep it
   Bell-diagonal, so under them q_F = q_C. Amplitude damping does not keep
   the form, and is left out.
+- For a|00> + b|11> with ab != 0, depolarizing noise on B gives
+  |rho14| = ab (1 - q) and rho22 rho33 = (ab q / 2)^2, so C > 0 exactly when
+  q < 2/3. The noise commutes with U_A x U_B, so every entangled pure state
+  has q_C = 2/3. Under amplitude and phase damping a|00> + b|11> keeps
+  C = 2ab sqrt(1 - q) > 0, also under U_A, so q_C is None.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ginibre, haar_unitary
+from conftest import ginibre, haar_unitary, local_rotation
 from oracles import correlation_einsum
 
 from qnl.measures import GISIN_BOUND
@@ -73,3 +80,35 @@ def test_bell_diagonal_fidelity_dies_with_entanglement(family, tol):
         got = threshold_set(DensityMatrix(bell_diagonal_matrix(column)), family, tol)
         assert (got.q_f is None) == (got.q_c is None)
         assert got.q_f is None or abs(got.q_f - got.q_c) <= 2.0 * tol
+
+
+def two_level_pure(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """|psi><psi| of psi = u (a|00> + b|11>)."""
+    psi = u @ np.array([a, 0.0, 0.0, b], dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+PURE_B = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_pure_states_lose_entanglement_at_two_thirds(tol):
+    rng = np.random.default_rng(40)
+    mats = [ginibre(rng, 1) for _ in range(10)]
+    for b in PURE_B:
+        a = np.sqrt(1.0 - b * b)
+        mats += [two_level_pure(a, b, np.eye(4)), two_level_pure(a, b, local_rotation(rng))]
+    for mat in mats:
+        got = threshold_set(DensityMatrix(mat), "depolarizing", tol)
+        assert got.q_c is not None and abs(Fraction(got.q_c) - Fraction(2, 3)) <= tol, got
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("family", ("amplitude-damping", "phase-damping"))
+def test_pure_states_stay_entangled_under_damping(family, tol):
+    rng = np.random.default_rng(41)
+    for b in PURE_B:
+        a = np.sqrt(1.0 - b * b)
+        u_a = np.kron(haar_unitary(rng), np.eye(2))
+        for u in (np.eye(4), u_a):
+            assert threshold_set(DensityMatrix(two_level_pure(a, b, u)), family, tol).q_c is None
