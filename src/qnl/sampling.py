@@ -13,10 +13,12 @@ holds the weights and thresholds of all accepted states as columns.
 the bytes of ``format(v, ".12g")``. One array kernel prints every block. It
 writes the digits of the cells that are 0, NaN or have |v| in [1e-4, 10)
 itself, nearly every value qnl prints (all are at most 2 sqrt 2).
-Their 12 digits are the nearest integer to |v| 10^k, which is formed exactly
-(Dekker's two-product), so they are those of the correctly rounded ``%``.
-The other cells (exponent notation, inf, |v| >= 10, exact ties, which Python
-rounds to even) take one Python ``%`` per block.
+Their 12 digits are the nearest integer N to |v| 10^k, read from the rounded
+product fl(|v| 10^k): every n + 1/2 below 10^12 is a float and rounding is
+monotone, so where the rounded product lies above or below n + 1/2, the exact
+one does too, and N is that of the correctly rounded ``%``. The other cells
+(exponent notation, inf, |v| >= 10, products that round onto n + 1/2) take one
+Python ``%`` per block.
 
 The draw sequence is generated single-threaded from the seed, so a given
 configuration always reproduces the same result, and the same CSV bytes, bit
@@ -60,18 +62,21 @@ class SamplerConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("n_states", "seed"):  # numpy integers too, never a float
+        for name in ("n_states", "seed"):  # numpy integers too, never a float or a bool
+            value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Checked here, not after the draws of the experiment.
         channel_family(self.channel)
-        _check_tol(self.tol)
+        object.__setattr__(self, "tol", _check_tol(self.tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +193,6 @@ def hierarchy_experiment(cfg: SamplerConfig) -> HierarchyResult:
     return HierarchyResult(weights, x_thresholds(_mems_entries(weights), cfg.channel, cfg.tol))
 
 
-def _split(x):
-    """Dekker's split of x into two floats of at most 26 significant bits that sum to x."""
-    c = x * (2.0**27 + 1.0)
-    high = c - (c - x)
-    return high, x - high
-
-
 # The kernel's two tables are built on its first call, so that a run that prints
 # no CSV (thresholds, measures) neither builds nor holds them.
 @functools.cache
@@ -230,9 +228,8 @@ def _head_words() -> np.ndarray:
 _COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
 # The lower bounds of the decades -3..0; a cell's class is its decade + 4 + 5 s.
 _DECADES = (1e-3, 1e-2, 1e-1, 1.0)
-# 10^k for k = 11 - e, and its split, by class.
+# 10^k for k = 11 - e, by class: exact floats, as k <= 15.
 _SCALES = np.tile(10.0 ** np.arange(15, 10, -1), 4)
-_SCALES_HIGH, _SCALES_LOW = _split(_SCALES)
 # More bytes than "%.12g" prints outside the kernel ("-1.23456789012e-308" has 19).
 _FALLBACK_WIDTH = 20
 
@@ -251,19 +248,16 @@ def _fallback_bytes(values: np.ndarray) -> np.ndarray:
 def _rounded(x: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integer N nearest to x 10^k for each class's k, and where N is certain.
 
-    x 10^k is formed exactly, as a float and its error (Dekker's two-product).
-    N is not certain where x 10^k lies half-way between two integers (a tie,
-    which Python rounds to even) or N is 10^12 (x rounds up into the next decade).
+    N is read from the rounded product fl(x 10^k) alone. For n < 10^12, n + 1/2
+    is a float and rounding to nearest is monotone, so the rounded product lies
+    above (below) n + 1/2 only where the exact one does. N is not certain where
+    the rounded product is n + 1/2 or N is 10^12 (x rounds into the next decade).
     """
-    high = x * _SCALES[cls]
-    x_high, x_low = _split(x)
-    s_high, s_low = _SCALES_HIGH[cls], _SCALES_LOW[cls]
-    low = ((x_high * s_high - high) + x_high * s_low + x_low * s_high) + x_low * s_low
-    n = np.floor(high)
-    frac = high - n  # exact: a multiple of the ulp of high, and |low| <= half of it
-    tie = frac == 0.5
-    n += (frac > 0.5) | (tie & (low > 0))
-    return n, ~(tie & (low == 0)) & (n < 1e12)
+    product = x * _SCALES[cls]
+    n = np.floor(product)
+    frac = product - n  # exact: a multiple of the ulp of product
+    n += frac > 0.5
+    return n, (frac != 0.5) & (n < 1e12)
 
 
 def _slots(cls: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -298,8 +292,9 @@ def _format_cells(cells: np.ndarray) -> str:
     between. The nearest integer N to |v| 10^(11 - e) is then the 12 digits that
     the correctly rounded ``%.12g`` prints, where ``_rounded`` finds it certain.
     Each cell fills a 24-byte slot (``_slots``) and its separator. The other cells
-    (exponent notation, inf, |v| >= 10, ties) take one ``%`` for the block, padded
-    to the slot with spaces. One ``translate`` squeezes the NUL bytes and spaces out.
+    (exponent notation, inf, |v| >= 10, N not certain) take one ``%`` for the block,
+    padded to the slot with spaces. One ``translate`` squeezes the NUL bytes and
+    spaces out.
     """
     rows, m = cells.shape
     v = cells.ravel()

@@ -5,14 +5,17 @@ go through ``%``. Every test compares with ``format`` cell by cell, the
 reference that stays on Python's formatter.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qnl.sampling as sampling
+from qnl.channels import FAMILIES
 from qnl.sampling import _format_cells, csv_blocks
-from qnl.thresholds import _BLOCK_POINTS
+from qnl.states import DensityMatrix
+from qnl.thresholds import _BLOCK_POINTS, scan
 
 
 def reference(cells: np.ndarray) -> str:
@@ -76,8 +79,8 @@ def _is_tie(v: float, e: int) -> bool:
 
 def test_rounding_midpoints(refused):
     # The float nearest to N + 1/2 in the 12th digit, and the floats on either side.
-    # The kernel decides all of them itself (from the error term of the exact
-    # product), except an exact tie, which it leaves to %.
+    # The kernel reads N from the rounded product |v| 10^(11 - e) and leaves to %
+    # the values whose rounded product lies on n + 1/2, every exact tie among them.
     rng = np.random.default_rng(38)
     digits = rng.integers(10**11, 10**12 - 1, size=20_000)
     decades = rng.integers(-4, 1, size=digits.size)
@@ -87,8 +90,10 @@ def test_rounding_midpoints(refused):
     values = np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
     text, cells = kernel_text(values)
     assert_same_bytes(text, cells)
-    ties = [v for v, e in zip(values.tolist(), np.tile(decades, 3).tolist()) if _is_tie(v, e)]
-    assert refused == ties
+    pairs = list(zip(values.tolist(), np.tile(decades, 3).tolist()))
+    products = [abs(v) * 10.0 ** (11 - e) for v, e in pairs]
+    assert refused == [v for (v, _), p in zip(pairs, products) if p - math.floor(p) == 0.5]
+    assert set(refused) >= {v for v, e in pairs if _is_tie(v, e)}
 
 
 def test_exact_ties_round_half_even(refused):
@@ -162,3 +167,36 @@ def test_block_shapes(rows):
         assert len(blocks) == -(-rows // _BLOCK_POINTS)
         assert_same_bytes("".join(blocks), cells)
         assert_same_bytes(_format_cells(cells), cells)
+
+
+def test_bisection_midpoints_and_their_gaps():
+    # The thresholds of sample-mems are bisection midpoints of the 1e-3 grid
+    # cells, and their 13th digit is often a 5: the floats whose rounded product
+    # most often lies on n + 1/2 and go to %. Midpoints of 20 levels of seeded
+    # walks from every cell [k/1000, (k+1)/1000], in rows of 4, and their gaps.
+    rng = np.random.default_rng(41)
+    grid = np.linspace(0.0, 1.0, 1001)
+    lo, hi = np.tile(grid[:-1], 8), np.tile(grid[1:], 8)
+    mids = []
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        up = rng.random(mid.size) < 0.5
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    cells = rng.permutation(np.concatenate(mids)).reshape(-1, 4)
+    cells = np.hstack([cells, np.diff(cells, axis=1)])
+    assert_same_bytes("".join(csv_blocks(cells)), cells)
+
+
+def test_scan_cells_sent_to_percent(refused):
+    # A seeded 10^5-row scan of a Ginibre state (that of CI's report) on every
+    # family: at most 1 cell in 5,000 goes to %.
+    rng = np.random.default_rng(26)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    state = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    qs = np.linspace(0.0, 1.0, 100_000)
+    for family in sorted(FAMILIES):
+        refused.clear()
+        table = scan(state, family, qs)
+        assert_same_bytes("".join(csv_blocks(table)), table)
+        assert len(refused) <= table.size / 5000, family

@@ -161,6 +161,19 @@ class TestRejectionSampler:
         assert (cfg.n_states, cfg.seed) == (3, 5)
         assert type(cfg.n_states) is int and type(cfg.seed) is int
 
+    def test_config_refuses_bools(self):
+        # bool is an int subclass: True and False would pass as 1 and 0.
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="n_states"):
+                SamplerConfig(n_states=bad, seed=1)
+            with pytest.raises(ValueError, match="seed"):
+                SamplerConfig(n_states=1, seed=bad)
+
+    @pytest.mark.parametrize("tol", ["1e-6", np.float32(1e-6), np.float64(1e-6), 1e-6])
+    def test_config_stores_tol_as_float(self, tol):
+        cfg = SamplerConfig(n_states=1, seed=0, tol=tol)
+        assert type(cfg.tol) is float and cfg.tol == float(tol)
+
     @pytest.mark.parametrize("kwargs, error", [
         ({"channel": "bogus"}, ValueError),
         ({"tol": 0.5}, InvalidTolerance),
