@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -199,8 +200,10 @@ def invariant_sign_margins(inv: np.ndarray) -> np.ndarray:
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Cyclic sweeps of _jacobi. After three sweeps about one Ginibre row in eight
-# still has residuals far above rounding; four converge them.
+# Cap on the cyclic sweeps of _jacobi, which stops earlier after a sweep that
+# rotates no row. After three sweeps about one Ginibre row in eight still has
+# residuals far above rounding; four converge them. Werner and MEMS states
+# under local unitaries, and X-states, need 0-2.
 _JACOBI_SWEEPS = 4
 # Bound on the distance of each singular value of jacobi_fidelity_bell to
 # LAPACK's, in units of eps ||T||_F, plus the residual term (see _jacobi):
@@ -241,22 +244,33 @@ def _sum(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi(a: np.ndarray, floor_sq: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared norms (k, M), norms (k, M) and residual r (M,) of columns a (k, r, M), rotated in place.
 
     A one-sided Jacobi SVD (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
-    1204 (1992)) of real or complex columns: _JACOBI_SWEEPS cyclic sweeps of
-    plane rotations over the pairs i < j. Each first turns a_j's phase so that
-    d = a_i^H a_j is real, then takes tan as the smaller root of
+    1204 (1992)) of real or complex columns: cyclic sweeps of plane rotations
+    over the pairs i < j. Each first turns a_j's phase so that d = a_i^H a_j
+    is real, then takes tan as the smaller root of
     tan^2 + 2 tan h / |d| - 1 = 0, h = (|a_j|^2 - |a_i|^2) / 2, and 0 where
     d = h = 0, which makes the pair orthogonal; the squared norms become
-    |a_i|^2 - tan |d| and |a_j|^2 + tan |d|. A pair whose d is 0 on every row
-    is skipped. The singular values are then the column norms n_i.
+    |a_i|^2 - tan |d| and |a_j|^2 + tan |d|. The singular values are then the
+    column norms n_i.
+
+    As in LAPACK's xGESVJ (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29,
+    1322 (2008)), a row takes the identity (tan = 0) where
+    |d|^2 <= phi^2 max(|a_i|^2, |a_j|^2), with phi^2 (M,) = floor_sq(sq) from
+    the squared column norms sq (k, M) it starts with: left as it is, that
+    pair adds at most about phi to r below. A pair where every row takes the
+    identity is skipped, and the sweeps stop after one in which no row
+    turned, or after _JACOBI_SWEEPS. A row that a sweep leaves alone keeps its
+    floats, up to the signs of zeros, and so every later sweep leaves it alone
+    too: its floats do not depend on when the sweeps stop.
 
     Both this SVD and LAPACK's are the exact SVD of a nearby matrix (backward
     stability), and by Weyl's inequality each singular value moves no more
     than that matrix does: a few eps ||a||_F per rotation. What the sweeps
-    left is r = sum_{i<j} |a_i^H a_j| / max(n_i, n_j): the columns are Q R with
+    left is r = sum_{i<j} |a_i^H a_j| / max(n_i, n_j), read from the columns
+    after the last sweep, however many ran: the columns are Q R with
     R - diag(n) of Frobenius norm at most 2 r, to first order, so by Weyl each
     sorted n_i is within 2 r of a singular value of the rotated matrix. Every
     step is elementwise, so a row's floats do not depend on the other rows.
@@ -264,13 +278,19 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs = list(itertools.combinations(range(len(a)), 2))
     prod, vx = np.empty((2,) + a.shape[1:], dtype=a.dtype)
     sq = np.stack([_sum(_abs2(col)) for col in a])
+    floor_sq = floor_sq(sq)
     for _ in range(_JACOBI_SWEEPS):
+        rotated = False
         for i, j in pairs:
             x, y = a[i], a[j]
             d = _sum(np.multiply(np.conjugate(x, out=prod), y, out=prod))
-            if not d.any():
-                continue  # every row's rotation is the identity, up to the signs of zeros
             mod = np.abs(d)
+            turn = mod * mod > floor_sq * np.maximum(sq[i], sq[j])
+            if not turn.any():
+                continue  # every row's rotation is the identity, up to the signs of zeros
+            rotated = True
+            d *= turn  # 0 where the row takes the identity, and then so are tan and sin
+            mod *= turn
             half = 0.5 * (sq[j] - sq[i])
             den = half + np.copysign(np.sqrt(half * half + mod * mod) + _TINY, half)
             tan = mod / den
@@ -284,6 +304,8 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             step = tan * mod
             sq[i] -= step
             sq[j] += step
+        if not rotated:
+            break
     sq = np.stack([_sum(_abs2(col)) for col in a])
     n = np.sqrt(sq)
     resid = sum(np.abs(_sum(np.multiply(np.conjugate(a[i], out=prod), a[j], out=prod)))
@@ -302,7 +324,10 @@ def jacobi_fidelity_bell(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2 sqrt(2) ds plus rounding: the bounds are ds/2 + 4 eps and 3 ds.
     """
     # Column j of every T, (3, 3, M); real, since complex division rounds otherwise.
-    sq, n, resid = _jacobi(np.array(t.transpose(2, 1, 0), dtype=float, order="C"))
+    # A pair is left alone below phi = SINGVAL_SLACK eps ||T||_F / 24, so that
+    # 2 r from its 3 pairs adds at most a quarter of the fixed term of ds.
+    sq, n, resid = _jacobi(np.array(t.transpose(2, 1, 0), dtype=float, order="C"),
+                           lambda sq: (SINGVAL_SLACK * _EPS / 24.0) ** 2 * _sum(sq))
     ds = SINGVAL_SLACK * _EPS * np.sqrt(_sum(sq)) + 2.0 * resid + _UNDERFLOW
     # Descending by a sorting network: np.sort along an axis of 3 costs ~10x more.
     lo, hi = np.minimum(n[0], n[1]), np.maximum(n[0], n[1])
@@ -346,9 +371,12 @@ def jacobi_concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.flatnonzero(ok)
         a = _wootters_columns(low if rows.size == n else {key: v[rows] for key, v in low.items()})
         del low  # freed before the rotations' buffers are made
-        _, norms, resid = _jacobi(a)
+        fixed = CONCURRENCE_SLACK * _EPS * (1.0 + np.sqrt(inv_sq[rows]))
+        # A pair is left alone below phi = fixed / 192, so that 8 r from its 6
+        # pairs adds at most a quarter of the fixed term of the bound.
+        _, norms, resid = _jacobi(a, lambda sq: (fixed / 192.0) ** 2)
         c_rows = 2.0 * norms.max(axis=0) - _sum(norms)
-        bound_rows = CONCURRENCE_SLACK * _EPS * (1.0 + np.sqrt(inv_sq[rows])) + 8.0 * resid
+        bound_rows = fixed + 8.0 * resid
     finite = np.isfinite(c_rows) & np.isfinite(bound_rows)
     c[rows[finite]], bound[rows[finite]] = c_rows[finite], bound_rows[finite]
     return c, bound

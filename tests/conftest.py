@@ -44,6 +44,22 @@ def pure_ab(b: float) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def fast_and_slow_rows(rng: np.random.Generator, family: str, qs: np.ndarray) -> np.ndarray:
+    """States (M, 4, 4) evolved over qs, in random order: rows on which ``measures._jacobi``
+    stops after 0-2 sweeps (Werner and MEMS states under local unitaries, X-states) among
+    rows that take every sweep (Ginibre states of rank 3 and 4)."""
+    from qnl.channels import evolve_grid
+    from qnl.states import MemsWeights, mems, werner
+
+    rotated = [werner(0.5).mat, werner(0.9).mat, mems(MemsWeights(0.6, 0.2, 0.15, 0.05)).mat,
+               mems(MemsWeights(0.4, 0.3, 0.2, 0.1)).mat]
+    mats = [u @ mat @ u.conj().T for mat, u in ((m, local_rotation(rng)) for m in rotated)]
+    mats += [x_state_mat((0.4, 0.1, 0.1, 0.4), 0.3, 0.05j), x_state_mat((0.25,) * 4, 0.2, 0.0)]
+    mats += [ginibre(rng, 3), ginibre(rng, 4)]
+    rhos = np.concatenate([evolve_grid(mat, family, qs) for mat in mats])
+    return rhos[rng.permutation(len(rhos))]
+
+
 def ginibre_density_stack(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrices G G^dag / Tr, stacked (n, 4, 4)."""
     g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))

@@ -143,7 +143,7 @@ class TestScanCommand:
         digest = "489108ca48c026c754af3c6d5cb147a25cc7aeacd220e023e09a8863c5153eed"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert sum(len(stack) for stack in concurrence_stacks) == 6301
-        assert sum(len(stack) for stack in wootters_stacks) == 636
+        assert sum(len(stack) for stack in wootters_stacks) == 639
 
     def test_golden_stdout_non_x_file_state(self, runner, tmp_path, concurrence_stacks,
                                             wootters_stacks):

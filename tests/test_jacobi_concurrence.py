@@ -15,7 +15,8 @@ same %.12g bytes (``thresholds._prints_alike``), and sends the other rows to
     to about 1e-8, and rows with NaN, inf or tiny entries are never certified;
   * residual term: after one sweep the columns are far from orthogonal, and
     the bound still certifies no wrong byte;
-  * blocks: a row's floats do not depend on the rows it is computed with.
+  * blocks: a row's floats do not depend on the rows it is computed with,
+    nor on how many sweeps those rows take.
 
 Which rows of ``scan`` reach the kernel and LAPACK is tested in
 ``tests/test_scan_skip.py``.
@@ -23,8 +24,8 @@ Which rows of ``scan`` reach the kernel and LAPACK is tested in
 
 import numpy as np
 import pytest
-from conftest import (assert_same_bits, ginibre, local_rotation, printed, pure_ab, random_qubit,
-                      x_state_mat)
+from conftest import (assert_same_bits, fast_and_slow_rows, ginibre, local_rotation, printed,
+                      pure_ab, random_qubit, x_state_mat)
 
 from qnl import measures
 from qnl.channels import FAMILIES, evolve_grid
@@ -178,15 +179,19 @@ def test_one_sweep_leaves_residuals_that_the_bound_carries(monkeypatch):
 def test_blocks_do_not_mix_rows():
     # Refused rows (rank-deficient, NaN), X rows, whose rotations are mostly
     # skipped, and Ginibre rows, cut into other stacks down to single rows.
+    # Then rows whose sweeps stop early (Werner and MEMS under local unitaries,
+    # X-states) mixed at random with rows that take every sweep.
     rng = np.random.default_rng(3503)
     qs = np.linspace(0.0, 1.0, 301)
     rhos = np.concatenate([evolve_grid(mat, family, qs) for family in sorted(FAMILIES)
                            for mat in (ginibre(rng, 3), ginibre(rng, 4), pure_ab(0.3),
                                        x_state_mat((0.4, 0.1, 0.1, 0.4), 0.3, 0.05j))])
     rhos[::97, 1, 0] = np.nan
-    whole = np.stack(jacobi_concurrence(rhos))
-    cuts = [0, 1, 2, 500, 1203, 2000, rhos.shape[0] - 1, rhos.shape[0]]
-    pieces = [np.stack(jacobi_concurrence(rhos[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
-    assert_same_bits(np.concatenate(pieces, axis=1), whole)
-    for k in rng.choice(rhos.shape[0], size=200, replace=False):
-        assert_same_bits(np.stack(jacobi_concurrence(rhos[k:k + 1])), whole[:, k:k + 1])
+    mixed = np.concatenate([fast_and_slow_rows(rng, family, qs) for family in sorted(FAMILIES)])
+    for stack in (rhos, mixed):
+        whole = np.stack(jacobi_concurrence(stack))
+        cuts = [0, 1, 2, 500, 1203, 2000, stack.shape[0] - 1, stack.shape[0]]
+        pieces = [np.stack(jacobi_concurrence(stack[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
+        assert_same_bits(np.concatenate(pieces, axis=1), whole)
+        for k in rng.choice(stack.shape[0], size=200, replace=False):
+            assert_same_bits(np.stack(jacobi_concurrence(stack[k:k + 1])), whole[:, k:k + 1])

@@ -14,15 +14,20 @@ rows to ``correlation_singvals_stack``. The tests:
   * diagonal T: every rotation is the identity, so F and B are those of the
     sorted |t_ii| bit for bit, also among rows that rotate; and the kernel
     rotates a copy, so neither Jacobi front end changes the array it is given;
+  * early stop: a T whose columns start orthogonal to rounding (Werner states
+    under local unitaries) gives its column norms bit for bit, and where the
+    sweeps stop before the cap a larger cap changes no float of either kernel;
   * certificate: floats within the bound of a rounding midpoint or of a power
     of ten are refused, and every accepted float prints like its neighbours;
   * routing: which rows reach ``correlation_singvals_stack``, and that a grid
-    cut into any blocks gives the same floats.
+    cut into any blocks gives the same floats, as does a stack that mixes rows
+    whose sweeps stop early with rows that take every sweep.
 """
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, ginibre, local_rotation, printed, x_state_mat
+from conftest import (assert_same_bits, fast_and_slow_rows, ginibre, local_rotation, printed,
+                      x_state_mat)
 
 from qnl import measures
 from qnl.channels import FAMILIES, evolve_grid
@@ -264,3 +269,46 @@ def test_blocks_do_not_mix_rows(family, rng):
     # rotations that every other row of its block takes.
     for k in [*rng.choice(qs.size, size=60, replace=False), qs.size - 1]:
         assert_same_bits(scan(state, family, qs[k:k + 1]), whole[k:k + 1])
+    # Rows whose sweeps stop early among rows that take every sweep: each
+    # row's floats are those it gets alone, though its stack sweeps on.
+    t = correlation_matrix_stack(fast_and_slow_rows(rng, family, qs[::16]))
+    whole = np.concatenate(jacobi_fidelity_bell(t))
+    cuts = [0, 1, 2, 700, 1001, 2003, len(t) - 1, len(t)]
+    pieces = [np.concatenate(jacobi_fidelity_bell(t[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert_same_bits(np.concatenate(pieces, axis=1), whole)
+    for k in rng.choice(len(t), size=200, replace=False):
+        assert_same_bits(np.concatenate(jacobi_fidelity_bell(t[k:k + 1])), whole[:, k:k + 1])
+
+
+def test_orthogonal_columns_give_their_norms_bit_for_bit(rng):
+    # T = -p O_A O_B^T of a Werner state under a local unitary has columns
+    # orthogonal to rounding, far below the floor of the identity rule, so no
+    # row turns: the singular values are the column norms T starts with.
+    mats = []
+    for p in np.linspace(0.3, 1.0, 1401):
+        u = local_rotation(rng)
+        mats.append(u @ werner(p).mat @ u.conj().T)
+    t = correlation_matrix_stack(np.array(mats))
+    norms = np.sqrt((t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1]) + t[:, 2] * t[:, 2])
+    _, f, b = correlation_measures(-np.sort(-norms, axis=1).T)
+    fb, _ = jacobi_fidelity_bell(t)
+    assert_same_bits(fb, np.stack([f, b]))
+
+
+def test_sweeps_stop_by_themselves(monkeypatch, rng):
+    # On Werner states under local unitaries and on X-states, under every
+    # family, both kernels stop before the cap: raising it from 4 to 12
+    # changes no float. One sweep does not suffice: the C rows still turn.
+    mats = [x_state_mat((0.4, 0.1, 0.1, 0.4), 0.3, 0.05j), x_state_mat((0.5, 0.0, 0.2, 0.3), 0.0, 0.1)]
+    for p in (0.4, 0.7, 0.95):
+        u = local_rotation(rng)
+        mats.append(u @ werner(p).mat @ u.conj().T)
+    rhos = np.concatenate([evolve_grid(mat, family, GRID[::4]) for mat in mats
+                           for family in sorted(FAMILIES)])
+    t = correlation_matrix_stack(rhos)
+    out = {}
+    for sweeps in (1, 4, 12):
+        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", sweeps)
+        out[sweeps] = np.concatenate([*jacobi_fidelity_bell(t), np.stack(jacobi_concurrence(rhos))])
+    assert_same_bits(out[12], out[4])
+    assert not np.array_equal(out[1][4:].view(np.uint64), out[4][4:].view(np.uint64))
