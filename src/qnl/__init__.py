@@ -7,6 +7,10 @@ families as one Kraus table, ``FAMILIES[name](q)`` reading one row of it
 critical-strength solvers and the region map (thresholds), and the seeded
 Monte-Carlo hierarchy experiment (sampling). The ``qnl`` command exposes all
 of it on the command line.
+
+The package exports what a user calls. The Werner closed forms and the
+experiment's MEMS generator ``sampling.sample_mems_above_gisin`` are read
+through their modules, as the region map and the tests read them.
 """
 
 from .channels import FAMILIES, apply_channel, channel_family
@@ -33,7 +37,6 @@ from .sampling import (
     HierarchyResult,
     SamplerConfig,
     hierarchy_experiment,
-    sample_mems_above_gisin,
     write_records_csv,
 )
 from .states import (
@@ -50,13 +53,6 @@ from .thresholds import (
     scan,
     threshold_set,
     werner_region,
-)
-from .werner_analytic import (
-    bell_ad,
-    bell_ad_branches,
-    concurrence_ad,
-    concurrence_ad_unclamped,
-    fidelity_ad,
 )
 
 __version__ = "0.1.0"

@@ -483,9 +483,9 @@ def _x_brackets(margins, parts: np.ndarray, tol: float) -> tuple[np.ndarray, ...
     m, NaN where it is not real or not in [0, 1]. ``margins``, the states'
     ``_x_margins``, is read at the points of ``_read_points`` around them;
     between two of those points the sign is taken as constant, so a row's
-    first dead point is the dead end of its first alive-to-dead pair of read
-    points. Each condition's guess is a real root in its bracket of its own
-    two quadratics, vertices left out: G, B and F, alive while either
+    dead_at is its first dead read point, as ``_prescan``'s is its first dead
+    bracket point. Each condition's guess is a real root in its bracket of its
+    own two quadratics, vertices left out: G, B and F, alive while either
     quadratic is positive, take the largest, C, whose product changes sign at
     either root, the smallest; +-inf if none. A state is uncertain, and is
     pre-scanned instead, if its coefficients are degenerate or not finite, or
@@ -501,10 +501,9 @@ def _x_brackets(margins, parts: np.ndarray, tol: float) -> tuple[np.ndarray, ...
         alive = _alive(margins, states, ends[points])
         changes = (alive[:, 1:] != alive[:, :-1]) & (states[1:] == states[:-1])
         uncertain[states[1:][(np.diff(points) > 1) & changes.any(axis=0)]] = True
-        # Each state read reads q = 0 first; its run of pairs ends at the next state's first point.
+        # Each state read reads q = 0 first; its run of points ends at the next state's first point.
         starts = np.flatnonzero(points == 0)
-        dies = np.where(changes & alive[:, :-1], points[1:], _SURVIVES)
-        dead_at[states[starts]] = (np.minimum.reduceat(dies, starts, axis=1) * alive[:, starts]).T
+        dead_at[states[starts]] = np.minimum.reduceat(np.where(alive, _SURVIVES, points), starts, axis=1).T
     lo = ends[np.maximum(dead_at - 1, 0)].T[:, None]
     hi = ends[np.minimum(dead_at, PRESCAN_POINTS - 1)].T[:, None]
     roots = qs[:2]

@@ -15,6 +15,11 @@ the largest eigenvalue with the smallest instead of the two largest, and B1
 over-scales at small p. The Kraus pipeline yields 2 sqrt(2) p sqrt(1-q)
 exactly. The discrepancy is characterized by dedicated diagnostic tests so
 the defective form stays inspectable next to the measured truth.
+
+``thresholds.werner_region`` reads the three curves; ``qnl`` does not
+re-export them. The two branches (B1, B2) apart and the signed concurrence
+before its clamp, whose zero crossing locates q_C, are references in
+``tests/oracles.py`` (``bell_ad_branches``, ``concurrence_ad_unclamped``).
 """
 
 from __future__ import annotations
@@ -35,16 +40,11 @@ def _check_point(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[np.ndarray, np.ndarr
     return p, q
 
 
-def concurrence_ad_unclamped(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
-    """Signed concurrence expression; its zero crossing locates q_C."""
-    p, q = _check_point(p, q)
-    inner = (1.0 - p) * (1.0 - q) * (1.0 - p + q + p * q)
-    return p * np.sqrt(1.0 - q) - 0.5 * np.sqrt(np.maximum(inner, 0.0))
-
-
 def concurrence_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Concurrence of the damped Werner state, clamped at zero."""
-    return np.maximum(0.0, concurrence_ad_unclamped(p, q))
+    p, q = _check_point(p, q)
+    inner = (1.0 - p) * (1.0 - q) * (1.0 - p + q + p * q)
+    return np.maximum(0.0, p * np.sqrt(1.0 - q) - 0.5 * np.sqrt(np.maximum(inner, 0.0)))
 
 
 def fidelity_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
@@ -53,19 +53,11 @@ def fidelity_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     return (3.0 + (1.0 + 2.0 * np.sqrt(1.0 - q) - q) * p) / 6.0
 
 
-def bell_ad_branches(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[ArrayOrFloat, ArrayOrFloat]:
-    """The two branches (B1, B2) of the closed-form Bell expression."""
-    p, q = _check_point(p, q)
-    b1 = 2.0 * np.sqrt(p) * np.sqrt(1.0 - q)
-    b2 = 2.0 * p * np.sqrt(2.0 - 3.0 * q + q * q)
-    return b1, b2
-
-
 def bell_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
     """Two-branch closed-form Bell parameter max(B1, B2).
 
     See the module docstring: this expression is defective and disagrees
     with the Kraus pipeline away from q = 0.
     """
-    return np.maximum(*bell_ad_branches(p, q))
-
+    p, q = _check_point(p, q)
+    return np.maximum(2.0 * np.sqrt(p) * np.sqrt(1.0 - q), 2.0 * p * np.sqrt(2.0 - 3.0 * q + q * q))

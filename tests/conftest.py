@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -81,8 +82,11 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def printed(values: np.ndarray) -> list[str]:
-    """Each float of ``values`` as ``cmd_scan`` prints it, with %.12g."""
-    return ["%.12g" % v for v in np.ravel(values).tolist()]
+    """Each float of ``values``, in ravel order, as ``cmd_scan`` prints it: its %.12g
+    bytes, from one ``sampling.csv_blocks`` pass over a column of them."""
+    from qnl.sampling import csv_blocks
+
+    return "".join(csv_blocks(np.ravel(values)[:, None])).split("\n")[:-1]
 
 
 def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.ndarray,
@@ -98,13 +102,50 @@ def assert_scan_rows(table: np.ndarray, reference: np.ndarray, state_mat: np.nda
 
     assert_same_bits(table[:, 0], reference[:, 0])
     got, want = table[:, 1:], reference[:, 1:]
-    differ = np.flatnonzero(np.array(printed(got)) != np.array(printed(want)))
-    assert differ.size == 0, f"{differ.size} printed C/F/B differ, first {got.flat[differ[0]]!r} " \
-                             f"against {want.flat[differ[0]]!r}"
+    lines = printed(got), printed(want)
+    differ = [] if lines[0] == lines[1] else [i for i, (a, b) in enumerate(zip(*lines)) if a != b]
+    assert not differ, f"{len(differ)} printed C/F/B differ, first {got.flat[differ[0]]!r} " \
+                       f"against {want.flat[differ[0]]!r}"
     evolved = evolve_grid(state_mat, family, table[:, 0])
     _, c_err = jacobi_concurrence(evolved)
     _, fb_err = jacobi_fidelity_bell(correlation_matrix_stack(evolved))
     assert np.all(np.abs(got - want) <= np.column_stack([c_err, fb_err.T]))
+
+
+@contextlib.contextmanager
+def lapack_perturbed(k: float, seed: int):
+    """Within the block, each result of ``np.linalg.svd`` (its singular values),
+    ``eigh`` and ``eigvalsh`` (their eigenvalues) and ``det`` is multiplied by
+    1 + k eps u, u uniform in [-1, 1] from a generator seeded with ``seed``.
+
+    A stand-in for another LAPACK build, which rounds the last bits of these
+    results differently; the library calls them through ``np.linalg``.
+    """
+    gen = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    original = {name: getattr(np.linalg, name) for name in ("svd", "eigh", "eigvalsh", "det")}
+
+    def nudge(x):
+        return x * (1.0 + k * eps * gen.uniform(-1.0, 1.0, size=np.shape(x)))
+
+    def svd(a, *args, **kwargs):
+        out = original["svd"](a, *args, **kwargs)
+        return nudge(out) if isinstance(out, np.ndarray) else out._replace(S=nudge(out.S))
+
+    def eigh(a, *args, **kwargs):
+        out = original["eigh"](a, *args, **kwargs)
+        return out._replace(eigenvalues=nudge(out.eigenvalues))
+
+    wrapped = {"svd": svd, "eigh": eigh,
+               "eigvalsh": lambda *args, **kwargs: nudge(original["eigvalsh"](*args, **kwargs)),
+               "det": lambda a: nudge(original["det"](a))}
+    try:
+        for name, fn in wrapped.items():
+            setattr(np.linalg, name, fn)
+        yield
+    finally:
+        for name, fn in original.items():
+            setattr(np.linalg, name, fn)
 
 
 def x_parts(entries: np.ndarray, family: str) -> np.ndarray:

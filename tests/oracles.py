@@ -25,6 +25,14 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   ``thresholds._x_quadratics``
   boundary_q_c    first q at which the closed-form Werner concurrence under
                   amplitude damping reaches zero, by cases
+  concurrence_ad_unclamped
+                  that closed-form concurrence before its clamp at zero; its
+                  zero crossing locates q_C. ``werner_analytic.concurrence_ad``
+                  is its clamp, float for float
+  bell_ad_branches
+                  the two branches (B1, B2) of the defective closed-form Bell
+                  expression, the pinned diagnostic; ``werner_analytic.bell_ad``
+                  is their max, float for float
   scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
                   roots and the LAPACK correlation SVD taken at every row
   evolve_einsum   sum_k (I x M_k) rho (I x M_k)^dagger over B's indices as one
@@ -52,6 +60,7 @@ from qnl.measures import (
 from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
 from qnl.thresholds import _BLOCK_POINTS, _curves
+from qnl.werner_analytic import ArrayOrFloat, _check_point
 
 # Eigenvalues of a PSD matrix more negative than this are treated as a real
 # violation rather than rounding noise.
@@ -237,6 +246,21 @@ def boundary_q_c(p: float) -> float | None:
     if p > 0.5:
         return None
     return (3.0 * p - 1.0) / (1.0 - p)
+
+
+def concurrence_ad_unclamped(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
+    """Signed concurrence expression of the damped Werner state; its zero crossing locates q_C."""
+    p, q = _check_point(p, q)
+    inner = (1.0 - p) * (1.0 - q) * (1.0 - p + q + p * q)
+    return p * np.sqrt(1.0 - q) - 0.5 * np.sqrt(np.maximum(inner, 0.0))
+
+
+def bell_ad_branches(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[ArrayOrFloat, ArrayOrFloat]:
+    """The two branches (B1, B2) of the closed-form Bell expression."""
+    p, q = _check_point(p, q)
+    b1 = 2.0 * np.sqrt(p) * np.sqrt(1.0 - q)
+    b2 = 2.0 * p * np.sqrt(2.0 - 3.0 * q + q * q)
+    return b1, b2
 
 
 def scan_all_rows(state: DensityMatrix, family: str, qs: np.ndarray) -> np.ndarray:

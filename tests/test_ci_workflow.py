@@ -5,7 +5,8 @@ of test dependencies, and it names the ``pyyaml`` this test needs. Its
 benchmark correctness gate runs every workload that ``BENCHMARK.json`` names,
 at a seed with recorded references and at one without, and one step runs the
 benchmark's self-tests, which fail if a name that ``perfbench/spans.py``
-traces is removed from ``src/``.
+traces is removed from ``src/``. The report-only LAPACK count perturbs
+``np.linalg`` through ``conftest.lapack_perturbed``, which is checked here too.
 
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
@@ -15,7 +16,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import ginibre_density_stack, lapack_perturbed
 
 yaml = pytest.importorskip("yaml")
 
@@ -74,3 +77,23 @@ def test_gate_runs_a_seed_without_references():
 def test_workflow_runs_the_benchmark_self_tests():
     command = "python3 perfbench/selftest.py"
     assert len([step for step in workflow_steps() if command in step.get("run", "")]) == 1
+
+
+def test_lapack_perturbation_is_seeded_bounded_and_undone():
+    mats = ginibre_density_stack(50, np.random.default_rng(7))
+    calls = {"svd": lambda: np.linalg.svd(mats, compute_uv=False),
+             "svd_uv": lambda: np.linalg.svd(mats).S,
+             "eigh": lambda: np.linalg.eigh(mats).eigenvalues,
+             "eigvalsh": lambda: np.linalg.eigvalsh(mats),
+             "det": lambda: np.linalg.det(mats)}
+    exact = {name: call() for name, call in calls.items()}
+    runs = []
+    for _ in range(2):
+        with lapack_perturbed(16, seed=3):
+            runs.append({name: call() for name, call in calls.items()})
+    for name, want in exact.items():
+        got = runs[0][name]
+        assert np.array_equal(got, runs[1][name]), name
+        assert not np.array_equal(got, want), name
+        assert np.all(np.abs(got - want) <= 17 * np.finfo(float).eps * np.abs(want)), name
+        assert np.array_equal(calls[name](), want), name

@@ -13,12 +13,9 @@ PUBLIC_NAMES = [
     "HierarchyResult", "InvalidTolerance", "Measure", "MeasureReport",
     "MemsWeights", "NotHermitian", "NotPSD", "QOutOfRange", "QnlError",
     "RejectionStall", "SamplerConfig", "ThresholdSet", "TraceNotOne",
-    "apply_channel", "bell_ad", "bell_ad_branches", "bell_singlet",
-    "channel_family", "classify", "concurrence", "concurrence_ad",
-    "concurrence_ad_unclamped", "fidelity", "fidelity_ad",
-    "hierarchy_check", "hierarchy_experiment", "load_state", "mems",
-    "sample_mems_above_gisin", "scan", "threshold_set", "werner", "werner_region",
-    "write_records_csv",
+    "apply_channel", "bell_singlet", "channel_family", "classify", "concurrence",
+    "fidelity", "hierarchy_check", "hierarchy_experiment", "load_state", "mems",
+    "scan", "threshold_set", "werner", "werner_region", "write_records_csv",
 ]
 
 

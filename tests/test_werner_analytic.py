@@ -10,18 +10,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import boundary_q_c
+from conftest import assert_same_bits
+from oracles import bell_ad_branches, boundary_q_c, concurrence_ad_unclamped
 
 from qnl.channels import evolve_grid
 from qnl.measures import correlation_singvals_stack, wootters_roots_stack
 from qnl.states import werner
-from qnl.werner_analytic import (
-    bell_ad,
-    bell_ad_branches,
-    concurrence_ad,
-    concurrence_ad_unclamped,
-    fidelity_ad,
-)
+from qnl.werner_analytic import bell_ad, concurrence_ad, fidelity_ad
 
 P_GRID = np.linspace(0.0, 1.0, 51)
 Q_GRID = np.linspace(0.0, 1.0, 51)
@@ -126,6 +121,28 @@ class TestClosedFormExamples:
         # An array names its first bad entry, not the whole array.
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got (-0\.1|1\.1|1\.5|nan)$"):
             func(*point)
+
+
+class TestPinnedReferences:
+    """``bell_ad`` and ``concurrence_ad``, which ``werner_region`` ranks, are the
+    max of the pinned branch pair and the clamp of the signed concurrence in
+    ``tests/oracles.py``, float for float: the map cannot drift from the
+    diagnostic."""
+
+    POINTS = [(0.0, 0.0), (1.0, 1.0), (1.0 / 3.0, 0.0), (0.4, 1.0 / 3.0), (0.5, 1.0),
+              (0.125, 0.0), (0.8, 0.4), (0.9, 0.2), (1.0, 0.5), (5e-324, 1.0 - 2.0 ** -53)]
+
+    @pytest.mark.parametrize("p, q", POINTS)
+    def test_floats(self, p, q):
+        assert_same_bits(bell_ad(p, q), np.maximum(*bell_ad_branches(p, q)))
+        assert_same_bits(concurrence_ad(p, q), np.maximum(0.0, concurrence_ad_unclamped(p, q)))
+
+    def test_werner_map_lattice(self):
+        # The lattice of ``werner-map --grid 201``: p and q on np.linspace(0, 1, 201).
+        axis = np.linspace(0.0, 1.0, 201)
+        p, q = axis[:, None], axis[None, :]
+        assert_same_bits(bell_ad(p, q), np.maximum(*bell_ad_branches(p, q)))
+        assert_same_bits(concurrence_ad(p, q), np.maximum(0.0, concurrence_ad_unclamped(p, q)))
 
 
 class TestOracleAgreement:
