@@ -30,7 +30,6 @@ import functools
 import numpy as np
 
 from .errors import QOutOfRange
-from .linalg import ID2, dagger
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-12
@@ -84,13 +83,13 @@ def apply_channel(rho: DensityMatrix, ops: np.ndarray) -> DensityMatrix:
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1:] != (2, 2):
         raise ValueError(f"Kraus operators must be shaped (k, 2, 2), got {ops.shape}")
-    defect = float(np.max(np.abs(sum(dagger(m) @ m for m in ops) - ID2)))
+    defect = float(np.max(np.abs(sum(np.conj(m.T) @ m for m in ops) - np.eye(2, dtype=complex))))
     if not defect <= COMPLETENESS_TOL:
         raise ValueError(f"Kraus completeness violated by {defect:.3e}")
     out = np.zeros((4, 4), dtype=complex)
     for m in ops:
-        k = np.kron(ID2, m)
-        out += k @ rho.mat @ dagger(k)
+        k = np.kron(np.eye(2, dtype=complex), m)
+        out += k @ rho.mat @ np.conj(k.T)
     return DensityMatrix(out)
 
 

@@ -4,15 +4,17 @@ Commands: measures, scan, thresholds, sample-mems, werner-map. States are
 given as text specs: ``bell:singlet``, ``werner:p=0.8``,
 ``mems:p1=0.6,p2=0.2,p3=0.15,p4=0.05`` or ``file:path/to/state.json``.
 Exit codes: 0 success, 2 usage or validation error (non-finite numbers
-included) or a stdout that cannot be written, 3 when the computation itself
-fails (``_Group``).
+included) or a stdout or ``--out`` file that cannot be written (``_write_out``
+leaves no truncated CSV), 3 when the computation itself fails (``_Group``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import click
@@ -78,6 +80,25 @@ def _echo(message: str, nl: bool = True) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         click.echo(f"cannot write to stdout: {exc}", click.get_text_stream("stderr", errors=None))
         sys.exit(2)
+
+
+def _write_out(out: str, write) -> None:
+    """Write the file ``out`` through ``write(fh)``; exit 2 with "cannot write" if that fails.
+
+    A failed write leaves no truncated CSV: the regular file this run opened
+    at ``out`` is removed. Nothing else is, so a device such as /dev/full stays.
+    """
+    opened = None
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            opened = os.fstat(fh.fileno())
+            write(fh)
+    except OSError as exc:
+        if opened is not None and stat.S_ISREG(opened.st_mode):
+            with contextlib.suppress(OSError):
+                if os.path.samestat(opened, os.lstat(out)):  # not a link to it, nor a file put there since
+                    os.remove(out)
+        raise click.UsageError(f"cannot write {out!r}: {exc}")
 
 
 def _sig12(x: float) -> float:
@@ -181,11 +202,7 @@ def cmd_sample_mems(n: int, seed: int, channel: str, tol: float, out: str) -> No
         raise click.UsageError(f"cannot write {out!r}: its directory is missing or not writable")
     cfg = sampling.SamplerConfig(n_states=n, seed=seed, channel=channel, tol=tol)
     records = sampling.hierarchy_experiment(cfg)
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            sampling.write_records_csv(records, fh)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out!r}: {exc}")
+    _write_out(out, lambda fh: sampling.write_records_csv(records, fh))
     ok = int(records.ordered.sum())
     _echo(f"wrote {len(records)} records to {out}; "
           f"locator self-check: {ok} of {len(records)} ordered q_G <= q_B <= q_F <= q_C")
@@ -199,16 +216,16 @@ def cmd_werner_map(grid: int, out: str) -> None:
     if not 2 <= grid <= MAX_MAP_AXIS:
         raise click.UsageError(f"--grid must lie in [2, {MAX_MAP_AXIS}] (at most {MAX_GRID} rows), got {grid}")
     axis = np.linspace(0.0, 1.0, grid)
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("p,q,region\n")
-            labels = [f"{v:.12g}" for v in axis]
-            for p, p_label in zip(axis, labels):  # a row at a time, never the whole lattice
-                regions = thresholds.werner_region(p, axis).tolist()
-                fh.write("".join(f"{p_label},{q_label},{region}\n"
-                                 for q_label, region in zip(labels, regions)))
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out!r}: {exc}")
+
+    def write(fh) -> None:
+        fh.write("p,q,region\n")
+        labels = [f"{v:.12g}" for v in axis]
+        for p, p_label in zip(axis, labels):  # a row at a time, never the whole lattice
+            regions = thresholds.werner_region(p, axis).tolist()
+            fh.write("".join(f"{p_label},{q_label},{region}\n"
+                             for q_label, region in zip(labels, regions)))
+
+    _write_out(out, write)
     _echo(f"wrote {grid * grid} rows to {out}")
 
 

@@ -15,13 +15,15 @@ The eigenvalue problem for the non-Hermitian product rho @ rho_tilde is never
 solved directly: the l_i are obtained as the singular values of
 W = sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), since W W^dagger equals the
 Hermitian similarity sqrt(rho) rho_tilde sqrt(rho), which shares its spectrum
-with rho @ rho_tilde. On rank-deficient states the l_i are good to about 1e-8
-only: sqrt(rho) clamps an exactly zero eigenvalue computed as ~1e-17, and its
-square root (~3e-9) leaks into W. That error reaches the printed concurrence
-(``measures``, ``scan``); the threshold locator reads entanglement from
-det(rho^{T_B}) and falls back to these roots only where the determinant is
-rounding noise itself. ``tests/test_x_path.py`` pins it at 1e-7 against
-the exact curve of pure a|00> + b|11> states.
+with rho @ rho_tilde; ``psd_sqrt_stack`` takes sqrt(rho) from the eigenvectors
+and clamped eigenvalues of rho. Both T and the spin flip sigma_y x sigma_y are
+built from the module's one copy of the Pauli matrices. On rank-deficient
+states the l_i are good to about 1e-8 only: sqrt(rho) clamps an exactly zero
+eigenvalue computed as ~1e-17, and its square root (~3e-9) leaks into W. That
+error reaches the printed concurrence (``measures``, ``scan``); the threshold
+locator reads entanglement from det(rho^{T_B}) and falls back to these roots
+only where the determinant is rounding noise itself. ``tests/test_x_path.py``
+pins it at 1e-7 against the exact curve of pure a|00> + b|11> states.
 
 ``classify`` returns all four, named as above, in one ``MeasureReport``, and
 ranks the state by its first failing condition, in C, F, B, G order, over
@@ -55,13 +57,12 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, psd_sqrt_stack
 from .states import DensityMatrix
 
-_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
-_PAULI_KRON = np.stack(
-    [np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z) for b in (PAULI_X, PAULI_Y, PAULI_Z)]
-)
+# sigma_x, sigma_y, sigma_z.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_SIGMA_YY = np.kron(_PAULI[1], _PAULI[1])
+_PAULI_KRON = np.stack([np.kron(a, b) for a in _PAULI for b in _PAULI])
 _SIGMA_YY.setflags(write=False)
 _PAULI_KRON.setflags(write=False)
 # Term m of entry k of T: rho's row m meets one non-zero v of column m of
@@ -110,6 +111,17 @@ class MeasureReport:
     fidelity: float
     bell: float
     hierarchy_class: HierarchyClass
+
+
+def psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
+    """Batched Hermitian square root of PSD matrices, shape (N, d, d).
+
+    Negative eigenvalues, floating-point noise on validated states, are
+    clamped to zero without a check.
+    """
+    w, v = np.linalg.eigh(mats)
+    w = np.sqrt(np.clip(w, 0.0, None))
+    return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def wootters_roots_stack(rhos: np.ndarray) -> np.ndarray:

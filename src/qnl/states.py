@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHermitian, NotPSD, TraceNotOne
-from .linalg import hermiticity_defect
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -60,7 +59,7 @@ class DensityMatrix:
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("state entries must be finite numbers")
-        defect = hermiticity_defect(mat)
+        defect = float(np.max(np.abs(mat - np.conj(mat.T))))
         if defect > HERMITIAN_TOL:
             raise NotHermitian(f"state deviates from Hermitian by {defect:.3e}")
         trace_err = abs(complex(np.trace(mat)) - 1.0)

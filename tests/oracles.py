@@ -2,6 +2,9 @@
 
 Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
 
+  PAULI_X/Y/Z, dagger
+                  the Pauli matrices and the conjugate transpose, written out
+                  here rather than read from the library
   hermitian_eig   eigh of one Hermitian matrix, eigenvalues descending
   psd_sqrt        its PSD square root, the reference for ``psd_sqrt_stack``
   spin_flip       rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y),
@@ -50,7 +53,6 @@ import numpy as np
 
 from qnl.channels import X_FLAT, _strengths, affine_map, channel_family, evolve_grid, kraus_stack
 from qnl.errors import NotHermitian, NotPSD
-from qnl.linalg import PAULI_X, PAULI_Y, PAULI_Z, dagger, hermiticity_defect
 from qnl.measures import (
     GISIN_BOUND,
     concurrence_of_roots,
@@ -68,9 +70,18 @@ PSD_CLAMP_TOL = 1e-10
 # hermitian_eig rejects a matrix whose max|h - h^dagger| exceeds this.
 _HERMITIAN_TOL = 1e-10
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 _PAULI_KRON = np.stack([np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z)
                         for b in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +93,7 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitian if ``max|h - h^dagger|`` exceeds _HERMITIAN_TOL.
     """
     h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
+    defect = float(np.max(np.abs(h - dagger(h))))
     if defect > _HERMITIAN_TOL:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {defect:.3e} (tolerance {_HERMITIAN_TOL:.3e})"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_bits, edge_x_entries, ginibre_density_stack
-from oracles import evolve_x
+from oracles import PAULI_X, PAULI_Y, PAULI_Z, evolve_x
 from qnl.channels import (
     _KRAUS,
     FAMILIES,
@@ -16,7 +16,6 @@ from qnl.channels import (
     kraus_stack,
 )
 from qnl.errors import QOutOfRange
-from qnl.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from qnl.measures import concurrence
 from qnl.states import DensityMatrix, bell_singlet, werner
 from qnl.werner_analytic import concurrence_ad
@@ -261,7 +260,7 @@ class TestGridKernels:
         lower, upper = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         if family == DEP:
             half_root = np.sqrt(0.25 * qs)
-            want = [times(np.sqrt(1.0 - 0.75 * qs), ID2)] + [
+            want = [times(np.sqrt(1.0 - 0.75 * qs), np.eye(2))] + [
                 times(half_root, pauli) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
         else:
             m1 = [[0.0, 1.0], [0.0, 0.0]] if family == AD else upper

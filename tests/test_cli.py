@@ -33,6 +33,10 @@ def run_ok(runner, args):
     return result.output
 
 
+# The commands that write a CSV to --out, without it.
+FILE_COMMANDS = [["sample-mems", "--n", "3", "--seed", "7"], ["werner-map", "--grid", "11"]]
+
+
 def fail_allocation(*args, **kwargs):
     raise AssertionError("a grid was allocated")
 
@@ -502,6 +506,48 @@ class TestFailureExits:
         assert "numerical failure" in result.stderr
         assert result.stdout == ""
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("args", FILE_COMMANDS, ids=lambda args: args[0])
+    def test_failed_write_leaves_no_file(self, runner, monkeypatch, tmp_path, args):
+        # The first write keeps its first bytes, as a disk that fills up does, then fails.
+        kept = []
+
+        def filling_open(*open_args, **kwargs):
+            fh = open(*open_args, **kwargs)
+            write = fh.write
+
+            def fail(text):
+                write(text[:5])
+                fh.flush()
+                kept.append(os.path.getsize(open_args[0]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = fail
+            return fh
+
+        monkeypatch.setattr(qnl.cli, "open", filling_open, raising=False)
+        out_path = tmp_path / "out.csv"
+        result = runner.invoke(main, [*args, "--out", str(out_path)])
+        assert result.exit_code == 2
+        assert "cannot write" in result.output
+        assert kept == [5]
+        assert not out_path.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("args", FILE_COMMANDS, ids=lambda args: args[0])
+    def test_full_device_as_out_exits_2_and_stays(self, runner, monkeypatch, args):
+        def forbidden(path, *rest, **kwargs):
+            raise AssertionError(f"removed {path}")
+
+        monkeypatch.setattr(os, "remove", forbidden)
+        monkeypatch.setattr(os, "unlink", forbidden)
+        before = os.stat("/dev/full")
+        result = runner.invoke(main, [*args, "--out", "/dev/full"])
+        assert result.exit_code == 2, result.output
+        assert "cannot write" in result.output
+        after = os.stat("/dev/full")
+        assert (after.st_mode, after.st_rdev, after.st_ino) == (
+            before.st_mode, before.st_rdev, before.st_ino)
 
 
 @pytest.mark.parametrize("args", [

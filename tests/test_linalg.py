@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import hermitian_eig, psd_sqrt
+from oracles import PAULI_X, dagger, hermitian_eig, psd_sqrt
 from qnl.errors import NotHermitian, NotPSD
-from qnl.linalg import PAULI_X, dagger, psd_sqrt_stack
+from qnl.measures import psd_sqrt_stack
 
 
 class TestHermitianEig:
