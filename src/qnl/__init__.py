@@ -3,8 +3,8 @@
 Library surface: state constructors and validation (states), the four
 correlation measures and hierarchy classifier (measures), the three channel
 families as one Kraus table, ``FAMILIES[name](q)`` reading one row of it
-(channels), closed-form Werner decay curves (werner_analytic),
-critical-strength solvers and the region map (thresholds), and the seeded
+(channels), critical-strength solvers and the region map with the
+closed-form Werner decay curves it ranks (thresholds), and the seeded
 Monte-Carlo hierarchy experiment (sampling). The ``qnl`` command exposes all
 of it on the command line.
 

@@ -85,8 +85,10 @@ def _echo(message: str, nl: bool = True) -> None:
 def _write_out(out: str, write) -> None:
     """Write the file ``out`` through ``write(fh)``; exit 2 with "cannot write" if that fails.
 
-    A failed write leaves no truncated CSV: the regular file this run opened
-    at ``out`` is removed. Nothing else is, so a device such as /dev/full stays.
+    A failed write leaves no truncated CSV: ``out`` is resolved once, symbolic
+    links followed (``os.path.realpath``), and the regular file this run opened
+    is removed if it is still the file at that path. Nothing else is: a link
+    stays (dangling), and a device such as /dev/full stays.
     """
     opened = None
     try:
@@ -95,9 +97,10 @@ def _write_out(out: str, write) -> None:
             write(fh)
     except OSError as exc:
         if opened is not None and stat.S_ISREG(opened.st_mode):
+            target = os.path.realpath(out)
             with contextlib.suppress(OSError):
-                if os.path.samestat(opened, os.lstat(out)):  # not a link to it, nor a file put there since
-                    os.remove(out)
+                if os.path.samestat(opened, os.lstat(target)):  # not a file put there since
+                    os.remove(target)
         raise click.UsageError(f"cannot write {out!r}: {exc}")
 
 

@@ -54,6 +54,12 @@ points: F and B from ``jacobi_fidelity_bell`` or the SVD of
 ``correlation_singvals_stack``, C from ``jacobi_concurrence`` (0 where the
 bound puts it below zero) or the roots of ``wootters_roots_stack``, which
 rank-deficient states always read.
+
+``werner_region`` maps the Werner (p, q) plane under amplitude damping from
+three closed forms kept beside it, ``concurrence_ad``, ``fidelity_ad`` and
+``bell_ad``, the independent oracle against the Kraus pipeline. ``bell_ad`` is
+a defective two-branch expression, kept as a pinned diagnostic (see its
+docstring); ``qnl`` re-exports none of the three.
 """
 
 from __future__ import annotations
@@ -83,7 +89,6 @@ from .measures import (
     wootters_roots_stack,
 )
 from .states import PSD_TOL, TRACE_TOL, DensityMatrix
-from .werner_analytic import ArrayOrFloat, bell_ad, concurrence_ad, fidelity_ad
 
 PRESCAN_POINTS = 1001
 _GRID = np.linspace(0.0, 1.0, PRESCAN_POINTS)
@@ -776,15 +781,65 @@ def hierarchy_check(ts: ThresholdSet) -> bool:
     return bool(ordered(np.array([ts.q_g, ts.q_b, ts.q_f, ts.q_c], dtype=float)))
 
 
+# A float gives a float, arrays that broadcast together an array.
+ArrayOrFloat = float | np.ndarray
+
+
+def _check_point(p: ArrayOrFloat, q: ArrayOrFloat) -> tuple[np.ndarray, np.ndarray]:
+    """Floats or broadcastable arrays as float arrays; ValueError names the first bad entry."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    for name, value in (("state parameter p", p), ("channel parameter q", q)):
+        inside = (value >= 0.0) & (value <= 1.0)
+        if not inside.all():
+            raise ValueError(f"{name} must lie in [0, 1], got {value[~inside][0]}")
+    return p, q
+
+
+def concurrence_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
+    """Concurrence of the Werner state p under amplitude damping q, clamped at zero.
+
+    C(p, q) = max(0, p sqrt(1-q) - (1/2) sqrt((1-p)(1-q)(1-p+q+pq))). Its
+    signed value before the clamp, whose zero crossing locates q_C, is
+    ``concurrence_ad_unclamped`` in ``tests/oracles.py``.
+    """
+    p, q = _check_point(p, q)
+    inner = (1.0 - p) * (1.0 - q) * (1.0 - p + q + p * q)
+    return np.maximum(0.0, p * np.sqrt(1.0 - q) - 0.5 * np.sqrt(np.maximum(inner, 0.0)))
+
+
+def fidelity_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
+    """Optimal teleportation fidelity of the damped Werner state: (3 + (1 + 2 sqrt(1-q) - q) p) / 6."""
+    p, q = _check_point(p, q)
+    return (3.0 + (1.0 + 2.0 * np.sqrt(1.0 - q) - q) * p) / 6.0
+
+
+def bell_ad(p: ArrayOrFloat, q: ArrayOrFloat) -> ArrayOrFloat:
+    """Two-branch closed-form Bell parameter of the damped Werner state, max(B1, B2).
+
+    B1 = 2 sqrt(p) sqrt(1-q), B2 = 2 p sqrt(2 - 3q + q^2). The expression is
+    kept as-is rather than silently corrected. It is known to be defective:
+    with s = sqrt(1-q), B2 equals 2 sqrt(v1 + v3) over the eigenvalues
+    v = (p^2 s^2, p^2 s^2, p^2 s^4) of T^T T, i.e. it pairs the largest
+    eigenvalue with the smallest instead of the two largest, and B1
+    over-scales at small p. The Kraus pipeline yields 2 sqrt(2) p sqrt(1-q)
+    exactly. Dedicated diagnostic tests characterize the discrepancy, so the
+    defective form stays inspectable next to the measured truth; the two
+    branches apart are ``bell_ad_branches`` in ``tests/oracles.py``.
+    """
+    p, q = _check_point(p, q)
+    return np.maximum(2.0 * np.sqrt(p) * np.sqrt(1.0 - q), 2.0 * p * np.sqrt(2.0 - 3.0 * q + q * q))
+
+
 def werner_region(p: ArrayOrFloat, q: ArrayOrFloat) -> str | np.ndarray:
     """Region label R1..R5 of the Werner (p, q) plane from the closed forms.
 
     R1 separable, R2 entangled only, R3 teleportation-useful without CHSH
     violation, R4 CHSH-violating below the Gisin bound, R5 beyond it. The
-    curves of ``werner_analytic`` are ranked by ``hierarchy_rank``, the
-    ladder of ``classify``. Takes floats (one label, an ``np.str_``) or arrays
-    that broadcast together (an array of labels).
+    closed forms above are ranked by ``hierarchy_rank``, the ladder of
+    ``classify``. Takes floats (one label, an ``np.str_``) or arrays that
+    broadcast together (an array of labels).
     """
+    # Read from the module's globals on each call, so a wrapper set on qnl.thresholds sees it.
     margins = alive_margins(fidelity_ad(p, q), bell_ad(p, q), concurrence_ad(p, q))
     return np.asarray(REGIONS)[hierarchy_rank(margins)]
 

@@ -30,11 +30,11 @@ Nothing in ``qnl`` calls these. Each one takes the plain, one-matrix route:
                   amplitude damping reaches zero, by cases
   concurrence_ad_unclamped
                   that closed-form concurrence before its clamp at zero; its
-                  zero crossing locates q_C. ``werner_analytic.concurrence_ad``
+                  zero crossing locates q_C. ``thresholds.concurrence_ad``
                   is its clamp, float for float
   bell_ad_branches
                   the two branches (B1, B2) of the defective closed-form Bell
-                  expression, the pinned diagnostic; ``werner_analytic.bell_ad``
+                  expression, the pinned diagnostic; ``thresholds.bell_ad``
                   is their max, float for float
   scan_all_rows   the measure table of ``thresholds.scan`` with the Wootters
                   roots and the LAPACK correlation SVD taken at every row
@@ -61,8 +61,7 @@ from qnl.measures import (
 )
 from qnl.sampling import _mems_entries
 from qnl.states import DensityMatrix
-from qnl.thresholds import _BLOCK_POINTS, _curves
-from qnl.werner_analytic import ArrayOrFloat, _check_point
+from qnl.thresholds import _BLOCK_POINTS, ArrayOrFloat, _check_point, _curves
 
 # Eigenvalues of a PSD matrix more negative than this are treated as a real
 # violation rather than rounding noise.

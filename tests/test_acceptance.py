@@ -6,7 +6,7 @@ The Bell oracle for damped Werner states is 2 sqrt(2) p sqrt(1-q): the
 singular values of the correlation matrix T are (p sqrt(1-q), p sqrt(1-q),
 p (1-q)), and a direct CHSH maximisation over measurement directions
 agrees (tests/test_werner_analytic.py::TestBellFormulaDiagnostic). The
-two-branch expression ``werner_analytic.bell_ad`` is defective and is not
+two-branch expression ``thresholds.bell_ad`` is defective and is not
 used as a reference here.
 """
 
@@ -31,8 +31,7 @@ from qnl.measures import (
 )
 from qnl.sampling import SamplerConfig, hierarchy_experiment
 from qnl.states import DensityMatrix, bell_singlet, werner
-from qnl.thresholds import threshold_set
-from qnl.werner_analytic import concurrence_ad, fidelity_ad
+from qnl.thresholds import concurrence_ad, fidelity_ad, threshold_set
 
 AD = "amplitude-damping"
 

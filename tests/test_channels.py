@@ -18,7 +18,7 @@ from qnl.channels import (
 from qnl.errors import QOutOfRange
 from qnl.measures import concurrence
 from qnl.states import DensityMatrix, bell_singlet, werner
-from qnl.werner_analytic import concurrence_ad
+from qnl.thresholds import concurrence_ad
 
 AD, PD, DEP = "amplitude-damping", "phase-damping", "depolarizing"
 

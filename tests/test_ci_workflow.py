@@ -6,12 +6,15 @@ benchmark correctness gate runs every workload that ``BENCHMARK.json`` names,
 at a seed with recorded references and at one without, and one step runs the
 benchmark's self-tests, which fail if a name that ``perfbench/spans.py``
 traces is removed from ``src/``. The report-only LAPACK count perturbs
-``np.linalg`` through ``conftest.lapack_perturbed``, which is checked here too.
+``np.linalg`` through ``conftest.lapack_perturbed``, which is checked here too,
+and the report-only kernel matrix names every SHA-256 pin of tier 1 and no
+kernel that needs AVX-512.
 
 A workflow file that does not parse never runs, so CI cannot report it; this
 test reports it instead.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -77,6 +80,20 @@ def test_gate_runs_a_seed_without_references():
 def test_workflow_runs_the_benchmark_self_tests():
     command = "python3 perfbench/selftest.py"
     assert len([step for step in workflow_steps() if command in step.get("run", "")]) == 1
+
+
+def test_kernel_matrix_runs_every_pin_on_kernels_any_avx2_cpu_has():
+    matrix = [step["run"] for step in workflow_steps() if step.get("name") == "Byte pins per CPU kernel"]
+    assert len(matrix) == 1
+    # SkylakeX stops a CPU without AVX-512 on an illegal instruction.
+    assert "SkylakeX" not in matrix[0]
+    loop = re.search(r"for kernel in \(([^)]+)\):", matrix[0])
+    assert loop and re.findall(r'"(\w+)"', loop[1]) == ["Haswell", "Sandybridge", "Nehalem"]
+    named = re.findall(r'"tests/test_cli\.py::(\w+)::(\w+)"', matrix[0])
+    pins = [(cls.name, fn.name) for cls in ast.parse((ROOT / "tests/test_cli.py").read_text()).body
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and "sha256" in ast.unparse(fn)]
+    assert pins and sorted(named) == sorted(pins)
 
 
 def test_lapack_perturbation_is_seeded_bounded_and_undone():

@@ -11,6 +11,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -19,7 +20,7 @@ import qnl
 from conftest import write_state
 from qnl.cli import MAX_GRID, MAX_MAP_AXIS, main
 from qnl.states import werner
-from qnl.werner_analytic import concurrence_ad, fidelity_ad
+from qnl.thresholds import concurrence_ad, fidelity_ad
 
 
 @pytest.fixture
@@ -532,6 +533,28 @@ class TestFailureExits:
         assert "cannot write" in result.output
         assert kept == [5]
         assert not out_path.exists()
+
+    def test_failed_write_through_a_link_removes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+
+        def write(fh):
+            fh.write("p,q,r")
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(click.UsageError, match="cannot write"):
+            qnl.cli._write_out(str(link), write)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not target.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_stdout_device_on_a_pipe_as_out(self):
+        # /dev/stdout on a pipe resolves to no file, so --out is opened as given.
+        result = run_cli_process(["werner-map", "--grid", "3", "--out", "/dev/stdout"], timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("p,q,region\n0,0,R1\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("args", FILE_COMMANDS, ids=lambda args: args[0])

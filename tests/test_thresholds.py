@@ -20,12 +20,14 @@ from qnl.thresholds import (
     _BLOCK_POINTS,
     ThresholdSet,
     _curves,
+    bell_ad,
+    concurrence_ad,
+    fidelity_ad,
     hierarchy_check,
     scan,
     threshold_set,
     werner_region,
 )
-from qnl.werner_analytic import bell_ad, concurrence_ad, fidelity_ad
 
 AD = "amplitude-damping"
 # Most memory one threshold_set may allocate at once (tracemalloc's peak). Each
@@ -268,6 +270,28 @@ class TestWernerRegion:
             assert werner_region(p, axis).tolist() == cells
             labels = [order[label] for label in cells]
             assert np.all(np.diff(labels) <= 0)
+
+    def test_one_call_reaches_each_closed_form_once(self, monkeypatch):
+        # The benchmark's werner_analytic.* spans wrap these three module names,
+        # so werner_region must call them through the module, once a call.
+        import qnl.thresholds
+
+        axis = np.linspace(0.0, 1.0, 25)
+        want = werner_region(0.7, axis)
+        calls = []
+
+        def counting(name):
+            form = getattr(qnl.thresholds, name)
+
+            def counted(*args):
+                calls.append(name)
+                return form(*args)
+            return counted
+
+        for name in ("bell_ad", "concurrence_ad", "fidelity_ad"):
+            monkeypatch.setattr(qnl.thresholds, name, counting(name))
+        assert werner_region(0.7, axis).tolist() == want.tolist()
+        assert sorted(calls) == ["bell_ad", "concurrence_ad", "fidelity_ad"]
 
 
 class TestRegionMapAgainstPipeline:

@@ -16,7 +16,7 @@ from oracles import bell_ad_branches, boundary_q_c, concurrence_ad_unclamped
 from qnl.channels import evolve_grid
 from qnl.measures import correlation_singvals_stack, wootters_roots_stack
 from qnl.states import werner
-from qnl.werner_analytic import bell_ad, concurrence_ad, fidelity_ad
+from qnl.thresholds import bell_ad, concurrence_ad, fidelity_ad
 
 P_GRID = np.linspace(0.0, 1.0, 51)
 Q_GRID = np.linspace(0.0, 1.0, 51)
